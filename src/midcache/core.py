@@ -155,12 +155,12 @@ class CacheState:
         self.catalog = catalog
         self.resident: set[ObjectId] = set()
         self.outstanding: dict[ObjectId, list[Update]] = {}
-        self.freshness: dict[ObjectId, bool] = {}   # True == fresh
         self._by_uid: dict[int, Update] = {}
+        self._used = 0   # bytes resident; kept by seed_resident and apply
 
     @property
     def used(self) -> int:
-        return sum(self.catalog.size(o) for o in self.resident)
+        return self._used
 
     @property
     def free(self) -> int:
@@ -172,16 +172,18 @@ class CacheState:
     def is_fresh(self, oid: ObjectId) -> bool:
         if oid not in self.resident:
             raise NonResident(f"object {oid} is not resident")
-        return self.freshness[oid]
+        return oid not in self.outstanding
 
     def seed_resident(self, oids) -> None:
         """Mark objects resident without charging traffic (run bootstrap only:
-        replica-style policies and replay of recorded initial residency)."""
+        replica-style policies and replay of recorded initial residency).
+        Ids already resident are skipped."""
         for oid in oids:
             if oid not in self.catalog:
                 raise UnknownObject(f"object {oid} not in catalog")
-            self.resident.add(oid)
-            self.freshness[oid] = True
+            if oid not in self.resident:
+                self.resident.add(oid)
+                self._used += self.catalog.size(oid)
         if self.used > self.capacity:
             raise CapacityExceeded("seeded residency exceeds capacity")
 
@@ -192,7 +194,6 @@ class CacheState:
             raise UnknownObject(f"update {u.uid} targets unknown object {u.object}")
         if u.object in self.resident:
             self.outstanding.setdefault(u.object, []).append(u)
-            self.freshness[u.object] = False
             self._by_uid[u.uid] = u
 
     def outstanding_for(self, oid: ObjectId) -> list[Update]:
@@ -227,10 +228,11 @@ def interacting_updates(q: Query, cache: CacheState, now: int) -> list[Update]:
 def apply(cache: CacheState, d: Decision) -> None:
     """Apply one decision to the cache state in place.
 
-    Load admits a whole object, marking it fresh (updates arriving during an
-    instantaneous load are folded into the loaded copy). ShipUpdates drains
-    queued updates and restores freshness once a queue empties. Evict drops
-    residency together with the object's queue.
+    Load admits a whole object with no queue, so it is fresh (updates arriving
+    during an instantaneous load are folded into the loaded copy). ShipUpdates
+    drains queued updates and drops a queue once it empties. Evict drops
+    residency together with the object's queue. Load and Evict keep the
+    running `used` counter.
     """
     if isinstance(d, (ShipQuery, AnswerFromCache)):
         return
@@ -239,22 +241,23 @@ def apply(cache: CacheState, d: Decision) -> None:
             raise UnknownObject(f"cannot load unknown object {d.oid}")
         if d.oid in cache.resident:
             raise CacheError(f"object {d.oid} is already resident")
-        if cache.catalog.size(d.oid) > cache.free:
+        size = cache.catalog.size(d.oid)
+        if size > cache.free:
             raise CapacityExceeded(
-                f"loading object {d.oid} ({cache.catalog.size(d.oid)} B) "
+                f"loading object {d.oid} ({size} B) "
                 f"exceeds free space ({cache.free} B)")
         cache.resident.add(d.oid)
+        cache._used += size
         for u in cache.outstanding.pop(d.oid, ()):
             cache._by_uid.pop(u.uid, None)
-        cache.freshness[d.oid] = True
         return
     if isinstance(d, Evict):
         if d.oid not in cache.resident:
             raise NonResident(f"cannot evict non-resident object {d.oid}")
         cache.resident.discard(d.oid)
+        cache._used -= cache.catalog.size(d.oid)
         for u in cache.outstanding.pop(d.oid, ()):
             cache._by_uid.pop(u.uid, None)
-        cache.freshness.pop(d.oid, None)
         return
     if isinstance(d, ShipUpdates):
         for uid in d.uids:
@@ -264,7 +267,6 @@ def apply(cache: CacheState, d: Decision) -> None:
             del cache._by_uid[uid]
             if not queue:
                 cache.outstanding.pop(u.object, None)
-                cache.freshness[u.object] = True
         return
     raise TypeError(f"unknown decision {d!r}")
 
@@ -320,16 +322,14 @@ def record(ledger: TrafficLedger, d: Decision, costs: CostContext, seq: int = 0)
 
 
 def check_freshness(cache: CacheState) -> None:
-    """Freshness must equal queue emptiness for every resident object."""
-    for oid in cache.resident:
-        queued = bool(cache.outstanding.get(oid))
-        if cache.freshness.get(oid) != (not queued):
-            raise CacheError(
-                f"object {oid}: freshness flag {cache.freshness.get(oid)} "
-                f"inconsistent with {len(cache.outstanding.get(oid, ()))} queued updates")
-    for oid in cache.outstanding:
+    """Every outstanding queue belongs to a resident object and holds at
+    least one update. Freshness is queue absence by construction, so this
+    invariant is all that can break; it costs O(objects with queued updates)."""
+    for oid, queue in cache.outstanding.items():
         if oid not in cache.resident:
             raise CacheError(f"non-resident object {oid} has an outstanding queue")
+        if not queue:
+            raise CacheError(f"object {oid} has an empty outstanding queue")
 
 
 def check_capacity(cache: CacheState) -> None:

@@ -78,7 +78,7 @@ def gds_lazy_apply(state: GdsState, cache: CacheState, catalog: ObjectCatalog,
     sim = state.copy()
     resident = set(cache.resident)
     initial = set(resident)
-    free = cache.capacity - sum(catalog.size(o) for o in resident)
+    free = cache.free
     admitted_order: list[ObjectId] = []
     evicted_order: list[ObjectId] = []
 

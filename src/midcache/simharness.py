@@ -124,7 +124,8 @@ class RunReport:
 def run(events: list[Event], catalog: ObjectCatalog, config: RunConfig) -> RunReport:
     """Replay the trace under one policy. Raises AuditError (with the event
     index) if any decision breaks capacity, freshness, or the staleness
-    contract of a cache-answered query."""
+    contract of a cache-answered query, or if the capacity counter disagrees
+    with the resident set at the end of the run."""
     cache = CacheState(config.capacity(catalog), catalog)
     policy = make_policy(config, catalog, cache, events)
     initial_resident = sorted(cache.resident)
@@ -182,6 +183,12 @@ def run(events: list[Event], catalog: ObjectCatalog, config: RunConfig) -> RunRe
                            ledger.load, ledger.total, cache.used))
     execute(policy.finalize(), last_seq, None,
             events[-1].time if events else 0)
+    # The per-event capacity audit trusts the running counter; recount it
+    # once, so a counter that drifted behind apply's back fails the run.
+    resident_bytes = sum(catalog.size(o) for o in cache.resident)
+    if resident_bytes != cache.used:
+        raise AuditError(last_seq, f"capacity counter reads {cache.used} B but "
+                                   f"resident objects hold {resident_bytes} B")
 
     wq, wu, wl = warmup_snapshot
     post_warmup = {"query_ship": ledger.query_ship - wq,

@@ -3,8 +3,9 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from midcache.core import (AnswerFromCache, CacheState, CapacityExceeded,
-                           CostContext, Evict, Load, NonResident,
+from midcache.core import (AnswerFromCache, CacheError, CacheState,
+                           CapacityExceeded, CostContext, Evict, Load,
+                           NonResident,
                            NotOutstanding, ObjectCatalog, ShipQuery,
                            ShipUpdates, TrafficLedger, apply, check_capacity,
                            check_freshness, interacting_updates, record)
@@ -168,3 +169,53 @@ class TestApply:
         cache.receive_update(mk_update(1, 1, 2, 1))
         assert cache.outstanding_for(2) == []
         check_freshness(cache)
+
+
+class TestAccounting:
+    def test_seed_resident_skips_duplicate_ids(self, small_catalog):
+        cache = make_cache(small_catalog, 100, [0, 0])
+        assert cache.used == small_catalog.size(0)
+        cache.seed_resident([0, 1])
+        assert cache.used == small_catalog.size(0) + small_catalog.size(1)
+
+    @given(st.data())
+    def test_counter_and_freshness_track_every_step(self, data):
+        catalog = ObjectCatalog.from_sizes({0: 10, 1: 20, 2: 30, 3: 40, 4: 50})
+        cache = make_cache(catalog, data.draw(st.integers(0, 150)))
+        uid = 0
+        for _ in range(data.draw(st.integers(0, 40))):
+            kind = data.draw(st.sampled_from(["update", "load", "evict", "ship"]))
+            if kind == "update":
+                uid += 1
+                cache.receive_update(mk_update(uid, uid, data.draw(st.integers(0, 4)), 1))
+            elif kind == "load":
+                fits = [o for o in catalog.ids()
+                        if o not in cache.resident and catalog.size(o) <= cache.free]
+                if fits:
+                    apply(cache, Load(data.draw(st.sampled_from(fits))))
+            elif kind == "evict" and cache.resident:
+                apply(cache, Evict(data.draw(st.sampled_from(sorted(cache.resident)))))
+            elif kind == "ship":
+                queued = sorted(u.uid for q in cache.outstanding.values() for u in q)
+                if queued:
+                    picked = data.draw(st.lists(st.sampled_from(queued), min_size=1,
+                                                unique=True))
+                    apply(cache, ShipUpdates(tuple(picked)))
+            assert cache.used == sum(catalog.size(o) for o in cache.resident)
+            assert cache.free == cache.capacity - cache.used
+            for o in cache.resident:
+                assert cache.is_fresh(o) == (cache.outstanding_for(o) == [])
+            check_freshness(cache)
+            check_capacity(cache)
+
+    def test_check_freshness_rejects_queue_of_non_resident(self, small_catalog):
+        cache = make_cache(small_catalog, 100, [0])
+        cache.outstanding[1] = [mk_update(1, 1, 1, 1)]
+        with pytest.raises(CacheError, match="non-resident object 1"):
+            check_freshness(cache)
+
+    def test_check_freshness_rejects_empty_queue(self, small_catalog):
+        cache = make_cache(small_catalog, 100, [0])
+        cache.outstanding[0] = []
+        with pytest.raises(CacheError, match="empty outstanding queue"):
+            check_freshness(cache)

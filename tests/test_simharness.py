@@ -1,6 +1,6 @@
 import pytest
 
-from midcache.core import AnswerFromCache
+from midcache.core import AnswerFromCache, ShipQuery
 from midcache.simharness import (AuditError, RunConfig, compare,
                                  replay_decisions, run)
 from midcache.workload import GeneratorParams, generate
@@ -104,6 +104,35 @@ class TestAudit:
             with pytest.raises(AuditError) as exc:
                 run(events, small_catalog, RunConfig(policy="nocache", seed=0))
             assert exc.value.seq == 1
+        finally:
+            sh.make_policy = orig
+
+    def test_residency_changed_behind_apply_fails_the_run(self, small_catalog):
+        class CorruptingPolicy:
+            def __init__(self, cache):
+                self.cache = cache
+
+            def startup(self):
+                return []
+
+            def on_query(self, q, now):
+                self.cache.resident.add(3)   # bypasses apply and its counter
+                return [ShipQuery(q.qid)]
+
+            def on_update(self, u, now):
+                return []
+
+            def finalize(self):
+                return []
+
+        import midcache.simharness as sh
+        orig = sh.make_policy
+        sh.make_policy = lambda cfg, cat, cache, events: CorruptingPolicy(cache)
+        try:
+            events = [mk_query(1, 1, {0}, 5, seq=1), mk_query(2, 2, {1}, 5, seq=2)]
+            with pytest.raises(AuditError, match="capacity counter") as exc:
+                run(events, small_catalog, RunConfig(policy="nocache", seed=0))
+            assert exc.value.seq == 2
         finally:
             sh.make_policy = orig
 
