@@ -68,11 +68,7 @@ def _write_report(report, out: Path, stem: str, fmt: str) -> None:
 def cmd_run(args) -> int:
     catalog, events = workload.load_trace(args.trace)
     config = _run_config(args, args.policy)
-    try:
-        report = simharness.run(events, catalog, config)
-    except simharness.AuditError as exc:
-        print(f"audit failure: {exc}", file=sys.stderr)
-        return 2
+    report = simharness.run(events, catalog, config)
     out = _out_dir(args)
     stem = f"run-{args.policy}-seed{args.seed}"
     _write_report(report, out, stem, args.format)
@@ -93,7 +89,6 @@ def cmd_compare(args) -> int:
     grains = ([int(g) for g in args.granularity.split(",")]
               if args.granularity else [None])
     out = _out_dir(args)
-    rc = 0
     for grain in grains:
         if grain is None:
             cat, evs, tag = catalog, events, "compare"
@@ -101,18 +96,14 @@ def cmd_compare(args) -> int:
             cat, evs = workload.regrain(catalog, events, grain)
             tag = f"compare-g{grain}"
         configs = [_run_config(args, p) for p in policies]
-        try:
-            cmp_report = simharness.compare(evs, cat, configs, jobs=args.jobs)
-        except simharness.AuditError as exc:
-            print(f"audit failure: {exc}", file=sys.stderr)
-            return 2
+        cmp_report = simharness.compare(evs, cat, configs, jobs=args.jobs)
         _write_report(cmp_report, out, tag, args.format)
         for row in cmp_report.table():
             label = f"[{grain} objects] " if grain is not None else ""
             print(f"{label}{row['policy']}: total={row['total']} "
                   f"query_ship={row['query_ship']} "
                   f"update_ship={row['update_ship']} load={row['load']}")
-    return rc
+    return 0
 
 
 def cmd_report(args) -> int:
@@ -215,8 +206,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; an invalid trace exits 1, an audit failure 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except workload.TraceError as exc:
+        print(f"invalid trace: {exc}", file=sys.stderr)
+        return 1
+    except simharness.AuditError as exc:
+        print(f"audit failure: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

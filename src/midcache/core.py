@@ -177,15 +177,14 @@ class CacheState:
     def seed_resident(self, oids) -> None:
         """Mark objects resident without charging traffic (run bootstrap only:
         replica-style policies and replay of recorded initial residency).
-        Ids already resident are skipped."""
-        for oid in oids:
-            if oid not in self.catalog:
-                raise UnknownObject(f"object {oid} not in catalog")
-            if oid not in self.resident:
-                self.resident.add(oid)
-                self._used += self.catalog.size(oid)
-        if self.used > self.capacity:
+        Ids already resident are skipped. All or nothing: on error the cache
+        is unchanged."""
+        new = set(oids) - self.resident
+        added = sum(self.catalog.size(oid) for oid in new)   # raises UnknownObject
+        if self._used + added > self.capacity:
             raise CapacityExceeded("seeded residency exceeds capacity")
+        self.resident |= new
+        self._used += added
 
     def receive_update(self, u: Update) -> None:
         """Server-side arrival of an update. Invalidate the cached copy when
@@ -273,13 +272,11 @@ def apply(cache: CacheState, d: Decision) -> None:
 
 @dataclass
 class TrafficLedger:
-    """Cumulative network bytes by mechanism, with samples taken along the
-    event sequence. The cumulative total is exact at every sample."""
+    """Cumulative network bytes by mechanism."""
 
     query_ship: int = 0
     update_ship: int = 0
     load: int = 0
-    samples: list[tuple[int, int]] = field(default_factory=list)
 
     @property
     def total(self) -> int:
@@ -305,8 +302,8 @@ class CostContext:
             self.update_cost[ev.uid] = ev.ship_cost
 
 
-def record(ledger: TrafficLedger, d: Decision, costs: CostContext, seq: int = 0) -> None:
-    """Charge one decision to the ledger and append a sample.
+def record(ledger: TrafficLedger, d: Decision, costs: CostContext) -> None:
+    """Charge one decision to the ledger.
 
     ShipQuery, ShipUpdates and Load each add to exactly one bucket;
     AnswerFromCache and Evict move no bytes (the cache sits next to the
@@ -318,7 +315,6 @@ def record(ledger: TrafficLedger, d: Decision, costs: CostContext, seq: int = 0)
         ledger.update_ship += sum(costs.update_cost[uid] for uid in d.uids)
     elif isinstance(d, Load):
         ledger.load += costs.catalog.load_cost(d.oid)
-    ledger.samples.append((seq, ledger.total))
 
 
 def check_freshness(cache: CacheState) -> None:

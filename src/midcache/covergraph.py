@@ -57,13 +57,11 @@ class InteractionGraph:
     def __init__(self):
         self.query_weight: dict[int, int] = {}
         self.update_weight: dict[int, int] = {}
-        self.update_edges: dict[int, list[int]] = {}   # uid -> [qid], insertion order
-        self.query_edges: dict[int, list[int]] = {}    # qid -> [uid], insertion order
-        self._edge_set: set[tuple[int, int]] = set()
-
-    @property
-    def n_edges(self) -> int:
-        return len(self._edge_set)
+        # uid -> {qid: None} and qid -> {uid: None}: dicts keep insertion
+        # order, which fixes the search order and so the canonical cover.
+        self.update_edges: dict[int, dict[int, None]] = {}
+        self.query_edges: dict[int, dict[int, None]] = {}
+        self.n_edges = 0
 
     def has_update(self, uid: int) -> bool:
         return uid in self.update_weight
@@ -72,34 +70,34 @@ class InteractionGraph:
         return qid in self.query_weight
 
     def edges(self) -> set[tuple[int, int]]:
-        return set(self._edge_set)
+        return {(uid, qid) for uid, qs in self.update_edges.items() for qid in qs}
 
     def add_query(self, qid: int, weight: int) -> None:
         if qid in self.query_weight:
             raise GraphError(f"duplicate query node {qid}")
-        if weight <= 0:
-            raise GraphError(f"query node {qid}: weight must be positive")
+        if weight < 0:
+            raise GraphError(f"query node {qid}: weight must be non-negative")
         self.query_weight[qid] = weight
-        self.query_edges[qid] = []
+        self.query_edges[qid] = {}
 
     def add_update(self, uid: int, weight: int) -> None:
         if uid in self.update_weight:
             raise GraphError(f"duplicate update node {uid}")
-        if weight <= 0:
-            raise GraphError(f"update node {uid}: weight must be positive")
+        if weight < 0:
+            raise GraphError(f"update node {uid}: weight must be non-negative")
         self.update_weight[uid] = weight
-        self.update_edges[uid] = []
+        self.update_edges[uid] = {}
 
     def add_edge(self, uid: int, qid: int) -> None:
         if uid not in self.update_weight:
             raise GraphError(f"edge ({uid},{qid}): update node missing")
         if qid not in self.query_weight:
             raise GraphError(f"edge ({uid},{qid}): query node missing")
-        if (uid, qid) in self._edge_set:
+        if qid in self.update_edges[uid]:
             raise GraphError(f"duplicate edge ({uid},{qid})")
-        self._edge_set.add((uid, qid))
-        self.update_edges[uid].append(qid)
-        self.query_edges[qid].append(uid)
+        self.update_edges[uid][qid] = None
+        self.query_edges[qid][uid] = None
+        self.n_edges += 1
 
     def remove_nodes(self, fs: FlowState | None,
                      drop_updates: set[int] = frozenset(),
@@ -112,10 +110,11 @@ class InteractionGraph:
         for uid in drop_updates:
             if uid not in self.update_weight:
                 continue
-            for qid in self.update_edges.pop(uid):
+            qids = self.update_edges.pop(uid)
+            self.n_edges -= len(qids)
+            for qid in qids:
                 f = fs.flow_uq.pop((uid, qid), 0) if fs is not None else 0
-                self.query_edges[qid].remove(uid)
-                self._edge_set.discard((uid, qid))
+                del self.query_edges[qid][uid]
                 if f and qid not in drop_queries:
                     fs.flow_qt[qid] = fs.flow_qt.get(qid, 0) - f
             del self.update_weight[uid]
@@ -124,10 +123,11 @@ class InteractionGraph:
         for qid in drop_queries:
             if qid not in self.query_weight:
                 continue
-            for uid in self.query_edges.pop(qid):
+            uids = self.query_edges.pop(qid)
+            self.n_edges -= len(uids)
+            for uid in uids:
                 f = fs.flow_uq.pop((uid, qid), 0) if fs is not None else 0
-                self.update_edges[uid].remove(qid)
-                self._edge_set.discard((uid, qid))
+                del self.update_edges[uid][qid]
                 if f:
                     fs.flow_su[uid] = fs.flow_su.get(uid, 0) - f
             del self.query_weight[qid]
@@ -269,7 +269,7 @@ def check_flow(g: InteractionGraph, fs: FlowState) -> None:
         if not (0 <= f <= g.query_weight[qid]):
             raise GraphError(f"sink arc of query {qid}: flow {f} out of range")
     for (uid, qid), f in fs.flow_uq.items():
-        if (uid, qid) not in g._edge_set:
+        if qid not in g.update_edges.get(uid, ()):
             raise GraphError(f"flow on missing edge ({uid},{qid})")
         if f < 0:
             raise GraphError(f"edge ({uid},{qid}): negative flow {f}")
@@ -284,7 +284,7 @@ def check_flow(g: InteractionGraph, fs: FlowState) -> None:
 
 
 def check_cover(g: InteractionGraph, cover: CoverResult) -> None:
-    for uid, qid in g._edge_set:
+    for uid, qid in g.edges():
         if uid not in cover.cover_updates and qid not in cover.cover_queries:
             raise GraphError(f"edge ({uid},{qid}) uncovered")
 
@@ -298,8 +298,9 @@ def dump(g: InteractionGraph, fs: FlowState | None = None) -> str:
     lines.append("queries:")
     for qid in sorted(g.query_weight):
         lines.append(f"  q{qid} w={g.query_weight[qid]}")
+    edges = sorted(g.edges())
     lines.append("edges:")
-    for uid, qid in sorted(g._edge_set):
+    for uid, qid in edges:
         lines.append(f"  u{uid}-q{qid}")
     if fs is not None:
         lines.append(f"flow value={fs.value}")
@@ -307,7 +308,7 @@ def dump(g: InteractionGraph, fs: FlowState | None = None) -> str:
             f = fs.flow_su.get(uid, 0)
             if f:
                 lines.append(f"  S->u{uid} {f}")
-        for uid, qid in sorted(g._edge_set):
+        for uid, qid in edges:
             f = fs.flow_uq.get((uid, qid), 0)
             if f:
                 lines.append(f"  u{uid}->q{qid} {f}")

@@ -31,7 +31,7 @@ class RunConfig:
     policy: str
     seed: int
     cache_bytes: int | None = None     # wins over cache_frac when set
-    cache_frac: float | None = 0.3     # fraction of total catalog size
+    cache_frac: float = 0.3            # fraction of total catalog size
     warmup_events: int = 0
     sample_stride: int = 100
     params: dict = field(default_factory=dict)
@@ -43,14 +43,17 @@ class RunConfig:
             raise ValueError("warmup_events must be >= 0")
 
     def capacity(self, catalog: ObjectCatalog) -> int:
+        """The run's cache capacity in bytes. A replica holds every object,
+        so its capacity is the catalog's total size whatever was asked."""
         if self.cache_bytes is not None:
             if self.cache_bytes < 0:
                 raise ValueError("cache_bytes must be non-negative")
-            return self.cache_bytes
-        frac = self.cache_frac if self.cache_frac is not None else 0.3
-        if not 0.0 < frac <= 1.0:
+            capacity = self.cache_bytes
+        elif 0.0 < self.cache_frac <= 1.0:
+            capacity = int(self.cache_frac * catalog.total_size)
+        else:
             raise ValueError("cache_frac must be in (0,1]")
-        return int(frac * catalog.total_size)
+        return catalog.total_size if self.policy == "replica" else capacity
 
     def to_dict(self) -> dict:
         return {"policy": self.policy, "seed": self.seed,
@@ -84,6 +87,7 @@ def make_policy(config: RunConfig, catalog: ObjectCatalog, cache: CacheState,
 @dataclass
 class RunReport:
     config: dict
+    capacity: int                      # bytes; kept out of summary()
     ledger: TrafficLedger
     post_warmup: dict
     series: list[tuple]                # (seq, query_ship, update_ship, load, total, occupancy)
@@ -156,7 +160,7 @@ def run(events: list[Event], catalog: ObjectCatalog, config: RunConfig) -> RunRe
                 apply(cache, d)
             except Exception as exc:
                 raise AuditError(seq, f"applying {d!r}: {exc}") from exc
-            record(ledger, d, costs, seq)
+            record(ledger, d, costs)
             counts[type(d).__name__] = counts.get(type(d).__name__, 0) + 1
             log.append((seq, d))
         check_capacity(cache)
@@ -195,8 +199,8 @@ def run(events: list[Event], catalog: ObjectCatalog, config: RunConfig) -> RunRe
                    "update_ship": ledger.update_ship - wu,
                    "load": ledger.load - wl,
                    "total": ledger.total - (wq + wu + wl)}
-    return RunReport(config=config.to_dict(), ledger=ledger,
-                     post_warmup=post_warmup, series=series,
+    return RunReport(config=config.to_dict(), capacity=cache.capacity,
+                     ledger=ledger, post_warmup=post_warmup, series=series,
                      decision_counts=dict(sorted(counts.items())),
                      answers_audited=answers, n_events=len(events),
                      initial_resident=initial_resident, decision_log=log,
@@ -207,12 +211,7 @@ def replay_decisions(events: list[Event], catalog: ObjectCatalog,
                      report: RunReport) -> tuple[CacheState, TrafficLedger]:
     """Re-apply a report's decision log against a fresh cache; the result must
     reproduce the run's final cache and ledger exactly."""
-    capacity = (report.config["cache_bytes"]
-                if report.config["cache_bytes"] is not None
-                else int(report.config["cache_frac"] * catalog.total_size))
-    if report.config["policy"] == "replica":
-        capacity = max(capacity, catalog.total_size)
-    cache = CacheState(capacity, catalog)
+    cache = CacheState(report.capacity, catalog)
     cache.seed_resident(report.initial_resident)
     ledger = TrafficLedger()
     costs = CostContext(catalog)
@@ -221,7 +220,7 @@ def replay_decisions(events: list[Event], catalog: ObjectCatalog,
         by_seq.setdefault(seq, []).append(d)
     for d in by_seq.get(0, ()):
         apply(cache, d)
-        record(ledger, d, costs, 0)
+        record(ledger, d, costs)
     for i, ev in enumerate(events):
         seq = ev.seq if ev.seq else i + 1
         costs.see(ev)
@@ -229,7 +228,7 @@ def replay_decisions(events: list[Event], catalog: ObjectCatalog,
             cache.receive_update(ev)
         for d in by_seq.get(seq, ()):
             apply(cache, d)
-            record(ledger, d, costs, seq)
+            record(ledger, d, costs)
     return cache, ledger
 
 

@@ -183,15 +183,23 @@ def _event_to_json(ev: Event) -> dict:
 
 
 def _event_from_json(doc: dict, seq: int) -> Event:
+    """One event record; every field must be an integer (`type(v) is int`
+    also rejects JSON booleans and floats)."""
     kind = doc.get("kind")
     if kind == "query":
-        return Query(qid=doc["id"], time=doc["time"],
-                     objects=frozenset(doc["objects"]), ship_cost=doc["cost"],
-                     tolerance=doc.get("tolerance", 0), seq=seq)
-    if kind == "update":
-        return Update(uid=doc["id"], time=doc["time"], object=doc["object"],
-                      ship_cost=doc["cost"], seq=seq)
-    raise TraceError(f"unknown event kind {kind!r}")
+        ev = Query(qid=doc["id"], time=doc["time"], objects=frozenset(doc["objects"]),
+                   ship_cost=doc["cost"], tolerance=doc.get("tolerance", 0), seq=seq)
+        ints = (type(ev.qid) is type(ev.tolerance) is int
+                and all(type(o) is int for o in ev.objects))
+    elif kind == "update":
+        ev = Update(uid=doc["id"], time=doc["time"], object=doc["object"],
+                    ship_cost=doc["cost"], seq=seq)
+        ints = type(ev.uid) is type(ev.object) is int
+    else:
+        raise TraceError(f"unknown event kind {kind!r}")
+    if not (ints and type(ev.time) is type(ev.ship_cost) is int):
+        raise TraceError(f"{kind} record has a non-integer field")
+    return ev
 
 
 def write_trace(events: list[Event], path, catalog_ref: str = "catalog.json",
@@ -207,106 +215,103 @@ def write_trace(events: list[Event], path, catalog_ref: str = "catalog.json",
                                 separators=(",", ":")) + "\n")
 
 
-def read_header(path) -> dict:
-    with _open(Path(path), "r") as fh:
-        line = fh.readline()
-    try:
-        header = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise TraceError(f"{path}:1: header is not valid JSON: {exc}") from exc
-    if header.get("schema") != TRACE_SCHEMA:
-        raise TraceError(f"{path}:1: unexpected trace schema {header.get('schema')!r}")
-    return header
-
-
-def load_trace(path) -> tuple[ObjectCatalog, list[Event]]:
-    """Load a trace and the catalog its header references (resolved relative
-    to the trace file). Events get 1-based sequence numbers in file order."""
-    path = Path(path)
-    header = read_header(path)
-    catalog = read_catalog(path.parent / header["catalog"])
-    events: list[Event] = []
-    with _open(path, "r") as fh:
-        fh.readline()
-        for seq, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            events.append(_event_from_json(json.loads(line), seq))
-    return catalog, events
-
-
 @dataclass
 class ValidationReport:
-    ok: bool
     n_queries: int = 0
     n_updates: int = 0
     errors: list[tuple[int, str]] = field(default_factory=list)   # (line, message)
 
+    @property
+    def ok(self) -> bool:
+        return not self.errors
 
-def validate(path) -> ValidationReport:
-    """Structural validation: header, per-line schema, non-negative integer
-    costs, time ordering, and referential integrity against the catalog."""
+
+def _read(path) -> tuple[ObjectCatalog | None, list[Event], ValidationReport]:
+    """The one trace reader. A single pass parses every event and collects
+    (line, message) errors: header, per-line schema, integer fields,
+    non-negative costs and tolerances, duplicate ids, time ordering, and
+    referential integrity against the catalog the header names (resolved
+    relative to the trace file). Events get 1-based sequence numbers in
+    file order."""
     path = Path(path)
-    rep = ValidationReport(ok=True)
+    rep = ValidationReport()
+    events: list[Event] = []
 
     def fail(line: int, msg: str) -> None:
-        rep.ok = False
         rep.errors.append((line, msg))
 
     try:
-        header = read_header(path)
-        catalog = read_catalog(path.parent / header["catalog"])
-    except (TraceError, OSError, KeyError) as exc:
-        fail(1, str(exc))
-        return rep
-    last_time = None
-    n_seen = 0
-    seen_ids: set[tuple[str, int]] = set()
-    with _open(path, "r") as fh:
-        fh.readline()
+        fh = _open(path, "r")
+    except OSError as exc:
+        fail(1, f"cannot open trace: {exc}")
+        return None, events, rep
+    with fh:
+        try:
+            header = json.loads(fh.readline())
+            if header.get("schema") != TRACE_SCHEMA:
+                raise TraceError(f"unexpected trace schema {header.get('schema')!r}")
+            catalog = read_catalog(path.parent / header["catalog"])
+        except (TraceError, OSError, KeyError, ValueError, TypeError, AttributeError) as exc:
+            fail(1, f"bad header or catalog: {exc}")
+            return None, events, rep
+        last_time = -math.inf
+        n_records = n_queries = 0
+        seen_ids: dict[str, set[int]] = {"query": set(), "update": set()}
         for line_no, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
+            n_records += 1
             try:
-                doc = json.loads(line)
+                ev = _event_from_json(json.loads(line), line_no - 1)
             except json.JSONDecodeError as exc:
                 fail(line_no, f"malformed JSON: {exc}")
                 continue
-            try:
-                ev = _event_from_json(doc, line_no - 1)
-            except (TraceError, KeyError) as exc:
+            except (TraceError, KeyError, AttributeError, TypeError) as exc:
                 fail(line_no, f"bad event record: {exc}")
                 continue
-            n_seen += 1
+            events.append(ev)
             if isinstance(ev, Query):
-                rep.n_queries += 1
-                key = ("query", ev.qid)
+                n_queries += 1
+                kind, eid = "query", ev.qid
                 if not ev.objects:
-                    fail(line_no, f"query {ev.qid} accesses no objects")
-                for oid in sorted(ev.objects):
-                    if oid not in catalog:
-                        fail(line_no, f"query {ev.qid} references unknown object {oid}")
+                    fail(line_no, f"query {eid} accesses no objects")
+                # difference() with a dict probes only the query's objects
+                for oid in sorted(ev.objects.difference(catalog.entries)):
+                    fail(line_no, f"query {eid} references unknown object {oid}")
                 if ev.tolerance < 0:
-                    fail(line_no, f"query {ev.qid} has negative tolerance")
-                if ev.ship_cost < 0 or not isinstance(ev.ship_cost, int):
-                    fail(line_no, f"query {ev.qid} has invalid cost {ev.ship_cost!r}")
+                    fail(line_no, f"query {eid} has negative tolerance")
             else:
-                rep.n_updates += 1
-                key = ("update", ev.uid)
-                if ev.object not in catalog:
-                    fail(line_no, f"update {ev.uid} references unknown object {ev.object}")
-                if ev.ship_cost < 0 or not isinstance(ev.ship_cost, int):
-                    fail(line_no, f"update {ev.uid} has invalid cost {ev.ship_cost!r}")
-            if key in seen_ids:
-                fail(line_no, f"duplicate {key[0]} id {key[1]}")
-            seen_ids.add(key)
-            if last_time is not None and ev.time < last_time:
+                kind, eid = "update", ev.uid
+                if ev.object not in catalog.entries:
+                    fail(line_no, f"update {eid} references unknown object {ev.object}")
+            if ev.ship_cost < 0:
+                fail(line_no, f"{kind} {eid} has negative cost {ev.ship_cost}")
+            if eid in seen_ids[kind]:
+                fail(line_no, f"duplicate {kind} id {eid}")
+            seen_ids[kind].add(eid)
+            if ev.time < last_time:
                 fail(line_no, f"events out of order: time {ev.time} after {last_time}")
             last_time = ev.time
+        rep.n_queries, rep.n_updates = n_queries, len(events) - n_queries
     declared = header.get("n_events")
-    if declared is not None and declared != n_seen:
-        fail(1, f"header declares {declared} events, file has {n_seen}")
-    return rep
+    if declared is not None and declared != n_records:
+        fail(1, f"header declares {declared} events, file has {n_records}")
+    return catalog, events, rep
+
+
+def validate(path) -> ValidationReport:
+    """Every error the trace reader finds, by line."""
+    return _read(path)[2]
+
+
+def load_trace(path) -> tuple[ObjectCatalog, list[Event]]:
+    """Load a valid trace and its catalog; raise TraceError naming
+    `<path>:<line>` for the first error `validate` would report."""
+    catalog, events, rep = _read(path)
+    if rep.errors:
+        line, msg = rep.errors[0]
+        raise TraceError(f"{path}:{line}: {msg}")
+    return catalog, events
 
 
 def regrain(catalog: ObjectCatalog, events: list[Event], n_groups: int

@@ -36,14 +36,13 @@ class NoCachePolicy:
 
 class ReplicaPolicy:
     """Cache as large as the server holding all data from the start (no load
-    charged, no capacity constraint); every update ships the moment it
-    arrives, so every query answers at the cache."""
+    charged; `RunConfig.capacity` sizes it to the whole catalog); every
+    update ships the moment it arrives, so every query answers at the cache."""
 
     name = "replica"
 
     def __init__(self, catalog: ObjectCatalog, cache: CacheState):
         self.cache = cache
-        cache.capacity = max(cache.capacity, catalog.total_size)
         cache.seed_resident(catalog.ids())
 
     def startup(self) -> list[Decision]:

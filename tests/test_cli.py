@@ -75,6 +75,25 @@ class TestRun:
                         + (out / "run-vcover-seed5.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("command", [["run", "--policy", "vcover"], ["compare"]])
+    @pytest.mark.parametrize("bad", [
+        {"kind": "update", "id": 9, "time": 10**7, "object": 99, "cost": 1},
+        {"kind": "query", "id": 7, "time": 10**7, "objects": [1], "cost": 1},
+    ], ids=["unknown-object", "duplicate-query-id"])
+    def test_invalid_trace_exits_1_naming_the_line(self, tmp_path, capsys, command, bad):
+        src = DATA_DIR / "worked_example"
+        (tmp_path / "catalog.json").write_bytes((src / "catalog.json").read_bytes())
+        lines = (src / "trace.jsonl").read_text().splitlines()
+        header = json.loads(lines[0])
+        header["n_events"] += 1
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text("\n".join([json.dumps(header)] + lines[1:] + [json.dumps(bad)]) + "\n")
+        rc = main(command + ["--trace", str(trace), "--seed", "1", "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{trace}:{len(lines) + 1}: " in err
+        assert "Traceback" not in err
+
 
 class TestCompare:
     def test_five_way_compare(self, workspace, capsys):

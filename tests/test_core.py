@@ -7,8 +7,9 @@ from midcache.core import (AnswerFromCache, CacheError, CacheState,
                            CapacityExceeded, CostContext, Evict, Load,
                            NonResident,
                            NotOutstanding, ObjectCatalog, ShipQuery,
-                           ShipUpdates, TrafficLedger, apply, check_capacity,
-                           check_freshness, interacting_updates, record)
+                           ShipUpdates, TrafficLedger, UnknownObject, apply,
+                           check_capacity, check_freshness,
+                           interacting_updates, record)
 from tests.conftest import GB, SEC, mk_query, mk_update
 
 
@@ -72,20 +73,19 @@ class TestRecord:
     def test_ship_query_bucket(self, small_catalog):
         ledger = TrafficLedger()
         costs = CostContext(small_catalog, query_cost={3: 15 * GB})
-        record(ledger, ShipQuery(3), costs, seq=1)
+        record(ledger, ShipQuery(3), costs)
         assert ledger.query_ship == 15 * GB
-        assert ledger.samples == [(1, 15 * GB)]
 
     def test_ship_updates_bucket(self, small_catalog):
         ledger = TrafficLedger()
         costs = CostContext(small_catalog, update_cost={1: 1 * GB})
-        record(ledger, ShipUpdates((1,)), costs, seq=2)
+        record(ledger, ShipUpdates((1,)), costs)
         assert ledger.update_ship == 1 * GB
 
     def test_load_bucket_uses_catalog(self):
         catalog = ObjectCatalog.from_sizes({1: 10 * GB})
         ledger = TrafficLedger()
-        record(ledger, Load(1), CostContext(catalog), seq=3)
+        record(ledger, Load(1), CostContext(catalog))
         assert ledger.load == 10 * GB
 
     @given(st.lists(st.tuples(st.sampled_from(["q", "u", "l", "a"]),
@@ -97,16 +97,15 @@ class TestRecord:
         for i, (kind, amount) in enumerate(ops):
             if kind == "q":
                 costs.query_cost[i] = amount
-                record(ledger, ShipQuery(i), costs, seq=i)
+                record(ledger, ShipQuery(i), costs)
             elif kind == "u":
                 costs.update_cost[i] = amount
-                record(ledger, ShipUpdates((i,)), costs, seq=i)
+                record(ledger, ShipUpdates((i,)), costs)
             elif kind == "l":
                 catalog.entries[0] = type(catalog.entries[0])(size=1, load_cost=amount)
-                record(ledger, Load(0), costs, seq=i)
+                record(ledger, Load(0), costs)
             else:
-                record(ledger, AnswerFromCache(i), costs, seq=i)
-        assert all(t <= ledger.total for _, t in ledger.samples)
+                record(ledger, AnswerFromCache(i), costs)
         assert ledger.total == ledger.query_ship + ledger.update_ship + ledger.load
 
 
@@ -177,6 +176,16 @@ class TestAccounting:
         assert cache.used == small_catalog.size(0)
         cache.seed_resident([0, 1])
         assert cache.used == small_catalog.size(0) + small_catalog.size(1)
+
+    def test_seed_resident_is_all_or_nothing(self):
+        catalog = ObjectCatalog.from_sizes({0: 3, 1: 4})
+        cache = CacheState(5, catalog)
+        with pytest.raises(CapacityExceeded):
+            cache.seed_resident([0, 1])
+        with pytest.raises(UnknownObject):
+            cache.seed_resident([0, 99])
+        assert cache.resident == set()
+        assert cache.used == 0
 
     @given(st.data())
     def test_counter_and_freshness_track_every_step(self, data):

@@ -50,6 +50,15 @@ class TestMutations:
         with pytest.raises(GraphError):
             g.add_update(1, 2)
 
+    def test_negative_weight_rejected(self):
+        g = InteractionGraph()
+        g.add_update(1, 0)
+        g.add_query(2, 0)
+        with pytest.raises(GraphError, match="non-negative"):
+            g.add_update(3, -1)
+        with pytest.raises(GraphError, match="non-negative"):
+            g.add_query(4, -1)
+
     def test_dangling_edge_rejected(self):
         g = InteractionGraph()
         g.add_update(1, 1)
@@ -135,8 +144,8 @@ class TestMinWeightCover:
     def test_cover_valid_and_optimal_property(self, data):
         nu = data.draw(st.integers(0, 4))
         nq = data.draw(st.integers(0, 4))
-        uw = {i: data.draw(st.integers(1, 10)) for i in range(nu)}
-        qw = {100 + i: data.draw(st.integers(1, 10)) for i in range(nq)}
+        uw = {i: data.draw(st.integers(0, 10)) for i in range(nu)}
+        qw = {100 + i: data.draw(st.integers(0, 10)) for i in range(nq)}
         edges = set()
         for u in uw:
             for q in qw:

@@ -1,9 +1,13 @@
-import pytest
+import json
 
-from midcache.core import AnswerFromCache, ShipQuery
-from midcache.simharness import (AuditError, RunConfig, compare,
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from midcache.core import AnswerFromCache, ObjectCatalog, ShipQuery
+from midcache.simharness import (POLICY_NAMES, AuditError, RunConfig, compare,
                                  replay_decisions, run)
-from midcache.workload import GeneratorParams, generate
+from midcache.workload import (GeneratorParams, TraceError, generate,
+                               load_trace, validate, write_catalog)
 from tests.conftest import mk_query, mk_update
 
 
@@ -140,10 +144,73 @@ class TestAudit:
         params = GeneratorParams(n_objects=8, n_queries=50, n_updates=50,
                                  query_hotspots=(1, 2), update_hotspots=(5, 6))
         catalog, events = generate(params, seed=6)
-        for policy in ("vcover", "benefit", "nocache", "replica", "soptimal"):
-            config = RunConfig(policy=policy, seed=6, cache_frac=0.5,
-                               params={"delta": 25} if policy == "benefit" else {})
-            report = run(events, catalog, config)
+        # A replica's capacity is the whole catalog even when cache_bytes
+        # asks for less; the replay must rebuild it from the report.
+        for sizing in ({"cache_frac": 0.5}, {"cache_bytes": catalog.total_size // 3}):
+            for policy in POLICY_NAMES:
+                config = RunConfig(policy=policy, seed=6, **sizing,
+                                   params={"delta": 25} if policy == "benefit" else {})
+                report = run(events, catalog, config)
+                assert report.capacity == (catalog.total_size if policy == "replica"
+                                           else config.capacity(catalog))
+                cache, ledger = replay_decisions(events, catalog, report)
+                assert ledger.snapshot() == report.ledger.snapshot()
+                assert sorted(cache.resident) == report.final_resident
+
+
+class TestInputContract:
+    """Every trace that `validate` accepts runs under every policy and its
+    decision log replays; every trace it rejects fails `load_trace`."""
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_validated_traces_run_and_replay_under_every_policy(self, tmp_path, data):
+        n_objects = data.draw(st.integers(1, 4), label="objects")
+        catalog = ObjectCatalog.from_sizes(
+            {o: data.draw(st.integers(1, 5)) for o in range(n_objects)})
+        write_catalog(catalog, tmp_path / "catalog.json")
+        oid = st.integers(0, n_objects - 1)
+        time, update_times, docs = 0, [0], []
+        for eid in range(1, data.draw(st.integers(0, 15), label="events") + 1):
+            time += data.draw(st.sampled_from([0, 0, 1, 2]))   # ties are common
+            doc = {"id": eid, "time": time, "cost": data.draw(st.sampled_from([0, 2, 8]))}
+            if data.draw(st.booleans()):
+                # Some tolerances put an earlier update exactly on the boundary.
+                tol = data.draw(st.sampled_from(sorted({time - t for t in update_times})))
+                doc.update(kind="query", tolerance=tol,
+                           objects=data.draw(st.lists(oid, min_size=1, max_size=3, unique=True)))
+            else:
+                doc.update(kind="update", object=data.draw(oid))
+                update_times.append(time)
+            docs.append(doc)
+        fault = data.draw(st.sampled_from([None, "duplicate", "unknown object",
+                                           "out of order"]))
+        if fault == "duplicate" and docs:
+            docs.append(dict(docs[0], time=time))
+        elif fault == "unknown object":
+            docs.append({"kind": "update", "id": 99, "time": time, "object": n_objects,
+                         "cost": 1})
+        elif fault == "out of order":
+            docs.append({"kind": "update", "id": 99, "time": -1, "object": 0, "cost": 1})
+        trace = tmp_path / "trace.jsonl"
+        header = {"schema": "trace/v1", "catalog": "catalog.json", "n_events": len(docs)}
+        trace.write_text("".join(json.dumps(d) + "\n" for d in [header] + docs))
+        rep = validate(trace)
+        if not rep.ok:
+            assert any(fault in msg for _, msg in rep.errors)
+            with pytest.raises(TraceError, match=r"trace\.jsonl:\d+: "):
+                load_trace(trace)
+            return
+        catalog, events = load_trace(trace)
+        sizing = data.draw(st.sampled_from([{"cache_frac": 0.3}, {"cache_frac": 1.0},
+                                            {"cache_bytes": 0}, {"cache_bytes": 6}]))
+        for policy in POLICY_NAMES:
+            params = {"delta": 3} if policy == "benefit" else {}
+            if policy == "soptimal":
+                params = {"mode": data.draw(st.sampled_from(["eager", "lazy"]))}
+            report = run(events, catalog,
+                         RunConfig(policy=policy, seed=1, params=params, **sizing))
             cache, ledger = replay_decisions(events, catalog, report)
             assert ledger.snapshot() == report.ledger.snapshot()
             assert sorted(cache.resident) == report.final_resident

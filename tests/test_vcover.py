@@ -167,6 +167,24 @@ class TestEndToEnd:
         assert ledger.total == report.ledger.total
         assert sorted(cache.resident) == report.final_resident
 
+    def test_zero_cost_side_ships_for_free(self):
+        # A zero-cost update or query sits on the graph at weight 0; the
+        # cover takes it at no cost, so that side is the one shipped.
+        catalog = ObjectCatalog.from_sizes({0: 10})
+        first = mk_query(1, 1, {0}, 100)   # ships, and loads object 0
+        for events, shipped in (
+                ([first, mk_update(2, 2, 0, 0), mk_query(3, 3, {0}, 5)],
+                 [ShipUpdates((2,)), AnswerFromCache(3)]),
+                ([first, mk_update(2, 2, 0, 7), mk_query(3, 3, {0}, 0)],
+                 [ShipQuery(3)])):
+            report = run(events, catalog, RunConfig(policy="vcover", seed=0, cache_frac=1.0))
+            assert report.decision_log == [(1, ShipQuery(1)), (1, Load(0))] + \
+                [(3, d) for d in shipped]
+            assert report.ledger.snapshot() == (100, 0, 10)
+            cache, ledger = replay_decisions(events, catalog, report)
+            assert ledger.snapshot() == report.ledger.snapshot()
+            assert sorted(cache.resident) == report.final_resident
+
     def test_no_spurious_update_traffic(self):
         # updates ship only inside a query's decision list
         params = GeneratorParams(n_objects=8, n_queries=40, n_updates=40,
