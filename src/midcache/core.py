@@ -302,8 +302,8 @@ class CostContext:
             self.update_cost[ev.uid] = ev.ship_cost
 
 
-def record(ledger: TrafficLedger, d: Decision, costs: CostContext) -> None:
-    """Charge one decision to the ledger.
+def record(ledger: TrafficLedger, d: Decision, costs: CostContext, seq: int = 0) -> None:
+    """Charge one decision to the ledger; `seq` is accepted and ignored.
 
     ShipQuery, ShipUpdates and Load each add to exactly one bucket;
     AnswerFromCache and Evict move no bytes (the cache sits next to the

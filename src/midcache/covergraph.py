@@ -66,9 +66,6 @@ class InteractionGraph:
     def has_update(self, uid: int) -> bool:
         return uid in self.update_weight
 
-    def has_query(self, qid: int) -> bool:
-        return qid in self.query_weight
-
     def edges(self) -> set[tuple[int, int]]:
         return {(uid, qid) for uid, qs in self.update_edges.items() for qid in qs}
 

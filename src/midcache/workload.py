@@ -19,6 +19,7 @@ import math
 import random
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 from .core import Event, ObjectCatalog, ObjectId, Query, Update
 
@@ -226,88 +227,90 @@ class ValidationReport:
         return not self.errors
 
 
-def _read(path) -> tuple[ObjectCatalog | None, list[Event], ValidationReport]:
-    """The one trace reader. A single pass parses every event and collects
-    (line, message) errors: header, per-line schema, integer fields,
-    non-negative costs and tolerances, duplicate ids, time ordering, and
-    referential integrity against the catalog the header names (resolved
-    relative to the trace file). Events get 1-based sequence numbers in
-    file order."""
+def _read(path, rep: ValidationReport) -> tuple[ObjectCatalog | None, Iterator[Event]]:
+    """The one trace reader: it reads the header and the catalog it names
+    (relative to the trace file), then returns an iterator that parses the
+    events in one pass and adds every (line, message) error to `rep`: per-line
+    schema, integer fields, non-negative costs and tolerances, duplicate ids,
+    time order, unknown objects. Events get 1-based sequence numbers."""
     path = Path(path)
-    rep = ValidationReport()
-    events: list[Event] = []
 
     def fail(line: int, msg: str) -> None:
         rep.errors.append((line, msg))
 
     try:
-        fh = _open(path, "r")
-    except OSError as exc:
-        fail(1, f"cannot open trace: {exc}")
-        return None, events, rep
-    with fh:
-        try:
+        with _open(path, "r") as fh:
             header = json.loads(fh.readline())
-            if header.get("schema") != TRACE_SCHEMA:
-                raise TraceError(f"unexpected trace schema {header.get('schema')!r}")
-            catalog = read_catalog(path.parent / header["catalog"])
-        except (TraceError, OSError, KeyError, ValueError, TypeError, AttributeError) as exc:
-            fail(1, f"bad header or catalog: {exc}")
-            return None, events, rep
+        if header.get("schema") != TRACE_SCHEMA:
+            raise TraceError(f"unexpected trace schema {header.get('schema')!r}")
+        catalog = read_catalog(path.parent / header["catalog"])
+    except (TraceError, OSError, KeyError, ValueError, TypeError, AttributeError) as exc:
+        fail(1, f"bad header or catalog: {exc}")
+        return None, iter(())
+
+    def events() -> Iterator[Event]:
         last_time = -math.inf
-        n_records = n_queries = 0
+        n_records = 0
         seen_ids: dict[str, set[int]] = {"query": set(), "update": set()}
-        for line_no, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            n_records += 1
-            try:
-                ev = _event_from_json(json.loads(line), line_no - 1)
-            except json.JSONDecodeError as exc:
-                fail(line_no, f"malformed JSON: {exc}")
-                continue
-            except (TraceError, KeyError, AttributeError, TypeError) as exc:
-                fail(line_no, f"bad event record: {exc}")
-                continue
-            events.append(ev)
-            if isinstance(ev, Query):
-                n_queries += 1
-                kind, eid = "query", ev.qid
-                if not ev.objects:
-                    fail(line_no, f"query {eid} accesses no objects")
-                # difference() with a dict probes only the query's objects
-                for oid in sorted(ev.objects.difference(catalog.entries)):
-                    fail(line_no, f"query {eid} references unknown object {oid}")
-                if ev.tolerance < 0:
-                    fail(line_no, f"query {eid} has negative tolerance")
-            else:
-                kind, eid = "update", ev.uid
-                if ev.object not in catalog.entries:
-                    fail(line_no, f"update {eid} references unknown object {ev.object}")
-            if ev.ship_cost < 0:
-                fail(line_no, f"{kind} {eid} has negative cost {ev.ship_cost}")
-            if eid in seen_ids[kind]:
-                fail(line_no, f"duplicate {kind} id {eid}")
-            seen_ids[kind].add(eid)
-            if ev.time < last_time:
-                fail(line_no, f"events out of order: time {ev.time} after {last_time}")
-            last_time = ev.time
-        rep.n_queries, rep.n_updates = n_queries, len(events) - n_queries
-    declared = header.get("n_events")
-    if declared is not None and declared != n_records:
-        fail(1, f"header declares {declared} events, file has {n_records}")
-    return catalog, events, rep
+        with _open(path, "r") as fh:
+            fh.readline()
+            for line_no, line in enumerate(fh, start=2):
+                if not line.strip():
+                    continue
+                n_records += 1
+                try:
+                    ev = _event_from_json(json.loads(line), line_no - 1)
+                except json.JSONDecodeError as exc:
+                    fail(line_no, f"malformed JSON: {exc}")
+                    continue
+                except (TraceError, KeyError, AttributeError, TypeError) as exc:
+                    fail(line_no, f"bad event record: {exc}")
+                    continue
+                if isinstance(ev, Query):
+                    rep.n_queries += 1
+                    kind, eid = "query", ev.qid
+                    if not ev.objects:
+                        fail(line_no, f"query {eid} accesses no objects")
+                    # difference() with a dict probes only the query's objects
+                    for oid in sorted(ev.objects.difference(catalog.entries)):
+                        fail(line_no, f"query {eid} references unknown object {oid}")
+                    if ev.tolerance < 0:
+                        fail(line_no, f"query {eid} has negative tolerance")
+                else:
+                    rep.n_updates += 1
+                    kind, eid = "update", ev.uid
+                    if ev.object not in catalog.entries:
+                        fail(line_no, f"update {eid} references unknown object {ev.object}")
+                if ev.ship_cost < 0:
+                    fail(line_no, f"{kind} {eid} has negative cost {ev.ship_cost}")
+                if eid in seen_ids[kind]:
+                    fail(line_no, f"duplicate {kind} id {eid}")
+                seen_ids[kind].add(eid)
+                if ev.time < last_time:
+                    fail(line_no, f"events out of order: time {ev.time} after {last_time}")
+                last_time = ev.time
+                yield ev
+        declared = header.get("n_events")
+        if declared is not None and declared != n_records:
+            fail(1, f"header declares {declared} events, file has {n_records}")
+
+    return catalog, events()
 
 
 def validate(path) -> ValidationReport:
-    """Every error the trace reader finds, by line."""
-    return _read(path)[2]
+    """Every error the trace reader finds, by line; events are not kept."""
+    rep = ValidationReport()
+    for _ in _read(path, rep)[1]:
+        pass
+    return rep
 
 
 def load_trace(path) -> tuple[ObjectCatalog, list[Event]]:
     """Load a valid trace and its catalog; raise TraceError naming
     `<path>:<line>` for the first error `validate` would report."""
-    catalog, events, rep = _read(path)
+    rep = ValidationReport()
+    catalog, stream = _read(path, rep)
+    events = list(stream)
     if rep.errors:
         line, msg = rep.errors[0]
         raise TraceError(f"{path}:{line}: {msg}")

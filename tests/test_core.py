@@ -73,19 +73,19 @@ class TestRecord:
     def test_ship_query_bucket(self, small_catalog):
         ledger = TrafficLedger()
         costs = CostContext(small_catalog, query_cost={3: 15 * GB})
-        record(ledger, ShipQuery(3), costs)
+        record(ledger, ShipQuery(3), costs, seq=1)
         assert ledger.query_ship == 15 * GB
 
     def test_ship_updates_bucket(self, small_catalog):
         ledger = TrafficLedger()
         costs = CostContext(small_catalog, update_cost={1: 1 * GB})
-        record(ledger, ShipUpdates((1,)), costs)
+        record(ledger, ShipUpdates((1,)), costs, seq=2)
         assert ledger.update_ship == 1 * GB
 
     def test_load_bucket_uses_catalog(self):
         catalog = ObjectCatalog.from_sizes({1: 10 * GB})
         ledger = TrafficLedger()
-        record(ledger, Load(1), CostContext(catalog))
+        record(ledger, Load(1), CostContext(catalog), seq=3)
         assert ledger.load == 10 * GB
 
     @given(st.lists(st.tuples(st.sampled_from(["q", "u", "l", "a"]),
@@ -97,15 +97,15 @@ class TestRecord:
         for i, (kind, amount) in enumerate(ops):
             if kind == "q":
                 costs.query_cost[i] = amount
-                record(ledger, ShipQuery(i), costs)
+                record(ledger, ShipQuery(i), costs, seq=i)
             elif kind == "u":
                 costs.update_cost[i] = amount
-                record(ledger, ShipUpdates((i,)), costs)
+                record(ledger, ShipUpdates((i,)), costs, seq=i)
             elif kind == "l":
                 catalog.entries[0] = type(catalog.entries[0])(size=1, load_cost=amount)
-                record(ledger, Load(0), costs)
+                record(ledger, Load(0), costs, seq=i)
             else:
-                record(ledger, AnswerFromCache(i), costs)
+                record(ledger, AnswerFromCache(i), costs, seq=i)
         assert ledger.total == ledger.query_ship + ledger.update_ship + ledger.load
 
 
