@@ -303,7 +303,7 @@ class CostContext:
 
 
 def record(ledger: TrafficLedger, d: Decision, costs: CostContext, seq: int = 0) -> None:
-    """Charge one decision to the ledger; `seq` is accepted and ignored.
+    """Charge one decision to the ledger; `seq` is unused (callers may pass it).
 
     ShipQuery, ShipUpdates and Load each add to exactly one bucket;
     AnswerFromCache and Evict move no bytes (the cache sits next to the
