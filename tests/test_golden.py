@@ -1,11 +1,14 @@
 """Byte-identity of run outputs across refactors.
 
 Each digest covers a run's summary JSON, its series CSV and the repr of its
-decision log, for every policy and policy seeds 1-3 on two small generated
-traces: the default 68-object shape, and a 532-object `scaled_hotspots`
-shape with a 5% cache in which loads and evictions churn. A change that is
-meant to keep behaviour must keep every digest; a change that means to
-alter behaviour re-records them and says why.
+decision log, for every policy and policy seeds 1-3 on small generated
+traces: the default 68-object shape; a 532-object `scaled_hotspots` shape
+with a 5% cache in which loads and evictions churn; and a cover-heavy shape
+like the benchmark's `write68` (4:1 updates on the queried hotspots), at a
+30% cache and at a 5% cache where `vcover` evicts objects whose updates are
+still on its interaction graph. A change that is meant to keep behaviour
+must keep every digest; a change that means to alter behaviour re-records
+them and says why.
 """
 
 import dataclasses
@@ -14,6 +17,7 @@ from functools import lru_cache
 
 import pytest
 
+from midcache import vcover
 from midcache.simharness import POLICY_NAMES, RunConfig, run
 from midcache.workload import GeneratorParams, generate
 
@@ -25,12 +29,19 @@ SHAPES = {
                                      size_max=2_000_000_000, selectivity=0.5,
                                      query_hotspot_weight=0.2,
                                      n_queries=1_000, n_updates=1_000), 0.05),
+    "write68": (dataclasses.replace(GeneratorParams(),
+                                    update_hotspots=GeneratorParams().query_hotspots,
+                                    n_queries=400, n_updates=1_600), 0.3),
 }
+SHAPES["write68_evict"] = (SHAPES["write68"][0], 0.05)
+# Generator seed per shape (default 1). Seed 4 makes every vcover policy seed
+# evict objects with updates on the graph at the 5% cache.
+GEN_SEEDS = {"write68_evict": 4}
 
 
 @lru_cache(maxsize=None)
 def trace(shape: str):
-    return generate(SHAPES[shape][0], seed=1)
+    return generate(SHAPES[shape][0], seed=GEN_SEEDS.get(shape, 1))
 
 
 def digest(shape: str, policy: str, seed: int) -> str:
@@ -72,6 +83,36 @@ GOLDEN = {
     ("churn532", "soptimal", 1): "72806560465a20857666f0a407470a99633c3337c00efe40730a3a8ce8182b6e",
     ("churn532", "soptimal", 2): "d666b62ab5c6c272f3f7f26360d0ce2407e89450f3fd8b582989ea5332f89d31",
     ("churn532", "soptimal", 3): "13ef8952e7dcfbf8ab768b62af26d7cee8f422e0469783d95c5c169840df76e3",
+    ("write68", "vcover", 1): "a3e2a1227b2e4fef09d2320a19796cedf69ed049de4a5a02a96899404fc44689",
+    ("write68", "vcover", 2): "d0d0608a9432789a4f7425ba62874bfdb48f7ab1be8d7810d135fa3c63caa992",
+    ("write68", "vcover", 3): "b614abc965e116d62846a1218588325c80e707e26c588ff67f660019145553c4",
+    ("write68", "benefit", 1): "e622fbf25706b5b0ed8af17c4ff4daea2aa35a318b0a0841c49ff41921a0da0f",
+    ("write68", "benefit", 2): "869668e029f8595262dc3b4a1028f28ec1106113d5b1fd95631ceb5669fab32b",
+    ("write68", "benefit", 3): "a64a72c92c07c2bb86ef4444aec3c4883679f9b764b7c15cf3488b6a56970038",
+    ("write68", "nocache", 1): "2d11cb315f616ea5e06e09a21f0ba81ea94cf5a1cbc802720d15497d4c6c84a3",
+    ("write68", "nocache", 2): "dff7c326a17aeaceccb244a8528a95f3e204d38504731253a2785305346455eb",
+    ("write68", "nocache", 3): "5634fec9120100609c9b9b6930b8b690e673e83e008275f2f3e91bae143d62b0",
+    ("write68", "replica", 1): "9f17f644a985a58b0f132436892feda2eab781868ef8e36e1f19958f0062ff06",
+    ("write68", "replica", 2): "cc9f361a71885f736021504934c3bbce6d2f7458805a88d6409497cdb81518c1",
+    ("write68", "replica", 3): "edbd78a285ea34813dd7c05228f5430ab0a6007287fe41cec72d2abc89f96681",
+    ("write68", "soptimal", 1): "907708ed3b55a8fd573a54a776b78f449c02d79b13d725ba16f094d315ed381f",
+    ("write68", "soptimal", 2): "13de938b8736ac16c072f5d1b90a3ac2d8b8df0c98c4400b1369436d9d75537d",
+    ("write68", "soptimal", 3): "c65957f9f4e25c29b7d6b61df9d6ebfd63d3b9987a13ba867209b75d4ce8e9bc",
+    ("write68_evict", "vcover", 1): "4a65f7228ea1472d35720c041a53378f4f685a44026ce6077c1fa30a1bd64deb",
+    ("write68_evict", "vcover", 2): "38cd06678139414ecfab83c52071433fa5d47a97df15bce36c1ccd28f07d1148",
+    ("write68_evict", "vcover", 3): "781ed9fba140d00bf7914872712db4c5fbee696fa18961051aa2f32f30181742",
+    ("write68_evict", "benefit", 1): "50db2bb408b52cfb18373dcd054ea69bfd186dd5e07912108440a71e65ee405b",
+    ("write68_evict", "benefit", 2): "bd33fb4981e1d46b5c67228eb9eb8b781034c8c1da01e280bb5945bc8cfcb8e0",
+    ("write68_evict", "benefit", 3): "a155abb39e8739963e08ca0492574969f785b65c2fb7048c968f4c45abf4bed7",
+    ("write68_evict", "nocache", 1): "4a7fecbb9c6608625d18e56d5664bdf15e1888360f8e130e93ed7787ddaca94a",
+    ("write68_evict", "nocache", 2): "8be1dcd4d60f60e0d0e508ad3a6e5d23db4a8ce5af34a9062a671f7a5065fdba",
+    ("write68_evict", "nocache", 3): "6810bfb14e48d38d3653f915ccbd942395d1177e051a00b1560231005d552113",
+    ("write68_evict", "replica", 1): "c99a3998f091cb99a158fa786770dcfa4683c09216b118f06935ef7f477f84e9",
+    ("write68_evict", "replica", 2): "32d564686ff6effad5faeb2d28a4daaa32577f28e5f6bfed19325921fed437f3",
+    ("write68_evict", "replica", 3): "c3d906e6d066118de0bf4b06a8948773526461366572d01e15c318cde4b986d4",
+    ("write68_evict", "soptimal", 1): "de1f85d517082d65090490faf0720099a175b79394a243f4a1979bc4b702e279",
+    ("write68_evict", "soptimal", 2): "c324cdea3bd90361971d2ad659fc07cfa8266f165fbd9f86482a07ef82b361c5",
+    ("write68_evict", "soptimal", 3): "0e122f9b23ddf462f72a259e65e554441020c570247a1cc5c65216a7d6ed6a62",
 }
 
 
@@ -82,3 +123,22 @@ def test_run_outputs_byte_identical(shape, policy, seed):
 
 def test_golden_covers_every_policy_seed_and_shape():
     assert set(GOLDEN) == {(s, p, n) for s in SHAPES for p in POLICIES for n in SEEDS}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_evict_shape_drops_graph_updates(seed, monkeypatch):
+    # The point of `write68_evict`: evictions that remove update nodes the
+    # cover engine still holds, so its flow loses arcs between covers.
+    drops = []
+    forget = vcover.VCoverPolicy._forget_object_updates
+
+    def counting(self, oid):
+        drops.append(sum(self.graph.has_update(u.uid)
+                         for u in self.cache.outstanding_for(oid)))
+        return forget(self, oid)
+
+    monkeypatch.setattr(vcover.VCoverPolicy, "_forget_object_updates", counting)
+    catalog, events = trace("write68_evict")
+    run(events, catalog, RunConfig(policy="vcover", seed=seed,
+                                   cache_frac=SHAPES["write68_evict"][1]))
+    assert any(drops)
