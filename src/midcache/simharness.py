@@ -24,6 +24,12 @@ class AuditError(Exception):
     def __init__(self, seq: int, message: str):
         super().__init__(f"event {seq}: {message}")
         self.seq = seq
+        self.message = message
+
+    def __reduce__(self):
+        # Rebuild from both fields, so the error survives a trip through a
+        # worker process.
+        return AuditError, (self.seq, self.message)
 
 
 @dataclass

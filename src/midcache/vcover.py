@@ -80,7 +80,9 @@ class VCoverPolicy:
 
     def _forget_object_updates(self, oid: int) -> None:
         # Eviction throws away the object's queue; any graph nodes for those
-        # updates would otherwise outlive them and poison later covers.
+        # updates would otherwise outlive them and poison later covers. The
+        # flow records their surviving neighbours, so the next cover also
+        # revisits the components they leave behind.
         uids = {u.uid for u in self.cache.outstanding_for(oid)
                 if self.graph.has_update(u.uid)}
         if uids:

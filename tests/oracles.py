@@ -32,6 +32,34 @@ def brute_force_cover_weight(update_weights: dict[int, int],
     return 0 if best is None else best
 
 
+def brute_force_canonical_cover(update_weights: dict[int, int],
+                                query_weights: dict[int, int],
+                                edges: set[tuple[int, int]]
+                                ) -> tuple[frozenset[int], frozenset[int], int]:
+    """The canonical minimum cover by trying every subset of all nodes:
+    among all minimum-weight covers, the intersection of their query sides
+    and the union of their update sides. Returns (queries, updates, weight)
+    after checking that this pair is itself a minimum cover."""
+    updates, queries = sorted(update_weights), sorted(query_weights)
+    best, optimal = None, []
+    for subset in range(1 << (len(updates) + len(queries))):
+        cu = {u for i, u in enumerate(updates) if subset >> i & 1}
+        cq = {q for i, q in enumerate(queries) if subset >> (len(updates) + i) & 1}
+        if any(u not in cu and q not in cq for u, q in edges):
+            continue
+        w = sum(update_weights[u] for u in cu) + sum(query_weights[q] for q in cq)
+        if best is None or w < best:
+            best, optimal = w, []
+        if w == best:
+            optimal.append((cq, cu))
+    cover_q = set(queries).intersection(*(cq for cq, _ in optimal))
+    cover_u = set().union(*(cu for _, cu in optimal))
+    weight = sum(update_weights[u] for u in cover_u) + sum(query_weights[q] for q in cover_q)
+    assert weight == best, "canonical pair is not a minimum cover"
+    assert all(u in cover_u or q in cover_q for u, q in edges), "canonical pair leaves an edge"
+    return frozenset(cover_q), frozenset(cover_u), weight
+
+
 def enumerate_plan_costs(catalog: ObjectCatalog, events, capacity: int,
                          initial_resident: set[int]):
     """All costs achievable by: recomposing the cache once up front (evictions

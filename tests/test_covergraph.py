@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from midcache.covergraph import (FlowState, GraphError, InteractionGraph,
                                  check_cover, check_flow, dump,
-                                 min_weight_cover, prune_remainder)
+                                 min_weight_cover, prune_remainder,
+                                 source_reachable)
 from tests.oracles import brute_force_cover_weight
 
 
@@ -213,6 +214,68 @@ class TestIncremental:
         print(f"augmentations: incremental-cumulative={incr_total} "
               f"from-scratch={sfs.augmentations}")
         assert incr_total >= sfs.augmentations >= 0
+
+
+class TestScopedCover:
+    def test_scoped_covers_equal_whole_graph_covers(self):
+        # Like the interleaving above, plus zero weights, edges between nodes
+        # already on the graph, query drops, re-added ids and queries added
+        # between a cover and its prune. A flow settled
+        # by a prune searches only the touched components, yet every cover
+        # must equal the from-scratch cover of the whole graph.
+        rng = random.Random(12)
+        for _ in range(300):
+            g = InteractionGraph()
+            fs = FlowState()
+            next_u, next_q = 0, 1000
+            for _ in range(rng.randint(3, 30)):
+                op = rng.random()
+                if op < 0.2 or not g.update_weight:
+                    uid = rng.choice([next_u, rng.randrange(next_u + 1)])
+                    if uid not in g.update_weight:
+                        g.add_update(uid, rng.randint(0, 8))
+                    next_u += 1
+                elif op < 0.5 or not g.query_weight:
+                    g.add_query(next_q, rng.randint(0, 8))
+                    for u in list(g.update_weight):
+                        if rng.random() < 0.4:
+                            g.add_edge(u, next_q)
+                    next_q += 1
+                elif op < 0.6:
+                    u, q = rng.choice(list(g.update_weight)), rng.choice(list(g.query_weight))
+                    if q not in g.update_edges[u]:
+                        g.add_edge(u, q)
+                elif op < 0.7:
+                    g.remove_nodes(fs,
+                                   drop_updates={u for u in g.update_weight if rng.random() < 0.3},
+                                   drop_queries={q for q in g.query_weight if rng.random() < 0.2})
+                    check_flow(g, fs)
+                else:
+                    cover, fs = min_weight_cover(g, fs)
+                    assert cover == min_weight_cover(g, FlowState())[0]
+                    check_flow(g, fs)
+                    if rng.random() < 0.2:
+                        # A query added between a cover and its prune.
+                        g.add_query(next_q, rng.randint(1, 8))
+                        for u in list(g.update_weight):
+                            if rng.random() < 0.4:
+                                g.add_edge(u, next_q)
+                        next_q += 1
+                    if rng.random() < 0.8:
+                        prune_remainder(g, cover, fs)
+                        check_flow(g, fs)
+                        reach = source_reachable(g, fs)
+                        assert reach == ({("u", u) for u in g.update_weight}
+                                         | {("q", q) for q in g.query_weight})
+                        assert all(fs.flow_qt.get(q, 0) == w for q, w in g.query_weight.items())
+            cover, fs = min_weight_cover(g, fs)
+            assert cover == min_weight_cover(g, FlowState())[0]
+
+    def test_flow_is_mutated_in_place(self):
+        g = build({1: 3}, {10: 5}, [(1, 10)])
+        fs = FlowState()
+        cover, out = min_weight_cover(g, fs)
+        assert out is fs and fs.value == 3
 
 
 class TestPrune:

@@ -140,6 +140,14 @@ class TestAudit:
         finally:
             sh.make_policy = orig
 
+    def test_audit_error_survives_pickling(self):
+        # compare(..., jobs>1) sends a worker's AuditError back by pickle.
+        import pickle
+        err = pickle.loads(pickle.dumps(AuditError(3, "boom")))
+        assert isinstance(err, AuditError)
+        assert err.seq == 3
+        assert str(err) == "event 3: boom"
+
     def test_every_policy_replayable(self):
         params = GeneratorParams(n_objects=8, n_queries=50, n_updates=50,
                                  query_hotspots=(1, 2), update_hotspots=(5, 6))

@@ -1,12 +1,15 @@
 import random
 
+import pytest
+from hypothesis import event, given, settings, strategies as st
+
 from midcache.core import (AnswerFromCache, CacheState, Evict, Load,
                            ObjectCatalog, ShipQuery, ShipUpdates, apply)
 from midcache.simharness import RunConfig, replay_decisions, run
 from midcache.vcover import VCoverPolicy
 from midcache.workload import GeneratorParams, generate
 from tests.conftest import GB, SEC, mk_query, mk_update
-from tests.oracles import enumerate_plan_costs
+from tests.oracles import brute_force_canonical_cover, enumerate_plan_costs
 
 
 def policy_with_cache(catalog, capacity, resident=(), seed=0):
@@ -215,6 +218,44 @@ class TestEndToEnd:
         assert incremental.decision_log == scratch.decision_log
         assert incremental.ledger.snapshot() == scratch.ledger.snapshot()
 
+    def test_eviction_reopens_a_settled_component(self, monkeypatch):
+        # Query 4 is shipped and stays on the graph against updates 2 (object
+        # 0) and 3 (object 1). Loading object 3 evicts object 0, which drops
+        # update 2 and leaves query 4 unsaturated. Query 7 then arrives on
+        # object 2, in another component. Its cover must also revisit query
+        # 4's component: there the cut now covers update 3 and not query 4,
+        # so the prune after query 7 drops both. A cover that looked only at
+        # query 7's component would keep them, and query 8 would then find
+        # query 4's weight still pressing against update 3 and ship the
+        # update instead of itself.
+        import midcache.vcover as vc
+        from midcache.covergraph import FlowState, min_weight_cover as real_mwc
+
+        catalog = ObjectCatalog.from_sizes({0: 10, 1: 10, 2: 10, 3: 10})
+        events = [mk_query(1, 1, {0, 1, 2}, 100), mk_update(2, 2, 0, 3),
+                  mk_update(3, 3, 1, 3), mk_query(4, 4, {0, 1}, 4),
+                  mk_update(5, 5, 2, 5), mk_query(6, 6, {3}, 100),
+                  mk_query(7, 7, {2}, 2), mk_query(8, 8, {1}, 2)]
+        config = RunConfig(policy="vcover", seed=0, cache_bytes=30)
+        pruned = {}   # newest query id -> queries the prune after its cover dropped
+        real_prune = vc.prune_remainder
+
+        def recording_prune(g, cover, fs=None):
+            before = set(g.query_weight)
+            real_prune(g, cover, fs)
+            pruned[max(before)] = before - set(g.query_weight)
+
+        monkeypatch.setattr(vc, "prune_remainder", recording_prune)
+        incremental = run(events, catalog, config)
+        assert (6, Evict(0)) in incremental.decision_log
+        assert pruned[7] == {4}
+        assert incremental.decision_log[-1] == (8, ShipQuery(8))
+        monkeypatch.setattr(vc, "min_weight_cover",
+                            lambda g, prior=None: real_mwc(g, FlowState()))
+        scratch = run(events, catalog, config)
+        assert incremental.decision_log == scratch.decision_log
+        assert incremental.ledger.snapshot() == scratch.ledger.snapshot()
+
     def test_determinism_same_seed(self):
         params = GeneratorParams(n_objects=10, n_queries=30, n_updates=30)
         params.query_hotspots = (2, 3)
@@ -225,3 +266,63 @@ class TestEndToEnd:
         b = run(events, catalog, config)
         assert a.decision_log == b.decision_log
         assert a.summary_json() == b.summary_json()
+
+
+class TestCanonicalCover:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_every_cover_is_the_exhaustive_canonical_cover(self, data):
+        # Small traces with timestamp ties, zero costs, tolerances that put
+        # an update exactly on the boundary, and a cache of two or three
+        # bytes, so loads evict objects whose updates are on the graph (about
+        # one example in twelve). Every cover the policy takes, incremental
+        # or not, must be the whole graph's canonical cover.
+        import midcache.vcover as vc
+        from midcache.covergraph import min_weight_cover as real_mwc
+
+        n_objects = data.draw(st.integers(1, 4), label="objects")
+        catalog = ObjectCatalog.from_sizes(
+            {o: data.draw(st.integers(1, 2)) for o in range(n_objects)})
+        oid = st.integers(0, n_objects - 1)
+        time, update_times, events = 0, [0], []
+        for eid in range(1, data.draw(st.integers(10, 40), label="events") + 1):
+            time += data.draw(st.sampled_from([0, 0, 1, 2]))
+            if data.draw(st.booleans()):
+                tol = data.draw(st.sampled_from([0] + sorted({time - t for t in update_times})))
+                objects = data.draw(st.sets(oid, min_size=1, max_size=2))
+                cost = data.draw(st.sampled_from([0, 1, 3, 8]))
+                events.append(mk_query(eid, time, objects, cost, tol=tol))
+            else:
+                cost = data.draw(st.sampled_from([0, 3, 8]))
+                events.append(mk_update(eid, time, data.draw(oid), cost))
+                update_times.append(time)
+        checked = []
+
+        def checked_cover(g, prior=None):
+            small = len(g.update_weight) + len(g.query_weight) <= 14
+            if small:
+                expect = brute_force_canonical_cover(dict(g.update_weight),
+                                                     dict(g.query_weight), g.edges())
+            cover, fs = real_mwc(g, prior)
+            if small:
+                assert (cover.cover_queries, cover.cover_updates, cover.weight) == expect
+                checked.append(cover)
+            return cover, fs
+
+        forget = vc.VCoverPolicy._forget_object_updates
+
+        def noting_forget(self, oid):
+            if any(self.graph.has_update(u.uid) for u in self.cache.outstanding_for(oid)):
+                event("evicts an object with updates on the graph")
+            return forget(self, oid)
+
+        sizing = data.draw(st.sampled_from([{"cache_bytes": 2}, {"cache_bytes": 3},
+                                            {"cache_frac": 1.0}]))
+        config = RunConfig(policy="vcover", seed=data.draw(st.integers(0, 3)), **sizing)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(vc, "min_weight_cover", checked_cover)
+            mp.setattr(vc.VCoverPolicy, "_forget_object_updates", noting_forget)
+            report = run(events, catalog, config)
+        cache, ledger = replay_decisions(events, catalog, report)
+        assert ledger.snapshot() == report.ledger.snapshot()
+        event(f"covers checked: {min(len(checked), 5)}{'+' if len(checked) >= 5 else ''}")
