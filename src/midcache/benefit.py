@@ -137,9 +137,6 @@ class BenefitPolicy:
             self.stats.add_update_cost(u.object, u.ship_cost)
         return self._tick()
 
-    def finalize(self) -> list[Decision]:
-        return []
-
     def _route_query(self, q: Query, now: int) -> list[Decision]:
         sizes = [(oid, self.catalog.size(oid)) for oid in sorted(q.objects)]
         shares = proportional_shares(q.ship_cost, sizes)

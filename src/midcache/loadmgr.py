@@ -11,7 +11,10 @@ querying it matches the cost of loading it once.
 Admission and eviction follow Greedy-Dual-Size, run lazily over the whole
 batch of candidacies one query generates: the batch is simulated first and
 only the net residency changes are emitted, so an object admitted and then
-evicted within the same batch never touches the network.
+evicted within the same batch never touches the network. The simulation runs
+on the GDS state itself, whose credit map stands in for the resident set:
+after each batch, the credit keys are exactly the objects the emitted
+decisions leave resident.
 """
 
 from __future__ import annotations
@@ -25,13 +28,11 @@ from .core import CacheState, Decision, Evict, Load, ObjectCatalog, ObjectId, Qu
 @dataclass
 class GdsState:
     """Greedy-Dual-Size bookkeeping: a global inflation level and a credit
-    per resident object. Credits never fall below the inflation level."""
+    per resident object. Credits never fall below the inflation level. After
+    each batch the credit keys are the resident set."""
 
     inflation: float = 0.0
     credit: dict[ObjectId, float] = field(default_factory=dict)
-
-    def copy(self) -> "GdsState":
-        return GdsState(self.inflation, dict(self.credit))
 
 
 CandidacyBatch = list  # ordered ObjectIds, no duplicates, non-resident at batch start
@@ -67,47 +68,46 @@ def gds_touch(state: GdsState, oid: ObjectId, catalog: ObjectCatalog) -> None:
 
 def gds_lazy_apply(state: GdsState, cache: CacheState, catalog: ObjectCatalog,
                    batch: CandidacyBatch) -> tuple[GdsState, list[Decision]]:
-    """Run Greedy-Dual-Size over the batch in simulation, then emit only the
-    net residency difference.
+    """Run Greedy-Dual-Size over the batch on `state` in place and emit only
+    the net residency difference; returns `state` itself with the decisions.
 
-    Each candidacy evicts minimum-credit residents until the candidate fits
-    (inflation rises to each victim's credit) and then admits it; a candidate
-    bigger than the whole cache is skipped. Since the diff is taken at the
-    end, no batch ever both loads and evicts the same object.
+    First the credit keys become the resident set (a resident without a
+    credit gets 0.0, other credits are dropped), and they stay it: after the
+    batch they are the resident set the decisions leave. Each candidacy
+    evicts minimum-(credit, oid) residents until the candidate fits
+    (inflation rises to each victim's credit) and then admits it; a
+    candidate bigger than the whole cache is skipped. Since the diff is
+    taken at the end, no batch ever both loads and evicts the same object.
     """
-    sim = state.copy()
-    resident = set(cache.resident)
-    initial = set(resident)
+    credit = state.credit
+    for oid in credit.keys() - cache.resident:
+        del credit[oid]
+    for oid in cache.resident.difference(credit):
+        credit[oid] = 0.0
     free = cache.free
-    admitted_order: list[ObjectId] = []
-    evicted_order: list[ObjectId] = []
+    admitted: dict[ObjectId, None] = {}
+    evicted: list[ObjectId] = []
 
     for oid in batch:
-        if oid in resident:
-            gds_touch(sim, oid, catalog)
+        if oid in credit:
+            gds_touch(state, oid, catalog)
             continue
         size = catalog.size(oid)
         if size > cache.capacity:
             continue
         while free < size:
-            victim = min(resident, key=lambda o: (sim.credit.get(o, 0.0), o))
-            sim.inflation = sim.credit.get(victim, 0.0)
-            sim.credit.pop(victim, None)
-            resident.discard(victim)
+            state.inflation, victim = min((h, o) for o, h in credit.items())
+            del credit[victim]
             free += catalog.size(victim)
-            if victim in initial:
-                evicted_order.append(victim)
+            if victim in admitted:
+                del admitted[victim]
             else:
-                admitted_order.remove(victim)
-        gds_touch(sim, oid, catalog)
-        resident.add(oid)
+                evicted.append(victim)
+        gds_touch(state, oid, catalog)
         free -= size
-        admitted_order.append(oid)
+        admitted[oid] = None
 
-    decisions: list[Decision] = [Evict(o) for o in evicted_order]
-    decisions += [Load(o) for o in admitted_order]
-    sim.credit = {o: h for o, h in sim.credit.items() if o in resident}
-    return sim, decisions
+    return state, [Evict(o) for o in evicted] + [Load(o) for o in admitted]
 
 
 class LoadManager:
@@ -120,5 +120,5 @@ class LoadManager:
 
     def handle(self, q: Query, cache: CacheState) -> list[Decision]:
         batch = offer(q, cache, self.catalog, self.rng)
-        self.state, decisions = gds_lazy_apply(self.state, cache, self.catalog, batch)
+        _, decisions = gds_lazy_apply(self.state, cache, self.catalog, batch)
         return decisions

@@ -8,7 +8,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .benefit import BenefitPolicy
 from .core import (AnswerFromCache, CacheState, CostContext, Decision, Event,
@@ -62,10 +62,7 @@ class RunConfig:
         return catalog.total_size if self.policy == "replica" else capacity
 
     def to_dict(self) -> dict:
-        return {"policy": self.policy, "seed": self.seed,
-                "cache_bytes": self.cache_bytes, "cache_frac": self.cache_frac,
-                "warmup_events": self.warmup_events,
-                "sample_stride": self.sample_stride, "params": self.params}
+        return asdict(self)
 
 
 POLICY_NAMES = ("vcover", "benefit", "nocache", "replica", "soptimal")
@@ -186,13 +183,11 @@ def run(events: list[Event], catalog: ObjectCatalog, config: RunConfig) -> RunRe
             check_freshness(cache)
         except Exception as exc:
             raise AuditError(seq, str(exc)) from exc
-        if config.warmup_events and seq == config.warmup_events:
+        if seq <= config.warmup_events:
             warmup_snapshot = ledger.snapshot()
         if seq % config.sample_stride == 0 or i == len(events) - 1:
             series.append((seq, ledger.query_ship, ledger.update_ship,
                            ledger.load, ledger.total, cache.used))
-    execute(policy.finalize(), last_seq, None,
-            events[-1].time if events else 0)
     # The per-event capacity audit trusts the running counter; recount it
     # once, so a counter that drifted behind apply's back fails the run.
     resident_bytes = sum(catalog.size(o) for o in cache.resident)

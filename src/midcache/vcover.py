@@ -75,9 +75,6 @@ class VCoverPolicy:
         # the cache; nothing is shipped until a query demands it.
         return []
 
-    def finalize(self) -> list[Decision]:
-        return []
-
     def _forget_object_updates(self, oid: int) -> None:
         # Eviction throws away the object's queue; any graph nodes for those
         # updates would otherwise outlive them and poison later covers. The

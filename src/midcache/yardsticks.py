@@ -30,9 +30,6 @@ class NoCachePolicy:
     def on_update(self, u: Update, now: int) -> list[Decision]:
         return []
 
-    def finalize(self) -> list[Decision]:
-        return []
-
 
 class ReplicaPolicy:
     """Cache as large as the server holding all data from the start (no load
@@ -53,9 +50,6 @@ class ReplicaPolicy:
 
     def on_update(self, u: Update, now: int) -> list[Decision]:
         return [ShipUpdates((u.uid,))]
-
-    def finalize(self) -> list[Decision]:
-        return []
 
 
 @dataclass(frozen=True)
@@ -124,9 +118,6 @@ class SOptimalPolicy:
     def on_update(self, u: Update, now: int) -> list[Decision]:
         if self.mode == "eager" and u.object in self.plan.static_set:
             return [ShipUpdates((u.uid,))]
-        return []
-
-    def finalize(self) -> list[Decision]:
         return []
 
 

@@ -118,13 +118,15 @@ def enumerate_plan_costs(catalog: ObjectCatalog, events, capacity: int,
     return best, cost_of_plan
 
 
-def eager_gds_trace(catalog: ObjectCatalog, capacity: int,
-                    resident: dict[int, float], inflation: float,
-                    batch: list[int]) -> tuple[list[tuple[str, int]], set[int]]:
+def eager_gds_trace(catalog: ObjectCatalog, capacity: int, resident: set[int],
+                    credits: dict[int, float], inflation: float, batch: list[int]
+                    ) -> tuple[list[tuple[str, int]], set[int], dict[int, float], float]:
     """Plain (non-lazy) Greedy-Dual-Size over a candidacy batch: every
-    admission and eviction becomes an action immediately. Returns the action
-    list and the final resident set."""
-    credit = dict(resident)
+    admission and eviction becomes an action immediately. A resident without
+    a credit counts as 0.0, and credits of non-resident objects play no part.
+    Returns the action list, the final resident set, the final credit of
+    every resident and the final inflation."""
+    credit = {o: h for o, h in credits.items() if o in resident}
     live = set(resident)
     free = capacity - sum(catalog.size(o) for o in live)
     actions: list[tuple[str, int]] = []
@@ -137,7 +139,7 @@ def eager_gds_trace(catalog: ObjectCatalog, capacity: int,
             continue
         while free < size:
             victim = min(live, key=lambda o: (credit.get(o, 0.0), o))
-            inflation = credit.pop(victim)
+            inflation = credit.pop(victim, 0.0)
             live.discard(victim)
             free += catalog.size(victim)
             actions.append(("evict", victim))
@@ -145,7 +147,7 @@ def eager_gds_trace(catalog: ObjectCatalog, capacity: int,
         live.add(oid)
         free -= size
         actions.append(("load", oid))
-    return actions, live
+    return actions, live, {o: credit.get(o, 0.0) for o in live}, inflation
 
 
 def static_set_replay_cost(events, catalog: ObjectCatalog,

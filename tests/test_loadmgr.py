@@ -100,7 +100,7 @@ class TestLazyApply:
         catalog = ObjectCatalog.from_sizes({10: 6, 11: 8})
         cache = make_cache(catalog, 10)
         batch = [10, 11]
-        actions, final = eager_gds_trace(catalog, 10, {}, 0.0, batch)
+        actions, final, _, _ = eager_gds_trace(catalog, 10, set(), {}, 0.0, batch)
         assert ("load", 10) in actions and ("evict", 10) in actions
         state, decisions = gds_lazy_apply(GdsState(), cache, catalog, batch)
         assert decisions == [Load(11)]
@@ -132,18 +132,26 @@ class TestLazyApply:
                         if sum(catalog.size(x) for x in resident[:resident.index(o) + 1])
                         <= capacity]
             cache = make_cache(catalog, capacity, resident)
-            credits = {o: rng.uniform(0, 3) for o in resident}
+            # some residents have no credit (they count as 0.0), and one
+            # non-resident object may hold a stale credit
+            credits = {o: rng.uniform(0, 3) for o in resident if rng.random() < 0.8}
             inflation = min(credits.values(), default=0.0)
             missing = [o for o in range(n) if o not in cache.resident]
             rng.shuffle(missing)
+            if missing and rng.random() < 0.5:
+                credits[rng.choice(missing)] = rng.uniform(0, 3)
             batch = missing[:rng.randint(0, len(missing))]
-            _, final = eager_gds_trace(catalog, capacity, credits, inflation, batch)
-            state, decisions = gds_lazy_apply(
-                GdsState(inflation, dict(credits)), cache, catalog, batch)
+            _, final, final_credit, final_inflation = eager_gds_trace(
+                catalog, capacity, cache.resident, credits, inflation, batch)
+            given = GdsState(inflation, dict(credits))
+            state, decisions = gds_lazy_apply(given, cache, catalog, batch)
             got = set(cache.resident)
             for d in decisions:
                 got.discard(d.oid) if isinstance(d, Evict) else got.add(d.oid)
             assert got == final
+            assert state is given
+            assert state.credit == final_credit
+            assert state.inflation == final_inflation
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())

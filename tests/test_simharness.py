@@ -39,11 +39,14 @@ class TestRun:
             assert a.decision_log == b.decision_log
 
     def test_warmup_view_subtracts_prefix(self, small_catalog):
-        events = [mk_query(i, i, {0}, 10, seq=i) for i in range(1, 11)]
-        report = run(events, small_catalog,
-                     RunConfig(policy="nocache", seed=0, warmup_events=4))
-        assert report.ledger.total == 100
-        assert report.post_warmup["total"] == 60
+        # The second input skips seq 5, as a blank trace line does: the
+        # snapshot follows the last event with seq <= warmup_events.
+        for seqs, warmup in ((range(1, 11), 4), ([1, 2, 3, 4, *range(6, 12)], 5)):
+            events = [mk_query(i, i, {0}, 10, seq=s) for i, s in enumerate(seqs, 1)]
+            report = run(events, small_catalog,
+                         RunConfig(policy="nocache", seed=0, warmup_events=warmup))
+            assert report.ledger.total == 100
+            assert report.post_warmup["total"] == 60
 
     def test_series_monotone_and_sampled(self, small_catalog):
         events = [mk_query(i, i, {0}, 5, seq=i) for i in range(1, 26)]
@@ -71,9 +74,6 @@ class TestAudit:
             def on_update(self, u, now):
                 return []
 
-            def finalize(self):
-                return []
-
         import midcache.simharness as sh
         orig = sh.make_policy
         sh.make_policy = lambda cfg, cat, cache, events: BrokenPolicy(cache)
@@ -95,9 +95,6 @@ class TestAudit:
                 return [AnswerFromCache(q.qid)]   # nothing is resident
 
             def on_update(self, u, now):
-                return []
-
-            def finalize(self):
                 return []
 
         import midcache.simharness as sh
@@ -124,9 +121,6 @@ class TestAudit:
                 return [ShipQuery(q.qid)]
 
             def on_update(self, u, now):
-                return []
-
-            def finalize(self):
                 return []
 
         import midcache.simharness as sh
