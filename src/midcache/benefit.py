@@ -126,24 +126,24 @@ class BenefitPolicy:
     def startup(self) -> list[Decision]:
         return []
 
-    def on_query(self, q: Query, now: int) -> list[Decision]:
-        decisions = self._route_query(q, now)
+    def on_query(self, q: Query) -> list[Decision]:
+        decisions = self._route_query(q)
         return decisions + self._tick()
 
-    def on_update(self, u: Update, now: int) -> list[Decision]:
+    def on_update(self, u: Update) -> list[Decision]:
         if not self.cache.is_resident(u.object):
             # Hypothetical: had the object been resident, this update would
             # eventually have been shipped for it.
             self.stats.add_update_cost(u.object, u.ship_cost)
         return self._tick()
 
-    def _route_query(self, q: Query, now: int) -> list[Decision]:
+    def _route_query(self, q: Query) -> list[Decision]:
         sizes = [(oid, self.catalog.size(oid)) for oid in sorted(q.objects)]
         shares = proportional_shares(q.ship_cost, sizes)
         if all(self.cache.is_resident(o) for o in q.objects):
             for oid in q.objects:
                 self.stats.add_saved(oid, shares[oid])
-            ius = interacting_updates(q, self.cache, now)
+            ius = interacting_updates(q, self.cache, q.time)
             if not ius:
                 return [AnswerFromCache(q.qid)]
             for u in ius:

@@ -8,6 +8,7 @@ one twice produces byte-identical output files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -24,18 +25,15 @@ def _out_dir(args) -> Path:
 
 
 def cmd_gen(args) -> int:
-    params = workload.GeneratorParams(
-        n_objects=args.objects, n_queries=args.queries, n_updates=args.updates,
+    params = dataclasses.replace(
+        workload.GeneratorParams.scaled_hotspots(args.objects),
+        n_queries=args.queries, n_updates=args.updates,
         size_min=args.size_min, size_max=args.size_max,
         query_hotspot_weight=args.query_hotspot_weight,
         update_hotspot_weight=args.update_hotspot_weight,
         scan_len=args.scan_len, selectivity=args.selectivity,
         update_fraction=args.update_fraction,
         mean_interarrival_us=args.interarrival_us)
-    if args.objects != workload.GeneratorParams.n_objects:
-        scaled = workload.GeneratorParams.scaled_hotspots(args.objects)
-        params.query_hotspots = scaled.query_hotspots
-        params.update_hotspots = scaled.update_hotspots
     catalog, events = workload.generate(params, args.seed)
     out = _out_dir(args)
     workload.write_catalog(catalog, out / "catalog.json")
@@ -66,8 +64,8 @@ def _write_report(report, out: Path, stem: str, fmt: str) -> None:
 
 
 def cmd_run(args) -> int:
-    catalog, events = workload.load_trace(args.trace)
     config = _run_config(args, args.policy)
+    catalog, events = workload.load_trace(args.trace)
     report = simharness.run(events, catalog, config)
     out = _out_dir(args)
     stem = f"run-{args.policy}-seed{args.seed}"
@@ -79,15 +77,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    catalog, events = workload.load_trace(args.trace)
-    policies = [p.strip() for p in args.policies.split(",") if p.strip()]
-    for p in policies:
-        if p not in POLICY_NAMES:
-            print(f"unknown policy {p!r} (have: {', '.join(POLICY_NAMES)})",
-                  file=sys.stderr)
-            return 2
+    configs = [_run_config(args, p.strip()) for p in args.policies.split(",") if p.strip()]
     grains = ([int(g) for g in args.granularity.split(",")]
               if args.granularity else [None])
+    catalog, events = workload.load_trace(args.trace)
     out = _out_dir(args)
     for grain in grains:
         if grain is None:
@@ -95,7 +88,6 @@ def cmd_compare(args) -> int:
         else:
             cat, evs = workload.regrain(catalog, events, grain)
             tag = f"compare-g{grain}"
-        configs = [_run_config(args, p) for p in policies]
         cmp_report = simharness.compare(evs, cat, configs, jobs=args.jobs)
         _write_report(cmp_report, out, tag, args.format)
         for row in cmp_report.table():
@@ -206,7 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; an invalid trace exits 1, an audit failure 2."""
+    """Run one subcommand; an invalid trace exits 1, an audit failure or a
+    bad option value 2."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
@@ -215,6 +208,9 @@ def main(argv=None) -> int:
         return 1
     except simharness.AuditError as exc:
         print(f"audit failure: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -32,8 +32,14 @@ class AuditError(Exception):
         return AuditError, (self.seq, self.message)
 
 
-@dataclass
+POLICY_NAMES = ("vcover", "benefit", "nocache", "replica", "soptimal")
+
+
+@dataclass(frozen=True)
 class RunConfig:
+    """One run's settings, checked once at construction. `params` go to the
+    policy's constructor as keywords; a key it does not take is a TypeError."""
+
     policy: str
     seed: int
     cache_bytes: int | None = None     # wins over cache_frac when set
@@ -43,6 +49,12 @@ class RunConfig:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.policy not in POLICY_NAMES:
+            raise ValueError(f"unknown policy {self.policy!r} (have: {', '.join(POLICY_NAMES)})")
+        if self.cache_bytes is not None and self.cache_bytes < 0:
+            raise ValueError("cache_bytes must be non-negative")
+        if self.cache_bytes is None and not 0.0 < self.cache_frac <= 1.0:
+            raise ValueError("cache_frac must be in (0,1]")
         if self.sample_stride < 1:
             raise ValueError("sample_stride must be >= 1")
         if self.warmup_events < 0:
@@ -51,40 +63,25 @@ class RunConfig:
     def capacity(self, catalog: ObjectCatalog) -> int:
         """The run's cache capacity in bytes. A replica holds every object,
         so its capacity is the catalog's total size whatever was asked."""
+        if self.policy == "replica":
+            return catalog.total_size
         if self.cache_bytes is not None:
-            if self.cache_bytes < 0:
-                raise ValueError("cache_bytes must be non-negative")
-            capacity = self.cache_bytes
-        elif 0.0 < self.cache_frac <= 1.0:
-            capacity = int(self.cache_frac * catalog.total_size)
-        else:
-            raise ValueError("cache_frac must be in (0,1]")
-        return catalog.total_size if self.policy == "replica" else capacity
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-POLICY_NAMES = ("vcover", "benefit", "nocache", "replica", "soptimal")
+            return self.cache_bytes
+        return int(self.cache_frac * catalog.total_size)
 
 
 def make_policy(config: RunConfig, catalog: ObjectCatalog, cache: CacheState,
                 events: list[Event]):
-    name = config.policy
-    p = config.params
+    name, p = config.policy, config.params
     if name == "vcover":
-        return VCoverPolicy(catalog, cache, seed=config.seed)
+        return VCoverPolicy(catalog, cache, seed=config.seed, **p)
     if name == "benefit":
-        return BenefitPolicy(catalog, cache,
-                             alpha=float(p.get("alpha", 0.5)),
-                             delta=int(p.get("delta", 1000)))
+        return BenefitPolicy(catalog, cache, **p)
     if name == "nocache":
-        return NoCachePolicy(catalog, cache)
+        return NoCachePolicy(catalog, cache, **p)
     if name == "replica":
-        return ReplicaPolicy(catalog, cache)
-    if name == "soptimal":
-        return SOptimalPolicy(catalog, cache, events, mode=p.get("mode", "eager"))
-    raise ValueError(f"unknown policy {name!r} (have: {', '.join(POLICY_NAMES)})")
+        return ReplicaPolicy(catalog, cache, **p)
+    return SOptimalPolicy(catalog, cache, events, **p)
 
 
 @dataclass
@@ -132,7 +129,13 @@ def run(events: list[Event], catalog: ObjectCatalog, config: RunConfig) -> RunRe
     """Replay the trace under one policy. Raises AuditError (with the event
     index) if any decision breaks capacity, freshness, or the staleness
     contract of a cache-answered query, or if the capacity counter disagrees
-    with the resident set at the end of the run."""
+    with the resident set at the end of the run. Raises ValueError, before
+    any policy is built, if a query accesses no objects."""
+    empty = [ev for ev in events if isinstance(ev, Query) and not ev.objects]
+    if empty:
+        q = empty[0]
+        raise ValueError(f"event {q.seq or events.index(q) + 1}: "
+                         f"query {q.qid} accesses no objects")
     cache = CacheState(config.capacity(catalog), catalog)
     policy = make_policy(config, catalog, cache, events)
     initial_resident = sorted(cache.resident)
@@ -144,14 +147,14 @@ def run(events: list[Event], catalog: ObjectCatalog, config: RunConfig) -> RunRe
     series: list[tuple] = []
     warmup_snapshot = (0, 0, 0)
 
-    def execute(decisions: list[Decision], seq: int, current_query: Query | None, now: int):
+    def execute(decisions: list[Decision], seq: int, current_query: Query | None):
         nonlocal answers
         for d in decisions:
             if isinstance(d, AnswerFromCache):
                 if current_query is None or d.qid != current_query.qid:
                     raise AuditError(seq, f"AnswerFromCache({d.qid}) outside its query event")
                 try:
-                    stale = interacting_updates(current_query, cache, now)
+                    stale = interacting_updates(current_query, cache, current_query.time)
                 except Exception as exc:
                     raise AuditError(seq, f"query {d.qid} answered at cache: {exc}") from exc
                 if stale:
@@ -168,7 +171,7 @@ def run(events: list[Event], catalog: ObjectCatalog, config: RunConfig) -> RunRe
             log.append((seq, d))
         check_capacity(cache)
 
-    execute(policy.startup(), 0, None, events[0].time if events else 0)
+    execute(policy.startup(), 0, None)
     last_seq = 0
     for i, ev in enumerate(events):
         seq = ev.seq if ev.seq else i + 1
@@ -176,9 +179,9 @@ def run(events: list[Event], catalog: ObjectCatalog, config: RunConfig) -> RunRe
         costs.see(ev)
         if isinstance(ev, Update):
             cache.receive_update(ev)
-            execute(policy.on_update(ev, ev.time), seq, None, ev.time)
+            execute(policy.on_update(ev), seq, None)
         else:
-            execute(policy.on_query(ev, ev.time), seq, ev, ev.time)
+            execute(policy.on_query(ev), seq, ev)
         try:
             check_freshness(cache)
         except Exception as exc:
@@ -200,7 +203,7 @@ def run(events: list[Event], catalog: ObjectCatalog, config: RunConfig) -> RunRe
                    "update_ship": ledger.update_ship - wu,
                    "load": ledger.load - wl,
                    "total": ledger.total - (wq + wu + wl)}
-    return RunReport(config=config.to_dict(), capacity=cache.capacity,
+    return RunReport(config=asdict(config), capacity=cache.capacity,
                      ledger=ledger, post_warmup=post_warmup, series=series,
                      decision_counts=dict(sorted(counts.items())),
                      answers_audited=answers, n_events=len(events),

@@ -36,9 +36,9 @@ class VCoverPolicy:
     def startup(self) -> list[Decision]:
         return []
 
-    def on_query(self, q: Query, now: int) -> list[Decision]:
+    def on_query(self, q: Query) -> list[Decision]:
         if all(self.cache.is_resident(o) for o in q.objects):
-            return self.update_manager(q, now)
+            return self.update_manager(q)
         decisions: list[Decision] = [ShipQuery(q.qid)]
         loads = self.loadmgr.handle(q, self.cache)
         for d in loads:
@@ -47,10 +47,10 @@ class VCoverPolicy:
         decisions.extend(loads)
         return decisions
 
-    def update_manager(self, q: Query, now: int) -> list[Decision]:
+    def update_manager(self, q: Query) -> list[Decision]:
         """Choose between shipping the query and shipping all its outstanding
         interacting updates, by incremental minimum-weight vertex cover."""
-        ius = interacting_updates(q, self.cache, now)
+        ius = interacting_updates(q, self.cache, q.time)
         if not ius:
             return [AnswerFromCache(q.qid)]
         self.graph.add_query(q.qid, q.ship_cost)
@@ -70,7 +70,7 @@ class VCoverPolicy:
         prune_remainder(self.graph, cover, self.flow)
         return decisions
 
-    def on_update(self, u: Update, now: int) -> list[Decision]:
+    def on_update(self, u: Update) -> list[Decision]:
         # Arrival bookkeeping (queueing + invalidation) already happened at
         # the cache; nothing is shipped until a query demands it.
         return []

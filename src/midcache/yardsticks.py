@@ -24,10 +24,10 @@ class NoCachePolicy:
     def startup(self) -> list[Decision]:
         return []
 
-    def on_query(self, q: Query, now: int) -> list[Decision]:
+    def on_query(self, q: Query) -> list[Decision]:
         return [ShipQuery(q.qid)]
 
-    def on_update(self, u: Update, now: int) -> list[Decision]:
+    def on_update(self, u: Update) -> list[Decision]:
         return []
 
 
@@ -45,10 +45,10 @@ class ReplicaPolicy:
     def startup(self) -> list[Decision]:
         return []
 
-    def on_query(self, q: Query, now: int) -> list[Decision]:
+    def on_query(self, q: Query) -> list[Decision]:
         return [AnswerFromCache(q.qid)]
 
-    def on_update(self, u: Update, now: int) -> list[Decision]:
+    def on_update(self, u: Update) -> list[Decision]:
         return [ShipUpdates((u.uid,))]
 
 
@@ -107,15 +107,15 @@ class SOptimalPolicy:
     def startup(self) -> list[Decision]:
         return list(self.plan.initial_loads)
 
-    def on_query(self, q: Query, now: int) -> list[Decision]:
+    def on_query(self, q: Query) -> list[Decision]:
         if not q.objects <= self.plan.static_set:
             return [ShipQuery(q.qid)]
-        ius = interacting_updates(q, self.cache, now)
+        ius = interacting_updates(q, self.cache, q.time)
         if not ius:
             return [AnswerFromCache(q.qid)]
         return [ShipUpdates(tuple(u.uid for u in ius)), AnswerFromCache(q.qid)]
 
-    def on_update(self, u: Update, now: int) -> list[Decision]:
+    def on_update(self, u: Update) -> list[Decision]:
         if self.mode == "eager" and u.object in self.plan.static_set:
             return [ShipUpdates((u.uid,))]
         return []

@@ -16,9 +16,9 @@ def make_policy(catalog, capacity, alpha=0.5, delta=1000, resident=()):
 def drive(policy, cache, ev):
     if hasattr(ev, "uid"):
         cache.receive_update(ev)
-        decisions = policy.on_update(ev, ev.time)
+        decisions = policy.on_update(ev)
     else:
-        decisions = policy.on_query(ev, ev.time)
+        decisions = policy.on_query(ev)
     for d in decisions:
         apply(cache, d)
     return decisions

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -122,6 +123,24 @@ class TestCompare:
         assert "unknown policy" in capsys.readouterr().err
 
 
+class TestBadOptions:
+    @pytest.mark.parametrize("argv", [
+        ["run", "--policy", "vcover", "--cache-frac", "2"],
+        ["run", "--policy", "benefit", "--alpha", "2"],
+        ["compare", "--granularity", "0"],
+        ["gen", "--objects", "0"],
+    ], ids=["cache-frac", "alpha", "granularity", "objects"])
+    def test_bad_value_exits_2_with_one_line(self, workspace, capsys, argv):
+        if argv[0] != "gen":
+            argv = argv + ["--trace", str(workspace / "trace.jsonl")]
+        rc = main(argv + ["--seed", "1", "--out", str(workspace / "bad")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+
 class TestReport:
     def test_merges_summaries_to_csv(self, workspace, capsys):
         main(["compare", "--trace", str(workspace / "trace.jsonl"),
@@ -142,3 +161,33 @@ class TestAuditPath:
                    "--trace", str(DATA_DIR / "worked_example" / "trace.jsonl"),
                    "--seed", "4", "--cache-frac", "1.0", "--out", str(tmp_path)])
         assert rc == 0
+
+
+class TestCliDigests:
+    """Byte identity of the CLI's file round trip: `gen` writes a catalog and
+    a trace, `compare` reads them back and writes its reports. The 91-object
+    catalog takes the scaled-hotspot path; the five-policy compare passes
+    the benefit and soptimal params through from their flags."""
+
+    GEN = ["gen", "--seed", "3", "--queries", "200", "--updates", "200"]
+    GOLDEN = {
+        "gen": "21169c322a3148e142af0b3e5a8af8f5a8614627e6527915c0edd2cb660a0084",
+        "gen-91": "b2c4ca436e2991fc5921a90ad288ec1b38889e554141231343041447a431e2e2",
+        "compare": "1ba247c5fbbbc8509f0e211321abadd680610ea1fa9ac7bb9d93bbf625ad8630",
+    }
+
+    @staticmethod
+    def digest(out: Path, *names: str) -> str:
+        return hashlib.sha256(b"".join((out / n).read_bytes() for n in names)).hexdigest()
+
+    def test_gen_and_compare_outputs_pinned(self, tmp_path):
+        got = {}
+        for key, extra in (("gen", []), ("gen-91", ["--objects", "91"])):
+            out = tmp_path / key
+            assert main(self.GEN + extra + ["--out", str(out)]) == 0
+            got[key] = self.digest(out, "catalog.json", "trace.jsonl")
+        out = tmp_path / "gen"
+        assert main(["compare", "--trace", str(out / "trace.jsonl"), "--seed", "1",
+                     "--warmup", "50", "--out", str(out)]) == 0
+        got["compare"] = self.digest(out, "compare.json", "compare.csv")
+        assert got == self.GOLDEN

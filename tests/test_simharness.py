@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -58,6 +59,31 @@ class TestRun:
         assert totals == sorted(totals)
 
 
+class TestConfig:
+    """A RunConfig is checked once, when it is built, and cannot change
+    afterwards; its params go to the policy constructor unchanged."""
+
+    @pytest.mark.parametrize("bad", [
+        {"policy": "bogus"}, {"cache_frac": 2}, {"cache_frac": 0.0}, {"cache_bytes": -1},
+    ], ids=["policy", "cache_frac-above-1", "cache_frac-zero", "cache_bytes"])
+    def test_bad_value_raises_at_construction(self, bad):
+        with pytest.raises(ValueError):
+            RunConfig(**{"policy": "vcover", "seed": 0, **bad})
+
+    def test_fields_cannot_be_assigned(self):
+        config = RunConfig(policy="vcover", seed=0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.cache_frac = 2.0
+
+    @pytest.mark.parametrize("policy,params", [
+        ("benefit", {"alpah": 0.1}), ("vcover", {"mode": "lazy"}),
+    ])
+    def test_param_the_policy_does_not_take_raises(self, small_catalog, policy, params):
+        events = [mk_query(1, 1, {0}, 5)]
+        with pytest.raises(TypeError):
+            run(events, small_catalog, RunConfig(policy=policy, seed=0, params=params))
+
+
 class TestAudit:
     def test_stale_answer_aborts_with_event_index(self, small_catalog):
         class BrokenPolicy:
@@ -68,10 +94,10 @@ class TestAudit:
                 self.cache.seed_resident([0])
                 return []
 
-            def on_query(self, q, now):
+            def on_query(self, q):
                 return [AnswerFromCache(q.qid)]   # ignores staleness
 
-            def on_update(self, u, now):
+            def on_update(self, u):
                 return []
 
         import midcache.simharness as sh
@@ -91,10 +117,10 @@ class TestAudit:
             def startup(self):
                 return []
 
-            def on_query(self, q, now):
+            def on_query(self, q):
                 return [AnswerFromCache(q.qid)]   # nothing is resident
 
-            def on_update(self, u, now):
+            def on_update(self, u):
                 return []
 
         import midcache.simharness as sh
@@ -116,11 +142,11 @@ class TestAudit:
             def startup(self):
                 return []
 
-            def on_query(self, q, now):
+            def on_query(self, q):
                 self.cache.resident.add(3)   # bypasses apply and its counter
                 return [ShipQuery(q.qid)]
 
-            def on_update(self, u, now):
+            def on_update(self, u):
                 return []
 
         import midcache.simharness as sh
@@ -216,6 +242,15 @@ class TestInputContract:
             cache, ledger = replay_decisions(events, catalog, report)
             assert ledger.snapshot() == report.ledger.snapshot()
             assert sorted(cache.resident) == report.final_resident
+
+
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    def test_query_without_objects_rejected_before_any_policy(self, small_catalog, policy):
+        # `validate` rejects such a query; a library caller gets the same
+        # rule from run(), whatever the policy would have charged for it.
+        events = [mk_query(1, 1, {0}, 5), mk_query(2, 2, set(), 7, seq=4)]
+        with pytest.raises(ValueError, match=r"^event 4: query 2 accesses no objects$"):
+            run(events, small_catalog, RunConfig(policy=policy, seed=0))
 
 
 class TestCompare:

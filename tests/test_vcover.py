@@ -21,9 +21,9 @@ def policy_with_cache(catalog, capacity, resident=(), seed=0):
 def drive(policy, cache, ev):
     if hasattr(ev, "uid"):
         cache.receive_update(ev)
-        decisions = policy.on_update(ev, ev.time)
+        decisions = policy.on_update(ev)
     else:
-        decisions = policy.on_query(ev, ev.time)
+        decisions = policy.on_query(ev)
     for d in decisions:
         apply(cache, d)
     return decisions
