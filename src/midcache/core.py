@@ -213,6 +213,8 @@ def interacting_updates(q: Query, cache: CacheState, now: int) -> list[Update]:
     (u.time <= now - tolerance interacts). Returned in (object id, arrival)
     order, which is deterministic.
     """
+    if q.objects <= cache.resident and cache.outstanding.keys().isdisjoint(q.objects):
+        return []
     cutoff = now - q.tolerance
     out: list[Update] = []
     for oid in sorted(q.objects):
@@ -321,7 +323,11 @@ def check_freshness(cache: CacheState) -> None:
     """Every outstanding queue belongs to a resident object and holds at
     least one update. Freshness is queue absence by construction, so this
     invariant is all that can break; it costs O(objects with queued updates)."""
-    for oid, queue in cache.outstanding.items():
+    outstanding = cache.outstanding
+    if not outstanding or (outstanding.keys() <= cache.resident
+                           and all(outstanding.values())):
+        return
+    for oid, queue in outstanding.items():
         if oid not in cache.resident:
             raise CacheError(f"non-resident object {oid} has an outstanding queue")
         if not queue:

@@ -15,12 +15,19 @@ evicted within the same batch never touches the network. The simulation runs
 on the GDS state itself, whose credit map stands in for the resident set:
 after each batch, the credit keys are exactly the objects the emitted
 decisions leave resident.
+
+Victims come off a heap of (credit, oid) entries with lazy deletion. Every
+live credit has its pair on the heap; an entry whose pair no longer matches
+the credit map is stale and is skipped when it surfaces. Credits change only
+through `gds_touch` and `gds_lazy_apply`, which push each new pair, so the
+heap's minimum valid entry is always the minimum-(credit, oid) resident.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 
 from .core import CacheState, Decision, Evict, Load, ObjectCatalog, ObjectId, Query
 
@@ -29,10 +36,23 @@ from .core import CacheState, Decision, Evict, Load, ObjectCatalog, ObjectId, Qu
 class GdsState:
     """Greedy-Dual-Size bookkeeping: a global inflation level and a credit
     per resident object. Credits never fall below the inflation level. After
-    each batch the credit keys are the resident set."""
+    each batch the credit keys are the resident set.
+
+    `heap` holds a (credit, oid) entry for every live credit, plus stale
+    entries left behind when a credit is replaced or dropped. It is built
+    from `credit` here, and `credit` must change only through `gds_touch`
+    and `gds_lazy_apply`, which keep the heap in step."""
 
     inflation: float = 0.0
     credit: dict[ObjectId, float] = field(default_factory=dict)
+    heap: list[tuple[float, ObjectId]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.rebuild_heap()
+
+    def rebuild_heap(self) -> None:
+        self.heap = [(h, oid) for oid, h in self.credit.items()]
+        heapify(self.heap)
 
 
 CandidacyBatch = list  # ordered ObjectIds, no duplicates, non-resident at batch start
@@ -42,7 +62,7 @@ def offer(q: Query, cache: CacheState, catalog: ObjectCatalog,
           rng: random.Random) -> CandidacyBatch:
     """Spend the query's shipping cost across its missing objects in uniformly
     random order, emitting load candidacies."""
-    missing = sorted(o for o in q.objects if not cache.is_resident(o))
+    missing = sorted(q.objects - cache.resident)
     rng.shuffle(missing)
     c = q.ship_cost
     batch: CandidacyBatch = []
@@ -63,7 +83,9 @@ def offer(q: Query, cache: CacheState, catalog: ObjectCatalog,
 def gds_touch(state: GdsState, oid: ObjectId, catalog: ObjectCatalog) -> None:
     """Refresh an object's credit to inflation + load_cost/size. Idempotent;
     called on admission and on candidacy for an already-resident object."""
-    state.credit[oid] = state.inflation + catalog.load_cost(oid) / catalog.size(oid)
+    h = state.inflation + catalog.load_cost(oid) / catalog.size(oid)
+    state.credit[oid] = h
+    heappush(state.heap, (h, oid))
 
 
 def gds_lazy_apply(state: GdsState, cache: CacheState, catalog: ObjectCatalog,
@@ -78,12 +100,19 @@ def gds_lazy_apply(state: GdsState, cache: CacheState, catalog: ObjectCatalog,
     (inflation rises to each victim's credit) and then admits it; a
     candidate bigger than the whole cache is skipped. Since the diff is
     taken at the end, no batch ever both loads and evicts the same object.
+    The heap is rebuilt from the credits once stale entries outnumber live
+    ones.
     """
     credit = state.credit
-    for oid in credit.keys() - cache.resident:
-        del credit[oid]
-    for oid in cache.resident.difference(credit):
-        credit[oid] = 0.0
+    if credit.keys() != cache.resident:
+        for oid in credit.keys() - cache.resident:
+            del credit[oid]
+        for oid in cache.resident.difference(credit):
+            credit[oid] = 0.0
+            heappush(state.heap, (0.0, oid))
+    if len(state.heap) > 2 * len(credit) + 16:
+        state.rebuild_heap()
+    heap = state.heap
     free = cache.free
     admitted: dict[ObjectId, None] = {}
     evicted: list[ObjectId] = []
@@ -96,7 +125,10 @@ def gds_lazy_apply(state: GdsState, cache: CacheState, catalog: ObjectCatalog,
         if size > cache.capacity:
             continue
         while free < size:
-            state.inflation, victim = min((h, o) for o, h in credit.items())
+            h, victim = heappop(heap)
+            if credit.get(victim) != h:
+                continue   # stale: the credit was replaced or dropped
+            state.inflation = h
             del credit[victim]
             free += catalog.size(victim)
             if victim in admitted:

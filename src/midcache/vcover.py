@@ -37,7 +37,7 @@ class VCoverPolicy:
         return []
 
     def on_query(self, q: Query) -> list[Decision]:
-        if all(self.cache.is_resident(o) for o in q.objects):
+        if q.objects <= self.cache.resident:
             return self.update_manager(q)
         decisions: list[Decision] = [ShipQuery(q.qid)]
         loads = self.loadmgr.handle(q, self.cache)

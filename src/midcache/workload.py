@@ -54,6 +54,10 @@ class GeneratorParams:
     def validate(self) -> None:
         if self.n_objects < 1:
             raise ValueError("n_objects must be >= 1")
+        if self.n_queries < 0 or self.n_updates < 0:
+            raise ValueError("n_queries and n_updates must be >= 0")
+        if self.mean_interarrival_us < 1:
+            raise ValueError("mean_interarrival_us must be >= 1")
         if not 0 < self.size_min <= self.size_max:
             raise ValueError("size bounds must satisfy 0 < min <= max")
         for h in self.query_hotspots + self.update_hotspots:

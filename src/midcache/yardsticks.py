@@ -133,9 +133,11 @@ def replica(events: list[Event], catalog: ObjectCatalog) -> TrafficLedger:
 
 def soptimal(events: list[Event], catalog: ObjectCatalog, capacity: int,
              mode: str = "eager") -> tuple[SOptimalPlan, TrafficLedger]:
+    """The plan and ledger of one `soptimal` run. The run's policy plans the
+    static set; its start-up loads, logged at seq 0, are that plan."""
     from .simharness import RunConfig, run
-    plan = plan_static_set(events, catalog, capacity)
     report = run(events, catalog,
                  RunConfig(policy="soptimal", seed=0, cache_bytes=capacity,
                            params={"mode": mode}))
-    return plan, report.ledger
+    loads = tuple(d for seq, d in report.decision_log if seq == 0 and isinstance(d, Load))
+    return SOptimalPlan(frozenset(d.oid for d in loads), loads), report.ledger

@@ -182,3 +182,29 @@ def static_set_replay_cost(events, catalog: ObjectCatalog,
                         kept.append(u)
                 queues[o] = kept
     return cost
+
+
+def loop_interacting_updates(q: Query, cache, now: int) -> list[Update]:
+    """The plain per-object loop `core.interacting_updates` must agree with:
+    the same list, or NonResident with the same message."""
+    from midcache.core import NonResident
+    cutoff = now - q.tolerance
+    out: list[Update] = []
+    for oid in sorted(q.objects):
+        if oid not in cache.resident:
+            raise NonResident(f"query {q.qid}: object {oid} is not resident")
+        for u in cache.outstanding.get(oid, ()):
+            if u.time <= cutoff:
+                out.append(u)
+    return out
+
+
+def loop_check_freshness(cache) -> None:
+    """The plain per-queue loop `core.check_freshness` must agree with: no
+    error, or CacheError with the same message."""
+    from midcache.core import CacheError
+    for oid, queue in cache.outstanding.items():
+        if oid not in cache.resident:
+            raise CacheError(f"non-resident object {oid} has an outstanding queue")
+        if not queue:
+            raise CacheError(f"object {oid} has an empty outstanding queue")

@@ -129,7 +129,11 @@ class TestBadOptions:
         ["run", "--policy", "benefit", "--alpha", "2"],
         ["compare", "--granularity", "0"],
         ["gen", "--objects", "0"],
-    ], ids=["cache-frac", "alpha", "granularity", "objects"])
+        ["gen", "--interarrival-us", "0"],
+        ["gen", "--queries", "-5"],
+        ["gen", "--updates", "-1"],
+    ], ids=["cache-frac", "alpha", "granularity", "objects", "interarrival-us",
+            "queries", "updates"])
     def test_bad_value_exits_2_with_one_line(self, workspace, capsys, argv):
         if argv[0] != "gen":
             argv = argv + ["--trace", str(workspace / "trace.jsonl")]

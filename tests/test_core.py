@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from midcache.core import (AnswerFromCache, CacheError, CacheState,
                            CapacityExceeded, CostContext, Evict, Load,
@@ -11,6 +11,7 @@ from midcache.core import (AnswerFromCache, CacheError, CacheState,
                            check_capacity, check_freshness,
                            interacting_updates, record)
 from tests.conftest import GB, SEC, mk_query, mk_update
+from tests.oracles import loop_check_freshness, loop_interacting_updates
 
 
 def make_cache(catalog, capacity, resident=()):
@@ -228,3 +229,49 @@ class TestAccounting:
         cache.outstanding[0] = []
         with pytest.raises(CacheError, match="empty outstanding queue"):
             check_freshness(cache)
+
+
+def outcome(fn, *args):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestFastPaths:
+    """The set-level shortcuts in `interacting_updates` and `check_freshness`
+    return or raise exactly what the plain per-object loops do."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_same_result_or_same_error_as_the_loops(self, data):
+        catalog = ObjectCatalog.from_sizes({i: 10 for i in range(6)})
+        objects = st.integers(0, 5)
+        cache = make_cache(catalog, 60, data.draw(st.sets(objects)))
+        uid = 0
+        for _ in range(data.draw(st.integers(0, 10))):
+            uid += 1
+            cache.receive_update(mk_update(uid, data.draw(st.integers(0, 50)),
+                                           data.draw(objects), 1))
+        # corrupt states the audit must catch: a queue on a non-resident
+        # object, and an empty queue, both made by direct mutation
+        for oid in data.draw(st.sets(objects, max_size=2)):
+            uid += 1
+            cache.outstanding[oid] = [mk_update(uid, 0, oid, 1)]
+        for oid in data.draw(st.sets(objects, max_size=2)):
+            cache.outstanding[oid] = []
+        assert outcome(check_freshness, cache) == outcome(loop_check_freshness, cache)
+        q = mk_query(99, data.draw(st.integers(0, 60)),
+                     data.draw(st.sets(objects, min_size=1)), 5,
+                     tol=data.draw(st.integers(0, 30)))
+        assert (outcome(interacting_updates, q, cache, q.time)
+                == outcome(loop_interacting_updates, q, cache, q.time))
+
+    def test_fresh_resident_query_takes_no_updates(self, small_catalog):
+        cache = make_cache(small_catalog, 100, [0, 1])
+        cache.receive_update(mk_update(1, 1, 1, 1))
+        assert interacting_updates(mk_query(2, 5, {0}, 1), cache, 5) == []
+        assert interacting_updates(mk_query(3, 5, {0, 1}, 1), cache, 5) == [
+            cache.lookup_outstanding(1)]
+        check_freshness(cache)

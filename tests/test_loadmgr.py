@@ -2,7 +2,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from midcache.core import CacheState, Evict, Load, ObjectCatalog
+from midcache.core import CacheState, Evict, Load, ObjectCatalog, apply
 from midcache.loadmgr import GdsState, gds_lazy_apply, gds_touch, offer
 from tests.conftest import mk_query
 from tests.oracles import eager_gds_trace
@@ -61,7 +61,14 @@ class TestStateShape:
         import random as _random
         mgr = LoadManager(small_catalog, _random.Random(0))
         assert set(vars(mgr)) == {"catalog", "rng", "state"}
-        assert set(vars(mgr.state)) == {"inflation", "credit"}
+        assert set(vars(mgr.state)) == {"inflation", "credit", "heap"}
+        # the heap only indexes the credits: (credit, oid) pairs, with an
+        # entry for every live credit
+        cache = make_cache(small_catalog, 40, [0, 1])
+        mgr.handle(mk_query(1, 0, {2, 3}, 100), cache)
+        heap = mgr.state.heap
+        assert heap and all(isinstance(h, float) and isinstance(o, int) for h, o in heap)
+        assert all((h, o) in heap for o, h in mgr.state.credit.items())
 
 
 class TestGdsTouch:
@@ -180,3 +187,66 @@ class TestLazyApply:
             from midcache.core import apply
             apply(cache, d)
         assert cache.used <= cache.capacity
+
+
+def drive_chained_batches(draw, n_batches: int) -> int:
+    """Run one persistent GdsState through `n_batches` candidacy batches and
+    check each against the eager oracle, chained from the oracle's previous
+    result. Between batches the decisions are applied, and sometimes an
+    outside Load or Evict changes the cache behind the load manager's back.
+    `draw(lo, hi)` supplies every choice. Returns how often the victim heap
+    was rebuilt."""
+    n = draw(2, 10)
+    catalog = ObjectCatalog.from_sizes({i: draw(1, 9) for i in range(n)},
+                                       {i: draw(1, 60) for i in range(n)})
+    capacity = draw(5, 30)
+    cache = make_cache(catalog, capacity)
+    state = GdsState()
+    credits: dict[int, float] = {}
+    inflation = 0.0
+    rebuilds = 0
+    for _ in range(n_batches):
+        missing = [o for o in range(n) if o not in cache.resident]
+        batch = []
+        while missing and draw(0, 3):
+            batch.append(missing.pop(draw(0, len(missing) - 1)))
+        start = set(cache.resident)
+        actions, final, credits, inflation = eager_gds_trace(
+            catalog, capacity, start, credits, inflation, batch)
+        heap = state.heap
+        _, decisions = gds_lazy_apply(state, cache, catalog, batch)
+        rebuilds += state.heap is not heap
+        assert decisions == ([Evict(o) for a, o in actions if a == "evict" and o in start]
+                             + [Load(o) for a, o in actions if a == "load" and o in final])
+        assert state.credit == credits
+        assert state.inflation == inflation
+        for d in decisions:
+            apply(cache, d)
+        assert cache.resident == final
+        outside = draw(0, 3)
+        if outside == 1 and cache.resident:
+            resident = sorted(cache.resident)
+            apply(cache, Evict(resident[draw(0, len(resident) - 1)]))
+        elif outside == 2:
+            fits = [o for o in range(n)
+                    if o not in cache.resident and catalog.size(o) <= cache.free]
+            if fits:
+                apply(cache, Load(fits[draw(0, len(fits) - 1)]))
+    return rebuilds
+
+
+class TestChainedBatches:
+    """One GdsState across many batches, past heap rebuilds, against the
+    eager oracle: the heap must pick the same victims as a full scan."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_chained_eager_oracle(self, data):
+        drive_chained_batches(lambda lo, hi: data.draw(st.integers(lo, hi)), 60)
+
+    def test_seeded_runs_rebuild_the_heap(self):
+        rebuilds = 0
+        for seed in range(30):
+            rng = random.Random(seed)
+            rebuilds += drive_chained_batches(rng.randint, 200)
+        assert rebuilds > 0

@@ -1,9 +1,10 @@
 import random
 from itertools import combinations
 
+from midcache import yardsticks
 from midcache.core import ObjectCatalog, Query, Update
 from midcache.workload import GeneratorParams, generate
-from midcache.yardsticks import nocache, replica, soptimal
+from midcache.yardsticks import nocache, replica, plan_static_set, soptimal
 from tests.conftest import mk_query, mk_update
 from tests.oracles import static_set_replay_cost
 
@@ -138,3 +139,22 @@ class TestSOptimal:
         _, lazy = soptimal(events, catalog, capacity, mode="lazy")
         assert lazy.total == static_set_replay_cost(events, catalog,
                                                     plan.static_set, eager=False)
+
+    def test_plans_the_static_set_once(self, monkeypatch):
+        params = GeneratorParams(n_objects=8, n_queries=40, n_updates=40,
+                                 query_hotspots=(1, 5), update_hotspots=(2, 6),
+                                 selectivity=0.2)
+        catalog, events = generate(params, seed=3)
+        capacity = catalog.total_size // 2
+        expected = plan_static_set(events, catalog, capacity)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return plan_static_set(*args)
+
+        monkeypatch.setattr(yardsticks, "plan_static_set", counting)
+        plan, _ = soptimal(events, catalog, capacity)
+        assert len(calls) == 1
+        assert plan == expected
+        assert plan.static_set
