@@ -80,7 +80,7 @@ def window_benefits(stats: WindowStats, cache: CacheState,
     out: dict[ObjectId, int] = {}
     for oid in catalog.ids():
         b = stats.saved.get(oid, 0) - stats.update_cost.get(oid, 0)
-        if not cache.is_resident(oid):
+        if oid not in cache.resident:
             b -= catalog.load_cost(oid)
         out[oid] = b
     return out
@@ -103,13 +103,11 @@ def greedy_recompose(forecast: Forecast, cache: CacheState,
             space -= size
     keep = set(selected)
     evictions = [Evict(o) for o in sorted(cache.resident - keep)]
-    loads = [Load(o) for o in selected if not cache.is_resident(o)]
+    loads = [Load(o) for o in selected if o not in cache.resident]
     return evictions + loads, selected
 
 
 class BenefitPolicy:
-    name = "benefit"
-
     def __init__(self, catalog: ObjectCatalog, cache: CacheState,
                  alpha: float = 0.5, delta: int = 1000):
         if not 0.0 <= alpha <= 1.0:
@@ -131,7 +129,7 @@ class BenefitPolicy:
         return decisions + self._tick()
 
     def on_update(self, u: Update) -> list[Decision]:
-        if not self.cache.is_resident(u.object):
+        if u.object not in self.cache.resident:
             # Hypothetical: had the object been resident, this update would
             # eventually have been shipped for it.
             self.stats.add_update_cost(u.object, u.ship_cost)
@@ -140,7 +138,7 @@ class BenefitPolicy:
     def _route_query(self, q: Query) -> list[Decision]:
         sizes = [(oid, self.catalog.size(oid)) for oid in sorted(q.objects)]
         shares = proportional_shares(q.ship_cost, sizes)
-        if all(self.cache.is_resident(o) for o in q.objects):
+        if q.objects <= self.cache.resident:
             for oid in q.objects:
                 self.stats.add_saved(oid, shares[oid])
             ius = interacting_updates(q, self.cache, q.time)
@@ -150,7 +148,7 @@ class BenefitPolicy:
                 self.stats.add_update_cost(u.object, u.ship_cost)
             return [ShipUpdates(tuple(u.uid for u in ius)), AnswerFromCache(q.qid)]
         for oid in q.objects:
-            if not self.cache.is_resident(oid):
+            if oid not in self.cache.resident:
                 self.stats.add_saved(oid, shares[oid])
         return [ShipQuery(q.qid)]
 

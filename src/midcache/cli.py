@@ -25,15 +25,12 @@ def _out_dir(args) -> Path:
 
 
 def cmd_gen(args) -> int:
+    """Generator flags left out take `GeneratorParams`' scaled defaults."""
+    fields = {f.name for f in dataclasses.fields(workload.GeneratorParams)}
+    given = {k: v for k, v in vars(args).items() if k in fields}
+    n_objects = given.get("n_objects", workload.GeneratorParams.n_objects)
     params = dataclasses.replace(
-        workload.GeneratorParams.scaled_hotspots(args.objects),
-        n_queries=args.queries, n_updates=args.updates,
-        size_min=args.size_min, size_max=args.size_max,
-        query_hotspot_weight=args.query_hotspot_weight,
-        update_hotspot_weight=args.update_hotspot_weight,
-        scan_len=args.scan_len, selectivity=args.selectivity,
-        update_fraction=args.update_fraction,
-        mean_interarrival_us=args.interarrival_us)
+        workload.GeneratorParams.scaled_hotspots(n_objects), **given)
     catalog, events = workload.generate(params, args.seed)
     out = _out_dir(args)
     workload.write_catalog(catalog, out / "catalog.json")
@@ -142,19 +139,22 @@ def build_parser() -> argparse.ArgumentParser:
                     "network traffic.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("gen", help="generate a synthetic catalog + trace")
-    g.add_argument("--objects", type=int, default=68)
-    g.add_argument("--queries", type=int, default=10_000)
-    g.add_argument("--updates", type=int, default=10_000)
+    # Generator flags are named after GeneratorParams fields and have no
+    # default of their own: a flag left out is absent from the namespace.
+    g = sub.add_parser("gen", help="generate a synthetic catalog + trace",
+                       argument_default=argparse.SUPPRESS)
     g.add_argument("--seed", type=int, required=True)
-    g.add_argument("--size-min", type=int, default=50_000_000)
-    g.add_argument("--size-max", type=int, default=20_000_000_000)
-    g.add_argument("--query-hotspot-weight", type=float, default=0.95)
-    g.add_argument("--update-hotspot-weight", type=float, default=0.7)
-    g.add_argument("--scan-len", type=int, default=8)
-    g.add_argument("--selectivity", type=float, default=0.01)
-    g.add_argument("--update-fraction", type=float, default=0.01)
-    g.add_argument("--interarrival-us", type=int, default=1_000)
+    g.add_argument("--objects", dest="n_objects", type=int)
+    g.add_argument("--queries", dest="n_queries", type=int)
+    g.add_argument("--updates", dest="n_updates", type=int)
+    g.add_argument("--size-min", type=int)
+    g.add_argument("--size-max", type=int)
+    g.add_argument("--query-hotspot-weight", type=float)
+    g.add_argument("--update-hotspot-weight", type=float)
+    g.add_argument("--scan-len", type=int)
+    g.add_argument("--selectivity", type=float)
+    g.add_argument("--update-fraction", type=float)
+    g.add_argument("--interarrival-us", dest="mean_interarrival_us", type=int)
     g.add_argument("--out", default=None, help="output dir (default $MIDCACHE_OUT or .)")
     g.set_defaults(func=cmd_gen)
 

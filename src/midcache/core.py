@@ -166,14 +166,6 @@ class CacheState:
     def free(self) -> int:
         return self.capacity - self.used
 
-    def is_resident(self, oid: ObjectId) -> bool:
-        return oid in self.resident
-
-    def is_fresh(self, oid: ObjectId) -> bool:
-        if oid not in self.resident:
-            raise NonResident(f"object {oid} is not resident")
-        return oid not in self.outstanding
-
     def seed_resident(self, oids) -> None:
         """Mark objects resident without charging traffic (run bootstrap only:
         replica-style policies and replay of recorded initial residency).
@@ -194,9 +186,6 @@ class CacheState:
         if u.object in self.resident:
             self.outstanding.setdefault(u.object, []).append(u)
             self._by_uid[u.uid] = u
-
-    def outstanding_for(self, oid: ObjectId) -> list[Update]:
-        return list(self.outstanding.get(oid, ()))
 
     def lookup_outstanding(self, uid: int) -> Update:
         try:

@@ -348,33 +348,3 @@ def check_cover(g: InteractionGraph, cover: CoverResult) -> None:
     for uid, qid in g.edges():
         if uid not in cover.cover_updates and qid not in cover.cover_queries:
             raise GraphError(f"edge ({uid},{qid}) uncovered")
-
-
-def dump(g: InteractionGraph, fs: FlowState | None = None) -> str:
-    """Deterministic text form (ids sorted) for golden-file comparison."""
-    lines = []
-    lines.append("updates:")
-    for uid in sorted(g.update_weight):
-        lines.append(f"  u{uid} w={g.update_weight[uid]}")
-    lines.append("queries:")
-    for qid in sorted(g.query_weight):
-        lines.append(f"  q{qid} w={g.query_weight[qid]}")
-    edges = sorted(g.edges())
-    lines.append("edges:")
-    for uid, qid in edges:
-        lines.append(f"  u{uid}-q{qid}")
-    if fs is not None:
-        lines.append(f"flow value={fs.value}")
-        for uid in sorted(g.update_weight):
-            f = fs.flow_su.get(uid, 0)
-            if f:
-                lines.append(f"  S->u{uid} {f}")
-        for uid, qid in edges:
-            f = fs.flow_uq.get(qid, {}).get(uid, 0)
-            if f:
-                lines.append(f"  u{uid}->q{qid} {f}")
-        for qid in sorted(g.query_weight):
-            f = fs.flow_qt.get(qid, 0)
-            if f:
-                lines.append(f"  q{qid}->T {f}")
-    return "\n".join(lines) + "\n"

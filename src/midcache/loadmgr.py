@@ -21,6 +21,9 @@ live credit has its pair on the heap; an entry whose pair no longer matches
 the credit map is stale and is skipped when it surfaces. Credits change only
 through `gds_touch` and `gds_lazy_apply`, which push each new pair, so the
 heap's minimum valid entry is always the minimum-(credit, oid) resident.
+
+A policy keeps one `GdsState` and one random stream for the whole run; for
+each shipped query it calls `offer` and hands the batch to `gds_lazy_apply`.
 """
 
 from __future__ import annotations
@@ -55,17 +58,15 @@ class GdsState:
         heapify(self.heap)
 
 
-CandidacyBatch = list  # ordered ObjectIds, no duplicates, non-resident at batch start
-
-
 def offer(q: Query, cache: CacheState, catalog: ObjectCatalog,
-          rng: random.Random) -> CandidacyBatch:
+          rng: random.Random) -> list[ObjectId]:
     """Spend the query's shipping cost across its missing objects in uniformly
-    random order, emitting load candidacies."""
+    random order, emitting load candidacies: distinct ids, none resident at
+    batch start, in candidacy order."""
     missing = sorted(q.objects - cache.resident)
     rng.shuffle(missing)
     c = q.ship_cost
-    batch: CandidacyBatch = []
+    batch: list[ObjectId] = []
     for oid in missing:
         if c <= 0:
             break
@@ -89,27 +90,28 @@ def gds_touch(state: GdsState, oid: ObjectId, catalog: ObjectCatalog) -> None:
 
 
 def gds_lazy_apply(state: GdsState, cache: CacheState, catalog: ObjectCatalog,
-                   batch: CandidacyBatch) -> tuple[GdsState, list[Decision]]:
+                   batch: list[ObjectId]) -> tuple[GdsState, list[Decision]]:
     """Run Greedy-Dual-Size over the batch on `state` in place and emit only
     the net residency difference; returns `state` itself with the decisions.
 
-    First the credit keys become the resident set (a resident without a
-    credit gets 0.0, other credits are dropped), and they stay it: after the
-    batch they are the resident set the decisions leave. Each candidacy
-    evicts minimum-(credit, oid) residents until the candidate fits
-    (inflation rises to each victim's credit) and then admits it; a
-    candidate bigger than the whole cache is skipped. Since the diff is
-    taken at the end, no batch ever both loads and evicts the same object.
-    The heap is rebuilt from the credits once stale entries outnumber live
-    ones.
+    First the credit keys become the resident set: other credits are
+    dropped, and a resident without a credit (one loaded or seeded outside
+    this function) gets the batch-start inflation, so inflation never falls.
+    The keys then stay the resident set: after the batch they are the
+    residents the decisions leave. Each candidacy evicts minimum-(credit,
+    oid) residents until the candidate fits (inflation rises to each
+    victim's credit) and then admits it; a candidate bigger than the whole
+    cache is skipped. Since the diff is taken at the end, no batch ever both
+    loads and evicts the same object. The heap is rebuilt from the credits
+    once stale entries outnumber live ones.
     """
     credit = state.credit
     if credit.keys() != cache.resident:
         for oid in credit.keys() - cache.resident:
             del credit[oid]
         for oid in cache.resident.difference(credit):
-            credit[oid] = 0.0
-            heappush(state.heap, (0.0, oid))
+            credit[oid] = state.inflation
+            heappush(state.heap, (state.inflation, oid))
     if len(state.heap) > 2 * len(credit) + 16:
         state.rebuild_heap()
     heap = state.heap
@@ -140,17 +142,3 @@ def gds_lazy_apply(state: GdsState, cache: CacheState, catalog: ObjectCatalog,
         admitted[oid] = None
 
     return state, [Evict(o) for o in evicted] + [Load(o) for o in admitted]
-
-
-class LoadManager:
-    """Per-policy wrapper owning the GDS state and the randomness stream."""
-
-    def __init__(self, catalog: ObjectCatalog, rng: random.Random):
-        self.catalog = catalog
-        self.rng = rng
-        self.state = GdsState()
-
-    def handle(self, q: Query, cache: CacheState) -> list[Decision]:
-        batch = offer(q, cache, self.catalog, self.rng)
-        _, decisions = gds_lazy_apply(self.state, cache, self.catalog, batch)
-        return decisions

@@ -273,6 +273,8 @@ def compare(events: list[Event], catalog: ObjectCatalog,
     """Run several configs over the same trace. Runs share nothing mutable,
     so they may execute in parallel worker processes without affecting
     per-run determinism."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:

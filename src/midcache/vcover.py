@@ -5,8 +5,10 @@ query against shipping its outstanding interacting updates by keeping both
 on a weighted interaction graph and taking the minimum-weight vertex cover;
 shipped queries stay on the graph so repeated arrivals accumulate pressure
 toward shipping the updates instead. Queries touching any missing object are
-shipped outright and handed to the load manager, which may pull the missing
-objects in.
+shipped outright and handed to the load manager (`loadmgr`), which may pull
+the missing objects in. The policy owns the load manager's Greedy-Dual-Size
+state and calls `loadmgr.offer` and `loadmgr.gds_lazy_apply` through the
+module, so a wrapper installed on either name sees every call.
 """
 
 from __future__ import annotations
@@ -15,15 +17,13 @@ import random
 
 from .core import (AnswerFromCache, CacheState, Decision, Evict, ObjectCatalog,
                    Query, ShipQuery, ShipUpdates, Update, interacting_updates)
+from . import loadmgr
 from .covergraph import FlowState, InteractionGraph, min_weight_cover, prune_remainder
-from .loadmgr import LoadManager
 
 
 class VCoverPolicy:
     """Online policy: interaction graph + incremental cover for update-vs-query
     shipping, randomized lazy Greedy-Dual-Size for loads."""
-
-    name = "vcover"
 
     def __init__(self, catalog: ObjectCatalog, cache: CacheState, seed: int = 0):
         self.catalog = catalog
@@ -31,7 +31,7 @@ class VCoverPolicy:
         self.rng = random.Random(seed)
         self.graph = InteractionGraph()
         self.flow = FlowState()
-        self.loadmgr = LoadManager(catalog, self.rng)
+        self.gds = loadmgr.GdsState()
 
     def startup(self) -> list[Decision]:
         return []
@@ -40,7 +40,8 @@ class VCoverPolicy:
         if q.objects <= self.cache.resident:
             return self.update_manager(q)
         decisions: list[Decision] = [ShipQuery(q.qid)]
-        loads = self.loadmgr.handle(q, self.cache)
+        batch = loadmgr.offer(q, self.cache, self.catalog, self.rng)
+        _, loads = loadmgr.gds_lazy_apply(self.gds, self.cache, self.catalog, batch)
         for d in loads:
             if isinstance(d, Evict):
                 self._forget_object_updates(d.oid)
@@ -80,7 +81,7 @@ class VCoverPolicy:
         # updates would otherwise outlive them and poison later covers. The
         # flow records their surviving neighbours, so the next cover also
         # revisits the components they leave behind.
-        uids = {u.uid for u in self.cache.outstanding_for(oid)
+        uids = {u.uid for u in self.cache.outstanding.get(oid, ())
                 if self.graph.has_update(u.uid)}
         if uids:
             self.graph.remove_nodes(self.flow, drop_updates=uids)

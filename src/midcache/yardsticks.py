@@ -10,16 +10,14 @@ from dataclasses import dataclass
 from .benefit import proportional_shares
 from .core import (AnswerFromCache, CacheState, Decision, Event, Load,
                    ObjectCatalog, ObjectId, Query, ShipQuery, ShipUpdates,
-                   TrafficLedger, Update, interacting_updates)
+                   Update, interacting_updates)
 
 
 class NoCachePolicy:
     """Ship every query to the server; the cache stays empty."""
 
-    name = "nocache"
-
     def __init__(self, catalog: ObjectCatalog, cache: CacheState):
-        self.cache = cache
+        pass   # stateless; takes the arguments every policy takes
 
     def startup(self) -> list[Decision]:
         return []
@@ -36,10 +34,7 @@ class ReplicaPolicy:
     charged; `RunConfig.capacity` sizes it to the whole catalog); every
     update ships the moment it arrives, so every query answers at the cache."""
 
-    name = "replica"
-
     def __init__(self, catalog: ObjectCatalog, cache: CacheState):
-        self.cache = cache
         cache.seed_resident(catalog.ids())
 
     def startup(self) -> list[Decision]:
@@ -94,8 +89,6 @@ class SOptimalPolicy:
     (default) updates for set members ship on arrival; in lazy mode they queue
     until a query needs them."""
 
-    name = "soptimal"
-
     def __init__(self, catalog: ObjectCatalog, cache: CacheState,
                  events: list[Event], mode: str = "eager"):
         if mode not in ("eager", "lazy"):
@@ -119,25 +112,3 @@ class SOptimalPolicy:
         if self.mode == "eager" and u.object in self.plan.static_set:
             return [ShipUpdates((u.uid,))]
         return []
-
-
-def nocache(events: list[Event], catalog: ObjectCatalog) -> TrafficLedger:
-    from .simharness import RunConfig, run
-    return run(events, catalog, RunConfig(policy="nocache", seed=0, cache_bytes=0)).ledger
-
-
-def replica(events: list[Event], catalog: ObjectCatalog) -> TrafficLedger:
-    from .simharness import RunConfig, run
-    return run(events, catalog, RunConfig(policy="replica", seed=0, cache_bytes=0)).ledger
-
-
-def soptimal(events: list[Event], catalog: ObjectCatalog, capacity: int,
-             mode: str = "eager") -> tuple[SOptimalPlan, TrafficLedger]:
-    """The plan and ledger of one `soptimal` run. The run's policy plans the
-    static set; its start-up loads, logged at seq 0, are that plan."""
-    from .simharness import RunConfig, run
-    report = run(events, catalog,
-                 RunConfig(policy="soptimal", seed=0, cache_bytes=capacity,
-                           params={"mode": mode}))
-    loads = tuple(d for seq, d in report.decision_log if seq == 0 and isinstance(d, Load))
-    return SOptimalPlan(frozenset(d.oid for d in loads), loads), report.ledger

@@ -123,10 +123,11 @@ def eager_gds_trace(catalog: ObjectCatalog, capacity: int, resident: set[int],
                     ) -> tuple[list[tuple[str, int]], set[int], dict[int, float], float]:
     """Plain (non-lazy) Greedy-Dual-Size over a candidacy batch: every
     admission and eviction becomes an action immediately. A resident without
-    a credit counts as 0.0, and credits of non-resident objects play no part.
-    Returns the action list, the final resident set, the final credit of
-    every resident and the final inflation."""
-    credit = {o: h for o, h in credits.items() if o in resident}
+    a credit starts at the batch-start inflation, and credits of
+    non-resident objects play no part. Returns the action list, the final
+    resident set, the final credit of every resident and the final
+    inflation."""
+    credit = {o: credits.get(o, inflation) for o in resident}
     live = set(resident)
     free = capacity - sum(catalog.size(o) for o in live)
     actions: list[tuple[str, int]] = []
@@ -138,8 +139,8 @@ def eager_gds_trace(catalog: ObjectCatalog, capacity: int, resident: set[int],
         if size > capacity:
             continue
         while free < size:
-            victim = min(live, key=lambda o: (credit.get(o, 0.0), o))
-            inflation = credit.pop(victim, 0.0)
+            victim = min(live, key=lambda o: (credit[o], o))
+            inflation = credit.pop(victim)
             live.discard(victim)
             free += catalog.size(victim)
             actions.append(("evict", victim))
@@ -147,7 +148,7 @@ def eager_gds_trace(catalog: ObjectCatalog, capacity: int, resident: set[int],
         live.add(oid)
         free -= size
         actions.append(("load", oid))
-    return actions, live, {o: credit.get(o, 0.0) for o in live}, inflation
+    return actions, live, {o: credit[o] for o in live}, inflation
 
 
 def static_set_replay_cost(events, catalog: ObjectCatalog,

@@ -13,7 +13,6 @@ from midcache.covergraph import FlowState, InteractionGraph, min_weight_cover, p
 from midcache.loadmgr import GdsState, gds_lazy_apply, offer
 from midcache.simharness import RunConfig, run
 from midcache.workload import GeneratorParams, generate, load_trace
-from midcache.yardsticks import nocache, replica, soptimal
 from tests.conftest import DATA_DIR, GB, mk_query, mk_update
 from tests.oracles import (brute_force_cover_weight, enumerate_plan_costs,
                            static_set_replay_cost)
@@ -159,6 +158,8 @@ def test_c07_yardstick_algebra():
             mk_query(2, 2, frozenset({0, 1}), 10, seq=2),
             mk_update(3, 3, 1, 6, seq=3),
             mk_query(4, 4, frozenset({1}), 7, seq=4)]
+    nocache = RunConfig(policy="nocache", seed=0, cache_bytes=0)
+    replica = RunConfig(policy="replica", seed=0, cache_bytes=0)
     nocache_costs = set()
     for extra in (0, 5, 15):
         events = list(base)
@@ -166,7 +167,7 @@ def test_c07_yardstick_algebra():
         for k in range(extra):
             t += 1
             events.append(mk_update(100 + k, t, k % 4, 3, seq=len(events) + 1))
-        nocache_costs.add(nocache(events, catalog).total)
+        nocache_costs.add(run(events, catalog, nocache).ledger.total)
     tripled = []
     seq = 0
     for ev in base:
@@ -177,7 +178,8 @@ def test_c07_yardstick_algebra():
                                          ev.ship_cost, seq=seq))
             else:
                 tripled.append(replace(ev, seq=seq))
-    triple_exact = replica(tripled, catalog).total == 3 * replica(base, catalog).total
+    triple_exact = (run(tripled, catalog, replica).ledger.total
+                    == 3 * run(base, catalog, replica).ledger.total)
     ok = nocache_costs == {17} and triple_exact
     report(7, "nocache constant under update sweep; replica triples exactly", ok)
 
@@ -194,7 +196,8 @@ def test_c08_soptimal_small_instance_gap():
         params.objects_per_query_weights = (1.0,)
         catalog, events = generate(params, seed)
         capacity = int(0.3 * catalog.total_size)
-        plan, ledger = soptimal(events, catalog, capacity)
+        ledger = run(events, catalog, RunConfig(policy="soptimal", seed=0,
+                                                cache_bytes=capacity)).ledger
         best = min(static_set_replay_cost(events, catalog, frozenset(c))
                    for r in range(len(catalog) + 1)
                    for c in combinations(catalog.ids(), r)
@@ -211,7 +214,8 @@ def test_c08_soptimal_small_instance_gap():
         params.objects_per_query_weights = (0.8, 0.2)
         catalog, events = generate(params, seed)
         capacity = int(0.3 * catalog.total_size)
-        plan, ledger = soptimal(events, catalog, capacity)
+        ledger = run(events, catalog, RunConfig(policy="soptimal", seed=0,
+                                                cache_bytes=capacity)).ledger
         best = min(static_set_replay_cost(events, catalog, frozenset(c))
                    for r in range(len(catalog) + 1)
                    for c in combinations(catalog.ids(), r)

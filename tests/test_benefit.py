@@ -166,7 +166,7 @@ class TestPolicyRouting:
         drive(policy, cache, mk_update(1, 1, 0, 2))
         decisions = drive(policy, cache, mk_query(2, 2, {0}, 30))
         assert decisions == [ShipUpdates((1,)), AnswerFromCache(2)]
-        assert cache.is_fresh(0)
+        assert 0 in cache.resident and 0 not in cache.outstanding
 
     def test_missing_object_ships_query(self):
         catalog = ObjectCatalog.from_sizes({0: 5})
@@ -181,5 +181,5 @@ class TestPolicyRouting:
         for i in range(1, 9):
             for d in drive(policy, cache, mk_query(i, i, {0}, 100)):
                 loads += isinstance(d, Load)
-        assert cache.is_resident(0)
+        assert 0 in cache.resident
         assert loads == 1

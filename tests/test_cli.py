@@ -128,11 +128,12 @@ class TestBadOptions:
         ["run", "--policy", "vcover", "--cache-frac", "2"],
         ["run", "--policy", "benefit", "--alpha", "2"],
         ["compare", "--granularity", "0"],
+        ["compare", "--jobs", "0"],
         ["gen", "--objects", "0"],
         ["gen", "--interarrival-us", "0"],
         ["gen", "--queries", "-5"],
         ["gen", "--updates", "-1"],
-    ], ids=["cache-frac", "alpha", "granularity", "objects", "interarrival-us",
+    ], ids=["cache-frac", "alpha", "granularity", "jobs", "objects", "interarrival-us",
             "queries", "updates"])
     def test_bad_value_exits_2_with_one_line(self, workspace, capsys, argv):
         if argv[0] != "gen":

@@ -123,9 +123,9 @@ class TestApply:
         cache = make_cache(small_catalog, 100, [0])
         for uid in (1, 2):
             cache.receive_update(mk_update(uid, uid, 0, 1))
-        assert not cache.is_fresh(0)
+        assert 0 in cache.resident and 0 in cache.outstanding
         apply(cache, ShipUpdates((1, 2)))
-        assert cache.is_fresh(0)
+        assert 0 in cache.resident and 0 not in cache.outstanding
         check_freshness(cache)
 
     def test_partial_ship_keeps_stale(self, small_catalog):
@@ -133,7 +133,7 @@ class TestApply:
         for uid in (1, 2):
             cache.receive_update(mk_update(uid, uid, 0, 1))
         apply(cache, ShipUpdates((1,)))
-        assert not cache.is_fresh(0)
+        assert 0 in cache.resident and 0 in cache.outstanding
 
     def test_load_clears_outstanding_any_arrival_order(self, small_catalog):
         # every interleaving of two updates and the (evict, load) pair ends
@@ -150,8 +150,7 @@ class TestApply:
                     cache.receive_update(mk_update(uid, uid, 0, 1))
             apply(cache, Evict(0))
             apply(cache, Load(0))
-            assert cache.outstanding_for(0) == []
-            assert cache.is_fresh(0)
+            assert 0 in cache.resident and 0 not in cache.outstanding
             check_freshness(cache)
 
     def test_capacity_violation_raises(self, small_catalog):
@@ -167,7 +166,7 @@ class TestApply:
     def test_update_for_non_resident_not_queued(self, small_catalog):
         cache = make_cache(small_catalog, 100, [0])
         cache.receive_update(mk_update(1, 1, 2, 1))
-        assert cache.outstanding_for(2) == []
+        assert 2 not in cache.outstanding
         check_freshness(cache)
 
 
@@ -214,7 +213,7 @@ class TestAccounting:
             assert cache.used == sum(catalog.size(o) for o in cache.resident)
             assert cache.free == cache.capacity - cache.used
             for o in cache.resident:
-                assert cache.is_fresh(o) == (cache.outstanding_for(o) == [])
+                assert (o not in cache.outstanding) == (not cache.outstanding.get(o))
             check_freshness(cache)
             check_capacity(cache)
 

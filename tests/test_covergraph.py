@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from midcache.covergraph import (FlowState, GraphError, InteractionGraph,
-                                 check_cover, check_flow, dump,
+                                 check_cover, check_flow,
                                  min_weight_cover, prune_remainder,
                                  source_reachable)
 from tests.oracles import brute_force_cover_weight
@@ -324,26 +324,3 @@ class TestPrune:
             assert set(g.query_weight) == keep_q
             assert g.edges() == expect_edges
             check_flow(g, fs)
-
-
-class TestDump:
-    def test_golden(self):
-        g = build({1: 1, 6: 5}, {7: 9}, [(1, 7), (6, 7)])
-        cover, fs = min_weight_cover(g)
-        expected = (
-            "updates:\n"
-            "  u1 w=1\n"
-            "  u6 w=5\n"
-            "queries:\n"
-            "  q7 w=9\n"
-            "edges:\n"
-            "  u1-q7\n"
-            "  u6-q7\n"
-            "flow value=6\n"
-            "  S->u1 1\n"
-            "  S->u6 5\n"
-            "  u1->q7 1\n"
-            "  u6->q7 5\n"
-            "  q7->T 6\n"
-        )
-        assert dump(g, fs) == expected

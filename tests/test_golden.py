@@ -134,7 +134,7 @@ def test_evict_shape_drops_graph_updates(seed, monkeypatch):
 
     def counting(self, oid):
         drops.append(sum(self.graph.has_update(u.uid)
-                         for u in self.cache.outstanding_for(oid)))
+                         for u in self.cache.outstanding.get(oid, ())))
         return forget(self, oid)
 
     monkeypatch.setattr(vcover.VCoverPolicy, "_forget_object_updates", counting)

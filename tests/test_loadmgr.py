@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from midcache.core import CacheState, Evict, Load, ObjectCatalog, apply
 from midcache.loadmgr import GdsState, gds_lazy_apply, gds_touch, offer
+from midcache.vcover import VCoverPolicy
 from tests.conftest import mk_query
 from tests.oracles import eager_gds_trace
 
@@ -54,21 +55,19 @@ class TestOffer:
 
 class TestStateShape:
     def test_no_per_object_cost_counters(self, small_catalog):
-        # the whole point of randomized attribution: the manager's only
-        # algorithmic state is the GDS bookkeeping, nothing accumulates
-        # per-object shipping cost
-        from midcache.loadmgr import LoadManager
-        import random as _random
-        mgr = LoadManager(small_catalog, _random.Random(0))
-        assert set(vars(mgr)) == {"catalog", "rng", "state"}
-        assert set(vars(mgr.state)) == {"inflation", "credit", "heap"}
+        # the whole point of randomized attribution: the policy's only
+        # load-manager state is the GDS bookkeeping and its random stream,
+        # nothing accumulates per-object shipping cost
+        cache = make_cache(small_catalog, 40, [0, 1])
+        policy = VCoverPolicy(small_catalog, cache)
+        assert set(vars(policy)) == {"catalog", "cache", "rng", "graph", "flow", "gds"}
+        assert set(vars(policy.gds)) == {"inflation", "credit", "heap"}
         # the heap only indexes the credits: (credit, oid) pairs, with an
         # entry for every live credit
-        cache = make_cache(small_catalog, 40, [0, 1])
-        mgr.handle(mk_query(1, 0, {2, 3}, 100), cache)
-        heap = mgr.state.heap
+        policy.on_query(mk_query(1, 0, {2, 3}, 100))
+        heap = policy.gds.heap
         assert heap and all(isinstance(h, float) and isinstance(o, int) for h, o in heap)
-        assert all((h, o) in heap for o, h in mgr.state.credit.items())
+        assert all((h, o) in heap for o, h in policy.gds.credit.items())
 
 
 class TestGdsTouch:
@@ -118,6 +117,24 @@ class TestLazyApply:
         state, decisions = gds_lazy_apply(GdsState(), cache, small_catalog, [])
         assert decisions == []
 
+    def test_resident_loaded_outside_starts_at_inflation(self):
+        # object 0 comes back behind the load manager's back with no credit;
+        # it enters at the inflation level, so evicting it cannot lower it
+        catalog = ObjectCatalog.from_sizes({0: 5, 1: 5, 2: 5}, {0: 50, 1: 50, 2: 50})
+        cache = make_cache(catalog, 10)
+        state = GdsState()
+        for batch in ([0], [1], [2]):
+            _, decisions = gds_lazy_apply(state, cache, catalog, batch)
+            for d in decisions:
+                apply(cache, d)
+        assert cache.resident == {1, 2} and state.inflation == 10.0
+        apply(cache, Evict(1))
+        apply(cache, Load(0))
+        _, decisions = gds_lazy_apply(state, cache, catalog, [1])
+        assert decisions == [Evict(0), Load(1)]
+        assert state.inflation == 10.0
+        assert state.credit == {1: 20.0, 2: 20.0}
+
     def test_oversized_candidate_skipped(self, small_catalog):
         cache = make_cache(small_catalog, 25, [0])   # object 2 has size 30
         state, decisions = gds_lazy_apply(GdsState(credit={0: 1.0}),
@@ -139,8 +156,8 @@ class TestLazyApply:
                         if sum(catalog.size(x) for x in resident[:resident.index(o) + 1])
                         <= capacity]
             cache = make_cache(catalog, capacity, resident)
-            # some residents have no credit (they count as 0.0), and one
-            # non-resident object may hold a stale credit
+            # some residents have no credit (they start at the inflation),
+            # and one non-resident object may hold a stale credit
             credits = {o: rng.uniform(0, 3) for o in resident if rng.random() < 0.8}
             inflation = min(credits.values(), default=0.0)
             missing = [o for o in range(n) if o not in cache.resident]

@@ -69,7 +69,7 @@ class TestUpdateManager:
         cache.receive_update(mk_update(1, 1, 0, 2))
         q = mk_query(2, 5, {0}, 4)
         assert drive(policy, cache, q) == [ShipUpdates((1,)), AnswerFromCache(2)]
-        assert cache.is_fresh(0)
+        assert 0 in cache.resident and 0 not in cache.outstanding
 
     def test_repeated_arrivals_flip_cover_to_updates(self, small_catalog):
         # query weight 4 vs updates 1+5: one query is cheaper than the
@@ -99,7 +99,8 @@ class TestUpdateManager:
         q = mk_query(3, 100, {0}, 50, tol=10)
         decisions = drive(policy, cache, q)
         assert decisions == [ShipUpdates((1,)), AnswerFromCache(3)]
-        assert not cache.is_fresh(0)   # the too-recent update still queued
+        # the too-recent update is still queued
+        assert 0 in cache.resident and 0 in cache.outstanding
 
 
 class TestOnUpdate:
@@ -107,26 +108,24 @@ class TestOnUpdate:
         policy, cache = policy_with_cache(small_catalog, 100, [0])
         decisions = drive(policy, cache, mk_update(1, 1, 0, 3))
         assert decisions == []
-        assert not cache.is_fresh(0)
+        assert 0 in cache.resident and 0 in cache.outstanding
 
     def test_non_resident_update_untracked_until_load(self, small_catalog):
         policy, cache = policy_with_cache(small_catalog, 100, [0])
         drive(policy, cache, mk_update(1, 1, 3, 2))
-        assert cache.outstanding_for(3) == []
-        # a later load brings the object in current form: fresh, empty queue
+        assert 3 not in cache.outstanding
+        # a later load brings the object in current form: fresh, no queue
         apply(cache, Load(3))
-        assert cache.is_fresh(3)
-        assert cache.outstanding_for(3) == []
+        assert 3 in cache.resident and 3 not in cache.outstanding
 
     def test_reload_clears_queued_updates(self, small_catalog):
         policy, cache = policy_with_cache(small_catalog, 100, [0])
         for uid in range(1, 11):
             drive(policy, cache, mk_update(uid, uid, 0, 1))
-        assert len(cache.outstanding_for(0)) == 10
+        assert len(cache.outstanding[0]) == 10
         apply(cache, Evict(0))
         apply(cache, Load(0))
-        assert cache.outstanding_for(0) == []
-        assert cache.is_fresh(0)
+        assert 0 in cache.resident and 0 not in cache.outstanding
 
 
 class TestGraphConsistency:
@@ -154,7 +153,7 @@ class TestGraphConsistency:
                 qid += 1
                 objs = {rng.randrange(4)}
                 drive(policy, cache, mk_query(qid, t, objs, rng.randint(1, 12)))
-            live = {u.uid for o in cache.resident for u in cache.outstanding_for(o)}
+            live = {u.uid for o in cache.resident for u in cache.outstanding.get(o, ())}
             assert set(policy.graph.update_weight) <= live
             check_flow(policy.graph, policy.flow)   # repair kept flow valid
 
@@ -312,7 +311,7 @@ class TestCanonicalCover:
         forget = vc.VCoverPolicy._forget_object_updates
 
         def noting_forget(self, oid):
-            if any(self.graph.has_update(u.uid) for u in self.cache.outstanding_for(oid)):
+            if any(self.graph.has_update(u.uid) for u in self.cache.outstanding.get(oid, ())):
                 event("evicts an object with updates on the graph")
             return forget(self, oid)
 

@@ -2,11 +2,20 @@ import random
 from itertools import combinations
 
 from midcache import yardsticks
-from midcache.core import ObjectCatalog, Query, Update
+from midcache.core import Load, ObjectCatalog, Query, Update
+from midcache.simharness import RunConfig, run
 from midcache.workload import GeneratorParams, generate
-from midcache.yardsticks import nocache, replica, plan_static_set, soptimal
+from midcache.yardsticks import plan_static_set
 from tests.conftest import mk_query, mk_update
 from tests.oracles import static_set_replay_cost
+
+NOCACHE = RunConfig(policy="nocache", seed=0, cache_bytes=0)
+REPLICA = RunConfig(policy="replica", seed=0, cache_bytes=0)   # sized to the catalog
+
+
+def soptimal_config(capacity, mode="eager"):
+    return RunConfig(policy="soptimal", seed=0, cache_bytes=capacity,
+                     params={"mode": mode})
 
 
 def micro_trace():
@@ -21,11 +30,11 @@ def micro_trace():
 
 class TestNoCache:
     def test_empty_trace(self, small_catalog):
-        assert nocache([], small_catalog).total == 0
+        assert run([], small_catalog, NOCACHE).ledger.total == 0
 
     def test_equals_query_cost_fold(self, small_catalog):
         events = micro_trace()
-        ledger = nocache(events, small_catalog)
+        ledger = run(events, small_catalog, NOCACHE).ledger
         fold = sum(e.ship_cost for e in events if isinstance(e, Query))
         assert ledger.total == ledger.query_ship == fold == 20
 
@@ -38,18 +47,18 @@ class TestNoCache:
             for k in range(extra):
                 t += 1
                 events.append(mk_update(100 + k, t, k % 4, 5, seq=len(events) + 1))
-            costs.append(nocache(events, small_catalog).total)
+            costs.append(run(events, small_catalog, NOCACHE).ledger.total)
         assert costs == [costs[0]] * 3
 
 
 class TestReplica:
     def test_zero_updates(self, small_catalog):
         events = [mk_query(1, 1, {0}, 9)]
-        assert replica(events, small_catalog).total == 0
+        assert run(events, small_catalog, REPLICA).ledger.total == 0
 
     def test_equals_update_cost_fold(self, small_catalog):
         events = micro_trace()
-        ledger = replica(events, small_catalog)
+        ledger = run(events, small_catalog, REPLICA).ledger
         fold = sum(e.ship_cost for e in events if isinstance(e, Update))
         assert ledger.total == ledger.update_ship == fold == 10
 
@@ -67,26 +76,28 @@ class TestReplica:
                 else:
                     tripled.append(mk_query(ev.qid, ev.time, ev.objects,
                                             ev.ship_cost, ev.tolerance, seq=seq))
-        assert replica(tripled, small_catalog).total == \
-            3 * replica(base, small_catalog).total
+        assert run(tripled, small_catalog, REPLICA).ledger.total == \
+            3 * run(base, small_catalog, REPLICA).ledger.total
 
 
 class TestSOptimal:
     def test_zero_capacity_degenerates_to_nocache(self, small_catalog):
         events = micro_trace()
-        _, ledger = soptimal(events, small_catalog, capacity=0)
-        assert ledger.total == nocache(events, small_catalog).total
+        ledger = run(events, small_catalog, soptimal_config(0)).ledger
+        assert ledger.total == run(events, small_catalog, NOCACHE).ledger.total
 
     def test_single_absorber_selected(self):
         catalog = ObjectCatalog.from_sizes({0: 10, 1: 10})
         events = [mk_query(i, i, {0}, 8) for i in range(1, 6)]
-        plan, ledger = soptimal(events, catalog, capacity=10)
+        plan = plan_static_set(events, catalog, 10)
+        ledger = run(events, catalog, soptimal_config(10)).ledger
         assert plan.static_set == {0}
         assert ledger.total == 10   # one load, all queries answered free
 
     def test_eager_mode_ships_every_member_update(self, small_catalog):
         events = micro_trace()
-        plan, ledger = soptimal(events, small_catalog, capacity=100, mode="eager")
+        plan = plan_static_set(events, small_catalog, 100)
+        ledger = run(events, small_catalog, soptimal_config(100, "eager")).ledger
         fold = static_set_replay_cost(events, small_catalog, plan.static_set,
                                       eager=True)
         assert ledger.total == fold
@@ -97,9 +108,9 @@ class TestSOptimal:
                   mk_update(2, 2, 0, 5),
                   mk_query(3, 3, {0}, 50, tol=0),
                   mk_update(4, 4, 0, 5)]   # never demanded afterwards
-        plan, eager_ledger = soptimal(events, catalog, capacity=2, mode="eager")
-        assert plan.static_set == {0}
-        _, lazy_ledger = soptimal(events, catalog, capacity=2, mode="lazy")
+        assert plan_static_set(events, catalog, 2).static_set == {0}
+        eager_ledger = run(events, catalog, soptimal_config(2, "eager")).ledger
+        lazy_ledger = run(events, catalog, soptimal_config(2, "lazy")).ledger
         assert eager_ledger.update_ship == 10
         assert lazy_ledger.update_ship == 5
         assert lazy_ledger.total == lazy_ledger.update_ship + eager_ledger.load
@@ -111,7 +122,7 @@ class TestSOptimal:
                                  size_min=10, size_max=100)
         catalog, events = generate(params, seed=21)
         capacity = catalog.total_size // 2
-        plan, ledger = soptimal(events, catalog, capacity)
+        ledger = run(events, catalog, soptimal_config(capacity)).ledger
         best = min(
             static_set_replay_cost(events, catalog, frozenset(combo))
             for r in range(len(catalog) + 1)
@@ -133,10 +144,11 @@ class TestSOptimal:
                 events.append(mk_query(seq, t, objs, rng.randint(1, 15),
                                        tol=rng.choice([0, 2]), seq=seq))
         capacity = 30
-        plan, ledger = soptimal(events, catalog, capacity)
+        plan = plan_static_set(events, catalog, capacity)
+        ledger = run(events, catalog, soptimal_config(capacity)).ledger
         assert ledger.total == static_set_replay_cost(events, catalog,
                                                       plan.static_set, eager=True)
-        _, lazy = soptimal(events, catalog, capacity, mode="lazy")
+        lazy = run(events, catalog, soptimal_config(capacity, "lazy")).ledger
         assert lazy.total == static_set_replay_cost(events, catalog,
                                                     plan.static_set, eager=False)
 
@@ -154,7 +166,10 @@ class TestSOptimal:
             return plan_static_set(*args)
 
         monkeypatch.setattr(yardsticks, "plan_static_set", counting)
-        plan, _ = soptimal(events, catalog, capacity)
+        report = run(events, catalog, soptimal_config(capacity))
         assert len(calls) == 1
-        assert plan == expected
-        assert plan.static_set
+        # the run loads exactly the planned set, up front at seq 0
+        loads = tuple(d for seq, d in report.decision_log
+                      if seq == 0 and isinstance(d, Load))
+        assert loads == expected.initial_loads
+        assert expected.static_set
