@@ -75,6 +75,8 @@ def cmd_run(args) -> int:
 
 def cmd_compare(args) -> int:
     configs = [_run_config(args, p.strip()) for p in args.policies.split(",") if p.strip()]
+    if not configs:
+        raise ValueError("--policies names no policy")
     grains = ([int(g) for g in args.granularity.split(",")]
               if args.granularity else [None])
     catalog, events = workload.load_trace(args.trace)
@@ -97,21 +99,22 @@ def cmd_compare(args) -> int:
 
 def cmd_report(args) -> int:
     """Merge run/compare summaries into one plot-ready CSV of final costs."""
-    rows = []
-    for path in args.inputs:
-        doc = json.loads(Path(path).read_text())
-        runs = doc["runs"] if "runs" in doc else [doc]
-        for r in runs:
-            rows.append({"label": args.label or Path(path).stem,
-                         "policy": r["config"]["policy"],
-                         "seed": r["config"]["seed"],
-                         "n_events": r["n_events"],
-                         **r["final"]})
     cols = ["label", "policy", "seed", "n_events",
             "query_ship", "update_ship", "load", "total"]
     lines = [",".join(cols)]
-    for row in rows:
-        lines.append(",".join(str(row[c]) for c in cols))
+    for path in args.inputs:
+        try:
+            doc = json.loads(Path(path).read_text())
+            for r in doc["runs"] if "runs" in doc else [doc]:
+                row = {"label": args.label or Path(path).stem,
+                       "policy": r["config"]["policy"],
+                       "seed": r["config"]["seed"],
+                       "n_events": r["n_events"],
+                       **r["final"]}
+                lines.append(",".join(str(row[c]) for c in cols))
+        except (OSError, ValueError, LookupError, TypeError) as exc:
+            raise ValueError(f"{path}: not a readable run or compare summary "
+                             f"({type(exc).__name__}: {exc})") from None
     text = "\n".join(lines) + "\n"
     if args.out_file:
         Path(args.out_file).write_text(text)
@@ -198,8 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; an invalid trace exits 1, an audit failure or a
-    bad option value 2."""
+    """Run one subcommand; an invalid trace exits 1, an audit failure, a bad
+    option value or an unreadable summary 2."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

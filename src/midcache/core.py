@@ -187,12 +187,6 @@ class CacheState:
             self.outstanding.setdefault(u.object, []).append(u)
             self._by_uid[u.uid] = u
 
-    def lookup_outstanding(self, uid: int) -> Update:
-        try:
-            return self._by_uid[uid]
-        except KeyError:
-            raise NotOutstanding(f"update {uid} is not outstanding") from None
-
 
 def interacting_updates(q: Query, cache: CacheState, now: int) -> list[Update]:
     """Outstanding updates the query must see: every queued update on an object
@@ -251,10 +245,11 @@ def apply(cache: CacheState, d: Decision) -> None:
         return
     if isinstance(d, ShipUpdates):
         for uid in d.uids:
-            u = cache.lookup_outstanding(uid)
+            u = cache._by_uid.pop(uid, None)
+            if u is None:
+                raise NotOutstanding(f"update {uid} is not outstanding")
             queue = cache.outstanding.get(u.object, [])
             queue.remove(u)
-            del cache._by_uid[uid]
             if not queue:
                 cache.outstanding.pop(u.object, None)
         return

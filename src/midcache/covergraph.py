@@ -7,13 +7,14 @@ weight); the max-flow value equals the min-cover weight, and the cover falls
 out of residual reachability from the source.
 
 The flow lives in a `FlowState` that `min_weight_cover` mutates in place.
-After a cover followed by `prune_remainder` with the same flow, the pair is
-*settled*: every node left is source-reachable in the residual network and
-every remaining query is saturated. (A prune drops only nodes outside the
-reachable side, and no flow crosses that cut, so the flow stays maximum.)
-Until the next cover only two kinds of component can change: those holding
-nodes added since, and those that lost nodes through `remove_nodes(fs, ...)`,
-whose surviving neighbours the flow records. The next cover augments,
+`remove_nodes` and `prune_remainder` require it too: every graph edit repairs
+the flow. After a cover followed by `prune_remainder` with the same flow, the
+pair is *settled*: every node left is source-reachable in the residual
+network and every remaining query is saturated. (A prune drops only nodes
+outside the reachable side, and no flow crosses that cut, so the flow stays
+maximum.) Until the next cover only two kinds of component can change: those
+holding nodes added since, and those that lost nodes through
+`remove_nodes(fs, ...)`, whose surviving neighbours the flow records. The next cover augments,
 searches and prunes only inside those components; every other component is
 still settled, so its queries are covered and its updates are not. A fresh
 flow, a cover not followed by a prune, or a graph changed between a cover and
@@ -94,9 +95,6 @@ class InteractionGraph:
         self.updates_added = 0
         self.queries_added = 0
 
-    def has_update(self, uid: int) -> bool:
-        return uid in self.update_weight
-
     def edges(self) -> set[tuple[int, int]]:
         return {(uid, qid) for uid, qs in self.update_edges.items() for qid in qs}
 
@@ -129,17 +127,17 @@ class InteractionGraph:
         self.query_edges[qid][uid] = None
         self.n_edges += 1
 
-    def remove_nodes(self, fs: FlowState | None,
+    def remove_nodes(self, fs: FlowState,
                      drop_updates: set[int] = frozenset(),
                      drop_queries: set[int] = frozenset()) -> None:
-        """Delete nodes plus incident edges, repairing the flow so what
-        remains is still a valid (not necessarily maximum) flow: inflow lost
-        by a surviving query comes off its sink arc, outflow lost by a
-        surviving update comes off its source arc. The flow records every
-        surviving neighbour, whose component the next cover must revisit.
+        """Delete nodes plus incident edges, repairing the flow `fs` (required)
+        so what remains is still a valid (not necessarily maximum) flow:
+        inflow lost by a surviving query comes off its sink arc, outflow lost
+        by a surviving update comes off its source arc. The flow records every
+        surviving neighbour, whose component the next cover must revisit. Ids
+        not on the graph are skipped.
         """
-        if fs is not None:
-            fs.last_cover = None
+        fs.last_cover = None
         for uid in drop_updates:
             if uid not in self.update_weight:
                 continue
@@ -147,32 +145,26 @@ class InteractionGraph:
             self.n_edges -= len(qids)
             for qid in qids:
                 del self.query_edges[qid][uid]
-                if fs is None:
-                    continue
                 fs.touched.add(("q", qid))
                 f = fs.flow_uq.get(qid, {}).pop(uid, 0)
                 if f and qid not in drop_queries:
                     fs.flow_qt[qid] = fs.flow_qt.get(qid, 0) - f
             del self.update_weight[uid]
-            if fs is not None:
-                fs.flow_su.pop(uid, None)
+            fs.flow_su.pop(uid, None)
         for qid in drop_queries:
             if qid not in self.query_weight:
                 continue
             uids = self.query_edges.pop(qid)
             self.n_edges -= len(uids)
-            inflow = fs.flow_uq.pop(qid, {}) if fs is not None else {}
+            inflow = fs.flow_uq.pop(qid, {})
             for uid in uids:
                 del self.update_edges[uid][qid]
-                if fs is None:
-                    continue
                 fs.touched.add(("u", uid))
                 f = inflow.get(uid, 0)
                 if f:
                     fs.flow_su[uid] = fs.flow_su.get(uid, 0) - f
             del self.query_weight[qid]
-            if fs is not None:
-                fs.flow_qt.pop(qid, None)
+            fs.flow_qt.pop(qid, None)
 
 
 def _marks(g: InteractionGraph) -> tuple:
@@ -297,15 +289,14 @@ def min_weight_cover(g: InteractionGraph, prior: FlowState | None = None
     return cover, fs
 
 
-def prune_remainder(g: InteractionGraph, cover: CoverResult,
-                    fs: FlowState | None = None) -> None:
+def prune_remainder(g: InteractionGraph, cover: CoverResult, fs: FlowState) -> None:
     """Shrink to the remainder subgraph: drop covered (shipped) updates and
     uncovered (cache-answered) queries; covered queries stay and keep
-    accumulating weight against their surviving updates. The flow state, when
-    given, is repaired in place and stays valid for the remainder. When
+    accumulating weight against their surviving updates. The flow `fs` is
+    required; it is repaired in place and stays valid for the remainder. When
     `cover` is that flow's last cover and the graph has not changed since,
     only the cover's scope is pruned and the flow is settled."""
-    last = fs.last_cover if fs is not None else None
+    last = fs.last_cover
     scoped = last is not None and last[1] is cover and last[0] == _marks(g)
     queries = last[2] if scoped else g.query_weight
     g.remove_nodes(fs, drop_updates=set(cover.cover_updates),

@@ -8,6 +8,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 
 from .benefit import BenefitPolicy
@@ -91,8 +92,6 @@ class RunReport:
     ledger: TrafficLedger
     post_warmup: dict
     series: list[tuple]                # (seq, query_ship, update_ship, load, total, occupancy)
-    decision_counts: dict
-    answers_audited: int
     n_events: int
     initial_resident: list[int]
     decision_log: list[tuple[int, Decision]]
@@ -101,6 +100,8 @@ class RunReport:
     SERIES_COLUMNS = ("seq", "query_ship", "update_ship", "load", "total", "occupancy")
 
     def summary(self) -> dict:
+        # Every AnswerFromCache in a finished run's log passed its audit.
+        counts = Counter(type(d).__name__ for _, d in self.decision_log)
         return {
             "config": self.config,
             "final": {"query_ship": self.ledger.query_ship,
@@ -108,8 +109,8 @@ class RunReport:
                       "load": self.ledger.load,
                       "total": self.ledger.total},
             "post_warmup": self.post_warmup,
-            "decisions": self.decision_counts,
-            "answers_audited": self.answers_audited,
+            "decisions": dict(sorted(counts.items())),
+            "answers_audited": counts["AnswerFromCache"],
             "n_events": self.n_events,
         }
 
@@ -130,25 +131,26 @@ def run(events: list[Event], catalog: ObjectCatalog, config: RunConfig) -> RunRe
     index) if any decision breaks capacity, freshness, or the staleness
     contract of a cache-answered query, or if the capacity counter disagrees
     with the resident set at the end of the run. Raises ValueError, before
-    any policy is built, if a query accesses no objects."""
-    empty = [ev for ev in events if isinstance(ev, Query) and not ev.objects]
-    if empty:
-        q = empty[0]
-        raise ValueError(f"event {q.seq or events.index(q) + 1}: "
-                         f"query {q.qid} accesses no objects")
+    any policy is built, if an event's `seq` is not above the previous
+    event's (the first must be above 0) or a query accesses no objects."""
+    last_seq = 0
+    for i, ev in enumerate(events):
+        if ev.seq <= last_seq:
+            raise ValueError(f"event {i + 1}: seq {ev.seq} is not above "
+                             f"the previous seq {last_seq}")
+        last_seq = ev.seq
+        if isinstance(ev, Query) and not ev.objects:
+            raise ValueError(f"event {ev.seq}: query {ev.qid} accesses no objects")
     cache = CacheState(config.capacity(catalog), catalog)
     policy = make_policy(config, catalog, cache, events)
     initial_resident = sorted(cache.resident)
     ledger = TrafficLedger()
     costs = CostContext(catalog)
-    counts: dict[str, int] = {}
     log: list[tuple[int, Decision]] = []
-    answers = 0
     series: list[tuple] = []
     warmup_snapshot = (0, 0, 0)
 
     def execute(decisions: list[Decision], seq: int, current_query: Query | None):
-        nonlocal answers
         for d in decisions:
             if isinstance(d, AnswerFromCache):
                 if current_query is None or d.qid != current_query.qid:
@@ -161,21 +163,17 @@ def run(events: list[Event], catalog: ObjectCatalog, config: RunConfig) -> RunRe
                     raise AuditError(
                         seq, f"query {d.qid} answered at cache with "
                              f"{len(stale)} interacting updates outstanding")
-                answers += 1
             try:
                 apply(cache, d)
             except Exception as exc:
                 raise AuditError(seq, f"applying {d!r}: {exc}") from exc
             record(ledger, d, costs)
-            counts[type(d).__name__] = counts.get(type(d).__name__, 0) + 1
             log.append((seq, d))
         check_capacity(cache)
 
     execute(policy.startup(), 0, None)
-    last_seq = 0
     for i, ev in enumerate(events):
-        seq = ev.seq if ev.seq else i + 1
-        last_seq = seq
+        seq = ev.seq
         costs.see(ev)
         if isinstance(ev, Update):
             cache.receive_update(ev)
@@ -205,8 +203,7 @@ def run(events: list[Event], catalog: ObjectCatalog, config: RunConfig) -> RunRe
                    "total": ledger.total - (wq + wu + wl)}
     return RunReport(config=asdict(config), capacity=cache.capacity,
                      ledger=ledger, post_warmup=post_warmup, series=series,
-                     decision_counts=dict(sorted(counts.items())),
-                     answers_audited=answers, n_events=len(events),
+                     n_events=len(events),
                      initial_resident=initial_resident, decision_log=log,
                      final_resident=sorted(cache.resident))
 
@@ -225,12 +222,11 @@ def replay_decisions(events: list[Event], catalog: ObjectCatalog,
     for d in by_seq.get(0, ()):
         apply(cache, d)
         record(ledger, d, costs)
-    for i, ev in enumerate(events):
-        seq = ev.seq if ev.seq else i + 1
+    for ev in events:
         costs.see(ev)
         if isinstance(ev, Update):
             cache.receive_update(ev)
-        for d in by_seq.get(seq, ()):
+        for d in by_seq.get(ev.seq, ()):
             apply(cache, d)
             record(ledger, d, costs)
     return cache, ledger

@@ -56,7 +56,7 @@ class VCoverPolicy:
             return [AnswerFromCache(q.qid)]
         self.graph.add_query(q.qid, q.ship_cost)
         for u in ius:
-            if not self.graph.has_update(u.uid):
+            if u.uid not in self.graph.update_weight:
                 self.graph.add_update(u.uid, u.ship_cost)
             self.graph.add_edge(u.uid, q.qid)
         cover, self.flow = min_weight_cover(self.graph, self.flow)
@@ -81,7 +81,5 @@ class VCoverPolicy:
         # updates would otherwise outlive them and poison later covers. The
         # flow records their surviving neighbours, so the next cover also
         # revisits the components they leave behind.
-        uids = {u.uid for u in self.cache.outstanding.get(oid, ())
-                if self.graph.has_update(u.uid)}
-        if uids:
-            self.graph.remove_nodes(self.flow, drop_updates=uids)
+        self.graph.remove_nodes(
+            self.flow, drop_updates={u.uid for u in self.cache.outstanding.get(oid, ())})

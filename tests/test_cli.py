@@ -129,12 +129,13 @@ class TestBadOptions:
         ["run", "--policy", "benefit", "--alpha", "2"],
         ["compare", "--granularity", "0"],
         ["compare", "--jobs", "0"],
+        ["compare", "--policies", ","],
         ["gen", "--objects", "0"],
         ["gen", "--interarrival-us", "0"],
         ["gen", "--queries", "-5"],
         ["gen", "--updates", "-1"],
-    ], ids=["cache-frac", "alpha", "granularity", "jobs", "objects", "interarrival-us",
-            "queries", "updates"])
+    ], ids=["cache-frac", "alpha", "granularity", "jobs", "no-policies", "objects",
+            "interarrival-us", "queries", "updates"])
     def test_bad_value_exits_2_with_one_line(self, workspace, capsys, argv):
         if argv[0] != "gen":
             argv = argv + ["--trace", str(workspace / "trace.jsonl")]
@@ -158,6 +159,19 @@ class TestReport:
         assert lines[0] == "label,policy,seed,n_events,query_ship,update_ship,load,total"
         assert len(lines) == 3
         assert lines[1].startswith("demo,nocache,")
+
+    @pytest.mark.parametrize("content", [None, "{}", "[1, 2]", "{not json"],
+                             ids=["missing", "no-config", "list", "not-json"])
+    def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, content):
+        path = tmp_path / "summary.json"
+        if content is not None:
+            path.write_text(content)
+        rc = main(["report", str(path)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(f"error: {path}: ")
 
 
 class TestAuditPath:

@@ -272,5 +272,5 @@ class TestFastPaths:
         cache.receive_update(mk_update(1, 1, 1, 1))
         assert interacting_updates(mk_query(2, 5, {0}, 1), cache, 5) == []
         assert interacting_updates(mk_query(3, 5, {0, 1}, 1), cache, 5) == [
-            cache.lookup_outstanding(1)]
+            cache.outstanding[1][0]]
         check_freshness(cache)

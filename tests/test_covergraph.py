@@ -310,6 +310,20 @@ class TestPrune:
         assert g.edges() == {(1, 10), (2, 10)}
         check_flow(g, fs)
 
+    def test_remove_nodes_skips_absent_ids(self):
+        # Eviction hands over every queued uid of the object, on the graph or not.
+        g = build({1: 3, 2: 4}, {10: 5, 11: 2}, [(1, 10), (2, 10), (2, 11)])
+        _, fs = min_weight_cover(g)
+        g.remove_nodes(fs, drop_updates={1})
+        before = (dict(g.update_weight), dict(g.query_weight), g.edges(), g.n_edges,
+                  dict(fs.flow_su), {q: dict(i) for q, i in fs.flow_uq.items()},
+                  dict(fs.flow_qt), set(fs.touched))
+        g.remove_nodes(fs, drop_updates={1, 7}, drop_queries={99})
+        assert before == (g.update_weight, g.query_weight, g.edges(), g.n_edges,
+                          fs.flow_su, fs.flow_uq, fs.flow_qt, fs.touched)
+        assert fs.touched == {("q", 10)}
+        check_flow(g, fs)
+
     def test_random_prune_matches_set_algebra(self):
         rng = random.Random(11)
         for _ in range(100):

@@ -133,7 +133,7 @@ def test_evict_shape_drops_graph_updates(seed, monkeypatch):
     forget = vcover.VCoverPolicy._forget_object_updates
 
     def counting(self, oid):
-        drops.append(sum(self.graph.has_update(u.uid)
+        drops.append(sum(u.uid in self.graph.update_weight
                          for u in self.cache.outstanding.get(oid, ())))
         return forget(self, oid)
 

@@ -4,7 +4,7 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from midcache.core import AnswerFromCache, ObjectCatalog, ShipQuery
+from midcache.core import AnswerFromCache, ObjectCatalog, Query, ShipQuery
 from midcache.simharness import (POLICY_NAMES, AuditError, RunConfig, compare,
                                  replay_decisions, run)
 from midcache.workload import (GeneratorParams, TraceError, generate,
@@ -250,6 +250,21 @@ class TestInputContract:
         # rule from run(), whatever the policy would have charged for it.
         events = [mk_query(1, 1, {0}, 5), mk_query(2, 2, set(), 7, seq=4)]
         with pytest.raises(ValueError, match=r"^event 4: query 2 accesses no objects$"):
+            run(events, small_catalog, RunConfig(policy=policy, seed=0))
+
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    @pytest.mark.parametrize("seqs, message", [
+        ((1, 1), "event 2: seq 1 is not above the previous seq 1"),
+        ((2, 1), "event 2: seq 1 is not above the previous seq 2"),
+        ((0, 1), "event 1: seq 0 is not above the previous seq 0"),
+    ], ids=["repeated", "falling", "zero"])
+    def test_seq_not_increasing_rejected_before_any_policy(self, small_catalog, policy,
+                                                           seqs, message):
+        # Decisions are logged and replayed by seq, so two events sharing one
+        # would have their decisions replayed together at the first.
+        events = [Query(qid=1, time=1, objects=frozenset({0}), ship_cost=7, seq=seqs[0]),
+                  mk_query(2, 2, {1}, 5, seq=seqs[1])]
+        with pytest.raises(ValueError, match=f"^{message}$"):
             run(events, small_catalog, RunConfig(policy=policy, seed=0))
 
 

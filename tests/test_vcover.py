@@ -133,12 +133,12 @@ class TestGraphConsistency:
         policy, cache = policy_with_cache(small_catalog, 30, [0])
         cache.receive_update(mk_update(1, 1, 0, 9))
         drive(policy, cache, mk_query(2, 5, {0}, 4))   # ships query, retains u1
-        assert policy.graph.has_update(1)
+        assert 1 in policy.graph.update_weight
         # a shipped query for a big missing object forces object 0 out
         q = mk_query(3, 6, {2}, 30 * 4)
         decisions = drive(policy, cache, q)
         assert Evict(0) in decisions and Load(2) in decisions
-        assert not policy.graph.has_update(1)
+        assert 1 not in policy.graph.update_weight
 
     def test_graph_nodes_subset_of_outstanding(self, small_catalog):
         from midcache.covergraph import check_flow
@@ -311,7 +311,7 @@ class TestCanonicalCover:
         forget = vc.VCoverPolicy._forget_object_updates
 
         def noting_forget(self, oid):
-            if any(self.graph.has_update(u.uid) for u in self.cache.outstanding.get(oid, ())):
+            if any(u.uid in self.graph.update_weight for u in self.cache.outstanding.get(oid, ())):
                 event("evicts an object with updates on the graph")
             return forget(self, oid)
 
