@@ -8,6 +8,9 @@ have earned had they been resident, less one load cost. An exponentially
 smoothed forecast ranks objects at every window boundary and the cache is
 recomposed greedily from the top of the ranking.
 
+The `soptimal` yardstick plans with the same pieces (`WindowStats`,
+`window_benefits`, `fill`): one window over the whole trace, empty cache.
+
 Between boundaries the cache protocol is plain: fully resident and current
 enough answers at the cache, fully resident but stale ships the interacting
 updates first, anything else ships the query.
@@ -15,6 +18,7 @@ updates first, anything else ships the query.
 
 from __future__ import annotations
 
+from collections.abc import Set
 from dataclasses import dataclass, field
 
 from .core import (AnswerFromCache, CacheState, Decision, Evict, Load,
@@ -24,24 +28,22 @@ from .core import (AnswerFromCache, CacheState, Decision, Evict, Load,
 
 def proportional_shares(amount: int, sizes: list[tuple[ObjectId, int]]) -> dict[ObjectId, int]:
     """Split an integer amount across objects in proportion to size, exactly:
-    floor each share, then hand the remainder out by largest fractional part
-    (ties to the smaller object id)."""
+    floor each share, then hand the leftover units out by largest remainder
+    (ties to the smaller object id). Integer arithmetic throughout."""
     total = sum(s for _, s in sizes)
-    if total <= 0 or not sizes:
+    if total <= 0:
         return {oid: 0 for oid, _ in sizes}
-    base: dict[ObjectId, int] = {}
-    fracs: list[tuple[float, ObjectId]] = []
-    handed = 0
+    shares: dict[ObjectId, int] = {}
+    remainders: list[tuple[int, ObjectId]] = []
     for oid, s in sizes:
-        exact = amount * s / total
-        share = amount * s // total
-        base[oid] = share
-        handed += share
-        fracs.append((exact - share, oid))
-    fracs.sort(key=lambda t: (-t[0], t[1]))
-    for i in range(amount - handed):
-        base[fracs[i][1]] += 1
-    return base
+        shares[oid], rem = divmod(amount * s, total)
+        remainders.append((-rem, oid))
+    leftover = amount - sum(shares.values())
+    if leftover:
+        remainders.sort()
+        for _, oid in remainders[:leftover]:
+            shares[oid] += 1
+    return shares
 
 
 @dataclass
@@ -52,8 +54,14 @@ class WindowStats:
     saved: dict[ObjectId, int] = field(default_factory=dict)
     update_cost: dict[ObjectId, int] = field(default_factory=dict)
 
-    def add_saved(self, oid: ObjectId, amount: int) -> None:
-        self.saved[oid] = self.saved.get(oid, 0) + amount
+    def add_query(self, q: Query, catalog: ObjectCatalog,
+                  skip: Set[ObjectId] = frozenset()) -> None:
+        """Credit every object the query accesses, except those in `skip`,
+        with its size-proportional share of the query's shipping cost."""
+        sizes = [(oid, catalog.size(oid)) for oid in sorted(q.objects)]
+        for oid, share in proportional_shares(q.ship_cost, sizes).items():
+            if oid not in skip:
+                self.saved[oid] = self.saved.get(oid, 0) + share
 
     def add_update_cost(self, oid: ObjectId, amount: int) -> None:
         self.update_cost[oid] = self.update_cost.get(oid, 0) + amount
@@ -73,38 +81,41 @@ class Forecast:
             self.mu[oid] = (1.0 - a) * self.mu[oid] + a * benefits.get(oid, 0)
 
 
-def window_benefits(stats: WindowStats, cache: CacheState,
+def window_benefits(stats: WindowStats, resident: Set[ObjectId],
                     catalog: ObjectCatalog) -> dict[ObjectId, int]:
-    """Benefit of the closing window for every catalog object; non-resident
-    objects pay their load cost once."""
+    """Benefit of the closing window for every catalog object; objects not
+    in `resident` pay their load cost once."""
     out: dict[ObjectId, int] = {}
     for oid in catalog.ids():
         b = stats.saved.get(oid, 0) - stats.update_cost.get(oid, 0)
-        if oid not in cache.resident:
+        if oid not in resident:
             b -= catalog.load_cost(oid)
         out[oid] = b
     return out
 
 
-def greedy_recompose(forecast: Forecast, cache: CacheState,
-                     catalog: ObjectCatalog) -> tuple[list[Decision], list[ObjectId]]:
-    """Pick positive-forecast objects in decreasing order (ties by id),
-    skipping any that no longer fit, and emit the evictions and loads that
-    turn the current residency into the selection. Selections already
-    resident are kept, not reloaded."""
-    ranked = sorted((oid for oid, m in forecast.mu.items() if m > 0.0),
-                    key=lambda o: (-forecast.mu[o], o))
-    selected: list[ObjectId] = []
-    space = cache.capacity
-    for oid in ranked:
+def fill(scores: dict[ObjectId, float], capacity: int,
+         catalog: ObjectCatalog) -> list[ObjectId]:
+    """Positive scorers in decreasing order of score (ties by id), skipping
+    any that no longer fits in the capacity left."""
+    chosen: list[ObjectId] = []
+    space = capacity
+    for oid in sorted((o for o, v in scores.items() if v > 0), key=lambda o: (-scores[o], o)):
         size = catalog.size(oid)
         if size <= space:
-            selected.append(oid)
+            chosen.append(oid)
             space -= size
-    keep = set(selected)
-    evictions = [Evict(o) for o in sorted(cache.resident - keep)]
-    loads = [Load(o) for o in selected if o not in cache.resident]
-    return evictions + loads, selected
+    return chosen
+
+
+def greedy_recompose(forecast: Forecast, cache: CacheState,
+                     catalog: ObjectCatalog) -> list[Decision]:
+    """The evictions and loads that turn the current residency into the
+    greedy `fill` of the forecast. Selections already resident are kept,
+    not reloaded."""
+    selected = fill(forecast.mu, cache.capacity, catalog)
+    evictions = [Evict(o) for o in sorted(cache.resident.difference(selected))]
+    return evictions + [Load(o) for o in selected if o not in cache.resident]
 
 
 class BenefitPolicy:
@@ -136,21 +147,17 @@ class BenefitPolicy:
         return self._tick()
 
     def _route_query(self, q: Query) -> list[Decision]:
-        sizes = [(oid, self.catalog.size(oid)) for oid in sorted(q.objects)]
-        shares = proportional_shares(q.ship_cost, sizes)
-        if q.objects <= self.cache.resident:
-            for oid in q.objects:
-                self.stats.add_saved(oid, shares[oid])
-            ius = interacting_updates(q, self.cache, q.time)
-            if not ius:
-                return [AnswerFromCache(q.qid)]
-            for u in ius:
-                self.stats.add_update_cost(u.object, u.ship_cost)
-            return [ShipUpdates(tuple(u.uid for u in ius)), AnswerFromCache(q.qid)]
-        for oid in q.objects:
-            if oid not in self.cache.resident:
-                self.stats.add_saved(oid, shares[oid])
-        return [ShipQuery(q.qid)]
+        resident = self.cache.resident
+        if not q.objects <= resident:
+            self.stats.add_query(q, self.catalog, skip=resident)
+            return [ShipQuery(q.qid)]
+        self.stats.add_query(q, self.catalog)
+        ius = interacting_updates(q, self.cache, q.time)
+        if not ius:
+            return [AnswerFromCache(q.qid)]
+        for u in ius:
+            self.stats.add_update_cost(u.object, u.ship_cost)
+        return [ShipUpdates(tuple(u.uid for u in ius)), AnswerFromCache(q.qid)]
 
     def _tick(self) -> list[Decision]:
         self.events_in_window += 1
@@ -159,9 +166,8 @@ class BenefitPolicy:
         return self.roll_window()
 
     def roll_window(self) -> list[Decision]:
-        benefits = window_benefits(self.stats, self.cache, self.catalog)
-        self.forecast.step(benefits)
-        decisions, _ = greedy_recompose(self.forecast, self.cache, self.catalog)
+        self.forecast.step(window_benefits(self.stats, self.cache.resident, self.catalog))
+        decisions = greedy_recompose(self.forecast, self.cache, self.catalog)
         self.stats = WindowStats()
         self.events_in_window = 0
         return decisions

@@ -77,11 +77,14 @@ def cmd_compare(args) -> int:
     configs = [_run_config(args, p.strip()) for p in args.policies.split(",") if p.strip()]
     if not configs:
         raise ValueError("--policies names no policy")
-    grains = ([int(g) for g in args.granularity.split(",")]
-              if args.granularity else [None])
+    grains = [int(g) for g in args.granularity.split(",")] if args.granularity else []
+    if min(grains, default=1) < 1:
+        raise ValueError("--granularity: object counts must be >= 1")
     catalog, events = workload.load_trace(args.trace)
+    if max(grains, default=0) > len(catalog):
+        raise ValueError(f"--granularity: object counts must be <= {len(catalog)}")
     out = _out_dir(args)
-    for grain in grains:
+    for grain in grains or [None]:
         if grain is None:
             cat, evs, tag = catalog, events, "compare"
         else:

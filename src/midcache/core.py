@@ -196,17 +196,14 @@ def interacting_updates(q: Query, cache: CacheState, now: int) -> list[Update]:
     (u.time <= now - tolerance interacts). Returned in (object id, arrival)
     order, which is deterministic.
     """
-    if q.objects <= cache.resident and cache.outstanding.keys().isdisjoint(q.objects):
+    if not q.objects <= cache.resident:
+        raise NonResident(f"query {q.qid}: object {min(q.objects - cache.resident)} "
+                          "is not resident")
+    if cache.outstanding.keys().isdisjoint(q.objects):
         return []
     cutoff = now - q.tolerance
-    out: list[Update] = []
-    for oid in sorted(q.objects):
-        if oid not in cache.resident:
-            raise NonResident(f"query {q.qid}: object {oid} is not resident")
-        for u in cache.outstanding.get(oid, ()):
-            if u.time <= cutoff:
-                out.append(u)
-    return out
+    return [u for oid in sorted(q.objects) for u in cache.outstanding.get(oid, ())
+            if u.time <= cutoff]
 
 
 def apply(cache: CacheState, d: Decision) -> None:

@@ -7,18 +7,21 @@ weight); the max-flow value equals the min-cover weight, and the cover falls
 out of residual reachability from the source.
 
 The flow lives in a `FlowState` that `min_weight_cover` mutates in place.
-`remove_nodes` and `prune_remainder` require it too: every graph edit repairs
-the flow. After a cover followed by `prune_remainder` with the same flow, the
-pair is *settled*: every node left is source-reachable in the residual
-network and every remaining query is saturated. (A prune drops only nodes
-outside the reachable side, and no flow crosses that cut, so the flow stays
-maximum.) Until the next cover only two kinds of component can change: those
-holding nodes added since, and those that lost nodes through
-`remove_nodes(fs, ...)`, whose surviving neighbours the flow records. The next cover augments,
-searches and prunes only inside those components; every other component is
-still settled, so its queries are covered and its updates are not. A fresh
-flow, a cover not followed by a prune, or a graph changed between a cover and
-its prune makes the next cover treat the whole graph.
+`remove_nodes` and `prune_remainder` require it too: every graph edit
+repairs the flow. After a cover followed by `prune_remainder` with the same
+flow, the pair is *settled*: every node left is source-reachable in the
+residual network and every remaining query is saturated. (A prune drops only
+nodes outside the reachable side, and no flow crosses that cut, so the flow
+stays maximum.) Until the next cover only two kinds of component can change:
+those holding nodes added since, and those holding a query that lost an
+update through `remove_nodes(fs, ...)`, which the flow records. Removing a
+query keeps its component settled: each update that fed it gains source-arc
+slack, so every node left stays reachable and every other query keeps its
+inflow. The next cover augments, searches and prunes only inside the changed
+components; every other component is still settled, so its queries are
+covered and its updates are not. A fresh flow, a cover not followed by a
+prune, or a graph changed between a cover and its prune makes the next cover
+treat the whole graph.
 """
 
 from __future__ import annotations
@@ -51,8 +54,8 @@ class FlowState:
     # (graph, updates_added, queries_added) when the last prune settled the
     # flow on that graph; None until then and after any cover.
     settled: tuple | None = field(default=None, compare=False, repr=False)
-    # ('u'|'q', id) neighbours of nodes remove_nodes dropped since settling.
-    touched: set[tuple[str, int]] = field(default_factory=set, compare=False, repr=False)
+    # Queries that lost an update to remove_nodes since settling.
+    touched: set[int] = field(default_factory=set, compare=False, repr=False)
     # (graph marks, cover, in-scope queries) of the last cover, until
     # remove_nodes changes the graph.
     last_cover: tuple | None = field(default=None, compare=False, repr=False)
@@ -133,9 +136,10 @@ class InteractionGraph:
         """Delete nodes plus incident edges, repairing the flow `fs` (required)
         so what remains is still a valid (not necessarily maximum) flow:
         inflow lost by a surviving query comes off its sink arc, outflow lost
-        by a surviving update comes off its source arc. The flow records every
-        surviving neighbour, whose component the next cover must revisit. Ids
-        not on the graph are skipped.
+        by a surviving update comes off its source arc. The flow records each
+        surviving query that lost an update, whose component the next cover
+        must revisit; a removed query leaves its component settled (see the
+        module docstring). Ids not on the graph are skipped.
         """
         fs.last_cover = None
         for uid in drop_updates:
@@ -145,7 +149,7 @@ class InteractionGraph:
             self.n_edges -= len(qids)
             for qid in qids:
                 del self.query_edges[qid][uid]
-                fs.touched.add(("q", qid))
+                fs.touched.add(qid)
                 f = fs.flow_uq.get(qid, {}).pop(uid, 0)
                 if f and qid not in drop_queries:
                     fs.flow_qt[qid] = fs.flow_qt.get(qid, 0) - f
@@ -159,7 +163,6 @@ class InteractionGraph:
             inflow = fs.flow_uq.pop(qid, {})
             for uid in uids:
                 del self.update_edges[uid][qid]
-                fs.touched.add(("u", uid))
                 f = inflow.get(uid, 0)
                 if f:
                     fs.flow_su[uid] = fs.flow_su.get(uid, 0) - f
@@ -181,8 +184,7 @@ def _scope(g: InteractionGraph, fs: FlowState):
     # some new ones were removed again); a larger scope is still exact.
     us = set(islice(reversed(g.update_weight), g.updates_added - updates_added))
     qs = set(islice(reversed(g.query_weight), g.queries_added - queries_added))
-    us |= {nid for kind, nid in fs.touched if kind == "u" and nid in g.update_weight}
-    qs |= {nid for kind, nid in fs.touched if kind == "q" and nid in g.query_weight}
+    qs |= fs.touched.intersection(g.query_weight)
     grow_u, grow_q = set(us), set(qs)
     while grow_u or grow_q:
         grow_u, grow_q = ({u for q in grow_q for u in g.query_edges[q]} - us,

@@ -1,13 +1,15 @@
 """Reference policies that bracket what a practical policy can achieve:
-ship everything (nocache), replicate everything (replica), and the best
-static cache composition chosen with full-trace hindsight (soptimal).
+ship everything (nocache), replicate everything (replica), and a static
+cache composition chosen with full-trace hindsight (soptimal). The static
+set is `benefit`'s scoring model run as one window over the whole trace from
+an empty cache and filled greedily, so it is not guaranteed optimal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .benefit import proportional_shares
+from .benefit import WindowStats, fill, window_benefits
 from .core import (AnswerFromCache, CacheState, Decision, Event, Load,
                    ObjectCatalog, ObjectId, Query, ShipQuery, ShipUpdates,
                    Update, interacting_updates)
@@ -58,29 +60,17 @@ class SOptimalPlan:
 
 def plan_static_set(events: list[Event], catalog: ObjectCatalog,
                     capacity: int) -> SOptimalPlan:
-    """One whole-trace benefit window from an empty cache: every object gets
-    its size-proportional share of every query touching it, minus its update
-    bytes, minus one load; positive scorers fill the capacity greedily."""
-    saved: dict[ObjectId, int] = {}
-    upd: dict[ObjectId, int] = {}
+    """One `benefit` window over the whole trace from an empty cache: every
+    query credits its objects with their shares, every update charges its
+    object, every object pays one load, and `fill` takes the positive scorers
+    greedily up to capacity. Greedy, so the set is not guaranteed optimal."""
+    stats = WindowStats()
     for ev in events:
         if isinstance(ev, Query):
-            sizes = [(oid, catalog.size(oid)) for oid in sorted(ev.objects)]
-            for oid, share in proportional_shares(ev.ship_cost, sizes).items():
-                saved[oid] = saved.get(oid, 0) + share
+            stats.add_query(ev, catalog)
         else:
-            upd[ev.object] = upd.get(ev.object, 0) + ev.ship_cost
-    benefit = {oid: saved.get(oid, 0) - upd.get(oid, 0) - catalog.load_cost(oid)
-               for oid in catalog.ids()}
-    ranked = sorted((oid for oid, b in benefit.items() if b > 0),
-                    key=lambda o: (-benefit[o], o))
-    chosen: list[ObjectId] = []
-    space = capacity
-    for oid in ranked:
-        size = catalog.size(oid)
-        if size <= space:
-            chosen.append(oid)
-            space -= size
+            stats.add_update_cost(ev.object, ev.ship_cost)
+    chosen = fill(window_benefits(stats, frozenset(), catalog), capacity, catalog)
     return SOptimalPlan(frozenset(chosen), tuple(Load(o) for o in chosen))
 
 

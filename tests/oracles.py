@@ -4,6 +4,7 @@ verifies."""
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
 
 from midcache.core import ObjectCatalog, Query, Update
@@ -209,3 +210,17 @@ def loop_check_freshness(cache) -> None:
             raise CacheError(f"non-resident object {oid} has an outstanding queue")
         if not queue:
             raise CacheError(f"object {oid} has an empty outstanding queue")
+
+
+def largest_remainder_shares(amount: int, sizes: list[tuple[int, int]]) -> dict[int, int]:
+    """Size-proportional integer split by the largest-remainder rule, worked
+    on exact rationals: each object takes the integer part of its exact
+    share, and the units left over go one each to the largest fractional
+    parts, ties to the smaller id."""
+    total = sum(s for _, s in sizes)
+    exact = {oid: Fraction(amount * s, total) for oid, s in sizes}
+    out = {oid: int(x) for oid, x in exact.items()}
+    by_fraction = sorted(exact, key=lambda oid: (out[oid] - exact[oid], oid))
+    for oid in by_fraction[:amount - sum(out.values())]:
+        out[oid] += 1
+    return out

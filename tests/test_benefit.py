@@ -1,10 +1,11 @@
 from hypothesis import given, strategies as st
 
-from midcache.benefit import (BenefitPolicy, Forecast, greedy_recompose,
+from midcache.benefit import (BenefitPolicy, Forecast, fill, greedy_recompose,
                               proportional_shares)
 from midcache.core import (AnswerFromCache, CacheState, Evict, Load,
                            ObjectCatalog, ShipQuery, ShipUpdates, apply)
 from tests.conftest import mk_query, mk_update
+from tests.oracles import largest_remainder_shares
 
 
 def make_policy(catalog, capacity, alpha=0.5, delta=1000, resident=()):
@@ -34,6 +35,19 @@ class TestShares:
         parts = proportional_shares(amount, list(enumerate(sizes)))
         assert sum(parts.values()) == amount
         assert all(v >= 0 for v in parts.values())
+
+    def test_near_tie_goes_to_the_larger_exact_remainder(self):
+        # remainders 655196 and 655217 out of 1310413: the leftover unit goes
+        # to object 1, although the float fractions of the two exact shares
+        # order the other way
+        assert proportional_shares(405962878855, [(0, 481620), (1, 828793)]) == {
+            0: 149204748208, 1: 256758130647}
+
+    @given(st.integers(0, 10**12),
+           st.lists(st.integers(1, 10**6), min_size=1, max_size=6))
+    def test_matches_rational_largest_remainder(self, amount, sizes):
+        pairs = list(enumerate(sizes))
+        assert proportional_shares(amount, pairs) == largest_remainder_shares(amount, pairs)
 
 
 class TestForecast:
@@ -72,9 +86,9 @@ class TestRecompose:
         catalog = ObjectCatalog.from_sizes({0: 4, 1: 4, 2: 4})
         cache = CacheState(8, catalog)
         f = Forecast(mu={0: 5.0, 1: 3.0, 2: -1.0}, alpha=0.5, delta=1)
-        decisions, selected = greedy_recompose(f, cache, catalog)
+        selected = fill(f.mu, cache.capacity, catalog)
         assert selected == [0, 1]
-        assert decisions == [Load(0), Load(1)]
+        assert greedy_recompose(f, cache, catalog) == [Load(0), Load(1)]
         # exhaustive check: no feasible positive-mu set has higher mu-sum
         best = max((f.mu[0] * (s & 1 > 0) + f.mu[1] * (s & 2 > 0) + f.mu[2] * (s & 4 > 0))
                    for s in range(8)
@@ -85,24 +99,21 @@ class TestRecompose:
         catalog = ObjectCatalog.from_sizes({0: 10, 1: 3, 2: 3})
         cache = CacheState(6, catalog)
         f = Forecast(mu={0: 9.0, 1: 2.0, 2: 1.0}, alpha=0.5, delta=1)
-        _, selected = greedy_recompose(f, cache, catalog)
-        assert selected == [1, 2]
+        assert fill(f.mu, cache.capacity, catalog) == [1, 2]
 
     def test_resident_selection_not_reloaded(self):
         catalog = ObjectCatalog.from_sizes({0: 4, 1: 4})
         cache = CacheState(8, catalog)
         cache.seed_resident([0])
         f = Forecast(mu={0: 5.0, 1: 4.0}, alpha=0.5, delta=1)
-        decisions, _ = greedy_recompose(f, cache, catalog)
-        assert decisions == [Load(1)]
+        assert greedy_recompose(f, cache, catalog) == [Load(1)]
 
     def test_unselected_resident_evicted(self):
         catalog = ObjectCatalog.from_sizes({0: 4, 1: 4})
         cache = CacheState(4, catalog)
         cache.seed_resident([0])
         f = Forecast(mu={0: 1.0, 1: 7.0}, alpha=0.5, delta=1)
-        decisions, _ = greedy_recompose(f, cache, catalog)
-        assert decisions == [Evict(0), Load(1)]
+        assert greedy_recompose(f, cache, catalog) == [Evict(0), Load(1)]
 
     @given(st.data())
     def test_selection_is_fit_constrained_prefix(self, data):
@@ -110,10 +121,8 @@ class TestRecompose:
         catalog = ObjectCatalog.from_sizes(
             {i: data.draw(st.integers(1, 9)) for i in range(n)})
         capacity = data.draw(st.integers(1, 20))
-        cache = CacheState(capacity, catalog)
         mu = {i: data.draw(st.floats(-5, 5, allow_nan=False)) for i in range(n)}
-        f = Forecast(mu=mu, alpha=0.5, delta=1)
-        _, selected = greedy_recompose(f, cache, catalog)
+        selected = fill(mu, capacity, catalog)
         # reference skip-if-too-big greedy over the positive-mu ranking
         expect, space = [], capacity
         for o in sorted((o for o in mu if mu[o] > 0), key=lambda o: (-mu[o], o)):

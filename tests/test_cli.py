@@ -116,6 +116,18 @@ class TestCompare:
         assert (workspace / "compare-g3.json").exists()
         assert (workspace / "compare-g6.json").exists()
 
+    @pytest.mark.parametrize("grains, trace", [
+        ("3,0", "trace.jsonl"), ("0", "missing.jsonl"), ("6,99", "trace.jsonl")],
+        ids=["zero-after-valid", "zero-missing-trace", "above-catalog-size"])
+    def test_bad_granularity_rejected_before_any_grain(self, workspace, capsys,
+                                                       grains, trace):
+        rc = main(["compare", "--trace", str(workspace / trace), "--seed", "2",
+                   "--policies", "nocache", "--granularity", grains,
+                   "--out", str(workspace)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: --granularity")
+        assert not list(workspace.glob("compare-g*"))
+
     def test_unknown_policy_rejected(self, workspace, capsys):
         rc = main(["compare", "--trace", str(workspace / "trace.jsonl"),
                    "--seed", "2", "--policies", "wat"])

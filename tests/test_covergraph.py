@@ -321,7 +321,7 @@ class TestPrune:
         g.remove_nodes(fs, drop_updates={1, 7}, drop_queries={99})
         assert before == (g.update_weight, g.query_weight, g.edges(), g.n_edges,
                           fs.flow_su, fs.flow_uq, fs.flow_qt, fs.touched)
-        assert fs.touched == {("q", 10)}
+        assert fs.touched == {10}
         check_flow(g, fs)
 
     def test_random_prune_matches_set_algebra(self):
