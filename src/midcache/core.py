@@ -53,11 +53,16 @@ class ObjectCatalog:
     @classmethod
     def from_sizes(cls, sizes: dict[ObjectId, int],
                    load_costs: dict[ObjectId, int] | None = None) -> "ObjectCatalog":
+        """Ids, sizes and load costs must be of type `int` exactly, which
+        also rejects bools and floats, so every byte quantity stays integral."""
         entries = {}
         for oid, size in sizes.items():
+            lc = (load_costs or {}).get(oid, size)
+            if not type(oid) is type(size) is type(lc) is int:
+                raise ValueError(f"object {oid!r}: id, size and load cost must be "
+                                 f"integers, got {size!r} and {lc!r}")
             if size <= 0:
                 raise ValueError(f"object {oid}: size must be positive, got {size}")
-            lc = (load_costs or {}).get(oid, size)
             if lc <= 0:
                 raise ValueError(f"object {oid}: load cost must be positive, got {lc}")
             entries[oid] = ObjectInfo(size=size, load_cost=lc)

@@ -60,10 +60,6 @@ class FlowState:
     # remove_nodes changes the graph.
     last_cover: tuple | None = field(default=None, compare=False, repr=False)
 
-    @property
-    def value(self) -> int:
-        return sum(self.flow_qt.values())
-
     def copy(self) -> "FlowState":
         """The arc flows alone: a copy is unsettled, so its first cover
         treats the whole graph. Nothing in the package copies a flow; the
@@ -97,9 +93,6 @@ class InteractionGraph:
         # are among the last that many keys of each insertion-ordered dict.
         self.updates_added = 0
         self.queries_added = 0
-
-    def edges(self) -> set[tuple[int, int]]:
-        return {(uid, qid) for uid, qs in self.update_edges.items() for qid in qs}
 
     def add_query(self, qid: int, weight: int) -> None:
         if qid in self.query_weight:
@@ -307,37 +300,3 @@ def prune_remainder(g: InteractionGraph, cover: CoverResult, fs: FlowState) -> N
         fs.settled = _marks(g)
         fs.touched.clear()
 
-
-def check_flow(g: InteractionGraph, fs: FlowState) -> None:
-    """Validity check used by tests: capacity limits, non-negativity and
-    conservation at every interior node."""
-    for uid, f in fs.flow_su.items():
-        if uid not in g.update_weight:
-            raise GraphError(f"flow on source arc of missing update {uid}")
-        if not (0 <= f <= g.update_weight[uid]):
-            raise GraphError(f"source arc of update {uid}: flow {f} out of range")
-    for qid, f in fs.flow_qt.items():
-        if qid not in g.query_weight:
-            raise GraphError(f"flow on sink arc of missing query {qid}")
-        if not (0 <= f <= g.query_weight[qid]):
-            raise GraphError(f"sink arc of query {qid}: flow {f} out of range")
-    for qid, inflow in fs.flow_uq.items():
-        for uid, f in inflow.items():
-            if qid not in g.update_edges.get(uid, ()):
-                raise GraphError(f"flow on missing edge ({uid},{qid})")
-            if f <= 0:
-                raise GraphError(f"edge ({uid},{qid}): non-positive flow {f} kept")
-    for uid in g.update_weight:
-        out = sum(fs.flow_uq.get(qid, {}).get(uid, 0) for qid in g.update_edges[uid])
-        if out != fs.flow_su.get(uid, 0):
-            raise GraphError(f"update {uid}: conservation violated")
-    for qid in g.query_weight:
-        into = sum(fs.flow_uq.get(qid, {}).get(uid, 0) for uid in g.query_edges[qid])
-        if into != fs.flow_qt.get(qid, 0):
-            raise GraphError(f"query {qid}: conservation violated")
-
-
-def check_cover(g: InteractionGraph, cover: CoverResult) -> None:
-    for uid, qid in g.edges():
-        if uid not in cover.cover_updates and qid not in cover.cover_queries:
-            raise GraphError(f"edge ({uid},{qid}) uncovered")

@@ -17,7 +17,7 @@ import gzip
 import json
 import math
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Iterator
 
@@ -31,8 +31,11 @@ class TraceError(Exception):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class GeneratorParams:
+    """Generator settings, checked once at construction; derive variants
+    with `dataclasses.replace`."""
+
     n_objects: int = 68
     size_min: int = 50_000_000             # 50 MB
     size_max: int = 20_000_000_000         # 20 GB
@@ -51,7 +54,7 @@ class GeneratorParams:
     mean_interarrival_us: int = 1_000
     drift_cycles: float = 1.0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.n_objects < 1:
             raise ValueError("n_objects must be >= 1")
         if self.n_queries < 0 or self.n_updates < 0:
@@ -96,7 +99,6 @@ def _drifting_choice(rng: random.Random, centers: tuple[int, ...],
 
 
 def generate(params: GeneratorParams, seed: int) -> tuple[ObjectCatalog, list[Event]]:
-    params.validate()
     rng = random.Random(seed)
     n = params.n_objects
     sizes = {}
@@ -173,8 +175,12 @@ def read_catalog(path) -> ObjectCatalog:
         doc = json.load(fh)
     if doc.get("schema") != CATALOG_SCHEMA:
         raise TraceError(f"{path}: unexpected catalog schema {doc.get('schema')!r}")
-    sizes = {o["id"]: o["size"] for o in doc["objects"]}
-    costs = {o["id"]: o["load_cost"] for o in doc["objects"]}
+    sizes, costs = {}, {}
+    for o in doc["objects"]:
+        if o["id"] in sizes:
+            raise TraceError(f"{path}: duplicate object id {o['id']}")
+        sizes[o["id"]] = o["size"]
+        costs[o["id"]] = o["load_cost"]
     return ObjectCatalog.from_sizes(sizes, costs)
 
 
@@ -340,16 +346,9 @@ def regrain(catalog: ObjectCatalog, events: list[Event], n_groups: int
         sizes[g] = sizes.get(g, 0) + catalog.size(oid)
         costs[g] = costs.get(g, 0) + catalog.load_cost(oid)
     merged = ObjectCatalog.from_sizes(sizes, costs)
-    out: list[Event] = []
-    for ev in events:
-        if isinstance(ev, Query):
-            out.append(Query(qid=ev.qid, time=ev.time,
-                             objects=frozenset(group_of[o] for o in ev.objects),
-                             ship_cost=ev.ship_cost, tolerance=ev.tolerance,
-                             seq=ev.seq))
-        else:
-            out.append(Update(uid=ev.uid, time=ev.time, object=group_of[ev.object],
-                              ship_cost=ev.ship_cost, seq=ev.seq))
+    out = [replace(ev, objects=frozenset(group_of[o] for o in ev.objects))
+           if isinstance(ev, Query) else replace(ev, object=group_of[ev.object])
+           for ev in events]
     return merged, out
 
 

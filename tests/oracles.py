@@ -61,6 +61,45 @@ def brute_force_canonical_cover(update_weights: dict[int, int],
     return frozenset(cover_q), frozenset(cover_u), weight
 
 
+def graph_edges(g) -> set[tuple[int, int]]:
+    """Every (update, query) edge of an `InteractionGraph`."""
+    return {(uid, qid) for uid, qs in g.update_edges.items() for qid in qs}
+
+
+def flow_value(fs) -> int:
+    """Total flow into the sink of a `FlowState`."""
+    return sum(fs.flow_qt.values())
+
+
+def check_flow(g, fs) -> None:
+    """Assert `fs` is a valid flow on `g`'s network: every arc within its
+    capacity, only positive flows kept on existing edges, and conservation at
+    every interior node."""
+    for uid, f in fs.flow_su.items():
+        assert uid in g.update_weight, f"flow on source arc of missing update {uid}"
+        assert 0 <= f <= g.update_weight[uid], f"source arc of update {uid}: flow {f} out of range"
+    for qid, f in fs.flow_qt.items():
+        assert qid in g.query_weight, f"flow on sink arc of missing query {qid}"
+        assert 0 <= f <= g.query_weight[qid], f"sink arc of query {qid}: flow {f} out of range"
+    for qid, inflow in fs.flow_uq.items():
+        for uid, f in inflow.items():
+            assert qid in g.update_edges.get(uid, ()), f"flow on missing edge ({uid},{qid})"
+            assert f > 0, f"edge ({uid},{qid}): non-positive flow {f} kept"
+    for uid in g.update_weight:
+        out = sum(fs.flow_uq.get(qid, {}).get(uid, 0) for qid in g.update_edges[uid])
+        assert out == fs.flow_su.get(uid, 0), f"update {uid}: conservation violated"
+    for qid in g.query_weight:
+        into = sum(fs.flow_uq.get(qid, {}).get(uid, 0) for uid in g.query_edges[qid])
+        assert into == fs.flow_qt.get(qid, 0), f"query {qid}: conservation violated"
+
+
+def check_cover(g, cover) -> None:
+    """Assert `cover` leaves no edge of `g` uncovered."""
+    for uid, qid in graph_edges(g):
+        assert uid in cover.cover_updates or qid in cover.cover_queries, \
+            f"edge ({uid},{qid}) uncovered"
+
+
 def enumerate_plan_costs(catalog: ObjectCatalog, events, capacity: int,
                          initial_resident: set[int]):
     """All costs achievable by: recomposing the cache once up front (evictions

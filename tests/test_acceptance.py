@@ -190,10 +190,8 @@ def test_c08_soptimal_small_instance_gap():
     # objects (~6% of the catalog), so at 12 objects queries are single-object
     gaps = []
     for seed in range(1, 11):
-        params = GeneratorParams.scaled_hotspots(12)
-        params.n_queries = 500
-        params.n_updates = 500
-        params.objects_per_query_weights = (1.0,)
+        params = replace(GeneratorParams.scaled_hotspots(12), n_queries=500,
+                         n_updates=500, objects_per_query_weights=(1.0,))
         catalog, events = generate(params, seed)
         capacity = int(0.3 * catalog.total_size)
         ledger = run(events, catalog, RunConfig(policy="soptimal", seed=0,
@@ -208,10 +206,8 @@ def test_c08_soptimal_small_instance_gap():
     # queries, which small catalogs amplify
     mixed_gaps = []
     for seed in range(1, 11):
-        params = GeneratorParams.scaled_hotspots(12)
-        params.n_queries = 500
-        params.n_updates = 500
-        params.objects_per_query_weights = (0.8, 0.2)
+        params = replace(GeneratorParams.scaled_hotspots(12), n_queries=500,
+                         n_updates=500, objects_per_query_weights=(0.8, 0.2))
         catalog, events = generate(params, seed)
         capacity = int(0.3 * catalog.total_size)
         ledger = run(events, catalog, RunConfig(policy="soptimal", seed=0,

@@ -1,10 +1,15 @@
+import csv
+import dataclasses
 import hashlib
+import io
 import json
 from pathlib import Path
 
 import pytest
 
 from midcache.cli import main
+from midcache.simharness import POLICY_NAMES, RunConfig, run
+from midcache.workload import GeneratorParams, generate, regrain
 from tests.conftest import DATA_DIR
 
 
@@ -184,6 +189,50 @@ class TestReport:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith(f"error: {path}: ")
+
+
+class TestSweepRecipe:
+    """The README's two sweeps, `gen` + `compare` + `report` per point, on a
+    tiny trace: one report row per (point, policy), each total the one a
+    direct `run()` on the generated workload gives."""
+
+    @staticmethod
+    def report_rows(capsys, *argv) -> list[dict]:
+        capsys.readouterr()
+        assert main(["report", *argv]) == 0
+        return list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+
+    def test_update_and_granularity_sweeps(self, tmp_path, capsys):
+        rows = []
+        for n in (20, 40):
+            out = str(tmp_path / f"u{n}")
+            assert main(["gen", "--seed", "1", "--queries", "40", "--updates", str(n),
+                         "--out", out]) == 0
+            assert main(["compare", "--trace", f"{out}/trace.jsonl", "--seed", "1",
+                         "--cache-frac", "0.3", "--out", out]) == 0
+            rows += self.report_rows(capsys, f"{out}/compare.json", "--label", str(n))
+        expect = []
+        for n in (20, 40):
+            catalog, events = generate(GeneratorParams(n_queries=40, n_updates=n), 1)
+            expect += [(str(n), p, run(events, catalog, RunConfig(
+                policy=p, seed=1, cache_frac=0.3)).ledger.total) for p in POLICY_NAMES]
+        assert [(r["label"], r["policy"], int(r["total"])) for r in rows] == expect
+
+        out = str(tmp_path / "grain")
+        assert main(["gen", "--seed", "1", "--objects", "24", "--queries", "40",
+                     "--updates", "40", "--out", out]) == 0
+        assert main(["compare", "--trace", f"{out}/trace.jsonl", "--seed", "1",
+                     "--granularity", "24,12,6", "--policies", "vcover",
+                     "--out", out]) == 0
+        rows = self.report_rows(capsys, *(f"{out}/compare-g{g}.json" for g in (24, 12, 6)))
+        catalog, events = generate(dataclasses.replace(
+            GeneratorParams.scaled_hotspots(24), n_queries=40, n_updates=40), 1)
+        expect = []
+        for g in (24, 12, 6):
+            cat, evs = (catalog, events) if g == 24 else regrain(catalog, events, g)
+            expect.append((f"compare-g{g}", "vcover", run(evs, cat, RunConfig(
+                policy="vcover", seed=1, cache_frac=0.3)).ledger.total))
+        assert [(r["label"], r["policy"], int(r["total"])) for r in rows] == expect
 
 
 class TestAuditPath:

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from midcache.covergraph import (FlowState, GraphError, InteractionGraph,
-                                 check_cover, check_flow,
                                  min_weight_cover, prune_remainder,
                                  source_reachable)
-from tests.oracles import brute_force_cover_weight
+from tests.oracles import (brute_force_cover_weight, check_cover, check_flow,
+                           flow_value, graph_edges)
 
 
 def build(update_weights, query_weights, edges):
@@ -43,7 +43,7 @@ class TestMutations:
         g = build({1: 1, 6: 5}, {7: 4}, [(1, 7), (6, 7)])
         assert set(g.update_weight) == {1, 6}
         assert set(g.query_weight) == {7}
-        assert g.edges() == {(1, 7), (6, 7)}
+        assert graph_edges(g) == {(1, 7), (6, 7)}
 
     def test_duplicate_node_rejected(self):
         g = InteractionGraph()
@@ -90,7 +90,7 @@ class TestMutations:
                     ref_edges.add(e)
         assert {("u", u): w for u, w in g.update_weight.items()} | \
                {("q", q): w for q, w in g.query_weight.items()} == ref_nodes
-        assert g.edges() == ref_edges
+        assert graph_edges(g) == ref_edges
 
     def test_adds_leave_existing_flow_untouched(self):
         g = build({1: 3}, {10: 5}, [(1, 10)])
@@ -137,7 +137,7 @@ class TestMinWeightCover:
             cover, fs = min_weight_cover(g)
             check_cover(g, cover)
             check_flow(g, fs)
-            assert cover.weight == fs.value
+            assert cover.weight == flow_value(fs)
             assert cover.weight == brute_force_cover_weight(uw, qw, edges)
 
     @settings(max_examples=150, deadline=None)
@@ -155,7 +155,7 @@ class TestMinWeightCover:
         g = build(uw, qw, edges)
         cover, fs = min_weight_cover(g)
         check_cover(g, cover)
-        assert cover.weight == fs.value == brute_force_cover_weight(uw, qw, edges)
+        assert cover.weight == flow_value(fs) == brute_force_cover_weight(uw, qw, edges)
 
 
 class TestIncremental:
@@ -275,7 +275,7 @@ class TestScopedCover:
         g = build({1: 3}, {10: 5}, [(1, 10)])
         fs = FlowState()
         cover, out = min_weight_cover(g, fs)
-        assert out is fs and fs.value == 3
+        assert out is fs and flow_value(fs) == 3
 
 
 class TestPrune:
@@ -307,7 +307,7 @@ class TestPrune:
         assert cover.cover_queries == {10}
         prune_remainder(g, cover, fs)
         assert set(g.update_weight) == {1, 2}
-        assert g.edges() == {(1, 10), (2, 10)}
+        assert graph_edges(g) == {(1, 10), (2, 10)}
         check_flow(g, fs)
 
     def test_remove_nodes_skips_absent_ids(self):
@@ -315,11 +315,11 @@ class TestPrune:
         g = build({1: 3, 2: 4}, {10: 5, 11: 2}, [(1, 10), (2, 10), (2, 11)])
         _, fs = min_weight_cover(g)
         g.remove_nodes(fs, drop_updates={1})
-        before = (dict(g.update_weight), dict(g.query_weight), g.edges(), g.n_edges,
+        before = (dict(g.update_weight), dict(g.query_weight), graph_edges(g), g.n_edges,
                   dict(fs.flow_su), {q: dict(i) for q, i in fs.flow_uq.items()},
                   dict(fs.flow_qt), set(fs.touched))
         g.remove_nodes(fs, drop_updates={1, 7}, drop_queries={99})
-        assert before == (g.update_weight, g.query_weight, g.edges(), g.n_edges,
+        assert before == (g.update_weight, g.query_weight, graph_edges(g), g.n_edges,
                           fs.flow_su, fs.flow_uq, fs.flow_qt, fs.touched)
         assert fs.touched == {10}
         check_flow(g, fs)
@@ -336,5 +336,5 @@ class TestPrune:
             prune_remainder(g, cover, fs)
             assert set(g.update_weight) == keep_u
             assert set(g.query_weight) == keep_q
-            assert g.edges() == expect_edges
+            assert graph_edges(g) == expect_edges
             check_flow(g, fs)

@@ -9,7 +9,8 @@ from midcache.simharness import RunConfig, replay_decisions, run
 from midcache.vcover import VCoverPolicy
 from midcache.workload import GeneratorParams, generate
 from tests.conftest import GB, SEC, mk_query, mk_update
-from tests.oracles import brute_force_canonical_cover, enumerate_plan_costs
+from tests.oracles import (brute_force_canonical_cover, check_flow, enumerate_plan_costs,
+                           graph_edges)
 
 
 def policy_with_cache(catalog, capacity, resident=(), seed=0):
@@ -141,7 +142,6 @@ class TestGraphConsistency:
         assert 1 not in policy.graph.update_weight
 
     def test_graph_nodes_subset_of_outstanding(self, small_catalog):
-        from midcache.covergraph import check_flow
         rng = random.Random(9)
         policy, cache = policy_with_cache(small_catalog, 60, [0, 1], seed=9)
         uid, qid = 0, 1000
@@ -256,9 +256,8 @@ class TestEndToEnd:
         assert incremental.ledger.snapshot() == scratch.ledger.snapshot()
 
     def test_determinism_same_seed(self):
-        params = GeneratorParams(n_objects=10, n_queries=30, n_updates=30)
-        params.query_hotspots = (2, 3)
-        params.update_hotspots = (6, 7)
+        params = GeneratorParams(n_objects=10, n_queries=30, n_updates=30,
+                                 query_hotspots=(2, 3), update_hotspots=(6, 7))
         catalog, events = generate(params, seed=8)
         config = RunConfig(policy="vcover", seed=13, cache_frac=0.4)
         a = run(events, catalog, config)
@@ -301,7 +300,7 @@ class TestCanonicalCover:
             small = len(g.update_weight) + len(g.query_weight) <= 14
             if small:
                 expect = brute_force_canonical_cover(dict(g.update_weight),
-                                                     dict(g.query_weight), g.edges())
+                                                     dict(g.query_weight), graph_edges(g))
             cover, fs = real_mwc(g, prior)
             if small:
                 assert (cover.cover_queries, cover.cover_updates, cover.weight) == expect

@@ -1,10 +1,12 @@
+import dataclasses
 import gzip
 import json
 from collections import Counter
 
 import pytest
 
-from midcache.core import Query, Update
+from midcache.cli import main
+from midcache.core import ObjectCatalog, Query, Update
 from midcache.simharness import RunConfig, run
 from midcache.workload import (GeneratorParams, generate, load_trace,
                                params_meta, read_catalog, regrain, validate,
@@ -69,10 +71,12 @@ class TestGenerate:
         assert frac_contiguous > (1 - 1 / params.scan_len) * 0.9
 
     def test_invalid_params_rejected(self):
-        with pytest.raises(ValueError):
-            generate(GeneratorParams(n_objects=4, query_hotspots=(9,)), seed=0)
-        with pytest.raises(ValueError):
-            generate(GeneratorParams(query_hotspot_weight=1.5), seed=0)
+        with pytest.raises(ValueError, match="hotspot id 9"):
+            GeneratorParams(n_objects=4, query_hotspots=(9,))
+        with pytest.raises(ValueError, match="hotspot weights"):
+            dataclasses.replace(GeneratorParams(), query_hotspot_weight=1.5)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            GeneratorParams().n_queries = 5
 
 
 class TestTraceIO:
@@ -148,6 +152,55 @@ class TestTraceIO:
             report = run(events, catalog,
                          RunConfig(policy=policy, seed=1, cache_frac=1.0))
             assert report.ledger.total >= 0
+
+
+class TestCatalogContract:
+    """Catalog fields are integers, as event fields are, and ids are unique."""
+
+    BAD = {
+        "float-size": [{"id": 0, "size": 1.5, "load_cost": 2}],
+        "float-load-cost": [{"id": 0, "size": 1, "load_cost": 2.5}],
+        "bool-size": [{"id": 0, "size": True, "load_cost": 2}],
+        "bool-id": [{"id": False, "size": 1, "load_cost": 2}],
+        "string-id": [{"id": "0", "size": 1, "load_cost": 2}],
+        "duplicate-id": [{"id": 0, "size": 1, "load_cost": 2},
+                         {"id": 0, "size": 3, "load_cost": 4}],
+    }
+
+    @pytest.fixture(params=sorted(BAD))
+    def bad_trace(self, request, tmp_path):
+        (tmp_path / "catalog.json").write_text(
+            json.dumps({"schema": "catalog/v1", "objects": self.BAD[request.param]}))
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text(
+            json.dumps({"schema": "trace/v1", "catalog": "catalog.json",
+                        "n_events": 1}) + "\n" +
+            json.dumps({"kind": "query", "id": 1, "time": 1, "objects": [0],
+                        "cost": 1, "tolerance": 0}) + "\n")
+        return trace
+
+    def test_validate_reports_line_1(self, bad_trace):
+        rep = validate(bad_trace)
+        assert rep.errors and rep.errors[0][0] == 1
+        assert "bad header or catalog" in rep.errors[0][1]
+
+    @pytest.mark.parametrize("command", [["validate"], ["run", "--policy", "nocache"],
+                                         ["compare"]], ids=["validate", "run", "compare"])
+    def test_cli_exits_1(self, bad_trace, command, capsys):
+        extra = [] if command == ["validate"] else ["--seed", "1", "--out",
+                                                    str(bad_trace.parent)]
+        assert main(command + ["--trace", str(bad_trace)] + extra) == 1
+        err = capsys.readouterr().err
+        assert ":1: bad header or catalog" in err and "Traceback" not in err
+        assert not list(bad_trace.parent.glob("*.csv"))
+
+    @pytest.mark.parametrize("sizes, costs", [
+        ({0: 1.5}, None), ({0: 1}, {0: 2.5}), ({0: True}, None),
+        ({True: 1}, None), ({0: 1}, {0: True})],
+        ids=["float-size", "float-load-cost", "bool-size", "bool-id", "bool-load-cost"])
+    def test_from_sizes_rejects_non_int(self, sizes, costs):
+        with pytest.raises(ValueError, match="must be integers"):
+            ObjectCatalog.from_sizes(sizes, costs)
 
 
 class TestRegrain:
