@@ -8,8 +8,14 @@ have earned had they been resident, less one load cost. An exponentially
 smoothed forecast ranks objects at every window boundary and the cache is
 recomposed greedily from the top of the ranking.
 
-The `soptimal` yardstick plans with the same pieces (`WindowStats`,
-`window_benefits`, `fill`): one window over the whole trace, empty cache.
+The `soptimal` yardstick plans with the same pieces (`ShareTable`,
+`WindowStats`, `window_benefits`, `fill`): one window over the whole trace,
+empty cache.
+
+A query's split depends only on its object set, its cost and the catalog, so
+each run computes every distinct (object set, cost) split once, in a
+`ShareTable` that the run owns and that dies with it: regrained catalogs
+reuse object ids with other sizes, so no split outlives its run.
 
 Between boundaries the cache protocol is plain: fully resident and current
 enough answers at the cache, fully resident but stale ships the interacting
@@ -46,6 +52,24 @@ def proportional_shares(amount: int, sizes: list[tuple[ObjectId, int]]) -> dict[
     return shares
 
 
+class ShareTable:
+    """One run's splits: (object set, cost) -> the `(oid, share)` pairs of
+    `proportional_shares`, in sorted-oid order. Each distinct pair is split
+    once, on first use; the table belongs to one run over one catalog."""
+
+    def __init__(self, catalog: ObjectCatalog):
+        self.catalog = catalog
+        self.splits: dict[tuple[frozenset[ObjectId], int], tuple[tuple[ObjectId, int], ...]] = {}
+
+    def split(self, q: Query) -> tuple[tuple[ObjectId, int], ...]:
+        key = (q.objects, q.ship_cost)
+        pairs = self.splits.get(key)
+        if pairs is None:
+            sizes = [(oid, self.catalog.size(oid)) for oid in sorted(q.objects)]
+            pairs = self.splits[key] = tuple(proportional_shares(q.ship_cost, sizes).items())
+        return pairs
+
+
 @dataclass
 class WindowStats:
     """Per-object accruals inside one window. Non-resident objects carry
@@ -54,14 +78,16 @@ class WindowStats:
     saved: dict[ObjectId, int] = field(default_factory=dict)
     update_cost: dict[ObjectId, int] = field(default_factory=dict)
 
-    def add_query(self, q: Query, catalog: ObjectCatalog,
+    def add_query(self, q: Query, shares: ShareTable,
                   skip: Set[ObjectId] = frozenset()) -> None:
         """Credit every object the query accesses, except those in `skip`,
-        with its size-proportional share of the query's shipping cost."""
-        sizes = [(oid, catalog.size(oid)) for oid in sorted(q.objects)]
-        for oid, share in proportional_shares(q.ship_cost, sizes).items():
+        with its size-proportional share of the query's shipping cost. The
+        split comes from the run's `shares`, which computes each distinct
+        (object set, cost) split once per run."""
+        saved = self.saved
+        for oid, share in shares.split(q):
             if oid not in skip:
-                self.saved[oid] = self.saved.get(oid, 0) + share
+                saved[oid] = saved.get(oid, 0) + share
 
     def add_update_cost(self, oid: ObjectId, amount: int) -> None:
         self.update_cost[oid] = self.update_cost.get(oid, 0) + amount
@@ -118,17 +144,23 @@ def greedy_recompose(forecast: Forecast, cache: CacheState,
     return evictions + [Load(o) for o in selected if o not in cache.resident]
 
 
+def check_window(alpha: float, delta: int) -> None:
+    """Raise ValueError unless alpha is in [0,1] and delta is at least 1."""
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError("alpha must be in [0,1]")
+    if delta < 1:
+        raise ValueError("delta must be >= 1")
+
+
 class BenefitPolicy:
     def __init__(self, catalog: ObjectCatalog, cache: CacheState,
                  alpha: float = 0.5, delta: int = 1000):
-        if not 0.0 <= alpha <= 1.0:
-            raise ValueError("alpha must be in [0,1]")
-        if delta < 1:
-            raise ValueError("delta must be >= 1")
+        check_window(alpha, delta)
         self.catalog = catalog
         self.cache = cache
         self.forecast = Forecast(mu={oid: 0.0 for oid in catalog.ids()},
                                  alpha=alpha, delta=delta)
+        self.shares = ShareTable(catalog)
         self.stats = WindowStats()
         self.events_in_window = 0
 
@@ -149,9 +181,9 @@ class BenefitPolicy:
     def _route_query(self, q: Query) -> list[Decision]:
         resident = self.cache.resident
         if not q.objects <= resident:
-            self.stats.add_query(q, self.catalog, skip=resident)
+            self.stats.add_query(q, self.shares, skip=resident)
             return [ShipQuery(q.qid)]
-        self.stats.add_query(q, self.catalog)
+        self.stats.add_query(q, self.shares)
         ius = interacting_updates(q, self.cache, q.time)
         if not ius:
             return [AnswerFromCache(q.qid)]

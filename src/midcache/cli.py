@@ -14,7 +14,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import simharness, workload
+from . import benefit, simharness, workload
 from .simharness import POLICY_NAMES, RunConfig
 
 
@@ -44,6 +44,7 @@ def cmd_gen(args) -> int:
 def _run_config(args, policy: str) -> RunConfig:
     params = {}
     if policy == "benefit":
+        benefit.check_window(args.alpha, args.delta)
         params = {"alpha": args.alpha, "delta": args.delta}
     elif policy == "soptimal":
         params = {"mode": args.soptimal_mode}
@@ -80,6 +81,8 @@ def cmd_compare(args) -> int:
     grains = [int(g) for g in args.granularity.split(",")] if args.granularity else []
     if min(grains, default=1) < 1:
         raise ValueError("--granularity: object counts must be >= 1")
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     catalog, events = workload.load_trace(args.trace)
     if max(grains, default=0) > len(catalog):
         raise ValueError(f"--granularity: object counts must be <= {len(catalog)}")

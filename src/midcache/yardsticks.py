@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .benefit import WindowStats, fill, window_benefits
+from .benefit import ShareTable, WindowStats, fill, window_benefits
 from .core import (AnswerFromCache, CacheState, Decision, Event, Load,
                    ObjectCatalog, ObjectId, Query, ShipQuery, ShipUpdates,
                    Update, interacting_updates)
@@ -63,11 +63,13 @@ def plan_static_set(events: list[Event], catalog: ObjectCatalog,
     """One `benefit` window over the whole trace from an empty cache: every
     query credits its objects with their shares, every update charges its
     object, every object pays one load, and `fill` takes the positive scorers
-    greedily up to capacity. Greedy, so the set is not guaranteed optimal."""
+    greedily up to capacity. Greedy, so the set is not guaranteed optimal.
+    Each distinct (object set, cost) split is computed once, for this plan."""
+    shares = ShareTable(catalog)
     stats = WindowStats()
     for ev in events:
         if isinstance(ev, Query):
-            stats.add_query(ev, catalog)
+            stats.add_query(ev, shares)
         else:
             stats.add_update_cost(ev.object, ev.ship_cost)
     chosen = fill(window_benefits(stats, frozenset(), catalog), capacity, catalog)

@@ -1,9 +1,13 @@
 from hypothesis import given, strategies as st
 
-from midcache.benefit import (BenefitPolicy, Forecast, fill, greedy_recompose,
-                              proportional_shares)
+from midcache import benefit
+from midcache.benefit import (BenefitPolicy, Forecast, ShareTable, WindowStats,
+                              fill, greedy_recompose, proportional_shares)
 from midcache.core import (AnswerFromCache, CacheState, Evict, Load,
-                           ObjectCatalog, ShipQuery, ShipUpdates, apply)
+                           ObjectCatalog, Query, ShipQuery, ShipUpdates, apply)
+from midcache.simharness import RunConfig, run
+from midcache.workload import GeneratorParams, generate
+from midcache.yardsticks import plan_static_set
 from tests.conftest import mk_query, mk_update
 from tests.oracles import largest_remainder_shares
 
@@ -48,6 +52,76 @@ class TestShares:
     def test_matches_rational_largest_remainder(self, amount, sizes):
         pairs = list(enumerate(sizes))
         assert proportional_shares(amount, pairs) == largest_remainder_shares(amount, pairs)
+
+
+class TestShareTable:
+    @given(st.data())
+    def test_table_accrual_matches_fresh_splits(self, data):
+        # a few object sets repeat with fresh costs (zero included), small
+        # sizes give equal-size ties, and every query skips a random subset
+        n = data.draw(st.integers(1, 6))
+        catalog = ObjectCatalog.from_sizes({i: data.draw(st.integers(1, 4)) for i in range(n)})
+        oids = st.integers(0, n - 1)
+        object_sets = data.draw(st.lists(st.frozensets(oids, min_size=1), min_size=1, max_size=4))
+        costs = st.one_of(st.integers(0, 3), st.integers(0, 10**9))
+        shares, stats, expect = ShareTable(catalog), WindowStats(), {}
+        for i in range(1, data.draw(st.integers(1, 40)) + 1):
+            objects, cost = data.draw(st.sampled_from(object_sets)), data.draw(costs)
+            skip = data.draw(st.frozensets(oids))
+            q = mk_query(i, i, list(objects), cost)   # an equal set, not the same object
+            stats.add_query(q, shares, skip=skip)
+            fresh = proportional_shares(cost, [(o, catalog.size(o)) for o in sorted(objects)])
+            assert shares.split(q) == tuple(fresh.items())
+            for oid, share in fresh.items():
+                if oid not in skip:
+                    expect[oid] = expect.get(oid, 0) + share
+        assert stats.saved == expect
+
+    @staticmethod
+    def count_splits(monkeypatch):
+        calls = []
+
+        def counting(amount, sizes):
+            calls.append(amount)
+            return proportional_shares(amount, sizes)
+
+        monkeypatch.setattr(benefit, "proportional_shares", counting)
+        return calls
+
+    @staticmethod
+    def repeating_trace():
+        """A trace whose queries repeat (object set, cost) pairs, and the
+        number of distinct pairs."""
+        catalog, events = generate(GeneratorParams(
+            n_objects=8, n_queries=60, n_updates=60, query_hotspots=(1, 5),
+            update_hotspots=(2, 6), selectivity=0.2), seed=3)
+        pairs = {(ev.objects, ev.ship_cost) for ev in events if isinstance(ev, Query)}
+        assert len(pairs) < sum(isinstance(ev, Query) for ev in events)
+        return catalog, events, len(pairs)
+
+    # Each check runs twice in one process: a table kept across runs would
+    # split nothing the second time.
+
+    def test_one_split_per_distinct_pair_per_run(self, monkeypatch):
+        # many windows, so a table dropped at a roll would split pairs again
+        catalog, events, n_pairs = self.repeating_trace()
+        config = RunConfig(policy="benefit", seed=1, params={"delta": 10})
+        expected = run(events, catalog, config).ledger
+        calls = self.count_splits(monkeypatch)
+        for _ in range(2):
+            calls.clear()
+            assert run(events, catalog, config).ledger == expected
+            assert len(calls) == n_pairs
+
+    def test_one_split_per_distinct_pair_per_plan(self, monkeypatch):
+        catalog, events, n_pairs = self.repeating_trace()
+        capacity = catalog.total_size // 2
+        expected = plan_static_set(events, catalog, capacity)
+        calls = self.count_splits(monkeypatch)
+        for _ in range(2):
+            calls.clear()
+            assert plan_static_set(events, catalog, capacity) == expected
+            assert len(calls) == n_pairs
 
 
 class TestForecast:

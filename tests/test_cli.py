@@ -163,6 +163,20 @@ class TestBadOptions:
         assert err.startswith("error: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--policy", "benefit", "--alpha", "2"],
+        ["run", "--policy", "benefit", "--delta", "0"],
+        ["compare", "--jobs", "0"],
+        ["compare", "--policies", "vcover,benefit", "--alpha", "2"],
+    ], ids=["alpha", "delta", "jobs", "alpha-after-vcover"])
+    def test_bad_value_checked_before_the_trace(self, tmp_path, capsys, argv):
+        rc = main(argv + ["--trace", str(tmp_path / "missing.jsonl"),
+                          "--seed", "1", "--out", str(tmp_path / "bad")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
+
 
 class TestReport:
     def test_merges_summaries_to_csv(self, workspace, capsys):
@@ -221,8 +235,9 @@ class TestSweepRecipe:
         out = str(tmp_path / "grain")
         assert main(["gen", "--seed", "1", "--objects", "24", "--queries", "40",
                      "--updates", "40", "--out", out]) == 0
+        policies = ("vcover", "benefit", "soptimal")
         assert main(["compare", "--trace", f"{out}/trace.jsonl", "--seed", "1",
-                     "--granularity", "24,12,6", "--policies", "vcover",
+                     "--granularity", "24,12,6", "--policies", ",".join(policies),
                      "--out", out]) == 0
         rows = self.report_rows(capsys, *(f"{out}/compare-g{g}.json" for g in (24, 12, 6)))
         catalog, events = generate(dataclasses.replace(
@@ -230,8 +245,8 @@ class TestSweepRecipe:
         expect = []
         for g in (24, 12, 6):
             cat, evs = (catalog, events) if g == 24 else regrain(catalog, events, g)
-            expect.append((f"compare-g{g}", "vcover", run(evs, cat, RunConfig(
-                policy="vcover", seed=1, cache_frac=0.3)).ledger.total))
+            expect += [(f"compare-g{g}", p, run(evs, cat, RunConfig(
+                policy=p, seed=1, cache_frac=0.3)).ledger.total) for p in policies]
         assert [(r["label"], r["policy"], int(r["total"])) for r in rows] == expect
 
 
