@@ -31,8 +31,8 @@ def cmd_gen(args) -> int:
     n_objects = given.get("n_objects", workload.GeneratorParams.n_objects)
     params = dataclasses.replace(
         workload.GeneratorParams.scaled_hotspots(n_objects), **given)
-    catalog, events = workload.generate(params, args.seed)
     out = _out_dir(args)
+    catalog, events = workload.generate(params, args.seed)
     workload.write_catalog(catalog, out / "catalog.json")
     workload.write_trace(events, out / "trace.jsonl", catalog_ref="catalog.json",
                          meta=workload.params_meta(params, args.seed))
@@ -63,9 +63,9 @@ def _write_report(report, out: Path, stem: str, fmt: str) -> None:
 
 def cmd_run(args) -> int:
     config = _run_config(args, args.policy)
+    out = _out_dir(args)
     catalog, events = workload.load_trace(args.trace)
     report = simharness.run(events, catalog, config)
-    out = _out_dir(args)
     stem = f"run-{args.policy}-seed{args.seed}"
     _write_report(report, out, stem, args.format)
     f = report.ledger
@@ -81,19 +81,17 @@ def cmd_compare(args) -> int:
     grains = [int(g) for g in args.granularity.split(",")] if args.granularity else []
     if min(grains, default=1) < 1:
         raise ValueError("--granularity: object counts must be >= 1")
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
+    out = _out_dir(args)
     catalog, events = workload.load_trace(args.trace)
     if max(grains, default=0) > len(catalog):
         raise ValueError(f"--granularity: object counts must be <= {len(catalog)}")
-    out = _out_dir(args)
     for grain in grains or [None]:
         if grain is None:
             cat, evs, tag = catalog, events, "compare"
         else:
             cat, evs = workload.regrain(catalog, events, grain)
             tag = f"compare-g{grain}"
-        cmp_report = simharness.compare(evs, cat, configs, jobs=args.jobs)
+        cmp_report = simharness.compare(evs, cat, configs)
         _write_report(cmp_report, out, tag, args.format)
         for row in cmp_report.table():
             label = f"[{grain} objects] " if grain is not None else ""
@@ -190,7 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--granularity", default=None,
                    help="comma list of object counts; re-partitions the catalog "
                         "by merging contiguous id ranges")
-    c.add_argument("--jobs", type=int, default=1)
     add_run_flags(c)
     c.set_defaults(func=cmd_compare)
 
@@ -208,7 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one subcommand; an invalid trace exits 1, an audit failure, a bad
-    option value or an unreadable summary 2."""
+    option value, an unreadable summary or an output path that cannot be
+    written 2."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
@@ -218,7 +216,7 @@ def main(argv=None) -> int:
     except simharness.AuditError as exc:
         print(f"audit failure: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

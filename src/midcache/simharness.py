@@ -25,12 +25,6 @@ class AuditError(Exception):
     def __init__(self, seq: int, message: str):
         super().__init__(f"event {seq}: {message}")
         self.seq = seq
-        self.message = message
-
-    def __reduce__(self):
-        # Rebuild from both fields, so the error survives a trip through a
-        # worker process.
-        return AuditError, (self.seq, self.message)
 
 
 POLICY_NAMES = ("vcover", "benefit", "nocache", "replica", "soptimal")
@@ -259,22 +253,7 @@ class ComparisonReport:
         return buf.getvalue()
 
 
-def _run_one(args) -> RunReport:
-    events, catalog, config = args
-    return run(events, catalog, config)
-
-
 def compare(events: list[Event], catalog: ObjectCatalog,
-            configs: list[RunConfig], jobs: int = 1) -> ComparisonReport:
-    """Run several configs over the same trace. Runs share nothing mutable,
-    so they may execute in parallel worker processes without affecting
-    per-run determinism."""
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            runs = list(pool.map(_run_one, [(events, catalog, c) for c in configs]))
-    else:
-        runs = [run(events, catalog, c) for c in configs]
-    return ComparisonReport(runs)
+            configs: list[RunConfig]) -> ComparisonReport:
+    """Run several configs over the same trace, one after another."""
+    return ComparisonReport([run(events, catalog, c) for c in configs])

@@ -17,6 +17,7 @@ import gzip
 import json
 import math
 import random
+import zlib
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Iterator
@@ -154,9 +155,12 @@ def generate(params: GeneratorParams, seed: int) -> tuple[ObjectCatalog, list[Ev
 # ---------------------------------------------------------------- file I/O
 
 def _open(path: Path, mode: str):
-    if str(path).endswith(".gz"):
-        return gzip.open(path, mode + "t", encoding="utf-8")
-    return open(path, mode, encoding="utf-8")
+    """Open as UTF-8 text ("r", "w") or as bytes ("rb"), through gzip when
+    the path ends in `.gz`."""
+    opener = gzip.open if str(path).endswith(".gz") else open
+    if mode.endswith("b"):
+        return opener(path, mode)
+    return opener(path, mode + "t", encoding="utf-8")
 
 
 def write_catalog(catalog: ObjectCatalog, path) -> None:
@@ -241,65 +245,75 @@ def _read(path, rep: ValidationReport) -> tuple[ObjectCatalog | None, Iterator[E
     """The one trace reader: it reads the header and the catalog it names
     (relative to the trace file), then returns an iterator that parses the
     events in one pass and adds every (line, message) error to `rep`: per-line
-    schema, integer fields, non-negative costs and tolerances, duplicate ids,
-    time order, unknown objects. Events get 1-based sequence numbers."""
+    UTF-8 and schema, integer fields, non-negative costs and tolerances,
+    duplicate ids, time order, unknown objects. A file that cannot be read to
+    its end (truncated or corrupt gzip data, an I/O error) adds one error for
+    the line where reading stopped and ends the stream there. Events get
+    1-based sequence numbers."""
     path = Path(path)
 
     def fail(line: int, msg: str) -> None:
         rep.errors.append((line, msg))
 
     try:
-        with _open(path, "r") as fh:
-            header = json.loads(fh.readline())
+        with _open(path, "rb") as fh:
+            header = json.loads(fh.readline().decode())
         if header.get("schema") != TRACE_SCHEMA:
             raise TraceError(f"unexpected trace schema {header.get('schema')!r}")
         catalog = read_catalog(path.parent / header["catalog"])
-    except (TraceError, OSError, KeyError, ValueError, TypeError, AttributeError) as exc:
+    except (TraceError, OSError, EOFError, zlib.error, KeyError, ValueError,
+            TypeError, AttributeError) as exc:
         fail(1, f"bad header or catalog: {exc}")
         return None, iter(())
 
     def events() -> Iterator[Event]:
         last_time = -math.inf
         n_records = 0
+        line_no = 0                 # the last line read whole
         seen_ids: dict[str, set[int]] = {"query": set(), "update": set()}
-        with _open(path, "r") as fh:
-            fh.readline()
-            for line_no, line in enumerate(fh, start=2):
-                if not line.strip():
-                    continue
-                n_records += 1
-                try:
-                    ev = _event_from_json(json.loads(line), line_no - 1)
-                except json.JSONDecodeError as exc:
-                    fail(line_no, f"malformed JSON: {exc}")
-                    continue
-                except (TraceError, KeyError, AttributeError, TypeError) as exc:
-                    fail(line_no, f"bad event record: {exc}")
-                    continue
-                if isinstance(ev, Query):
-                    rep.n_queries += 1
-                    kind, eid = "query", ev.qid
-                    if not ev.objects:
-                        fail(line_no, f"query {eid} accesses no objects")
-                    # difference() with a dict probes only the query's objects
-                    for oid in sorted(ev.objects.difference(catalog.entries)):
-                        fail(line_no, f"query {eid} references unknown object {oid}")
-                    if ev.tolerance < 0:
-                        fail(line_no, f"query {eid} has negative tolerance")
-                else:
-                    rep.n_updates += 1
-                    kind, eid = "update", ev.uid
-                    if ev.object not in catalog.entries:
-                        fail(line_no, f"update {eid} references unknown object {ev.object}")
-                if ev.ship_cost < 0:
-                    fail(line_no, f"{kind} {eid} has negative cost {ev.ship_cost}")
-                if eid in seen_ids[kind]:
-                    fail(line_no, f"duplicate {kind} id {eid}")
-                seen_ids[kind].add(eid)
-                if ev.time < last_time:
-                    fail(line_no, f"events out of order: time {ev.time} after {last_time}")
-                last_time = ev.time
-                yield ev
+        try:
+            with _open(path, "rb") as fh:
+                fh.readline()
+                line_no = 1
+                for line_no, line in enumerate(fh, start=2):
+                    if not line.strip():
+                        continue
+                    n_records += 1
+                    try:
+                        ev = _event_from_json(json.loads(line.decode()), line_no - 1)
+                    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                        fail(line_no, f"malformed JSON: {exc}")
+                        continue
+                    except (TraceError, KeyError, AttributeError, TypeError) as exc:
+                        fail(line_no, f"bad event record: {exc}")
+                        continue
+                    if isinstance(ev, Query):
+                        rep.n_queries += 1
+                        kind, eid = "query", ev.qid
+                        if not ev.objects:
+                            fail(line_no, f"query {eid} accesses no objects")
+                        # difference() with a dict probes only the query's objects
+                        for oid in sorted(ev.objects.difference(catalog.entries)):
+                            fail(line_no, f"query {eid} references unknown object {oid}")
+                        if ev.tolerance < 0:
+                            fail(line_no, f"query {eid} has negative tolerance")
+                    else:
+                        rep.n_updates += 1
+                        kind, eid = "update", ev.uid
+                        if ev.object not in catalog.entries:
+                            fail(line_no, f"update {eid} references unknown object {ev.object}")
+                    if ev.ship_cost < 0:
+                        fail(line_no, f"{kind} {eid} has negative cost {ev.ship_cost}")
+                    if eid in seen_ids[kind]:
+                        fail(line_no, f"duplicate {kind} id {eid}")
+                    seen_ids[kind].add(eid)
+                    if ev.time < last_time:
+                        fail(line_no, f"events out of order: time {ev.time} after {last_time}")
+                    last_time = ev.time
+                    yield ev
+        except (OSError, EOFError, zlib.error) as exc:
+            fail(line_no + 1, f"unreadable trace: {exc}")
+            return
         declared = header.get("n_events")
         if declared is not None and declared != n_records:
             fail(1, f"header declares {declared} events, file has {n_records}")

@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 from midcache.cli import main
-from midcache.simharness import POLICY_NAMES, RunConfig, run
-from midcache.workload import GeneratorParams, generate, regrain
+from midcache.simharness import POLICY_NAMES, ComparisonReport, RunConfig, run
+from midcache.workload import GeneratorParams, generate, load_trace, regrain
 from tests.conftest import DATA_DIR
 
 
@@ -145,13 +145,12 @@ class TestBadOptions:
         ["run", "--policy", "vcover", "--cache-frac", "2"],
         ["run", "--policy", "benefit", "--alpha", "2"],
         ["compare", "--granularity", "0"],
-        ["compare", "--jobs", "0"],
         ["compare", "--policies", ","],
         ["gen", "--objects", "0"],
         ["gen", "--interarrival-us", "0"],
         ["gen", "--queries", "-5"],
         ["gen", "--updates", "-1"],
-    ], ids=["cache-frac", "alpha", "granularity", "jobs", "no-policies", "objects",
+    ], ids=["cache-frac", "alpha", "granularity", "no-policies", "objects",
             "interarrival-us", "queries", "updates"])
     def test_bad_value_exits_2_with_one_line(self, workspace, capsys, argv):
         if argv[0] != "gen":
@@ -166,9 +165,8 @@ class TestBadOptions:
     @pytest.mark.parametrize("argv", [
         ["run", "--policy", "benefit", "--alpha", "2"],
         ["run", "--policy", "benefit", "--delta", "0"],
-        ["compare", "--jobs", "0"],
         ["compare", "--policies", "vcover,benefit", "--alpha", "2"],
-    ], ids=["alpha", "delta", "jobs", "alpha-after-vcover"])
+    ], ids=["alpha", "delta", "alpha-after-vcover"])
     def test_bad_value_checked_before_the_trace(self, tmp_path, capsys, argv):
         rc = main(argv + ["--trace", str(tmp_path / "missing.jsonl"),
                           "--seed", "1", "--out", str(tmp_path / "bad")])
@@ -176,6 +174,85 @@ class TestBadOptions:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["gen", "run", "compare", "report"])
+    def test_unwritable_output_exits_2_with_one_line(self, workspace, capsys, command):
+        trace = workspace / "trace.jsonl"     # an existing file, not a directory
+        if command == "report":
+            assert main(["run", "--policy", "nocache", "--trace", str(trace),
+                         "--seed", "1", "--format", "json", "--out", str(workspace)]) == 0
+        argv = {"gen": ["gen", "--seed", "1", "--objects", "6", "--out", str(trace / "x")],
+                "run": ["run", "--policy", "nocache", "--trace", str(trace),
+                        "--seed", "1", "--out", str(trace)],
+                "compare": ["compare", "--trace", str(trace), "--seed", "1",
+                            "--out", str(trace)],
+                "report": ["report", str(workspace / "run-nocache-seed1.json"),
+                           "--out-file", str(workspace / "missing" / "x.csv")]}[command]
+        capsys.readouterr()
+        rc = main(argv)
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
+
+class TestRunFlags:
+    """Each replay flag reaches the runs: `run` and `compare` write the
+    summary and series that a direct `run()` with the matching `RunConfig`
+    gives, and `--format` writes only the file it names."""
+
+    COMPARED = ("vcover", "benefit", "soptimal")
+    DEFAULT_PARAMS = {"benefit": {"alpha": 0.5, "delta": 1000},
+                      "soptimal": {"mode": "eager"}}
+    # name -> (policy for `run`, flags, RunConfig fields, policy params); each
+    # value differs from its default and changes the result on the trace below.
+    CASES = {"cache-bytes": ("vcover", ["--cache-bytes", "1000000000"],
+                             {"cache_bytes": 1_000_000_000}, {}),
+             "stride": ("vcover", ["--stride", "7"], {"sample_stride": 7}, {}),
+             "soptimal-lazy": ("soptimal", ["--soptimal-mode", "lazy"], {}, {"mode": "lazy"}),
+             "alpha": ("benefit", ["--alpha", "0.9"], {}, {"alpha": 0.9}),
+             "delta": ("benefit", ["--delta", "250"], {}, {"delta": 250})}
+
+    @pytest.fixture(scope="class")
+    def trace(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("flags")
+        assert main(["gen", "--objects", "12", "--queries", "1200", "--updates", "1200",
+                     "--seed", "7", "--out", str(out)]) == 0
+        return out / "trace.jsonl"
+
+    def runs(self, trace, policies, fields, params) -> list:
+        catalog, events = load_trace(trace)
+        return [run(events, catalog, RunConfig(
+                    policy=p, seed=1, **fields,
+                    params={k: params.get(k, v)
+                            for k, v in self.DEFAULT_PARAMS.get(p, {}).items()}))
+                for p in policies]
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_flag_matches_direct_run(self, trace, tmp_path, case, command):
+        policy, flags, fields, params = self.CASES[case]
+        policies = [policy] if command == "run" else self.COMPARED
+        runs = self.runs(trace, policies, fields, params)
+
+        def outcome(reports):
+            return [({k: v for k, v in r.summary().items() if k != "config"}, r.series)
+                    for r in reports]
+        assert outcome(runs) != outcome(self.runs(trace, policies, {}, {}))
+
+        if command == "run":
+            argv, stem, expect = ["run", "--policy", policy], f"run-{policy}-seed1", runs[0]
+        else:
+            argv, stem = ["compare", "--policies", ",".join(policies)], "compare"
+            expect = ComparisonReport(runs)
+        for fmt, text in (("json", expect.summary_json()), ("csv", expect.series_csv())):
+            out = tmp_path / fmt
+            assert main(argv + flags + ["--trace", str(trace), "--seed", "1",
+                                        "--format", fmt, "--out", str(out)]) == 0
+            assert [f.name for f in out.iterdir()] == [f"{stem}.{fmt}"]
+            assert (out / f"{stem}.{fmt}").read_text() == text
 
 
 class TestReport:

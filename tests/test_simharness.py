@@ -160,14 +160,6 @@ class TestAudit:
         finally:
             sh.make_policy = orig
 
-    def test_audit_error_survives_pickling(self):
-        # compare(..., jobs>1) sends a worker's AuditError back by pickle.
-        import pickle
-        err = pickle.loads(pickle.dumps(AuditError(3, "boom")))
-        assert isinstance(err, AuditError)
-        assert err.seq == 3
-        assert str(err) == "event 3: boom"
-
     def test_every_policy_replayable(self):
         params = GeneratorParams(n_objects=8, n_queries=50, n_updates=50,
                                  query_hotspots=(1, 2), update_hotspots=(5, 6))
@@ -289,13 +281,3 @@ class TestCompare:
             ["vcover", "benefit", "nocache", "replica", "soptimal"]
         assert rep.series_csv().splitlines()[0] == \
             "policy,seq,query_ship,update_ship,load,total,occupancy"
-
-    def test_parallel_jobs_match_sequential(self):
-        params = GeneratorParams(n_objects=6, n_queries=30, n_updates=30,
-                                 query_hotspots=(1,), update_hotspots=(4,))
-        catalog, events = generate(params, seed=9)
-        configs = [RunConfig(policy=p, seed=9, cache_frac=0.4)
-                   for p in ("vcover", "nocache", "replica")]
-        seq = compare(events, catalog, configs, jobs=1)
-        par = compare(events, catalog, configs, jobs=3)
-        assert seq.summary_json() == par.summary_json()

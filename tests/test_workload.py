@@ -1,6 +1,7 @@
 import dataclasses
 import gzip
 import json
+import zlib
 from collections import Counter
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from midcache.cli import main
 from midcache.core import ObjectCatalog, Query, Update
 from midcache.simharness import RunConfig, run
-from midcache.workload import (GeneratorParams, generate, load_trace,
+from midcache.workload import (GeneratorParams, TraceError, generate, load_trace,
                                params_meta, read_catalog, regrain, validate,
                                write_catalog, write_trace)
 from tests.conftest import DATA_DIR
@@ -201,6 +202,75 @@ class TestCatalogContract:
     def test_from_sizes_rejects_non_int(self, sizes, costs):
         with pytest.raises(ValueError, match="must be integers"):
             ObjectCatalog.from_sizes(sizes, costs)
+
+
+class TestUnreadableTrace:
+    """A trace that cannot be read to its end, or holds bytes that are not
+    UTF-8, is an invalid trace: every reader path names the line where
+    reading stopped or the bad byte sits, and raises nothing else."""
+
+    @staticmethod
+    def gzip_cut(data: bytes, n: int) -> bytes:
+        """The gzip stream of `data`, cut right after its first `n` bytes
+        (a full flush there, then no end-of-stream marker)."""
+        c = zlib.compressobj(wbits=31)
+        return c.compress(data[:n]) + c.flush(zlib.Z_FULL_FLUSH)
+
+    @staticmethod
+    def with_bad_byte(lines: list[bytes], index: int) -> bytes:
+        lines = list(lines)
+        lines[index] = lines[index][:10] + b"\xff" + lines[index][10:]
+        return b"".join(lines)
+
+    @pytest.fixture(params=["truncated-mid-stream", "corrupt-header-block",
+                            "truncated-header-block", "bad-byte-early", "bad-byte-late"])
+    def probe(self, request, tmp_path):
+        """(trace path, line its first error must name)"""
+        params = GeneratorParams(n_objects=8, n_queries=300, n_updates=300,
+                                 query_hotspots=(1,), update_hotspots=(5,))
+        catalog, events = generate(params, seed=3)
+        write_catalog(catalog, tmp_path / "catalog.json")
+        write_trace(events, tmp_path / "whole.jsonl")
+        data = (tmp_path / "whole.jsonl").read_bytes()
+        lines = data.splitlines(keepends=True)
+        kind = request.param
+        if kind == "truncated-mid-stream":
+            line, content = 282, self.gzip_cut(data, len(b"".join(lines[:281])))
+        elif kind == "corrupt-header-block":
+            # A first deflate byte of 0xff declares the reserved block type.
+            line, content = 1, gzip.compress(data)[:10] + b"\xff" + bytes(64)
+        elif kind == "truncated-header-block":
+            line, content = 1, self.gzip_cut(data, 20)
+        elif kind == "bad-byte-early":
+            assert len(b"".join(lines[:6])) < 8192
+            line, content = 6, self.with_bad_byte(lines, 5)
+        else:
+            assert len(b"".join(lines[:500])) > 8192
+            line, content = 501, self.with_bad_byte(lines, 500)
+        trace = tmp_path / ("trace.jsonl" if kind.startswith("bad-byte") else "trace.jsonl.gz")
+        trace.write_bytes(content)
+        return trace, line
+
+    def test_validate_names_the_line(self, probe):
+        trace, line = probe
+        rep = validate(trace)
+        assert rep.errors[0][0] == line
+
+    def test_load_trace_raises_naming_the_line(self, probe):
+        trace, line = probe
+        with pytest.raises(TraceError) as exc:
+            load_trace(trace)
+        assert str(exc.value).startswith(f"{trace}:{line}: ")
+
+    def test_run_exits_1_with_one_line(self, probe, capsys):
+        trace, line = probe
+        rc = main(["run", "--policy", "nocache", "--trace", str(trace),
+                   "--seed", "1", "--out", str(trace.parent)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.rstrip("\n")]
+        assert err.startswith(f"invalid trace: {trace}:{line}: ")
+        assert "Traceback" not in err
 
 
 class TestRegrain:
