@@ -35,10 +35,9 @@ from .core import (AnswerFromCache, CacheState, Decision, Evict, Load,
 def proportional_shares(amount: int, sizes: list[tuple[ObjectId, int]]) -> dict[ObjectId, int]:
     """Split an integer amount across objects in proportion to size, exactly:
     floor each share, then hand the leftover units out by largest remainder
-    (ties to the smaller object id). Integer arithmetic throughout."""
+    (ties to the smaller object id). Integer arithmetic throughout. Sizes are
+    positive and the list non-empty, as for every query's objects."""
     total = sum(s for _, s in sizes)
-    if total <= 0:
-        return {oid: 0 for oid, _ in sizes}
     shares: dict[ObjectId, int] = {}
     remainders: list[tuple[int, ObjectId]] = []
     for oid, s in sizes:

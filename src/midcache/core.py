@@ -3,7 +3,10 @@ and the traffic ledger.
 
 All byte quantities are 64-bit ints (1 GB == 10**9 bytes in traces) and all
 timestamps are integer microseconds; ties in the trace are broken by sequence
-number. Keeping everything integral makes ledgers exact and runs replayable.
+number. Keeping everything integral makes ledgers exact and runs replayable,
+so `Query` and `Update` check when built that every field and object id is
+of type `int` exactly (no bools or floats), that costs and tolerances are
+non-negative, and that a query's objects are a non-empty frozenset.
 """
 
 from __future__ import annotations
@@ -102,6 +105,11 @@ class Update:
     ship_cost: int
     seq: int = 0
 
+    def __post_init__(self):
+        if not (type(self.uid) is type(self.time) is type(self.object)
+                is type(self.ship_cost) is type(self.seq) is int and self.ship_cost >= 0):
+            raise ValueError(_field_error(self))
+
 
 @dataclass(frozen=True)
 class Query:
@@ -112,8 +120,33 @@ class Query:
     tolerance: int = 0
     seq: int = 0
 
+    def __post_init__(self):
+        objects = self.objects
+        if not (type(self.qid) is type(self.time) is type(self.ship_cost)
+                is type(self.tolerance) is type(self.seq) is int
+                and self.ship_cost >= 0 and self.tolerance >= 0
+                and type(objects) is frozenset and objects
+                and all(type(o) is int for o in objects)):
+            raise ValueError(_field_error(self))
+
 
 Event = Query | Update
+
+
+def _field_error(ev: Event) -> str:
+    """The first field rule `ev` breaks, worded as `validate` reports it."""
+    q = isinstance(ev, Query)
+    kind, eid, objects = ("query", ev.qid, ev.objects) if q else ("update", ev.uid, (ev.object,))
+    if q and type(objects) is not frozenset:
+        return f"query {eid}: objects must be a frozenset, not {type(objects).__name__}"
+    fields = (eid, ev.time, ev.ship_cost, ev.seq, getattr(ev, "tolerance", 0), *objects)
+    if not all(type(v) is int for v in fields):
+        return f"{kind} record has a non-integer field"
+    if not objects:
+        return f"query {eid} accesses no objects"
+    if ev.ship_cost < 0:
+        return f"{kind} {eid} has negative cost {ev.ship_cost}"
+    return f"query {eid} has negative tolerance"
 
 
 # Decisions emitted by policies. Applying them in order to a CacheState must
@@ -223,8 +256,6 @@ def apply(cache: CacheState, d: Decision) -> None:
     if isinstance(d, (ShipQuery, AnswerFromCache)):
         return
     if isinstance(d, Load):
-        if d.oid not in cache.catalog:
-            raise UnknownObject(f"cannot load unknown object {d.oid}")
         if d.oid in cache.resident:
             raise CacheError(f"object {d.oid} is already resident")
         size = cache.catalog.size(d.oid)

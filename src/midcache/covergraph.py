@@ -72,7 +72,6 @@ class FlowState:
 class CoverResult:
     cover_queries: frozenset[int]
     cover_updates: frozenset[int]
-    weight: int
 
 
 class InteractionGraph:
@@ -277,9 +276,7 @@ def min_weight_cover(g: InteractionGraph, prior: FlowState | None = None
         fs.augmentations += 1
     cover_u = frozenset(u for u in updates if u not in reached_u)
     cover_q = frozenset(q for q in g.query_weight if q in reached_q or q not in queries)
-    weight = (sum(g.update_weight[u] for u in cover_u)
-              + sum(g.query_weight[q] for q in cover_q))
-    cover = CoverResult(cover_q, cover_u, weight)
+    cover = CoverResult(cover_q, cover_u)
     fs.last_cover = (_marks(g), cover, queries)
     return cover, fs
 

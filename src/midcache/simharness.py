@@ -124,17 +124,21 @@ def run(events: list[Event], catalog: ObjectCatalog, config: RunConfig) -> RunRe
     """Replay the trace under one policy. Raises AuditError (with the event
     index) if any decision breaks capacity, freshness, or the staleness
     contract of a cache-answered query, or if the capacity counter disagrees
-    with the resident set at the end of the run. Raises ValueError, before
-    any policy is built, if an event's `seq` is not above the previous
-    event's (the first must be above 0) or a query accesses no objects."""
-    last_seq = 0
+    with the resident set at the end of the run. Events check their own
+    fields when built; run() re-checks only their order, before any policy
+    is built, and raises ValueError if an event's `seq` is not above the
+    previous event's (the first must be above 0) or its time is before the
+    previous event's. Duplicate ids and catalog membership are checked only
+    by `load_trace` and `validate`."""
+    last_seq, last_time = 0, float("-inf")
     for i, ev in enumerate(events):
         if ev.seq <= last_seq:
             raise ValueError(f"event {i + 1}: seq {ev.seq} is not above "
                              f"the previous seq {last_seq}")
-        last_seq = ev.seq
-        if isinstance(ev, Query) and not ev.objects:
-            raise ValueError(f"event {ev.seq}: query {ev.qid} accesses no objects")
+        if ev.time < last_time:
+            raise ValueError(f"event {i + 1}: time {ev.time} is before "
+                             f"the previous time {last_time}")
+        last_seq, last_time = ev.seq, ev.time
     cache = CacheState(config.capacity(catalog), catalog)
     policy = make_policy(config, catalog, cache, events)
     initial_resident = sorted(cache.resident)

@@ -93,6 +93,13 @@ def check_flow(g, fs) -> None:
         assert into == fs.flow_qt.get(qid, 0), f"query {qid}: conservation violated"
 
 
+def cover_weight(g, cover) -> int:
+    """Summed node weights of `cover` on `g`; take it before any prune drops
+    the covered nodes."""
+    return (sum(g.update_weight[u] for u in cover.cover_updates)
+            + sum(g.query_weight[q] for q in cover.cover_queries))
+
+
 def check_cover(g, cover) -> None:
     """Assert `cover` leaves no edge of `g` uncovered."""
     for uid, qid in graph_edges(g):
@@ -263,3 +270,16 @@ def largest_remainder_shares(amount: int, sizes: list[tuple[int, int]]) -> dict[
     for oid in by_fraction[:amount - sum(out.values())]:
         out[oid] += 1
     return out
+
+
+def event_fields_ok(fields: dict) -> bool:
+    """Whether `Query(**fields)` (with an `objects` key) or `Update(**fields)` may
+    be built: every scalar field and object id a true `int` (a bool is not),
+    a query's objects a non-empty frozenset, cost and tolerance at least 0."""
+    objects = fields.get("objects", frozenset({0}))
+    if not isinstance(objects, frozenset) or not objects:
+        return False
+    scalars = [v for k, v in fields.items() if k != "objects"]
+    if any(isinstance(v, bool) or not isinstance(v, int) for v in scalars + list(objects)):
+        return False
+    return fields["ship_cost"] >= 0 and fields.get("tolerance", 0) >= 0

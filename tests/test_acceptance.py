@@ -14,7 +14,7 @@ from midcache.loadmgr import GdsState, gds_lazy_apply, offer
 from midcache.simharness import RunConfig, run
 from midcache.workload import GeneratorParams, generate, load_trace
 from tests.conftest import DATA_DIR, GB, mk_query, mk_update
-from tests.oracles import (brute_force_cover_weight, enumerate_plan_costs,
+from tests.oracles import (brute_force_cover_weight, cover_weight, enumerate_plan_costs,
                            static_set_replay_cost)
 from tests.test_covergraph import build, random_graph
 
@@ -33,7 +33,7 @@ def test_c01_cover_oracle_equivalence():
         uw, qw, edges = random_graph(rng, max_side=4, max_w=10)
         g = build(uw, qw, edges)
         cover, _ = min_weight_cover(g)
-        if cover.weight != brute_force_cover_weight(uw, qw, edges):
+        if cover_weight(g, cover) != brute_force_cover_weight(uw, qw, edges):
             bad += 1
     report(1, "cover weight equals exhaustive minimum on <=4+4 graphs",
            bad == 0, f" ({cases} cases, {bad} mismatches, {time.time()-t0:.1f}s)")
@@ -61,13 +61,13 @@ def test_c02_incremental_equals_from_scratch():
             else:
                 cover, fs = min_weight_cover(g, fs)
                 scratch, _ = min_weight_cover(g, FlowState())
-                if cover.weight != scratch.weight:
+                if cover_weight(g, cover) != cover_weight(g, scratch):
                     mismatches += 1
                 if rng.random() < 0.5:
                     prune_remainder(g, cover, fs)
         cover, fs = min_weight_cover(g, fs)
         scratch, _ = min_weight_cover(g, FlowState())
-        if cover.weight != scratch.weight:
+        if cover_weight(g, cover) != cover_weight(g, scratch):
             mismatches += 1
     report(2, "interleaved incremental covers equal from-scratch recomputation",
            mismatches == 0, f" (1000 sequences, {time.time()-t0:.1f}s)")

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -6,12 +7,12 @@ from hypothesis import given, settings, strategies as st
 from midcache.core import (AnswerFromCache, CacheError, CacheState,
                            CapacityExceeded, CostContext, Evict, Load,
                            NonResident,
-                           NotOutstanding, ObjectCatalog, ShipQuery,
-                           ShipUpdates, TrafficLedger, UnknownObject, apply,
+                           NotOutstanding, ObjectCatalog, Query, ShipQuery,
+                           ShipUpdates, TrafficLedger, UnknownObject, Update, apply,
                            check_capacity, check_freshness,
                            interacting_updates, record)
 from tests.conftest import GB, SEC, mk_query, mk_update
-from tests.oracles import loop_check_freshness, loop_interacting_updates
+from tests.oracles import event_fields_ok, loop_check_freshness, loop_interacting_updates
 
 
 def make_cache(catalog, capacity, resident=()):
@@ -274,3 +275,66 @@ class TestFastPaths:
         assert interacting_updates(mk_query(3, 5, {0, 1}, 1), cache, 5) == [
             cache.outstanding[1][0]]
         check_freshness(cache)
+
+
+class TestEventFields:
+    """`Query` and `Update` refuse to be built with a field that breaks the
+    trace contract, so no caller can replay one."""
+
+    ODD = st.one_of(st.integers(-3, -1), st.booleans(), st.floats(), st.text(max_size=2))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_built_exactly_when_the_oracle_accepts(self, data):
+        # Up to two fields take odd values (a negative int, a bool, a float
+        # or a string); every other field is a small non-negative int.
+        if data.draw(st.booleans(), label="query"):
+            kind, names = Query, ("qid", "time", "ship_cost", "tolerance", "seq", "objects")
+        else:
+            kind, names = Update, ("uid", "time", "object", "ship_cost", "seq")
+        odd = data.draw(st.sets(st.sampled_from(names), max_size=2), label="odd fields")
+
+        def value(name):
+            return data.draw(self.ODD if name in odd else st.integers(0, 9), label=name)
+
+        fields = {name: value(name) for name in names if name != "objects"}
+        if kind is Query:
+            ids = [value("objects") for _ in range(data.draw(st.integers(0, 3)))]
+            container = data.draw(st.sampled_from([frozenset] * 5 + [set]), label="container")
+            fields["objects"] = container(ids)
+        if event_fields_ok(fields):
+            assert dataclasses.asdict(kind(**fields)) == fields
+        else:
+            with pytest.raises(ValueError):
+                kind(**fields)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Query(qid=1, time=5, objects=frozenset({0}), ship_cost=1.5, seq=1),
+         "query record has a non-integer field"),
+        (lambda: Update(uid=2, time=3, object=0, ship_cost=-3, seq=2),
+         "update 2 has negative cost -3"),
+        (lambda: Query(qid=3, time=1, objects=frozenset({0}), ship_cost=-7, tolerance=-1,
+                       seq=3),
+         "query 3 has negative cost -7"),
+    ], ids=["float-cost", "negative-update-cost", "negative-query-cost"])
+    def test_run_contract_example_fails_when_built(self, build, message):
+        # Each event of a list that run() used to replay to a ledger total
+        # of -5.5 B now fails on its own, before any run.
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"objects": frozenset()}, "query 2 accesses no objects"),
+        ({"objects": {0}}, "query 2: objects must be a frozenset, not set"),
+        ({"objects": frozenset({0, "1"})}, "query record has a non-integer field"),
+        ({"qid": True}, "query record has a non-integer field"),
+        ({"tolerance": -1}, "query 2 has negative tolerance"),
+    ], ids=["no-objects", "set", "string-object-id", "bool-id", "negative-tolerance"])
+    def test_query_rejected_when_built(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Query(**{"qid": 2, "time": 2, "objects": frozenset({0}), "ship_cost": 7,
+                     "seq": 4, **fields})
+
+    def test_zero_costs_and_tolerance_are_valid(self):
+        assert Query(qid=1, time=0, objects=frozenset({0}), ship_cost=0).tolerance == 0
+        assert Update(uid=1, time=0, object=0, ship_cost=0).ship_cost == 0

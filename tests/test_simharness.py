@@ -4,6 +4,7 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from midcache import simharness
 from midcache.core import AnswerFromCache, ObjectCatalog, Query, ShipQuery
 from midcache.simharness import (POLICY_NAMES, AuditError, RunConfig, compare,
                                  replay_decisions, run)
@@ -237,14 +238,6 @@ class TestInputContract:
 
 
     @pytest.mark.parametrize("policy", POLICY_NAMES)
-    def test_query_without_objects_rejected_before_any_policy(self, small_catalog, policy):
-        # `validate` rejects such a query; a library caller gets the same
-        # rule from run(), whatever the policy would have charged for it.
-        events = [mk_query(1, 1, {0}, 5), mk_query(2, 2, set(), 7, seq=4)]
-        with pytest.raises(ValueError, match=r"^event 4: query 2 accesses no objects$"):
-            run(events, small_catalog, RunConfig(policy=policy, seed=0))
-
-    @pytest.mark.parametrize("policy", POLICY_NAMES)
     @pytest.mark.parametrize("seqs, message", [
         ((1, 1), "event 2: seq 1 is not above the previous seq 1"),
         ((2, 1), "event 2: seq 1 is not above the previous seq 2"),
@@ -257,6 +250,20 @@ class TestInputContract:
         events = [Query(qid=1, time=1, objects=frozenset({0}), ship_cost=7, seq=seqs[0]),
                   mk_query(2, 2, {1}, 5, seq=seqs[1])]
         with pytest.raises(ValueError, match=f"^{message}$"):
+            run(events, small_catalog, RunConfig(policy=policy, seed=0))
+
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    def test_time_running_backwards_rejected_before_any_policy(self, small_catalog, policy,
+                                                               monkeypatch):
+        # `validate` rejects a trace whose time falls; a library caller gets
+        # the same rule from run(), and equal times stay allowed.
+        def no_policy(*args):
+            raise AssertionError("a policy was built")
+
+        monkeypatch.setattr(simharness, "make_policy", no_policy)
+        events = [mk_query(1, 5, {0}, 7), mk_update(2, 5, 0, 3), mk_query(3, 4, {1}, 5)]
+        with pytest.raises(ValueError,
+                           match=r"^event 3: time 4 is before the previous time 5$"):
             run(events, small_catalog, RunConfig(policy=policy, seed=0))
 
 

@@ -9,8 +9,8 @@ from midcache.simharness import RunConfig, replay_decisions, run
 from midcache.vcover import VCoverPolicy
 from midcache.workload import GeneratorParams, generate
 from tests.conftest import GB, SEC, mk_query, mk_update
-from tests.oracles import (brute_force_canonical_cover, check_flow, enumerate_plan_costs,
-                           graph_edges)
+from tests.oracles import (brute_force_canonical_cover, check_flow, cover_weight,
+                           enumerate_plan_costs, graph_edges)
 
 
 def policy_with_cache(catalog, capacity, resident=(), seed=0):
@@ -303,7 +303,7 @@ class TestCanonicalCover:
                                                      dict(g.query_weight), graph_edges(g))
             cover, fs = real_mwc(g, prior)
             if small:
-                assert (cover.cover_queries, cover.cover_updates, cover.weight) == expect
+                assert (cover.cover_queries, cover.cover_updates, cover_weight(g, cover)) == expect
                 checked.append(cover)
             return cover, fs
 

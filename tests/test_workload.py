@@ -155,6 +155,36 @@ class TestTraceIO:
             assert report.ledger.total >= 0
 
 
+class TestEventFieldsInTraces:
+    """A record that `Query`/`Update` refuse to build is reported on its own
+    line, and the lines around it still read."""
+
+    QUERY = {"kind": "query", "id": 5, "time": 20, "objects": [1], "cost": 4, "tolerance": 0}
+    UPDATE = {"kind": "update", "id": 6, "time": 20, "object": 1, "cost": 3}
+
+    @pytest.mark.parametrize("record, message", [
+        ({**UPDATE, "cost": True}, "update record has a non-integer field"),
+        ({**QUERY, "cost": 1.5}, "query record has a non-integer field"),
+        ({**QUERY, "objects": [1, "2"]}, "query record has a non-integer field"),
+        ({**QUERY, "objects": []}, "query 5 accesses no objects"),
+        ({**UPDATE, "cost": -3}, "update 6 has negative cost -3"),
+        ({**QUERY, "tolerance": -1}, "query 5 has negative tolerance"),
+    ], ids=["bool-cost", "float-cost", "string-object-id", "no-objects", "negative-cost",
+            "negative-tolerance"])
+    def test_validate_names_the_line(self, tmp_path, record, message):
+        write_catalog(read_catalog(DATA_DIR / "worked_example" / "catalog.json"),
+                      tmp_path / "catalog.json")
+        records = [{"schema": "trace/v1", "catalog": "catalog.json", "n_events": 3},
+                   {"kind": "update", "id": 1, "time": 10, "object": 1, "cost": 1},
+                   record,
+                   {"kind": "query", "id": 2, "time": 30, "objects": [1], "cost": 2}]
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text("".join(json.dumps(r) + "\n" for r in records))
+        rep = validate(trace)
+        assert rep.errors == [(3, f"bad event record: {message}")]
+        assert (rep.n_queries, rep.n_updates) == (1, 1)
+
+
 class TestCatalogContract:
     """Catalog fields are integers, as event fields are, and ids are unique."""
 
