@@ -14,11 +14,14 @@ disjoint from the query hotspots.
 from __future__ import annotations
 
 import gzip
+import io
 import json
 import math
 import random
 import zlib
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
+from itertools import accumulate
 from pathlib import Path
 from typing import Iterator
 
@@ -26,6 +29,11 @@ from .core import Event, ObjectCatalog, ObjectId, Query, Update
 
 CATALOG_SCHEMA = "catalog/v1"
 TRACE_SCHEMA = "trace/v1"
+# Each event line is the compact, sorted-key JSON of its record; `%d` prints
+# what `json.dumps` prints because every event field is of type `int`.
+_QUERY_LINE = '{"cost":%d,"id":%d,"kind":"query","objects":[%s],"time":%d,"tolerance":%d}\n'
+_UPDATE_LINE = '{"cost":%d,"id":%d,"kind":"update","object":%d,"time":%d}\n'
+_raw_decode = json.JSONDecoder().raw_decode
 
 
 class TraceError(Exception):
@@ -114,8 +122,9 @@ def generate(params: GeneratorParams, seed: int) -> tuple[ObjectCatalog, list[Ev
     total = len(markers)
 
     tol_values = [t for t, _ in params.tolerance_mix]
-    tol_weights = [w for _, w in params.tolerance_mix]
+    tol_cum = list(accumulate(w for _, w in params.tolerance_mix))
     opq_sizes = list(range(1, len(params.objects_per_query_weights) + 1))
+    opq_cum = list(accumulate(params.objects_per_query_weights))
 
     events: list[Event] = []
     t = 0
@@ -130,10 +139,10 @@ def generate(params: GeneratorParams, seed: int) -> tuple[ObjectCatalog, list[Ev
                                           params.drift_cycles)
             else:
                 center = rng.randrange(n)
-            nobj = rng.choices(opq_sizes, weights=params.objects_per_query_weights)[0]
+            nobj = rng.choices(opq_sizes, cum_weights=opq_cum)[0]
             objs = frozenset((center - nobj // 2 + k) % n for k in range(nobj))
             cost = max(1, int(params.selectivity * sum(sizes[o] for o in objs)))
-            tol = rng.choices(tol_values, weights=tol_weights)[0]
+            tol = rng.choices(tol_values, cum_weights=tol_cum)[0]
             events.append(Query(qid=eid, time=t, objects=objs, ship_cost=cost,
                                 tolerance=tol, seq=eid))
         else:
@@ -154,13 +163,16 @@ def generate(params: GeneratorParams, seed: int) -> tuple[ObjectCatalog, list[Ev
 
 # ---------------------------------------------------------------- file I/O
 
+@contextmanager
 def _open(path: Path, mode: str):
     """Open as UTF-8 text ("r", "w") or as bytes ("rb"), through gzip when
-    the path ends in `.gz`."""
-    opener = gzip.open if str(path).endswith(".gz") else open
-    if mode.endswith("b"):
-        return opener(path, mode)
-    return opener(path, mode + "t", encoding="utf-8")
+    the path ends in `.gz`. Gzip output has a zero mtime and no embedded file
+    name, so the same content always gives the same bytes."""
+    with open(path, mode[0] + "b") as raw:
+        fh = (gzip.GzipFile(filename="", mode=mode[0] + "b", fileobj=raw, mtime=0)
+              if str(path).endswith(".gz") else raw)
+        with fh if mode.endswith("b") else io.TextIOWrapper(fh, encoding="utf-8") as stream:
+            yield stream
 
 
 def write_catalog(catalog: ObjectCatalog, path) -> None:
@@ -188,15 +200,6 @@ def read_catalog(path) -> ObjectCatalog:
     return ObjectCatalog.from_sizes(sizes, costs)
 
 
-def _event_to_json(ev: Event) -> dict:
-    if isinstance(ev, Query):
-        return {"kind": "query", "id": ev.qid, "time": ev.time,
-                "objects": sorted(ev.objects), "cost": ev.ship_cost,
-                "tolerance": ev.tolerance}
-    return {"kind": "update", "id": ev.uid, "time": ev.time,
-            "object": ev.object, "cost": ev.ship_cost}
-
-
 def _event_from_json(doc: dict, seq: int) -> Event:
     """One event record. `Query` and `Update` check their own fields and
     raise ValueError; a record of another kind is a TraceError."""
@@ -212,15 +215,17 @@ def _event_from_json(doc: dict, seq: int) -> Event:
 
 def write_trace(events: list[Event], path, catalog_ref: str = "catalog.json",
                 meta: dict | None = None) -> None:
+    """Write the header line, then one line per event, in order."""
     header = {"schema": TRACE_SCHEMA, "catalog": catalog_ref,
               "n_events": len(events)}
     if meta:
         header["meta"] = meta
     with _open(Path(path), "w") as fh:
         fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
-        for ev in events:
-            fh.write(json.dumps(_event_to_json(ev), sort_keys=True,
-                                separators=(",", ":")) + "\n")
+        fh.writelines(_QUERY_LINE % (ev.ship_cost, ev.qid, ",".join(map(str, sorted(ev.objects))),
+                                     ev.time, ev.tolerance) if type(ev) is Query else
+                      _UPDATE_LINE % (ev.ship_cost, ev.uid, ev.object, ev.time)
+                      for ev in events)
 
 
 @dataclass
@@ -234,18 +239,32 @@ class ValidationReport:
         return not self.errors
 
 
+def _decode(text: str):
+    """`json.loads(text)`: the same value or error, faster when `text` is one
+    JSON value followed by nothing but JSON whitespace."""
+    try:
+        doc, end = _raw_decode(text)
+        if not text[end:].strip(" \t\n\r"):
+            return doc
+    except json.JSONDecodeError:
+        pass
+    return json.loads(text)
+
+
 def _read(path, rep: ValidationReport) -> tuple[ObjectCatalog | None, Iterator[Event]]:
     """The one trace reader: it reads the header and the catalog it names
     (relative to the trace file), then returns an iterator that parses the
     events in one pass and adds every (line, message) error to `rep`: per-line
-    UTF-8 and JSON, a record that `Query`/`Update` refuse to build (their
-    field rules), and the rules that span events or need the catalog:
-    duplicate ids, time order, unknown objects. A file that cannot be read to
-    its end (truncated or corrupt gzip data, an I/O error) adds one error for
-    the line where reading stopped and ends the stream there. For corrupt
-    deflate data that line can come up to one read buffer before the damage,
-    since the gzip reader drops the text it decompressed in the failing read;
-    truncation is named exactly. Events get 1-based sequence numbers."""
+    UTF-8 and JSON (with `json.loads`' messages), a record that `Query`/`Update`
+    refuse to build (their field rules), and the rules that span events or
+    need the catalog: duplicate ids, time order, unknown objects. A line of
+    JSON whitespace only (space, tab, CR, LF) is blank and skipped. A file
+    that cannot be read to its end (truncated or corrupt gzip data, an I/O
+    error) adds one error for the line where reading stopped and ends the
+    stream there. For corrupt deflate data that line can come up to one read
+    buffer before the damage, since the gzip reader drops the text it
+    decompressed in the failing read; truncation is named exactly. Events get
+    1-based sequence numbers."""
     path = Path(path)
 
     def fail(line: int, msg: str) -> None:
@@ -266,17 +285,18 @@ def _read(path, rep: ValidationReport) -> tuple[ObjectCatalog | None, Iterator[E
         last_time = -math.inf
         n_records = 0
         line_no = 0                 # the last line read whole
-        seen_ids: dict[str, set[int]] = {"query": set(), "update": set()}
+        seen_queries, seen_updates = set(), set()
+        known = catalog.entries.keys()
         try:
             with _open(path, "rb") as fh:
                 fh.readline()
                 line_no = 1
                 for line_no, line in enumerate(fh, start=2):
-                    if not line.strip():
+                    if not line.strip(b" \t\n\r"):
                         continue
                     n_records += 1
                     try:
-                        ev = _event_from_json(json.loads(line.decode()), line_no - 1)
+                        ev = _event_from_json(_decode(line.decode()), line_no - 1)
                     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                         fail(line_no, f"malformed JSON: {exc}")
                         continue
@@ -284,18 +304,18 @@ def _read(path, rep: ValidationReport) -> tuple[ObjectCatalog | None, Iterator[E
                             ValueError) as exc:
                         fail(line_no, f"bad event record: {exc}")
                         continue
-                    if isinstance(ev, Query):
+                    if type(ev) is Query:
                         rep.n_queries += 1
-                        kind, eid, oids = "query", ev.qid, ev.objects
+                        kind, eid, oids, seen = "query", ev.qid, ev.objects, seen_queries
                     else:
                         rep.n_updates += 1
-                        kind, eid, oids = "update", ev.uid, {ev.object}
-                    # difference() with a dict probes only the event's objects
-                    for oid in sorted(oids.difference(catalog.entries)):
-                        fail(line_no, f"{kind} {eid} references unknown object {oid}")
-                    if eid in seen_ids[kind]:
+                        kind, eid, oids, seen = "update", ev.uid, {ev.object}, seen_updates
+                    if not known >= oids:
+                        for oid in sorted(oids.difference(catalog.entries)):
+                            fail(line_no, f"{kind} {eid} references unknown object {oid}")
+                    if eid in seen:
                         fail(line_no, f"duplicate {kind} id {eid}")
-                    seen_ids[kind].add(eid)
+                    seen.add(eid)
                     if ev.time < last_time:
                         fail(line_no, f"events out of order: time {ev.time} after {last_time}")
                     last_time = ev.time

@@ -283,3 +283,14 @@ def event_fields_ok(fields: dict) -> bool:
     if any(isinstance(v, bool) or not isinstance(v, int) for v in scalars + list(objects)):
         return False
     return fields["ship_cost"] >= 0 and fields.get("tolerance", 0) >= 0
+
+
+def event_record(ev) -> dict:
+    """The record of one trace event line, before JSON encoding: a query's
+    objects in ascending order, every other field as the event holds it."""
+    if isinstance(ev, Query):
+        return {"kind": "query", "id": ev.qid, "time": ev.time,
+                "objects": sorted(ev.objects), "cost": ev.ship_cost,
+                "tolerance": ev.tolerance}
+    return {"kind": "update", "id": ev.uid, "time": ev.time,
+            "object": ev.object, "cost": ev.ship_cost}

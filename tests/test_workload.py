@@ -1,18 +1,23 @@
 import dataclasses
 import gzip
 import json
+import tempfile
+import time
 import zlib
 from collections import Counter
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from midcache.cli import main
 from midcache.core import ObjectCatalog, Query, Update
 from midcache.simharness import RunConfig, run
-from midcache.workload import (GeneratorParams, TraceError, generate, load_trace,
+from midcache.workload import (GeneratorParams, TraceError, _decode, generate, load_trace,
                                params_meta, read_catalog, regrain, validate,
                                write_catalog, write_trace)
 from tests.conftest import DATA_DIR
+from tests.oracles import event_record
 
 
 class TestGenerate:
@@ -130,6 +135,22 @@ class TestTraceIO:
         rep = validate(trace)
         assert not rep.ok and rep.errors[0][0] == 2
 
+    @pytest.mark.parametrize("line, errors", [
+        ("\n", []),
+        (" \t\r\n", []),
+        ("\x0c\n", [(3, "malformed JSON: Expecting value: line 1 column 1 (char 0)")]),
+        ("\x0b\n", [(3, "malformed JSON: Expecting value: line 1 column 1 (char 0)")]),
+    ], ids=["empty", "json-whitespace", "form-feed", "vertical-tab"])
+    def test_blank_means_json_whitespace_only(self, tmp_path, line, errors):
+        write_catalog(read_catalog(DATA_DIR / "worked_example" / "catalog.json"),
+                      tmp_path / "catalog.json")
+        update = json.dumps({"kind": "update", "id": 1, "time": 1, "object": 1, "cost": 1})
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text(json.dumps({"schema": "trace/v1", "catalog": "catalog.json",
+                                     "n_events": 2 if errors else 1}) + "\n" +
+                         update + "\n" + line)
+        assert validate(trace).errors == errors
+
     def test_unknown_object_flagged(self, tmp_path):
         write_catalog(read_catalog(DATA_DIR / "worked_example" / "catalog.json"),
                       tmp_path / "catalog.json")
@@ -153,6 +174,92 @@ class TestTraceIO:
             report = run(events, catalog,
                          RunConfig(policy=policy, seed=1, cache_frac=1.0))
             assert report.ledger.total >= 0
+
+
+BIG = st.integers(-2**64, 2**64)        # well past 2**53, where floats lose ints
+
+
+@st.composite
+def valid_traces(draw):
+    """A catalog and a trace it accepts: ids unique per kind, times in
+    order, `seq` counting from 1, as `load_trace` numbers them."""
+    object_ids = draw(st.lists(BIG, min_size=1, max_size=6, unique=True))
+    n = draw(st.integers(0, 12))
+    times = sorted(draw(st.lists(BIG, min_size=n, max_size=n)))
+    ids = draw(st.lists(BIG, min_size=n, max_size=n, unique=True))
+    costs = st.integers(0, 2**64)
+    events = []
+    for seq, (t, eid) in enumerate(zip(times, ids), start=1):
+        if draw(st.booleans()):
+            objects = draw(st.frozensets(st.sampled_from(object_ids), min_size=1, max_size=4))
+            events.append(Query(qid=eid, time=t, objects=objects, ship_cost=draw(costs),
+                                tolerance=draw(costs), seq=seq))
+        else:
+            events.append(Update(uid=eid, time=t, object=draw(st.sampled_from(object_ids)),
+                                 ship_cost=draw(costs), seq=seq))
+    return ObjectCatalog.from_sizes({oid: 1 for oid in object_ids}), events
+
+
+class TestTraceEncoding:
+    """The writer's lines are the JSON encoder's lines, and the reader takes
+    them back to equal events."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(valid_traces(), st.sampled_from(["trace.jsonl", "trace.jsonl.gz"]))
+    def test_lines_are_sorted_compact_json(self, trace, name):
+        catalog, events = trace
+        with tempfile.TemporaryDirectory() as tmp:
+            d = Path(tmp)
+            write_catalog(catalog, d / "catalog.json")
+            write_trace(events, d / name)
+            with gzip.open(d / name) if name.endswith(".gz") else open(d / name, "rb") as fh:
+                lines = fh.read().decode().splitlines()
+            assert lines[1:] == [json.dumps(event_record(ev), sort_keys=True,
+                                            separators=(",", ":")) for ev in events]
+            catalog2, events2 = load_trace(d / name)
+        assert catalog2.entries == catalog.entries
+        assert events2 == events
+
+    def test_gz_output_is_deterministic(self, tmp_path, monkeypatch):
+        """Two `.gz` writes of the same content, under different names and
+        at different times, give the same bytes: those of the plain file,
+        compressed."""
+        catalog, events = generate(GeneratorParams(n_objects=8, n_queries=30, n_updates=30,
+                                                   query_hotspots=(1,), update_hotspots=(5,)),
+                                   seed=3)
+        write_catalog(catalog, tmp_path / "catalog.json")
+        write_trace(events, tmp_path / "trace.jsonl")
+        write_catalog(catalog, tmp_path / "a.json.gz")
+        write_trace(events, tmp_path / "a.jsonl.gz")
+        later = time.time() + 3600
+        monkeypatch.setattr(time, "time", lambda: later)
+        write_catalog(catalog, tmp_path / "b.json.gz")
+        write_trace(events, tmp_path / "b.jsonl.gz")
+        monkeypatch.undo()
+        for plain, ext in (("catalog.json", ".json.gz"), ("trace.jsonl", ".jsonl.gz")):
+            a, b = (tmp_path / f"a{ext}").read_bytes(), (tmp_path / f"b{ext}").read_bytes()
+            assert a == b
+            assert gzip.decompress(a) == (tmp_path / plain).read_bytes()
+
+    TEXTS = st.lists(st.one_of(
+        st.sampled_from([" ", "\t", "\r", "\n", "\x0b", "\x0c", "\ufeff", "\u00a0",
+                         "NaN", "-Infinity", "x", ",", "{", "}", "[1,", '"', "1", "-", "tru"]),
+        st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+                     lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+                     max_leaves=6).map(json.dumps)), max_size=5).map("".join)
+
+    @staticmethod
+    def outcome(decode, text):
+        try:
+            return "value", repr(decode(text))
+        except json.JSONDecodeError as exc:
+            return "error", str(exc)
+
+    @settings(max_examples=500, deadline=None)
+    @given(TEXTS)
+    def test_decode_matches_json_loads(self, text):
+        assert self.outcome(_decode, text) == self.outcome(json.loads, text)
 
 
 class TestEventFieldsInTraces:
