@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import os
 import sys
@@ -54,6 +55,17 @@ def _run_config(args, policy: str) -> RunConfig:
                      params=params)
 
 
+def _load_frozen(path):
+    """Load the trace, then move it and everything else alive into the
+    permanent GC generation: the cyclic collector would otherwise walk the
+    whole trace again and again during the replay, and it can free none of
+    it. The process exits after the command, so nothing is unfrozen."""
+    catalog, events = workload.load_trace(path)
+    gc.collect()
+    gc.freeze()
+    return catalog, events
+
+
 def _write_report(report, out: Path, stem: str, fmt: str) -> None:
     if fmt in ("json", "both"):
         (out / f"{stem}.json").write_text(report.summary_json())
@@ -64,7 +76,7 @@ def _write_report(report, out: Path, stem: str, fmt: str) -> None:
 def cmd_run(args) -> int:
     config = _run_config(args, args.policy)
     out = _out_dir(args)
-    catalog, events = workload.load_trace(args.trace)
+    catalog, events = _load_frozen(args.trace)
     report = simharness.run(events, catalog, config)
     stem = f"run-{args.policy}-seed{args.seed}"
     _write_report(report, out, stem, args.format)
@@ -82,7 +94,7 @@ def cmd_compare(args) -> int:
     if min(grains, default=1) < 1:
         raise ValueError("--granularity: object counts must be >= 1")
     out = _out_dir(args)
-    catalog, events = workload.load_trace(args.trace)
+    catalog, events = _load_frozen(args.trace)
     if max(grains, default=0) > len(catalog):
         raise ValueError(f"--granularity: object counts must be <= {len(catalog)}")
     for grain in grains or [None]:

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 
 from .benefit import BenefitPolicy
 from .core import (AnswerFromCache, CacheState, CostContext, Decision, Event,
-                   ObjectCatalog, Query, TrafficLedger, Update, apply,
+                   ObjectCatalog, Query, ShipQuery, TrafficLedger, Update, apply,
                    check_capacity, check_freshness, interacting_updates, record)
 from .vcover import VCoverPolicy
 from .yardsticks import NoCachePolicy, ReplicaPolicy, SOptimalPolicy
@@ -122,14 +122,14 @@ class RunReport:
 
 def run(events: list[Event], catalog: ObjectCatalog, config: RunConfig) -> RunReport:
     """Replay the trace under one policy. Raises AuditError (with the event
-    index) if any decision breaks capacity, freshness, or the staleness
-    contract of a cache-answered query, or if the capacity counter disagrees
-    with the resident set at the end of the run. Events check their own
-    fields when built; run() re-checks only their order, before any policy
-    is built, and raises ValueError if an event's `seq` is not above the
-    previous event's (the first must be above 0) or its time is before the
-    previous event's. Duplicate ids and catalog membership are checked only
-    by `load_trace` and `validate`."""
+    index) if a cache answer breaks its staleness contract, a decision that
+    changes the cache (Load, Evict, ShipUpdates) overfills it, an event leaves
+    a broken update queue, or, at the end, the resident set disagrees with the
+    capacity counter or exceeds capacity. Events check their own fields when
+    built; run() re-checks only their order, before any policy is built, and
+    raises ValueError if an event's `seq` is not above the previous event's
+    (the first must be above 0) or its time is before the previous event's.
+    Only `load_trace` and `validate` check duplicate ids and catalog members."""
     last_seq, last_time = 0, float("-inf")
     for i, ev in enumerate(events):
         if ev.seq <= last_seq:
@@ -150,7 +150,10 @@ def run(events: list[Event], catalog: ObjectCatalog, config: RunConfig) -> RunRe
 
     def execute(decisions: list[Decision], seq: int, current_query: Query | None):
         for d in decisions:
-            if isinstance(d, AnswerFromCache):
+            kind = type(d)
+            if kind is ShipQuery:
+                record(ledger, d, costs)
+            elif kind is AnswerFromCache:
                 if current_query is None or d.qid != current_query.qid:
                     raise AuditError(seq, f"AnswerFromCache({d.qid}) outside its query event")
                 try:
@@ -161,38 +164,45 @@ def run(events: list[Event], catalog: ObjectCatalog, config: RunConfig) -> RunRe
                     raise AuditError(
                         seq, f"query {d.qid} answered at cache with "
                              f"{len(stale)} interacting updates outstanding")
-            try:
-                apply(cache, d)
-            except Exception as exc:
-                raise AuditError(seq, f"applying {d!r}: {exc}") from exc
-            record(ledger, d, costs)
+            else:
+                try:
+                    apply(cache, d)
+                    check_capacity(cache)
+                except Exception as exc:
+                    raise AuditError(seq, f"applying {d!r}: {exc}") from exc
+                record(ledger, d, costs)
             log.append((seq, d))
-        check_capacity(cache)
 
     execute(policy.startup(), 0, None)
+    # Bound after make_policy, so class-level wrappers set before run() apply.
+    see, on_query, on_update = costs.see, policy.on_query, policy.on_update
+    receive_update, outstanding = cache.receive_update, cache.outstanding
+    warmup, stride, last = config.warmup_events, config.sample_stride, len(events) - 1
     for i, ev in enumerate(events):
         seq = ev.seq
-        costs.see(ev)
+        see(ev)
         if isinstance(ev, Update):
-            cache.receive_update(ev)
-            execute(policy.on_update(ev), seq, None)
-        else:
-            execute(policy.on_query(ev), seq, ev)
-        try:
-            check_freshness(cache)
-        except Exception as exc:
-            raise AuditError(seq, str(exc)) from exc
-        if seq <= config.warmup_events:
+            receive_update(ev)
+            if decisions := on_update(ev):
+                execute(decisions, seq, None)
+        elif decisions := on_query(ev):
+            execute(decisions, seq, ev)
+        if outstanding:
+            try:
+                check_freshness(cache)
+            except Exception as exc:
+                raise AuditError(seq, str(exc)) from exc
+        if seq <= warmup:
             warmup_snapshot = ledger.snapshot()
-        if seq % config.sample_stride == 0 or i == len(events) - 1:
+        if seq % stride == 0 or i == last:
             series.append((seq, ledger.query_ship, ledger.update_ship,
                            ledger.load, ledger.total, cache.used))
-    # The per-event capacity audit trusts the running counter; recount it
-    # once, so a counter that drifted behind apply's back fails the run.
+    # The per-decision capacity audit trusts the running counter; recount it
+    # once, so residency that changed behind apply's back fails the run.
     resident_bytes = sum(catalog.size(o) for o in cache.resident)
-    if resident_bytes != cache.used:
-        raise AuditError(last_seq, f"capacity counter reads {cache.used} B but "
-                                   f"resident objects hold {resident_bytes} B")
+    if resident_bytes != cache.used or resident_bytes > cache.capacity:
+        raise AuditError(last_seq, f"resident objects hold {resident_bytes} B, capacity "
+                                   f"counter {cache.used} B, capacity {cache.capacity} B")
 
     wq, wu, wl = warmup_snapshot
     post_warmup = {"query_ship": ledger.query_ship - wq,

@@ -255,9 +255,10 @@ def _read(path, rep: ValidationReport) -> tuple[ObjectCatalog | None, Iterator[E
     """The one trace reader: it reads the header and the catalog it names
     (relative to the trace file), then returns an iterator that parses the
     events in one pass and adds every (line, message) error to `rep`: per-line
-    UTF-8 and JSON (with `json.loads`' messages), a record that `Query`/`Update`
-    refuse to build (their field rules), and the rules that span events or
-    need the catalog: duplicate ids, time order, unknown objects. A line of
+    UTF-8 and JSON (with `json.loads`' messages; nesting too deep to decode is
+    malformed JSON too), a record that `Query`/`Update` refuse to build (their
+    field rules), and the rules that span events or need the catalog:
+    duplicate ids, time order, unknown objects. A line of
     JSON whitespace only (space, tab, CR, LF) is blank and skipped. A file
     that cannot be read to its end (truncated or corrupt gzip data, an I/O
     error) adds one error for the line where reading stopped and ends the
@@ -277,7 +278,7 @@ def _read(path, rep: ValidationReport) -> tuple[ObjectCatalog | None, Iterator[E
             raise TraceError(f"unexpected trace schema {header.get('schema')!r}")
         catalog = read_catalog(path.parent / header["catalog"])
     except (TraceError, OSError, EOFError, zlib.error, KeyError, ValueError,
-            TypeError, AttributeError) as exc:
+            TypeError, AttributeError, RecursionError) as exc:
         fail(1, f"bad header or catalog: {exc}")
         return None, iter(())
 
@@ -297,7 +298,7 @@ def _read(path, rep: ValidationReport) -> tuple[ObjectCatalog | None, Iterator[E
                     n_records += 1
                     try:
                         ev = _event_from_json(_decode(line.decode()), line_no - 1)
-                    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
                         fail(line_no, f"malformed JSON: {exc}")
                         continue
                     except (TraceError, KeyError, AttributeError, TypeError,

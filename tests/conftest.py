@@ -1,3 +1,4 @@
+import gc
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,14 @@ GB = 10**9
 SEC = 10**6   # microseconds
 
 DATA_DIR = Path(__file__).parent / "data"
+
+
+@pytest.fixture(autouse=True)
+def unfreeze_gc():
+    """`run` and `compare` freeze the GC after loading their trace; tests
+    call them in-process, so thaw it again after each test."""
+    yield
+    gc.unfreeze()
 
 
 @pytest.fixture

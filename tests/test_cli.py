@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import gc
 import hashlib
 import io
 import json
@@ -99,6 +100,29 @@ class TestRun:
         err = capsys.readouterr().err
         assert f"{trace}:{len(lines) + 1}: " in err
         assert "Traceback" not in err
+
+
+class TestGcFreeze:
+    """`run` and `compare` freeze the loaded trace out of the cyclic GC; the
+    library's run() leaves the process's GC as it found it."""
+
+    def test_cli_run_freezes_and_writes_what_run_returns(self, workspace, tmp_path):
+        assert gc.get_freeze_count() == 0
+        assert main(["run", "--policy", "vcover", "--trace", str(workspace / "trace.jsonl"),
+                     "--seed", "1", "--out", str(tmp_path)]) == 0
+        assert gc.get_freeze_count() > 0
+        catalog, events = load_trace(workspace / "trace.jsonl")
+        report = run(events, catalog, RunConfig(policy="vcover", seed=1))
+        assert (tmp_path / "run-vcover-seed1.json").read_text() == report.summary_json()
+        assert (tmp_path / "run-vcover-seed1.csv").read_text() == report.series_csv()
+
+    def test_library_run_leaves_the_freeze_count(self, workspace):
+        catalog, events = load_trace(workspace / "trace.jsonl")
+        gc.freeze()
+        before = gc.get_freeze_count()
+        for policy in POLICY_NAMES:
+            run(events, catalog, RunConfig(policy=policy, seed=1))
+        assert gc.get_freeze_count() == before
 
 
 class TestCompare:

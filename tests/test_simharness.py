@@ -5,7 +5,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from midcache import simharness
-from midcache.core import AnswerFromCache, ObjectCatalog, Query, ShipQuery
+from midcache.core import (AnswerFromCache, Load, ObjectCatalog, Query, ShipQuery,
+                           ShipUpdates)
 from midcache.simharness import (POLICY_NAMES, AuditError, RunConfig, compare,
                                  replay_decisions, run)
 from midcache.workload import (GeneratorParams, TraceError, generate,
@@ -160,6 +161,54 @@ class TestAudit:
             assert exc.value.seq == 2
         finally:
             sh.make_policy = orig
+
+    @staticmethod
+    def grow(cache):
+        cache.resident.add(1)   # 20 B, with the counter kept
+        cache._used += 20
+
+    @staticmethod
+    def drop_queued(cache):
+        cache.resident.discard(0)   # its update queue stays behind
+        cache._used -= 10
+
+    @pytest.mark.parametrize("script, tamper, seq, match", [
+        ({1: [AnswerFromCache(2)]}, None, 1, r"AnswerFromCache\(2\) outside its query event"),
+        ({2: [AnswerFromCache(3)]}, None, 2, r"AnswerFromCache\(3\) outside its query event"),
+        ({2: [object()]}, None, 2, "unknown decision"),
+        ({2: [ShipUpdates((1,))]}, None, 2, "update 1 is not outstanding"),
+        ({2: [Load(0)], 3: [Load(1)]}, None, 3,
+         r"loading object 1 \(20 B\) exceeds free space \(5 B\)"),
+        ({}, (3, grow), 3, "resident objects hold 20 B, capacity counter 20 B, capacity 15 B"),
+        ({2: [ShipUpdates(())]}, (2, grow), 2, "residency 20 exceeds capacity 15"),
+        ({0: [Load(0)]}, (2, drop_queued), 2, "non-resident object 0 has an outstanding queue"),
+    ], ids=["answer-from-update", "answer-names-another-query", "unknown-decision",
+            "ship-update-not-outstanding", "load-past-capacity",
+            "grown-behind-apply-empty-hook", "grown-behind-apply-then-applied",
+            "queue-left-on-dropped-object"])
+    def test_bad_decision_aborts_with_event_index(self, small_catalog, monkeypatch,
+                                                  script, tamper, seq, match):
+        class ScriptedPolicy:
+            def __init__(self, cache):
+                self.cache = cache
+
+            def startup(self):
+                return script.get(0, [])
+
+            def on_event(self, ev):
+                if tamper and ev.seq == tamper[0]:
+                    tamper[1](self.cache)   # behind apply's back
+                return script.get(ev.seq, [])
+
+            on_query = on_update = on_event
+
+        monkeypatch.setattr(simharness, "make_policy",
+                            lambda cfg, cat, cache, events: ScriptedPolicy(cache))
+        events = [mk_update(1, 1, 0, 2, seq=1), mk_query(2, 2, {0}, 5, seq=2),
+                  mk_query(3, 3, {1}, 5, seq=3)]
+        with pytest.raises(AuditError, match=match) as exc:
+            run(events, small_catalog, RunConfig(policy="nocache", seed=0, cache_bytes=15))
+        assert exc.value.seq == seq
 
     def test_every_policy_replayable(self):
         params = GeneratorParams(n_objects=8, n_queries=50, n_updates=50,

@@ -151,6 +151,25 @@ class TestTraceIO:
                          update + "\n" + line)
         assert validate(trace).errors == errors
 
+    @pytest.mark.parametrize("where, line, prefix", [
+        ("event", 3, "malformed JSON: "), ("header", 1, "bad header or catalog: "),
+    ])
+    def test_nesting_too_deep_is_named_by_line(self, tmp_path, capsys, where, line, prefix):
+        # The JSON decoder raises RecursionError, not JSONDecodeError, here.
+        write_catalog(read_catalog(DATA_DIR / "worked_example" / "catalog.json"),
+                      tmp_path / "catalog.json")
+        header = json.dumps({"schema": "trace/v1", "catalog": "catalog.json", "n_events": 2})
+        update = json.dumps({"kind": "update", "id": 1, "time": 1, "object": 1, "cost": 1})
+        deep = "[" * 100_000
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text("\n".join([header, update, deep] if where == "event"
+                                   else [deep, update]) + "\n")
+        (got_line, message), *_ = validate(trace).errors
+        assert got_line == line and message.startswith(prefix)
+        assert main(["validate", "--trace", str(trace)]) == 1
+        err = capsys.readouterr().err
+        assert f"{trace}:{line}: {prefix}" in err and "Traceback" not in err
+
     def test_unknown_object_flagged(self, tmp_path):
         write_catalog(read_catalog(DATA_DIR / "worked_example" / "catalog.json"),
                       tmp_path / "catalog.json")
