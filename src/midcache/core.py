@@ -202,7 +202,7 @@ class CacheState:
 
     @property
     def free(self) -> int:
-        return self.capacity - self.used
+        return self.capacity - self._used
 
     def seed_resident(self, oids) -> None:
         """Mark objects resident without charging traffic (run bootstrap only:
@@ -253,30 +253,26 @@ def apply(cache: CacheState, d: Decision) -> None:
     residency together with the object's queue. Load and Evict keep the
     running `used` counter.
     """
-    if isinstance(d, (ShipQuery, AnswerFromCache)):
-        return
-    if isinstance(d, Load):
-        if d.oid in cache.resident:
-            raise CacheError(f"object {d.oid} is already resident")
-        size = cache.catalog.size(d.oid)
-        if size > cache.free:
-            raise CapacityExceeded(
-                f"loading object {d.oid} ({size} B) "
-                f"exceeds free space ({cache.free} B)")
-        cache.resident.add(d.oid)
-        cache._used += size
-        for u in cache.outstanding.pop(d.oid, ()):
+    kind = type(d)
+    if kind is Load or kind is Evict:
+        oid = d.oid
+        if kind is Load:
+            if oid in cache.resident:
+                raise CacheError(f"object {oid} is already resident")
+            size = cache.catalog.size(oid)
+            if size > cache.free:
+                raise CapacityExceeded(f"loading object {oid} ({size} B) "
+                                       f"exceeds free space ({cache.free} B)")
+            cache.resident.add(oid)
+            cache._used += size
+        else:
+            if oid not in cache.resident:
+                raise NonResident(f"cannot evict non-resident object {oid}")
+            cache.resident.remove(oid)
+            cache._used -= cache.catalog.size(oid)
+        for u in cache.outstanding.pop(oid, ()):
             cache._by_uid.pop(u.uid, None)
-        return
-    if isinstance(d, Evict):
-        if d.oid not in cache.resident:
-            raise NonResident(f"cannot evict non-resident object {d.oid}")
-        cache.resident.discard(d.oid)
-        cache._used -= cache.catalog.size(d.oid)
-        for u in cache.outstanding.pop(d.oid, ()):
-            cache._by_uid.pop(u.uid, None)
-        return
-    if isinstance(d, ShipUpdates):
+    elif kind is ShipUpdates:
         for uid in d.uids:
             u = cache._by_uid.pop(uid, None)
             if u is None:
@@ -285,8 +281,8 @@ def apply(cache: CacheState, d: Decision) -> None:
             queue.remove(u)
             if not queue:
                 cache.outstanding.pop(u.object, None)
-        return
-    raise TypeError(f"unknown decision {d!r}")
+    elif kind is not ShipQuery and kind is not AnswerFromCache:
+        raise TypeError(f"unknown decision {d!r}")
 
 
 @dataclass
@@ -328,11 +324,12 @@ def record(ledger: TrafficLedger, d: Decision, costs: CostContext, seq: int = 0)
     AnswerFromCache and Evict move no bytes (the cache sits next to the
     clients, so cache-answered results are free).
     """
-    if isinstance(d, ShipQuery):
+    kind = type(d)
+    if kind is ShipQuery:
         ledger.query_ship += costs.query_cost[d.qid]
-    elif isinstance(d, ShipUpdates):
+    elif kind is ShipUpdates:
         ledger.update_ship += sum(costs.update_cost[uid] for uid in d.uids)
-    elif isinstance(d, Load):
+    elif kind is Load:
         ledger.load += costs.catalog.load_cost(d.oid)
 
 
@@ -352,5 +349,6 @@ def check_freshness(cache: CacheState) -> None:
 
 
 def check_capacity(cache: CacheState) -> None:
-    if cache.used > cache.capacity:
-        raise CapacityExceeded(f"residency {cache.used} exceeds capacity {cache.capacity}")
+    used = cache._used
+    if used > cache.capacity:
+        raise CapacityExceeded(f"residency {used} exceeds capacity {cache.capacity}")

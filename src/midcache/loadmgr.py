@@ -24,6 +24,9 @@ heap's minimum valid entry is always the minimum-(credit, oid) resident.
 
 A policy keeps one `GdsState` and one random stream for the whole run; for
 each shipped query it calls `offer` and hands the batch to `gds_lazy_apply`.
+Both read each object's catalog entry once, through lookups bound once per
+call. `offer` shuffles only two or more missing objects (shuffling one draws
+nothing), and an empty batch returns once the credits match the residents.
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ import random
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 
-from .core import CacheState, Decision, Evict, Load, ObjectCatalog, ObjectId, Query
+from .core import (CacheState, Decision, Evict, Load, ObjectCatalog, ObjectId, ObjectInfo,
+                   Query, UnknownObject)
 
 
 @dataclass
@@ -63,14 +67,18 @@ def offer(q: Query, cache: CacheState, catalog: ObjectCatalog,
     """Spend the query's shipping cost across its missing objects in uniformly
     random order, emitting load candidacies: distinct ids, none resident at
     batch start, in candidacy order."""
-    missing = sorted(q.objects - cache.resident)
-    rng.shuffle(missing)
-    c = q.ship_cost
+    missing = q.objects - cache.resident
+    if len(missing) > 1:   # shuffling one object would draw nothing
+        missing = sorted(missing)
+        rng.shuffle(missing)
+    entries, c = catalog.entries, q.ship_cost
     batch: list[ObjectId] = []
     for oid in missing:
         if c <= 0:
             break
-        lc = catalog.load_cost(oid)
+        if (info := entries.get(oid)) is None:
+            raise UnknownObject(f"object {oid} not in catalog")
+        lc = info.load_cost
         if c >= lc:
             batch.append(oid)
             c -= lc
@@ -81,10 +89,10 @@ def offer(q: Query, cache: CacheState, catalog: ObjectCatalog,
     return batch
 
 
-def gds_touch(state: GdsState, oid: ObjectId, catalog: ObjectCatalog) -> None:
-    """Refresh an object's credit to inflation + load_cost/size. Idempotent;
-    called on admission and on candidacy for an already-resident object."""
-    h = state.inflation + catalog.load_cost(oid) / catalog.size(oid)
+def gds_touch(state: GdsState, oid: ObjectId, info: ObjectInfo) -> None:
+    """Refresh an object's credit to inflation + load_cost/size, from its catalog
+    entry. Idempotent; called on admission and on candidacy for a resident."""
+    h = state.inflation + info.load_cost / info.size
     state.credit[oid] = h
     heappush(state.heap, (h, oid))
 
@@ -105,26 +113,30 @@ def gds_lazy_apply(state: GdsState, cache: CacheState, catalog: ObjectCatalog,
     loads and evicts the same object. The heap is rebuilt from the credits
     once stale entries outnumber live ones.
     """
-    credit = state.credit
-    if credit.keys() != cache.resident:
-        for oid in credit.keys() - cache.resident:
+    credit, resident = state.credit, cache.resident
+    if credit.keys() != resident:
+        for oid in credit.keys() - resident:
             del credit[oid]
-        for oid in cache.resident.difference(credit):
+        for oid in resident.difference(credit):
             credit[oid] = state.inflation
             heappush(state.heap, (state.inflation, oid))
+    if not batch:
+        return state, []
     if len(state.heap) > 2 * len(credit) + 16:
         state.rebuild_heap()
-    heap = state.heap
+    heap, entries, capacity = state.heap, catalog.entries, cache.capacity
     free = cache.free
     admitted: dict[ObjectId, None] = {}
     evicted: list[ObjectId] = []
 
     for oid in batch:
+        if (info := entries.get(oid)) is None:
+            raise UnknownObject(f"object {oid} not in catalog")
         if oid in credit:
-            gds_touch(state, oid, catalog)
+            gds_touch(state, oid, info)
             continue
-        size = catalog.size(oid)
-        if size > cache.capacity:
+        size = info.size
+        if size > capacity:
             continue
         while free < size:
             h, victim = heappop(heap)
@@ -132,13 +144,13 @@ def gds_lazy_apply(state: GdsState, cache: CacheState, catalog: ObjectCatalog,
                 continue   # stale: the credit was replaced or dropped
             state.inflation = h
             del credit[victim]
-            free += catalog.size(victim)
+            free += entries[victim].size   # a resident, so in the catalog
             if victim in admitted:
                 del admitted[victim]
             else:
                 evicted.append(victim)
-        gds_touch(state, oid, catalog)
+        gds_touch(state, oid, info)
         free -= size
         admitted[oid] = None
 
-    return state, [Evict(o) for o in evicted] + [Load(o) for o in admitted]
+    return state, [*map(Evict, evicted), *map(Load, admitted)]

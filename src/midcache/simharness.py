@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field
 
 from .benefit import BenefitPolicy
-from .core import (AnswerFromCache, CacheState, CostContext, Decision, Event,
+from .core import (AnswerFromCache, CacheState, CostContext, Decision, Event, Evict,
                    ObjectCatalog, Query, ShipQuery, TrafficLedger, Update, apply,
                    check_capacity, check_freshness, interacting_updates, record)
 from .vcover import VCoverPolicy
@@ -122,14 +122,16 @@ class RunReport:
 
 def run(events: list[Event], catalog: ObjectCatalog, config: RunConfig) -> RunReport:
     """Replay the trace under one policy. Raises AuditError (with the event
-    index) if a cache answer breaks its staleness contract, a decision that
-    changes the cache (Load, Evict, ShipUpdates) overfills it, an event leaves
-    a broken update queue, or, at the end, the resident set disagrees with the
-    capacity counter or exceeds capacity. Events check their own fields when
-    built; run() re-checks only their order, before any policy is built, and
-    raises ValueError if an event's `seq` is not above the previous event's
-    (the first must be above 0) or its time is before the previous event's.
-    Only `load_trace` and `validate` check duplicate ids and catalog members."""
+    index) if a ShipQuery or a cache answer names anything but its own query
+    event, a query ships twice, a cache answer breaks its staleness contract,
+    a decision that changes the cache (Load, Evict, ShipUpdates) overfills it,
+    an event leaves a broken update queue, or, at the end, the resident set
+    disagrees with the capacity counter or exceeds capacity. Events check
+    their own fields when built; run() re-checks only their order, before any
+    policy is built, and raises ValueError if an event's `seq` is not above
+    the previous event's (the first must be above 0) or its time is before
+    the previous event's. Only `load_trace` and `validate` check duplicate
+    ids and catalog members."""
     last_seq, last_time = 0, float("-inf")
     for i, ev in enumerate(events):
         if ev.seq <= last_seq:
@@ -149,9 +151,13 @@ def run(events: list[Event], catalog: ObjectCatalog, config: RunConfig) -> RunRe
     warmup_snapshot = (0, 0, 0)
 
     def execute(decisions: list[Decision], seq: int, current_query: Query | None):
+        to_ship = current_query
         for d in decisions:
             kind = type(d)
             if kind is ShipQuery:
+                if to_ship is None or d.qid != to_ship.qid:
+                    raise AuditError(seq, f"ShipQuery({d.qid}) outside its query event")
+                to_ship = None
                 record(ledger, d, costs)
             elif kind is AnswerFromCache:
                 if current_query is None or d.qid != current_query.qid:
@@ -170,7 +176,8 @@ def run(events: list[Event], catalog: ObjectCatalog, config: RunConfig) -> RunRe
                     check_capacity(cache)
                 except Exception as exc:
                     raise AuditError(seq, f"applying {d!r}: {exc}") from exc
-                record(ledger, d, costs)
+                if kind is not Evict:   # an eviction moves no bytes
+                    record(ledger, d, costs)
             log.append((seq, d))
 
     execute(policy.startup(), 0, None)

@@ -43,7 +43,7 @@ class VCoverPolicy:
         batch = loadmgr.offer(q, self.cache, self.catalog, self.rng)
         _, loads = loadmgr.gds_lazy_apply(self.gds, self.cache, self.catalog, batch)
         for d in loads:
-            if isinstance(d, Evict):
+            if type(d) is Evict:
                 self._forget_object_updates(d.oid)
         decisions.extend(loads)
         return decisions
@@ -80,6 +80,8 @@ class VCoverPolicy:
         # Eviction throws away the object's queue; any graph nodes for those
         # updates would otherwise outlive them and poison later covers. The
         # flow records their surviving neighbours, so the next cover also
-        # revisits the components they leave behind.
-        self.graph.remove_nodes(
-            self.flow, drop_updates={u.uid for u in self.cache.outstanding.get(oid, ())})
+        # revisits the components they leave behind. Without a queue there is
+        # nothing to drop; the call would only clear the flow's last cover,
+        # which the next cover replaces before any prune reads it.
+        if queue := self.cache.outstanding.get(oid):
+            self.graph.remove_nodes(self.flow, drop_updates={u.uid for u in queue})

@@ -198,6 +198,29 @@ def eager_gds_trace(catalog: ObjectCatalog, capacity: int, resident: set[int],
     return actions, live, {o: credit[o] for o in live}, inflation
 
 
+def sorted_offer(q: Query, resident: set[int], catalog: ObjectCatalog, rng) -> list[int]:
+    """Randomized attribution with no shortcuts: always sort the missing
+    objects and shuffle them, then spend the query's cost in that order. A
+    fully covered object becomes a candidate; the first partly covered one
+    becomes a candidate with probability cost/load_cost and ends the walk."""
+    missing = sorted(q.objects - resident)
+    rng.shuffle(missing)
+    c = q.ship_cost
+    batch: list[int] = []
+    for oid in missing:
+        if c <= 0:
+            break
+        lc = catalog.load_cost(oid)
+        if c >= lc:
+            batch.append(oid)
+            c -= lc
+        else:
+            if rng.random() < c / lc:
+                batch.append(oid)
+            c = 0
+    return batch
+
+
 def static_set_replay_cost(events, catalog: ObjectCatalog,
                            members: frozenset[int], eager: bool = True) -> int:
     """Cost of running the whole trace against a fixed cached set: loads up

@@ -1,12 +1,13 @@
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from midcache.core import CacheState, Evict, Load, ObjectCatalog, apply
+from midcache.core import CacheState, Evict, Load, ObjectCatalog, UnknownObject, apply
 from midcache.loadmgr import GdsState, gds_lazy_apply, gds_touch, offer
 from midcache.vcover import VCoverPolicy
 from tests.conftest import mk_query
-from tests.oracles import eager_gds_trace
+from tests.oracles import eager_gds_trace, sorted_offer
 
 
 def make_cache(catalog, capacity, resident=()):
@@ -53,6 +54,37 @@ class TestOffer:
         assert 9.5e9 <= mean <= 10.5e9
 
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_sorted_offer_and_its_random_stream(self, data):
+        # offer sorts and shuffles only when two or more objects are missing;
+        # the batch and the stream's state must match an offer that always
+        # does. Ids are drawn wide apart, so a set's own order is often not
+        # sorted order.
+        ids = data.draw(st.lists(st.integers(0, 200), min_size=1, max_size=8, unique=True))
+        sizes = {o: data.draw(st.integers(1, 50)) for o in ids}
+        catalog = ObjectCatalog.from_sizes(
+            sizes, {o: data.draw(st.integers(1, 50)) for o in ids})
+        missing = data.draw(st.lists(st.sampled_from(ids), max_size=4, unique=True))
+        resident = [o for o in ids if o not in missing]
+        cache = make_cache(catalog, catalog.total_size, resident)
+        objects = set(missing) | set(data.draw(st.lists(st.sampled_from(ids), max_size=3)))
+        cost = data.draw(st.one_of(st.just(0), st.integers(1, 120), st.just(10**12)))
+        q = mk_query(1, 0, objects or {ids[0]}, cost)
+        seed = data.draw(st.integers(0, 2**16))
+        rng, expected_rng = random.Random(seed), random.Random(seed)
+        expected = sorted_offer(q, set(cache.resident), catalog, expected_rng)
+        assert offer(q, cache, catalog, rng) == expected
+        assert rng.getstate() == expected_rng.getstate()
+
+    def test_unknown_object_is_named(self, small_catalog):
+        cache = make_cache(small_catalog, 100)
+        with pytest.raises(UnknownObject, match="object 99 not in catalog"):
+            offer(mk_query(1, 0, {99}, 5), cache, small_catalog, random.Random(0))
+        with pytest.raises(UnknownObject, match="object 99 not in catalog"):
+            gds_lazy_apply(GdsState(), cache, small_catalog, [99])
+
+
 class TestStateShape:
     def test_no_per_object_cost_counters(self, small_catalog):
         # the whole point of randomized attribution: the policy's only
@@ -73,7 +105,7 @@ class TestStateShape:
 class TestGdsTouch:
     def test_unit_credit_when_cost_proportional(self, small_catalog):
         state = GdsState()
-        gds_touch(state, 0, small_catalog)
+        gds_touch(state, 0, small_catalog.entries[0])
         assert state.credit[0] == 1.0
 
     def test_inflation_raises_credit(self):
@@ -90,7 +122,7 @@ class TestGdsTouch:
     def test_touch_is_idempotent(self, small_catalog):
         state = GdsState(inflation=2.0)
         for _ in range(5):
-            gds_touch(state, 1, small_catalog)
+            gds_touch(state, 1, small_catalog.entries[1])
             assert state.credit[1] == 2.0 + 1.0
 
 

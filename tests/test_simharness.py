@@ -182,10 +182,14 @@ class TestAudit:
         ({}, (3, grow), 3, "resident objects hold 20 B, capacity counter 20 B, capacity 15 B"),
         ({2: [ShipUpdates(())]}, (2, grow), 2, "residency 20 exceeds capacity 15"),
         ({0: [Load(0)]}, (2, drop_queued), 2, "non-resident object 0 has an outstanding queue"),
+        ({2: [ShipQuery(3)]}, None, 2, r"ShipQuery\(3\) outside its query event"),
+        ({1: [ShipQuery(2)]}, None, 1, r"ShipQuery\(2\) outside its query event"),
+        ({2: [ShipQuery(2), ShipQuery(2)]}, None, 2, r"ShipQuery\(2\) outside its query event"),
     ], ids=["answer-from-update", "answer-names-another-query", "unknown-decision",
             "ship-update-not-outstanding", "load-past-capacity",
             "grown-behind-apply-empty-hook", "grown-behind-apply-then-applied",
-            "queue-left-on-dropped-object"])
+            "queue-left-on-dropped-object", "ship-another-qid", "ship-from-update",
+            "ship-twice"])
     def test_bad_decision_aborts_with_event_index(self, small_catalog, monkeypatch,
                                                   script, tamper, seq, match):
         class ScriptedPolicy:

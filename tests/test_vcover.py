@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -140,6 +141,27 @@ class TestGraphConsistency:
         decisions = drive(policy, cache, q)
         assert Evict(0) in decisions and Load(2) in decisions
         assert 1 not in policy.graph.update_weight
+
+    def test_evicting_an_object_without_a_queue_leaves_graph_and_flow(self, small_catalog):
+        # object 1 is seeded (credit at inflation 0), object 0 is loaded by
+        # GDS (credit 1.0) and then keeps update 1 on the graph. Loading the
+        # 30 B object 2 evicts only object 1, which has no queue.
+        policy, cache = policy_with_cache(small_catalog, 40, [1])
+        assert drive(policy, cache, mk_query(1, 1, {0}, 10)) == [ShipQuery(1), Load(0)]
+        cache.receive_update(mk_update(2, 2, 0, 9))
+        assert drive(policy, cache, mk_query(3, 3, {0}, 4)) == [ShipQuery(3)]
+        graph, flow = policy.graph, policy.flow
+        assert graph.update_weight == {2: 9} and flow.settled is not None
+
+        def snapshot():
+            return (copy.deepcopy((vars(graph), flow.flow_su, flow.flow_uq, flow.flow_qt,
+                                   flow.touched)), flow.settled)
+        before = snapshot()
+        assert drive(policy, cache, mk_query(4, 4, {2}, 10**6)) == \
+            [ShipQuery(4), Evict(1), Load(2)]
+        assert 1 not in cache.outstanding
+        assert snapshot() == before
+        assert flow.settled[0] is graph
 
     def test_graph_nodes_subset_of_outstanding(self, small_catalog):
         rng = random.Random(9)
