@@ -73,6 +73,12 @@ def _write_report(report, out: Path, stem: str, fmt: str) -> None:
         (out / f"{stem}.csv").write_text(report.series_csv())
 
 
+def _cost_line(policy: str, f) -> str:
+    """One run's final costs, from its `TrafficLedger`."""
+    return (f"{policy}: total={f.total} query_ship={f.query_ship} "
+            f"update_ship={f.update_ship} load={f.load}")
+
+
 def cmd_run(args) -> int:
     config = _run_config(args, args.policy)
     out = _out_dir(args)
@@ -80,9 +86,7 @@ def cmd_run(args) -> int:
     report = simharness.run(events, catalog, config)
     stem = f"run-{args.policy}-seed{args.seed}"
     _write_report(report, out, stem, args.format)
-    f = report.ledger
-    print(f"{args.policy}: total={f.total} query_ship={f.query_ship} "
-          f"update_ship={f.update_ship} load={f.load}")
+    print(_cost_line(args.policy, report.ledger))
     return 0
 
 
@@ -105,11 +109,9 @@ def cmd_compare(args) -> int:
             tag = f"compare-g{grain}"
         cmp_report = simharness.compare(evs, cat, configs)
         _write_report(cmp_report, out, tag, args.format)
-        for row in cmp_report.table():
-            label = f"[{grain} objects] " if grain is not None else ""
-            print(f"{label}{row['policy']}: total={row['total']} "
-                  f"query_ship={row['query_ship']} "
-                  f"update_ship={row['update_ship']} load={row['load']}")
+        label = f"[{grain} objects] " if grain is not None else ""
+        for r in cmp_report.runs:
+            print(label + _cost_line(r.config["policy"], r.ledger))
     return 0
 
 

@@ -8,20 +8,21 @@ out of residual reachability from the source.
 
 The flow lives in a `FlowState` that `min_weight_cover` mutates in place.
 `remove_nodes` and `prune_remainder` require it too: every graph edit
-repairs the flow. After a cover followed by `prune_remainder` with the same
-flow, the pair is *settled*: every node left is source-reachable in the
-residual network and every remaining query is saturated. (A prune drops only
-nodes outside the reachable side, and no flow crosses that cut, so the flow
-stays maximum.) Until the next cover only two kinds of component can change:
-those holding nodes added since, and those holding a query that lost an
-update through `remove_nodes(fs, ...)`, which the flow records. Removing a
-query keeps its component settled: each update that fed it gains source-arc
-slack, so every node left stays reachable and every other query keeps its
-inflow. The next cover augments, searches and prunes only inside the changed
-components; every other component is still settled, so its queries are
-covered and its updates are not. A fresh flow, a cover not followed by a
-prune, or a graph changed between a cover and its prune makes the next cover
-treat the whole graph.
+repairs the flow. The flow's `mark` holds its place in the cycle of a cover
+and the prune after it: a cover marks it with the graph's marks (the graph
+and its add counts) and the cover, which `remove_nodes` clears. A prune
+handed that very cover on the unchanged graph *settles* the flow, keeping the
+graph's marks alone: every node left is source-reachable in the residual
+network and every remaining query is saturated. (A prune drops only nodes
+outside the reachable side, and no flow crosses that cut, so the flow stays
+maximum.) Until the next cover only two kinds of component can change: those
+holding nodes added since, and those holding a query that lost an update
+through `remove_nodes(fs, ...)`, which the flow records in `touched`.
+Removing a query keeps its component settled: each update that fed it gains
+source-arc slack, so every node left stays reachable and every other query
+keeps its inflow. The next cover searches only the changed components; every
+other component is still settled, so its queries are covered and its updates
+are not. Any other mark makes the next cover treat the whole graph.
 """
 
 from __future__ import annotations
@@ -51,14 +52,12 @@ class FlowState:
     flow_uq: dict[int, dict[int, int]] = field(default_factory=dict)
     flow_qt: dict[int, int] = field(default_factory=dict)             # query -> sink
     augmentations: int = 0
-    # (graph, updates_added, queries_added) when the last prune settled the
-    # flow on that graph; None until then and after any cover.
-    settled: tuple | None = field(default=None, compare=False, repr=False)
-    # Queries that lost an update to remove_nodes since settling.
+    # ((graph, updates_added, queries_added), cover) from a cover until
+    # remove_nodes; (that graph's marks, None) once the prune of that cover
+    # settles the flow; None before any cover and after a cleared one.
+    mark: tuple | None = field(default=None, compare=False, repr=False)
+    # Queries that lost an update to remove_nodes since the flow settled.
     touched: set[int] = field(default_factory=set, compare=False, repr=False)
-    # (graph marks, cover, in-scope queries) of the last cover, until
-    # remove_nodes changes the graph.
-    last_cover: tuple | None = field(default=None, compare=False, repr=False)
 
     def copy(self) -> "FlowState":
         """The arc flows alone: a copy is unsettled, so its first cover
@@ -87,7 +86,6 @@ class InteractionGraph:
         # order, which fixes the search order.
         self.update_edges: dict[int, dict[int, None]] = {}
         self.query_edges: dict[int, dict[int, None]] = {}
-        self.n_edges = 0
         # add_update/add_query calls so far: nodes added after a flow settled
         # are among the last that many keys of each insertion-ordered dict.
         self.updates_added = 0
@@ -120,7 +118,11 @@ class InteractionGraph:
             raise GraphError(f"duplicate edge ({uid},{qid})")
         self.update_edges[uid][qid] = None
         self.query_edges[qid][uid] = None
-        self.n_edges += 1
+
+    @property
+    def n_edges(self) -> int:
+        """Edge count, for the benchmark's traced layer table."""
+        return sum(map(len, self.update_edges.values()))
 
     def remove_nodes(self, fs: FlowState,
                      drop_updates: set[int] = frozenset(),
@@ -131,14 +133,15 @@ class InteractionGraph:
         by a surviving update comes off its source arc. The flow records each
         surviving query that lost an update, whose component the next cover
         must revisit; a removed query leaves its component settled (see the
-        module docstring). Ids not on the graph are skipped.
+        module docstring). A cover's mark is cleared, a settled one kept. Ids
+        not on the graph are skipped.
         """
-        fs.last_cover = None
+        if fs.mark is not None and fs.mark[1] is not None:
+            fs.mark = None
         for uid in drop_updates:
             if uid not in self.update_weight:
                 continue
             qids = self.update_edges.pop(uid)
-            self.n_edges -= len(qids)
             for qid in qids:
                 del self.query_edges[qid][uid]
                 fs.touched.add(qid)
@@ -151,7 +154,6 @@ class InteractionGraph:
             if qid not in self.query_weight:
                 continue
             uids = self.query_edges.pop(qid)
-            self.n_edges -= len(uids)
             inflow = fs.flow_uq.pop(qid, {})
             for uid in uids:
                 del self.update_edges[uid][qid]
@@ -169,9 +171,9 @@ def _marks(g: InteractionGraph) -> tuple:
 def _scope(g: InteractionGraph, fs: FlowState):
     """Update and query ids of the components that may have changed since
     `fs` settled on `g`: all of them when it has not."""
-    if fs.settled is None or fs.settled[0] is not g:
+    if fs.mark is None or fs.mark[1] is not None or fs.mark[0][0] is not g:
         return g.update_weight, g.query_weight
-    _, updates_added, queries_added = fs.settled
+    _, updates_added, queries_added = fs.mark[0]
     # Counting back from the newest key may also take older nodes (when
     # some new ones were removed again); a larger scope is still exact.
     us = set(islice(reversed(g.update_weight), g.updates_added - updates_added))
@@ -266,8 +268,6 @@ def min_weight_cover(g: InteractionGraph, prior: FlowState | None = None
     """
     fs = prior if prior is not None else FlowState()
     updates, queries = _scope(g, fs)
-    fs.settled = None
-    fs.touched.clear()
     while True:
         path, reached_u, reached_q = _search(g, fs, updates)
         if path is None:
@@ -277,7 +277,7 @@ def min_weight_cover(g: InteractionGraph, prior: FlowState | None = None
     cover_u = frozenset(u for u in updates if u not in reached_u)
     cover_q = frozenset(q for q in g.query_weight if q in reached_q or q not in queries)
     cover = CoverResult(cover_q, cover_u)
-    fs.last_cover = (_marks(g), cover, queries)
+    fs.mark = (_marks(g), cover)
     return cover, fs
 
 
@@ -287,13 +287,12 @@ def prune_remainder(g: InteractionGraph, cover: CoverResult, fs: FlowState) -> N
     accumulating weight against their surviving updates. The flow `fs` is
     required; it is repaired in place and stays valid for the remainder. When
     `cover` is that flow's last cover and the graph has not changed since,
-    only the cover's scope is pruned and the flow is settled."""
-    last = fs.last_cover
-    scoped = last is not None and last[1] is cover and last[0] == _marks(g)
-    queries = last[2] if scoped else g.query_weight
-    g.remove_nodes(fs, drop_updates=set(cover.cover_updates),
-                   drop_queries={q for q in queries if q not in cover.cover_queries})
-    if scoped:
-        fs.settled = _marks(g)
+    the flow is settled. Every query outside the cover's scope is in
+    `cover.cover_queries`, so the same drop set serves either way."""
+    mark = fs.mark
+    settles = mark is not None and mark[1] is cover and mark[0] == _marks(g)
+    g.remove_nodes(fs, drop_updates=cover.cover_updates,
+                   drop_queries=g.query_weight.keys() - cover.cover_queries)
+    if settles:
+        fs.mark = (_marks(g), None)
         fs.touched.clear()
-

@@ -79,6 +79,14 @@ def make_policy(config: RunConfig, catalog: ObjectCatalog, cache: CacheState,
     return SOptimalPolicy(catalog, cache, events, **p)
 
 
+def _csv(header: tuple, rows) -> str:
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
+
+
 @dataclass
 class RunReport:
     config: dict
@@ -112,12 +120,7 @@ class RunReport:
         return json.dumps(self.summary(), sort_keys=True, separators=(",", ":")) + "\n"
 
     def series_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(self.SERIES_COLUMNS)
-        for row in self.series:
-            w.writerow(row)
-        return buf.getvalue()
+        return _csv(self.SERIES_COLUMNS, self.series)
 
 
 def run(events: list[Event], catalog: ObjectCatalog, config: RunConfig) -> RunReport:
@@ -264,14 +267,8 @@ class ComparisonReport:
                           sort_keys=True, separators=(",", ":")) + "\n"
 
     def series_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(("policy",) + RunReport.SERIES_COLUMNS)
-        for r in self.runs:
-            name = r.config["policy"]
-            for row in r.series:
-                w.writerow((name,) + row)
-        return buf.getvalue()
+        return _csv(("policy",) + RunReport.SERIES_COLUMNS,
+                    ((r.config["policy"],) + row for r in self.runs for row in r.series))
 
 
 def compare(events: list[Event], catalog: ObjectCatalog,

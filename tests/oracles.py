@@ -4,6 +4,7 @@ verifies."""
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
@@ -69,6 +70,25 @@ def graph_edges(g) -> set[tuple[int, int]]:
 def flow_value(fs) -> int:
     """Total flow into the sink of a `FlowState`."""
     return sum(fs.flow_qt.values())
+
+
+def residual_reachable(g, fs) -> set[tuple[str, int]]:
+    """Nodes reachable from the source in the residual network of the flow
+    `fs` on `g`, as ('u'|'q', id), by a plain breadth-first search: source ->
+    update while its source arc has slack, update -> query on every edge,
+    query -> update back along every arc that carries flow."""
+    reached = {("u", u) for u, w in g.update_weight.items() if fs.flow_su.get(u, 0) < w}
+    queue = deque(reached)
+    while queue:
+        kind, n = queue.popleft()
+        if kind == "u":
+            step = {("q", q) for q in g.update_edges[n]}
+        else:
+            step = {("u", u) for u in g.query_edges[n] if fs.flow_uq.get(n, {}).get(u, 0) > 0}
+        step -= reached
+        reached |= step
+        queue.extend(step)
+    return reached
 
 
 def check_flow(g, fs) -> None:

@@ -3,11 +3,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from midcache.covergraph import (FlowState, GraphError, InteractionGraph,
+from midcache.covergraph import (CoverResult, FlowState, GraphError, InteractionGraph,
                                  min_weight_cover, prune_remainder,
                                  source_reachable)
 from tests.oracles import (brute_force_cover_weight, check_cover, check_flow,
-                           cover_weight, flow_value, graph_edges)
+                           cover_weight, flow_value, graph_edges, residual_reachable)
 
 
 def build(update_weights, query_weights, edges):
@@ -265,9 +265,10 @@ class TestScopedCover:
                     if rng.random() < 0.8:
                         prune_remainder(g, cover, fs)
                         check_flow(g, fs)
-                        reach = source_reachable(g, fs)
+                        reach = residual_reachable(g, fs)
                         assert reach == ({("u", u) for u in g.update_weight}
                                          | {("q", q) for q in g.query_weight})
+                        assert source_reachable(g, fs) == reach
                         assert all(fs.flow_qt.get(q, 0) == w for q, w in g.query_weight.items())
             cover, fs = min_weight_cover(g, fs)
             assert cover == min_weight_cover(g, FlowState())[0]
@@ -277,6 +278,54 @@ class TestScopedCover:
         fs = FlowState()
         cover, out = min_weight_cover(g, fs)
         assert out is fs and flow_value(fs) == 3
+
+
+class TestCycleExits:
+    """Every way a flow leaves the cover -> prune cycle other than a prune of
+    its own cover on the unchanged graph. In each, the next cover must still
+    equal the from-scratch cover."""
+
+    @staticmethod
+    def next_cover_from_scratch(g, fs):
+        cover, _ = min_weight_cover(g, fs)
+        assert cover == min_weight_cover(g, FlowState())[0]
+        check_flow(g, fs)
+
+    def test_settled_on_one_graph_then_covered_on_another(self):
+        g = build({1: 5}, {10: 1}, [(1, 10)])
+        cover, fs = min_weight_cover(g)
+        prune_remainder(g, cover, fs)
+        # Same ids and add counts, and the flow is valid on it, but query 10
+        # now outweighs update 1.
+        self.next_cover_from_scratch(build({1: 5}, {10: 9}, [(1, 10)]), fs)
+
+    def test_remove_nodes_between_a_cover_and_its_prune(self):
+        g = build({1: 3, 2: 3}, {10: 5}, [(1, 10), (2, 10)])
+        cover, fs = min_weight_cover(g)
+        assert cover.cover_queries == {10}
+        g.remove_nodes(fs, drop_updates={1})
+        prune_remainder(g, cover, fs)
+        self.next_cover_from_scratch(g, fs)
+
+    def test_prune_handed_a_cover_its_flow_did_not_compute(self):
+        g = build({1: 1, 2: 5}, {10: 5, 11: 1}, [(1, 10), (2, 11)])
+        _, fs = min_weight_cover(g)
+        prune_remainder(g, CoverResult(frozenset(g.query_weight), frozenset()), fs)
+        self.next_cover_from_scratch(g, fs)
+
+    def test_query_added_between_a_cover_and_its_prune(self):
+        # The prune drops the new query, which the cover did not cover; the
+        # zero-weight update that came with it stays, and no source arc
+        # reaches it.
+        g = build({1: 5}, {10: 1}, [(1, 10)])
+        cover, fs = min_weight_cover(g)
+        g.add_update(2, 0)
+        g.add_query(11, 3)
+        g.add_edge(1, 11)
+        g.add_edge(2, 11)
+        prune_remainder(g, cover, fs)
+        assert set(g.update_weight) == {1, 2}
+        self.next_cover_from_scratch(g, fs)
 
 
 class TestPrune:
@@ -338,4 +387,5 @@ class TestPrune:
             assert set(g.update_weight) == keep_u
             assert set(g.query_weight) == keep_q
             assert graph_edges(g) == expect_edges
+            assert g.n_edges == len(expect_edges)
             check_flow(g, fs)

@@ -6,9 +6,10 @@ traces: the default 68-object shape; a 532-object `scaled_hotspots` shape
 with a 5% cache in which loads and evictions churn; and a cover-heavy shape
 like the benchmark's `write68` (4:1 updates on the queried hotspots), at a
 30% cache and at a 5% cache where `vcover` evicts objects whose updates are
-still on its interaction graph. A change that is meant to keep behaviour
-must keep every digest; a change that means to alter behaviour re-records
-them and says why.
+still on its interaction graph; and the default shape at 20k events, where
+vcover's graph lives long enough for scoped covers to matter. A change that
+is meant to keep behaviour must keep every digest; a change that means to
+alter behaviour re-records them and says why.
 """
 
 import dataclasses
@@ -34,6 +35,7 @@ SHAPES = {
                                     n_queries=400, n_updates=1_600), 0.3),
 }
 SHAPES["write68_evict"] = (SHAPES["write68"][0], 0.05)
+SHAPES["default20k"] = (GeneratorParams(n_queries=10_000, n_updates=10_000), 0.3)
 # Generator seed per shape (default 1). Seed 4 makes every vcover policy seed
 # evict objects with updates on the graph at the 5% cache.
 GEN_SEEDS = {"write68_evict": 4}
@@ -113,6 +115,21 @@ GOLDEN = {
     ("write68_evict", "soptimal", 1): "de1f85d517082d65090490faf0720099a175b79394a243f4a1979bc4b702e279",
     ("write68_evict", "soptimal", 2): "c324cdea3bd90361971d2ad659fc07cfa8266f165fbd9f86482a07ef82b361c5",
     ("write68_evict", "soptimal", 3): "0e122f9b23ddf462f72a259e65e554441020c570247a1cc5c65216a7d6ed6a62",
+    ("default20k", "vcover", 1): "36eb85b6e475b238629291f4c021a3ba3f33ea8b0fcc913ce8ae5e20af467cc7",
+    ("default20k", "vcover", 2): "3d139cccd2b74f78dce6e5459200d6c463255565dc22f3ae13c7a111418d5a9a",
+    ("default20k", "vcover", 3): "765ab58188aaf4c4a0c21163933816f23ac98c37d94dcd4dfe7c74ac1b691a34",
+    ("default20k", "benefit", 1): "cb423120cbf1391cef7b1130d863de732bfe6adf3ace7fb4236a153bfb2d17f1",
+    ("default20k", "benefit", 2): "1d1b3483f17606d530b86808c299ac00d382b4d3b3c92b98f2976b29797c749c",
+    ("default20k", "benefit", 3): "60d6b4e79442e94101848f98630ed40a385cf1796a0a610b09fd877242964749",
+    ("default20k", "nocache", 1): "3735f8399414a026b34013d2eec58bf459c7250a68a3fd847eae6ca5758c2223",
+    ("default20k", "nocache", 2): "576319cb2f2b5c03f71f0309d10d3247560cd45d8ff1f82a399a4df371481b36",
+    ("default20k", "nocache", 3): "a432fb228c61ba8bde8b2c583c99f504cb26238953447cfb92f0dc06364c8ba5",
+    ("default20k", "replica", 1): "809ba1e4eb6e254667cb14c53bff0329ed01d00ddbc3bf8adfca8d553522bce7",
+    ("default20k", "replica", 2): "925f22f67ca0696fcb9e5fcc2e8109cf231e917f5d5f1ca5921a47e292ed5d4b",
+    ("default20k", "replica", 3): "ff4ee5d8e0b2bec220be1d0116ee0615ee74daad113f841d8f7ef35983d83063",
+    ("default20k", "soptimal", 1): "92de911846119c8dfc20e820e83e875f2570135b3ea91ab083238a90f2a56baf",
+    ("default20k", "soptimal", 2): "52f905fa5559e9d5b339f348022ffa7d3e01c9ff25faf971cfcddf2f960218e9",
+    ("default20k", "soptimal", 3): "7448b7e422b3ba1a799b1773873a5ee6612bbf90e597e598ac9a83798d5fb7bf",
 }
 
 

@@ -151,17 +151,17 @@ class TestGraphConsistency:
         cache.receive_update(mk_update(2, 2, 0, 9))
         assert drive(policy, cache, mk_query(3, 3, {0}, 4)) == [ShipQuery(3)]
         graph, flow = policy.graph, policy.flow
-        assert graph.update_weight == {2: 9} and flow.settled is not None
+        assert graph.update_weight == {2: 9} and flow.mark[1] is None   # settled
 
         def snapshot():
             return (copy.deepcopy((vars(graph), flow.flow_su, flow.flow_uq, flow.flow_qt,
-                                   flow.touched)), flow.settled)
+                                   flow.touched)), flow.mark)
         before = snapshot()
         assert drive(policy, cache, mk_query(4, 4, {2}, 10**6)) == \
             [ShipQuery(4), Evict(1), Load(2)]
         assert 1 not in cache.outstanding
         assert snapshot() == before
-        assert flow.settled[0] is graph
+        assert flow.mark[0][0] is graph and flow.mark[1] is None
 
     def test_graph_nodes_subset_of_outstanding(self, small_catalog):
         rng = random.Random(9)
