@@ -8,14 +8,15 @@ have earned had they been resident, less one load cost. An exponentially
 smoothed forecast ranks objects at every window boundary and the cache is
 recomposed greedily from the top of the ranking.
 
-The `soptimal` yardstick plans with the same pieces (`ShareTable`,
+The `soptimal` yardstick plans with the same pieces (`split_shape`,
 `WindowStats`, `window_benefits`, `fill`): one window over the whole trace,
 empty cache.
 
-A query's split depends only on its object set, its cost and the catalog, so
-each run computes every distinct (object set, cost) split once, in a
-`ShareTable` that the run owns and that dies with it: regrained catalogs
-reuse object ids with other sizes, so no split outlives its run.
+A query's split depends only on its shape (object set, cost) and the
+catalog, so each run computes every distinct shape's split once: `benefit`
+in a `ShareTable` that the run owns and that dies with it, `soptimal` by
+counting the shapes before it splits them. Regrained catalogs reuse object
+ids with other sizes, so no split outlives its run.
 
 Between boundaries the cache protocol is plain: fully resident and current
 enough answers at the cache, fully resident but stale ships the interacting
@@ -29,21 +30,28 @@ from dataclasses import dataclass, field
 
 from .core import (AnswerFromCache, CacheState, Decision, Evict, Load,
                    ObjectCatalog, ObjectId, Query, ShipQuery, ShipUpdates,
-                   Update, interacting_updates)
+                   UnknownObject, Update, interacting_updates)
 
 
 def proportional_shares(amount: int, sizes: list[tuple[ObjectId, int]]) -> dict[ObjectId, int]:
     """Split an integer amount across objects in proportion to size, exactly:
     floor each share, then hand the leftover units out by largest remainder
-    (ties to the smaller object id). Integer arithmetic throughout. Sizes are
-    positive and the list non-empty, as for every query's objects."""
-    total = sum(s for _, s in sizes)
+    (ties to the smaller object id, whatever the input order). Integer
+    arithmetic throughout. Sizes are positive and the list non-empty, as for
+    every query's objects; one object takes the whole amount."""
+    if len(sizes) == 1:
+        return {sizes[0][0]: amount}
+    total = 0
+    for _, s in sizes:
+        total += s
     shares: dict[ObjectId, int] = {}
     remainders: list[tuple[int, ObjectId]] = []
+    leftover = amount
     for oid, s in sizes:
-        shares[oid], rem = divmod(amount * s, total)
+        share, rem = divmod(amount * s, total)
+        shares[oid] = share
+        leftover -= share
         remainders.append((-rem, oid))
-    leftover = amount - sum(shares.values())
     if leftover:
         remainders.sort()
         for _, oid in remainders[:leftover]:
@@ -51,10 +59,25 @@ def proportional_shares(amount: int, sizes: list[tuple[ObjectId, int]]) -> dict[
     return shares
 
 
+def split_shape(objects: frozenset[ObjectId], cost: int,
+                catalog: ObjectCatalog) -> tuple[tuple[ObjectId, int], ...]:
+    """The `(oid, share)` pairs of `proportional_shares` for one query shape
+    (object set, cost), in sorted-oid order. An object missing from the
+    catalog raises UnknownObject, naming the smallest such id."""
+    entries = catalog.entries
+    try:
+        sizes = [(oid, entries[oid].size) for oid in sorted(objects)]
+    except KeyError as e:
+        raise UnknownObject(f"object {e.args[0]} not in catalog") from None
+    return tuple(proportional_shares(cost, sizes).items())
+
+
 class ShareTable:
-    """One run's splits: (object set, cost) -> the `(oid, share)` pairs of
-    `proportional_shares`, in sorted-oid order. Each distinct pair is split
-    once, on first use; the table belongs to one run over one catalog."""
+    """One run's splits: query shape (object set, cost) -> its `split_shape`
+    pairs. A policy that meets queries one at a time splits each distinct
+    shape once, on first use; the table belongs to one run over one catalog.
+    A planner that sees every query up front counts the shapes instead and
+    calls `split_shape` once per shape (see `yardsticks.plan_static_set`)."""
 
     def __init__(self, catalog: ObjectCatalog):
         self.catalog = catalog
@@ -64,8 +87,7 @@ class ShareTable:
         key = (q.objects, q.ship_cost)
         pairs = self.splits.get(key)
         if pairs is None:
-            sizes = [(oid, self.catalog.size(oid)) for oid in sorted(q.objects)]
-            pairs = self.splits[key] = tuple(proportional_shares(q.ship_cost, sizes).items())
+            pairs = self.splits[key] = split_shape(q.objects, q.ship_cost, self.catalog)
         return pairs
 
 

@@ -219,7 +219,7 @@ class CacheState:
     def receive_update(self, u: Update) -> None:
         """Server-side arrival of an update. Invalidate the cached copy when
         the target is resident; otherwise nothing reaches the cache."""
-        if u.object not in self.catalog:
+        if u.object not in self.catalog.entries:
             raise UnknownObject(f"update {u.uid} targets unknown object {u.object}")
         if u.object in self.resident:
             self.outstanding.setdefault(u.object, []).append(u)
@@ -328,7 +328,7 @@ def record(ledger: TrafficLedger, d: Decision, costs: CostContext, seq: int = 0)
     if kind is ShipQuery:
         ledger.query_ship += costs.query_cost[d.qid]
     elif kind is ShipUpdates:
-        ledger.update_ship += sum(costs.update_cost[uid] for uid in d.uids)
+        ledger.update_ship += sum(map(costs.update_cost.__getitem__, d.uids))
     elif kind is Load:
         ledger.load += costs.catalog.load_cost(d.oid)
 

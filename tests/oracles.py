@@ -315,6 +315,32 @@ def largest_remainder_shares(amount: int, sizes: list[tuple[int, int]]) -> dict[
     return out
 
 
+def per_query_static_set(events, catalog: ObjectCatalog, capacity: int) -> list[int]:
+    """The static set `yardsticks.plan_static_set` must load, in load order,
+    worked one query at a time: every query credits its objects with their
+    `largest_remainder_shares` of its cost, every update charges its object's
+    bytes, every object pays its load cost once, and the positive scores are
+    taken in (-score, id) order, skipping any object that no longer fits."""
+    entries = catalog.entries
+    saved: dict[int, int] = {}
+    charged: dict[int, int] = {}
+    for ev in events:
+        if isinstance(ev, Query):
+            sizes = [(oid, entries[oid].size) for oid in sorted(ev.objects)]
+            for oid, share in largest_remainder_shares(ev.ship_cost, sizes).items():
+                saved[oid] = saved.get(oid, 0) + share
+        else:
+            charged[ev.object] = charged.get(ev.object, 0) + ev.ship_cost
+    scores = {oid: saved.get(oid, 0) - charged.get(oid, 0) - info.load_cost
+              for oid, info in entries.items()}
+    chosen, space = [], capacity
+    for _, oid in sorted((-v, oid) for oid, v in scores.items() if v > 0):
+        if entries[oid].size <= space:
+            chosen.append(oid)
+            space -= entries[oid].size
+    return chosen
+
+
 def event_fields_ok(fields: dict) -> bool:
     """Whether `Query(**fields)` (with an `objects` key) or `Update(**fields)` may
     be built: every scalar field and object id a true `int` (a bool is not),

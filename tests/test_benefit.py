@@ -53,6 +53,20 @@ class TestShares:
         pairs = list(enumerate(sizes))
         assert proportional_shares(amount, pairs) == largest_remainder_shares(amount, pairs)
 
+    @given(st.integers(0, 10**13),
+           st.lists(st.integers(1, 10**12), min_size=1, max_size=6), st.randoms())
+    def test_any_pair_order_matches_rational_largest_remainder(self, amount, sizes, rng):
+        # ids are shuffled, so the tie rule cannot lean on the input order;
+        # the result keeps the input's key order
+        pairs = list(zip(rng.sample(range(100), len(sizes)), sizes))
+        shares = proportional_shares(amount, pairs)
+        assert shares == largest_remainder_shares(amount, pairs)
+        assert list(shares) == [oid for oid, _ in pairs]
+
+    @given(st.integers(0, 10**13), st.integers(0, 10**6), st.integers(1, 10**12))
+    def test_one_object_takes_the_whole_amount(self, amount, oid, size):
+        assert proportional_shares(amount, [(oid, size)]) == {oid: amount}
+
 
 class TestShareTable:
     @given(st.data())

@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from midcache import simharness
 from midcache.core import (AnswerFromCache, Load, ObjectCatalog, Query, ShipQuery,
-                           ShipUpdates)
+                           ShipUpdates, UnknownObject)
 from midcache.simharness import (POLICY_NAMES, AuditError, RunConfig, compare,
                                  replay_decisions, run)
 from midcache.workload import (GeneratorParams, TraceError, generate,
@@ -318,6 +318,23 @@ class TestInputContract:
         with pytest.raises(ValueError,
                            match=r"^event 3: time 4 is before the previous time 5$"):
             run(events, small_catalog, RunConfig(policy=policy, seed=0))
+
+    # run() does not check object ids up front; these pin the errors that
+    # the catalog lookups raise instead.
+
+    @pytest.mark.parametrize("policy", ["benefit", "soptimal"])
+    def test_query_on_unknown_object_names_it(self, policy):
+        catalog = ObjectCatalog.from_sizes({0: 10, 1: 20})
+        events = [mk_query(1, 1, {0, 9}, 7)]
+        with pytest.raises(UnknownObject, match=r"^object 9 not in catalog$"):
+            run(events, catalog, RunConfig(policy=policy, seed=0))
+
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    def test_update_on_unknown_object_names_it(self, policy):
+        catalog = ObjectCatalog.from_sizes({0: 10, 1: 20})
+        events = [mk_update(1, 1, 9, 3)]
+        with pytest.raises(UnknownObject, match=r"^update 1 targets unknown object 9$"):
+            run(events, catalog, RunConfig(policy=policy, seed=0))
 
 
 class TestCompare:

@@ -1,13 +1,15 @@
 import random
 from itertools import combinations
 
+from hypothesis import given, settings, strategies as st
+
 from midcache import yardsticks
 from midcache.core import Load, ObjectCatalog, Query, Update
 from midcache.simharness import RunConfig, run
 from midcache.workload import GeneratorParams, generate
 from midcache.yardsticks import plan_static_set
 from tests.conftest import mk_query, mk_update
-from tests.oracles import static_set_replay_cost
+from tests.oracles import per_query_static_set, static_set_replay_cost
 
 NOCACHE = RunConfig(policy="nocache", seed=0, cache_bytes=0)
 REPLICA = RunConfig(policy="replica", seed=0, cache_bytes=0)   # sized to the catalog
@@ -173,3 +175,31 @@ class TestSOptimal:
                       if seq == 0 and isinstance(d, Load))
         assert loads == expected.initial_loads
         assert expected.static_set
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_plan_matches_per_query_oracle(self, data):
+        # Shapes repeat, one object set recurs at several costs (zero among
+        # them), small sizes tie, and the capacity runs from nothing to the
+        # whole catalog.
+        n = data.draw(st.integers(1, 6), label="objects")
+        size = st.one_of(st.integers(1, 3), st.integers(1, 10**9))
+        catalog = ObjectCatalog.from_sizes(
+            {o: data.draw(size) for o in range(n)},
+            {o: data.draw(st.integers(1, 40)) for o in range(n)})
+        oid = st.integers(0, n - 1)
+        object_sets = data.draw(st.lists(st.frozensets(oid, min_size=1), min_size=1,
+                                         max_size=4), label="object sets")
+        cost = st.one_of(st.sampled_from([0, 0, 1, 7, 30]), st.integers(0, 10**10))
+        events = []
+        for seq in range(1, data.draw(st.integers(0, 40), label="events") + 1):
+            if data.draw(st.booleans()):
+                events.append(mk_query(seq, seq, data.draw(st.sampled_from(object_sets)),
+                                       data.draw(cost)))
+            else:
+                events.append(mk_update(seq, seq, data.draw(oid), data.draw(cost)))
+        capacity = data.draw(st.integers(0, catalog.total_size), label="capacity")
+        chosen = per_query_static_set(events, catalog, capacity)
+        plan = plan_static_set(events, catalog, capacity)
+        assert plan.static_set == frozenset(chosen)
+        assert plan.initial_loads == tuple(Load(o) for o in chosen)
