@@ -6,8 +6,8 @@ traffic is minimized while every query meets its staleness tolerance.
 """
 
 from .core import (AnswerFromCache, CacheState, Decision, Evict, Event, Load,
-                   ObjectCatalog, Query, ShipQuery, ShipUpdates, TrafficLedger,
-                   Update, interacting_updates)
+                   ObjectCatalog, Query, ShipQuery, ShipUpdates, Trace,
+                   TrafficLedger, Update, interacting_updates)
 from .covergraph import CoverResult, FlowState, InteractionGraph, min_weight_cover
 from .simharness import RunConfig, RunReport, compare, run
 from .workload import GeneratorParams, generate, load_trace, validate
@@ -18,7 +18,7 @@ __all__ = [
     "AnswerFromCache", "CacheState", "CoverResult", "Decision", "Evict",
     "Event", "FlowState", "GeneratorParams", "InteractionGraph", "Load",
     "ObjectCatalog", "Query", "RunConfig", "RunReport", "ShipQuery",
-    "ShipUpdates", "TrafficLedger", "Update", "compare", "generate",
+    "ShipUpdates", "Trace", "TrafficLedger", "Update", "compare", "generate",
     "interacting_updates", "load_trace", "min_weight_cover", "run",
     "validate",
 ]

@@ -11,6 +11,7 @@ non-negative, and that a query's objects are a non-empty frozenset.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 
@@ -37,7 +38,7 @@ class NotOutstanding(CacheError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObjectInfo:
     size: int
     load_cost: int
@@ -97,7 +98,7 @@ class ObjectCatalog:
         return sum(e.size for e in self.entries.values())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Update:
     uid: int
     time: int
@@ -111,7 +112,7 @@ class Update:
             raise ValueError(_field_error(self))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Query:
     qid: int
     time: int
@@ -149,30 +150,115 @@ def _field_error(ev: Event) -> str:
     return f"query {eid} has negative tolerance"
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
+class Trace(Sequence):
+    """An immutable sequence of events that passed the whole event contract
+    against a catalog: `seq` rising from 1 or above, time never falling,
+    query ids unique, update ids unique, and every object an event names in
+    the catalog. It keeps the ids of the catalog it was checked against, so
+    it stays valid under any catalog that holds them all (see `as_trace`).
+
+    `Trace.of` is the public door and checks everything. The trace reader,
+    the generator and `regrain` enforce every rule as they build events, so
+    they return a Trace through the trusted `_trusted` constructor instead.
+    Slicing gives a plain tuple, which is checked again like any other
+    sequence of events."""
+
+    events: tuple[Event, ...]
+    object_ids: frozenset[ObjectId]
+
+    def __init__(self, *args, **kwargs):
+        raise TypeError("build a Trace with Trace.of(catalog, events)")
+
+    @classmethod
+    def _trusted(cls, catalog: ObjectCatalog, events: Iterable[Event]) -> Trace:
+        trace = object.__new__(cls)
+        object.__setattr__(trace, "events", tuple(events))
+        object.__setattr__(trace, "object_ids", frozenset(catalog.entries))
+        return trace
+
+    @classmethod
+    def of(cls, catalog: ObjectCatalog, events: Iterable[Event]) -> Trace:
+        """`events` as a Trace checked against `catalog`. Raises TypeError
+        for the first item that is not a `Query` or an `Update`, and
+        ValueError for the first event, by 1-based position, that breaks a
+        rule. An event's rules are checked in this order: `seq` (`event 2:
+        seq 1 is not above the previous seq 1`), unknown objects and
+        duplicate ids (`validate`'s messages after `event N: `), and time
+        (`event 3: time 4 is before the previous time 5`)."""
+        events = tuple(events)
+        known = catalog.entries
+        seen_queries, seen_updates = set(), set()
+        last_seq, last_time = 0, float("-inf")
+        for i, ev in enumerate(events, start=1):
+            if type(ev) is Query:
+                kind, eid, oids, seen = "query", ev.qid, ev.objects, seen_queries
+            elif type(ev) is Update:
+                kind, eid, oids, seen = "update", ev.uid, (ev.object,), seen_updates
+            else:
+                raise TypeError(f"event {i}: {ev!r} is not a Query or an Update")
+            if ev.seq <= last_seq:
+                raise ValueError(f"event {i}: seq {ev.seq} is not above "
+                                 f"the previous seq {last_seq}")
+            for oid in oids:
+                if oid not in known:
+                    raise ValueError(f"event {i}: {kind} {eid} references unknown object "
+                                     f"{min(o for o in oids if o not in known)}")
+            if eid in seen:
+                raise ValueError(f"event {i}: duplicate {kind} id {eid}")
+            seen.add(eid)
+            if ev.time < last_time:
+                raise ValueError(f"event {i}: time {ev.time} is before "
+                                 f"the previous time {last_time}")
+            last_seq, last_time = ev.seq, ev.time
+        return cls._trusted(catalog, events)
+
+    def __len__(self) -> int:
+        return len(self.events)
+
+    def __getitem__(self, index):
+        return self.events[index]
+
+    def __iter__(self) -> Iterator[Event]:
+        return iter(self.events)
+
+    def __repr__(self) -> str:
+        return f"<Trace of {len(self.events)} events over {len(self.object_ids)} object ids>"
+
+
+def as_trace(catalog: ObjectCatalog, events: Iterable[Event]) -> Trace:
+    """`events` as a Trace valid under `catalog`. A Trace checked against ids
+    that `catalog` all holds is trusted as it is, at O(catalog) cost; anything
+    else goes through `Trace.of`."""
+    if type(events) is Trace and catalog.entries.keys() >= events.object_ids:
+        return events
+    return Trace.of(catalog, events)
+
+
 # Decisions emitted by policies. Applying them in order to a CacheState must
 # never violate capacity or freshness invariants.
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ShipQuery:
     qid: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ShipUpdates:
     uids: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnswerFromCache:
     qid: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Load:
     oid: ObjectId
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Evict:
     oid: ObjectId
 

@@ -9,12 +9,15 @@ import csv
 import io
 import json
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
+from operator import itemgetter
 
 from .benefit import BenefitPolicy
 from .core import (AnswerFromCache, CacheState, CostContext, Decision, Event, Evict,
-                   ObjectCatalog, Query, ShipQuery, TrafficLedger, Update, apply,
-                   check_capacity, check_freshness, interacting_updates, record)
+                   ObjectCatalog, Query, ShipQuery, Trace, TrafficLedger, Update,
+                   apply, as_trace, check_capacity, check_freshness, interacting_updates,
+                   record)
 from .vcover import VCoverPolicy
 from .yardsticks import NoCachePolicy, ReplicaPolicy, SOptimalPolicy
 
@@ -66,7 +69,7 @@ class RunConfig:
 
 
 def make_policy(config: RunConfig, catalog: ObjectCatalog, cache: CacheState,
-                events: list[Event]):
+                events: Trace):
     name, p = config.policy, config.params
     if name == "vcover":
         return VCoverPolicy(catalog, cache, seed=config.seed, **p)
@@ -103,7 +106,8 @@ class RunReport:
 
     def summary(self) -> dict:
         # Every AnswerFromCache in a finished run's log passed its audit.
-        counts = Counter(type(d).__name__ for _, d in self.decision_log)
+        by_type = Counter(map(type, map(itemgetter(1), self.decision_log)))
+        counts = {kind.__name__: n for kind, n in by_type.items()}
         return {
             "config": self.config,
             "final": {"query_ship": self.ledger.query_ship,
@@ -112,7 +116,7 @@ class RunReport:
                       "total": self.ledger.total},
             "post_warmup": self.post_warmup,
             "decisions": dict(sorted(counts.items())),
-            "answers_audited": counts["AnswerFromCache"],
+            "answers_audited": by_type[AnswerFromCache],
             "n_events": self.n_events,
         }
 
@@ -123,27 +127,20 @@ class RunReport:
         return _csv(self.SERIES_COLUMNS, self.series)
 
 
-def run(events: list[Event], catalog: ObjectCatalog, config: RunConfig) -> RunReport:
+def run(events: Sequence[Event], catalog: ObjectCatalog, config: RunConfig) -> RunReport:
     """Replay the trace under one policy. Raises AuditError (with the event
     index) if a ShipQuery or a cache answer names anything but its own query
     event, a query ships twice, a cache answer breaks its staleness contract,
     a decision that changes the cache (Load, Evict, ShipUpdates) overfills it,
     an event leaves a broken update queue, or, at the end, the resident set
-    disagrees with the capacity counter or exceeds capacity. Events check
-    their own fields when built; run() re-checks only their order, before any
-    policy is built, and raises ValueError if an event's `seq` is not above
-    the previous event's (the first must be above 0) or its time is before
-    the previous event's. Only `load_trace` and `validate` check duplicate
-    ids and catalog members."""
-    last_seq, last_time = 0, float("-inf")
-    for i, ev in enumerate(events):
-        if ev.seq <= last_seq:
-            raise ValueError(f"event {i + 1}: seq {ev.seq} is not above "
-                             f"the previous seq {last_seq}")
-        if ev.time < last_time:
-            raise ValueError(f"event {i + 1}: time {ev.time} is before "
-                             f"the previous time {last_time}")
-        last_seq, last_time = ev.seq, ev.time
+    disagrees with the capacity counter or exceeds capacity.
+
+    The events must keep the whole event contract (see `core.Trace`). A
+    `Trace` checked against ids that `catalog` all holds, as `load_trace`,
+    `generate` and `regrain` return, is trusted without a walk over its
+    events; any other sequence goes through `Trace.of` first, which raises
+    ValueError naming the first bad event before any policy is built."""
+    events = as_trace(catalog, events)
     cache = CacheState(config.capacity(catalog), catalog)
     policy = make_policy(config, catalog, cache, events)
     initial_resident = sorted(cache.resident)
@@ -211,8 +208,9 @@ def run(events: list[Event], catalog: ObjectCatalog, config: RunConfig) -> RunRe
     # once, so residency that changed behind apply's back fails the run.
     resident_bytes = sum(catalog.size(o) for o in cache.resident)
     if resident_bytes != cache.used or resident_bytes > cache.capacity:
-        raise AuditError(last_seq, f"resident objects hold {resident_bytes} B, capacity "
-                                   f"counter {cache.used} B, capacity {cache.capacity} B")
+        raise AuditError(events[-1].seq if events else 0,
+                         f"resident objects hold {resident_bytes} B, capacity "
+                         f"counter {cache.used} B, capacity {cache.capacity} B")
 
     wq, wu, wl = warmup_snapshot
     post_warmup = {"query_ship": ledger.query_ship - wq,
@@ -226,7 +224,7 @@ def run(events: list[Event], catalog: ObjectCatalog, config: RunConfig) -> RunRe
                      final_resident=sorted(cache.resident))
 
 
-def replay_decisions(events: list[Event], catalog: ObjectCatalog,
+def replay_decisions(events: Sequence[Event], catalog: ObjectCatalog,
                      report: RunReport) -> tuple[CacheState, TrafficLedger]:
     """Re-apply a report's decision log against a fresh cache; the result must
     reproduce the run's final cache and ledger exactly."""
@@ -271,7 +269,10 @@ class ComparisonReport:
                     ((r.config["policy"],) + row for r in self.runs for row in r.series))
 
 
-def compare(events: list[Event], catalog: ObjectCatalog,
+def compare(events: Sequence[Event], catalog: ObjectCatalog,
             configs: list[RunConfig]) -> ComparisonReport:
-    """Run several configs over the same trace, one after another."""
-    return ComparisonReport([run(events, catalog, c) for c in configs])
+    """Run several configs over the same trace, one after another. The
+    events are checked once, as `run()` checks them, and every run trusts
+    the resulting `Trace`."""
+    trace = as_trace(catalog, events)
+    return ComparisonReport([run(trace, catalog, c) for c in configs])

@@ -23,9 +23,9 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from itertools import accumulate
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Sequence
 
-from .core import Event, ObjectCatalog, ObjectId, Query, Update
+from .core import Event, ObjectCatalog, ObjectId, Query, Trace, Update, as_trace
 
 CATALOG_SCHEMA = "catalog/v1"
 TRACE_SCHEMA = "trace/v1"
@@ -107,7 +107,10 @@ def _drifting_choice(rng: random.Random, centers: tuple[int, ...],
     return centers[idx]
 
 
-def generate(params: GeneratorParams, seed: int) -> tuple[ObjectCatalog, list[Event]]:
+def generate(params: GeneratorParams, seed: int) -> tuple[ObjectCatalog, Trace]:
+    """A catalog and a trace over it. Ids and `seq` count from 1, time rises,
+    and equal object sets share one frozenset, so the events keep the whole
+    contract and come back as a trusted `Trace`."""
     rng = random.Random(seed)
     n = params.n_objects
     sizes = {}
@@ -127,6 +130,7 @@ def generate(params: GeneratorParams, seed: int) -> tuple[ObjectCatalog, list[Ev
     opq_cum = list(accumulate(params.objects_per_query_weights))
 
     events: list[Event] = []
+    object_sets: dict[frozenset[ObjectId], frozenset[ObjectId]] = {}
     t = 0
     scan_pos, scan_left = 0, 0
     for i, kind in enumerate(markers):
@@ -141,6 +145,7 @@ def generate(params: GeneratorParams, seed: int) -> tuple[ObjectCatalog, list[Ev
                 center = rng.randrange(n)
             nobj = rng.choices(opq_sizes, cum_weights=opq_cum)[0]
             objs = frozenset((center - nobj // 2 + k) % n for k in range(nobj))
+            objs = object_sets.setdefault(objs, objs)
             cost = max(1, int(params.selectivity * sum(sizes[o] for o in objs)))
             tol = rng.choices(tol_values, cum_weights=tol_cum)[0]
             events.append(Query(qid=eid, time=t, objects=objs, ship_cost=cost,
@@ -158,7 +163,7 @@ def generate(params: GeneratorParams, seed: int) -> tuple[ObjectCatalog, list[Ev
             scan_left -= 1
             cost = max(1, int(params.update_fraction * sizes[oid]))
             events.append(Update(uid=eid, time=t, object=oid, ship_cost=cost, seq=eid))
-    return catalog, events
+    return catalog, Trace._trusted(catalog, events)
 
 
 # ---------------------------------------------------------------- file I/O
@@ -265,7 +270,8 @@ def _read(path, rep: ValidationReport) -> tuple[ObjectCatalog | None, Iterator[E
     stream there. For corrupt deflate data that line can come up to one read
     buffer before the damage, since the gzip reader drops the text it
     decompressed in the failing read; truncation is named exactly. Events get
-    1-based sequence numbers."""
+    1-based sequence numbers, and queries with equal object sets share one
+    frozenset."""
     path = Path(path)
 
     def fail(line: int, msg: str) -> None:
@@ -287,6 +293,7 @@ def _read(path, rep: ValidationReport) -> tuple[ObjectCatalog | None, Iterator[E
         n_records = 0
         line_no = 0                 # the last line read whole
         seen_queries, seen_updates = set(), set()
+        object_sets: dict[frozenset[ObjectId], frozenset[ObjectId]] = {}
         known = catalog.entries.keys()
         try:
             with _open(path, "rb") as fh:
@@ -307,7 +314,13 @@ def _read(path, rep: ValidationReport) -> tuple[ObjectCatalog | None, Iterator[E
                         continue
                     if type(ev) is Query:
                         rep.n_queries += 1
-                        kind, eid, oids, seen = "query", ev.qid, ev.objects, seen_queries
+                        # Equal object sets share one frozenset, so shape lookups
+                        # hit by identity. Both passed Query's field check, so
+                        # they hold the same ints, and the event keeps its value.
+                        oids = object_sets.setdefault(ev.objects, ev.objects)
+                        if oids is not ev.objects:
+                            object.__setattr__(ev, "objects", oids)
+                        kind, eid, seen = "query", ev.qid, seen_queries
                     else:
                         rep.n_updates += 1
                         kind, eid, oids, seen = "update", ev.uid, {ev.object}, seen_updates
@@ -339,23 +352,28 @@ def validate(path) -> ValidationReport:
     return rep
 
 
-def load_trace(path) -> tuple[ObjectCatalog, list[Event]]:
+def load_trace(path) -> tuple[ObjectCatalog, Trace]:
     """Load a valid trace and its catalog; raise TraceError naming
-    `<path>:<line>` for the first error `validate` would report."""
+    `<path>:<line>` for the first error `validate` would report. The reader
+    checks the whole event contract as it parses, so the events come back as
+    a `Trace` that `run()` and `compare()` trust without another walk."""
     rep = ValidationReport()
     catalog, stream = _read(path, rep)
-    events = list(stream)
+    events = tuple(stream)
     if rep.errors:
         line, msg = rep.errors[0]
         raise TraceError(f"{path}:{line}: {msg}")
-    return catalog, events
+    return catalog, Trace._trusted(catalog, events)
 
 
-def regrain(catalog: ObjectCatalog, events: list[Event], n_groups: int
-            ) -> tuple[ObjectCatalog, list[Event]]:
+def regrain(catalog: ObjectCatalog, events: Sequence[Event], n_groups: int
+            ) -> tuple[ObjectCatalog, Trace]:
     """Re-partition the catalog into coarser objects by merging contiguous id
     ranges (group k covers ids [k*n/g, (k+1)*n/g)). Query and update shipping
-    costs carry over unchanged; merged sizes and load costs add up."""
+    costs carry over unchanged; merged sizes and load costs add up. The events
+    are checked against `catalog` as `run()` checks them (a `Trace` of its
+    ids is trusted); ids, `seq` and times carry over and every group is in the
+    merged catalog, so the result is a trusted `Trace` of the merged one."""
     ids = catalog.ids()
     n = len(ids)
     if not 1 <= n_groups <= n:
@@ -370,10 +388,16 @@ def regrain(catalog: ObjectCatalog, events: list[Event], n_groups: int
         sizes[g] = sizes.get(g, 0) + catalog.size(oid)
         costs[g] = costs.get(g, 0) + catalog.load_cost(oid)
     merged = ObjectCatalog.from_sizes(sizes, costs)
-    out = [replace(ev, objects=frozenset(group_of[o] for o in ev.objects))
+    object_sets: dict[frozenset[ObjectId], frozenset[ObjectId]] = {}
+
+    def regroup(objects: frozenset[ObjectId]) -> frozenset[ObjectId]:
+        groups = frozenset(group_of[o] for o in objects)
+        return object_sets.setdefault(groups, groups)
+
+    out = [replace(ev, objects=regroup(ev.objects))
            if isinstance(ev, Query) else replace(ev, object=group_of[ev.object])
-           for ev in events]
-    return merged, out
+           for ev in as_trace(catalog, events)]
+    return merged, Trace._trusted(merged, out)
 
 
 def params_meta(params: GeneratorParams, seed: int) -> dict:

@@ -9,6 +9,7 @@ credits its split times the count, which is exact in integers.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .benefit import WindowStats, fill, split_shape, window_benefits
@@ -60,7 +61,7 @@ class SOptimalPlan:
     initial_loads: tuple[Load, ...]
 
 
-def plan_static_set(events: list[Event], catalog: ObjectCatalog,
+def plan_static_set(events: Sequence[Event], catalog: ObjectCatalog,
                     capacity: int) -> SOptimalPlan:
     """One `benefit` window over the whole trace from an empty cache: every
     query credits its objects with their shares, every update charges its
@@ -68,9 +69,9 @@ def plan_static_set(events: list[Event], catalog: ObjectCatalog,
     greedily up to capacity. Greedy, so the set is not guaranteed optimal.
     One pass counts each query shape (object set, cost) and sums each
     object's update bytes; each shape is then split once, for this plan, and
-    its shares are credited times its count. (A `Counter` over the shapes
-    measured slower than this loop: each hit still compares two equal
-    frozensets, and updates would need keys of their own.)"""
+    its shares are credited times its count. The trace reader and the
+    generator give equal object sets one frozenset, so a shape hit compares
+    its set by identity."""
     shapes: dict[tuple[frozenset[ObjectId], int], int] = {}
     stats = WindowStats()
     saved, update_cost = stats.saved, stats.update_cost
@@ -93,7 +94,7 @@ class SOptimalPolicy:
     until a query needs them."""
 
     def __init__(self, catalog: ObjectCatalog, cache: CacheState,
-                 events: list[Event], mode: str = "eager"):
+                 events: Sequence[Event], mode: str = "eager"):
         if mode not in ("eager", "lazy"):
             raise ValueError(f"unknown soptimal mode {mode!r}")
         self.cache = cache

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from midcache.core import (AnswerFromCache, CacheError, CacheState,
                            CapacityExceeded, CostContext, Evict, Load,
                            NonResident,
-                           NotOutstanding, ObjectCatalog, Query, ShipQuery,
+                           NotOutstanding, ObjectCatalog, ObjectInfo, Query, ShipQuery,
                            ShipUpdates, TrafficLedger, UnknownObject, Update, apply,
                            check_capacity, check_freshness,
                            interacting_updates, record)
@@ -338,3 +339,35 @@ class TestEventFields:
     def test_zero_costs_and_tolerance_are_valid(self):
         assert Query(qid=1, time=0, objects=frozenset({0}), ship_cost=0).tolerance == 0
         assert Update(uid=1, time=0, object=0, ship_cost=0).ship_cost == 0
+
+
+class TestSlottedValues:
+    """Events, decisions and catalog entries are slotted frozen dataclasses:
+    no per-instance `__dict__`, and the same repr, equality, hashing,
+    immutability, `replace`, `asdict` and pickling as before."""
+
+    @pytest.mark.parametrize("value, text", [
+        (ObjectInfo(size=5, load_cost=7), "ObjectInfo(size=5, load_cost=7)"),
+        (Update(uid=2, time=3, object=0, ship_cost=4, seq=2),
+         "Update(uid=2, time=3, object=0, ship_cost=4, seq=2)"),
+        (Query(qid=1, time=1, objects=frozenset({0, 2}), ship_cost=5, tolerance=3, seq=1),
+         "Query(qid=1, time=1, objects=frozenset({0, 2}), ship_cost=5, tolerance=3, seq=1)"),
+        (ShipQuery(1), "ShipQuery(qid=1)"),
+        (ShipUpdates((2, 4)), "ShipUpdates(uids=(2, 4))"),
+        (AnswerFromCache(1), "AnswerFromCache(qid=1)"),
+        (Load(3), "Load(oid=3)"),
+        (Evict(3), "Evict(oid=3)"),
+    ], ids=["ObjectInfo", "Update", "Query", "ShipQuery", "ShipUpdates", "AnswerFromCache",
+            "Load", "Evict"])
+    def test_value_semantics_without_a_dict(self, value, text):
+        assert not hasattr(value, "__dict__")
+        assert repr(value) == text
+        twin = dataclasses.replace(value)
+        assert twin is not value and twin == value and hash(twin) == hash(value)
+        assert pickle.loads(pickle.dumps(value)) == value
+        first = dataclasses.fields(value)[0].name
+        assert dataclasses.asdict(value)[first] == getattr(value, first)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, first, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(value, first)

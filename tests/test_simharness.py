@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from midcache import simharness
 from midcache.core import (AnswerFromCache, Load, ObjectCatalog, Query, ShipQuery,
-                           ShipUpdates, UnknownObject)
+                           ShipUpdates, Trace)
 from midcache.simharness import (POLICY_NAMES, AuditError, RunConfig, compare,
                                  replay_decisions, run)
 from midcache.workload import (GeneratorParams, TraceError, generate,
@@ -161,6 +161,31 @@ class TestAudit:
             assert exc.value.seq == 2
         finally:
             sh.make_policy = orig
+
+    def test_recount_of_a_trusted_trace_names_its_last_event(self, small_catalog,
+                                                             monkeypatch):
+        # A Trace skips run()'s walk; the recount still names the last seq.
+        class CorruptingPolicy:
+            def __init__(self, cache):
+                self.cache = cache
+
+            def startup(self):
+                return []
+
+            def on_query(self, q):
+                self.cache.resident.add(3)   # bypasses apply and its counter
+                return [ShipQuery(q.qid)]
+
+            def on_update(self, u):
+                return []
+
+        monkeypatch.setattr(simharness, "make_policy",
+                            lambda cfg, cat, cache, events: CorruptingPolicy(cache))
+        trace = Trace.of(small_catalog, [mk_query(1, 1, {0}, 5, seq=3),
+                                         mk_query(2, 2, {1}, 5, seq=7)])
+        with pytest.raises(AuditError, match="capacity counter") as exc:
+            run(trace, small_catalog, RunConfig(policy="nocache", seed=0))
+        assert exc.value.seq == 7
 
     @staticmethod
     def grow(cache):
@@ -319,22 +344,46 @@ class TestInputContract:
                            match=r"^event 3: time 4 is before the previous time 5$"):
             run(events, small_catalog, RunConfig(policy=policy, seed=0))
 
-    # run() does not check object ids up front; these pin the errors that
-    # the catalog lookups raise instead.
+    # run() checks object ids and duplicate ids up front too, with
+    # `validate`'s wording after the event's position.
 
     @pytest.mark.parametrize("policy", ["benefit", "soptimal"])
-    def test_query_on_unknown_object_names_it(self, policy):
+    def test_query_on_unknown_object_names_it(self, policy, monkeypatch):
+        monkeypatch.setattr(simharness, "make_policy", self.no_policy)
         catalog = ObjectCatalog.from_sizes({0: 10, 1: 20})
         events = [mk_query(1, 1, {0, 9}, 7)]
-        with pytest.raises(UnknownObject, match=r"^object 9 not in catalog$"):
+        with pytest.raises(ValueError, match=r"^event 1: query 1 references unknown object 9$"):
             run(events, catalog, RunConfig(policy=policy, seed=0))
 
     @pytest.mark.parametrize("policy", POLICY_NAMES)
-    def test_update_on_unknown_object_names_it(self, policy):
+    def test_update_on_unknown_object_names_it(self, policy, monkeypatch):
+        monkeypatch.setattr(simharness, "make_policy", self.no_policy)
         catalog = ObjectCatalog.from_sizes({0: 10, 1: 20})
         events = [mk_update(1, 1, 9, 3)]
-        with pytest.raises(UnknownObject, match=r"^update 1 targets unknown object 9$"):
+        with pytest.raises(ValueError, match=r"^event 1: update 1 references unknown object 9$"):
             run(events, catalog, RunConfig(policy=policy, seed=0))
+
+    @staticmethod
+    def no_policy(*args):
+        raise AssertionError("a policy was built")
+
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    @pytest.mark.parametrize("events, message", [
+        ([mk_query(1, 1, {9}, 5)], "event 1: query 1 references unknown object 9"),
+        ([mk_query(1, 1, {0}, 5, seq=1), mk_query(1, 2, {1}, 5, seq=2)],
+         "event 2: duplicate query id 1"),
+        ([mk_update(1, 1, 0, 5, seq=1), mk_update(1, 2, 1, 5, seq=2)],
+         "event 2: duplicate update id 1"),
+    ], ids=["unknown-object", "duplicate-qid", "duplicate-uid"])
+    def test_ids_and_objects_rejected_before_any_policy(self, policy, events, message,
+                                                        monkeypatch):
+        monkeypatch.setattr(simharness, "make_policy", self.no_policy)
+        catalog = ObjectCatalog.from_sizes({0: 10, 1: 10})
+        config = RunConfig(policy=policy, seed=0, cache_frac=1.0)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run(events, catalog, config)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            compare(events, catalog, [config])
 
 
 class TestCompare:
@@ -345,6 +394,16 @@ class TestCompare:
                        RunConfig(policy="replica", seed=0)])
         table = {r["policy"]: r["total"] for r in rep.table()}
         assert table == {"nocache": 7, "replica": 0}
+
+    def test_events_are_checked_once_for_every_run(self, small_catalog, monkeypatch):
+        checked = []
+        of = Trace.of
+        monkeypatch.setattr(Trace, "of", lambda cat, evs: checked.append(1) or of(cat, evs))
+        events = [mk_query(1, 1, {0}, 7), mk_update(2, 2, 0, 3)]
+        rep = compare(events, small_catalog, [RunConfig(policy=p, seed=0)
+                                              for p in ("nocache", "replica", "soptimal")])
+        assert [r["total"] for r in rep.table()] == [7, 3, 7]
+        assert checked == [1]
 
     def test_five_policy_table_shape(self):
         params = GeneratorParams(n_objects=6, n_queries=20, n_updates=20,

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from midcache.cli import main
-from midcache.core import ObjectCatalog, Query, Update
+from midcache.core import ObjectCatalog, Query, Trace, Update
 from midcache.simharness import RunConfig, run
 from midcache.workload import (GeneratorParams, TraceError, _decode, generate, load_trace,
                                params_meta, read_catalog, regrain, validate,
@@ -237,7 +237,7 @@ class TestTraceEncoding:
                                             separators=(",", ":")) for ev in events]
             catalog2, events2 = load_trace(d / name)
         assert catalog2.entries == catalog.entries
-        assert events2 == events
+        assert list(events2) == events
 
     def test_gz_output_is_deterministic(self, tmp_path, monkeypatch):
         """Two `.gz` writes of the same content, under different names and
@@ -445,3 +445,123 @@ class TestRegrain:
     def test_splitting_rejected(self, small_catalog):
         with pytest.raises(ValueError):
             regrain(small_catalog, [], 10)
+
+
+class TestTraceValue:
+    """`core.Trace` holds events that passed the whole contract. The reader,
+    the generator and `regrain` return one; `Trace.of` checks any other
+    sequence, failing exactly where `validate` fails on the same events."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_trace_of_fails_where_validate_does(self, data):
+        # Small id and object ranges make duplicate ids (also across kinds)
+        # and unknown objects (id n_objects) common; time ties too.
+        n_objects = data.draw(st.integers(1, 3), label="objects")
+        catalog = ObjectCatalog.from_sizes({o: 1 for o in range(n_objects)})
+        oid = st.sampled_from([*range(n_objects)] * 4 + [n_objects])
+        time, events = data.draw(st.integers(0, 3)), []
+        for seq in range(1, data.draw(st.integers(0, 10), label="events") + 1):
+            time += data.draw(st.sampled_from([0, 0, 1, 1, 2, -1]))
+            eid, cost = data.draw(st.integers(1, 8)), data.draw(st.integers(0, 3))
+            if data.draw(st.booleans()):
+                objects = data.draw(st.frozensets(oid, min_size=1, max_size=2))
+                events.append(Query(qid=eid, time=time, objects=objects, ship_cost=cost,
+                                    seq=seq))
+            else:
+                events.append(Update(uid=eid, time=time, object=data.draw(oid),
+                                     ship_cost=cost, seq=seq))
+        with tempfile.TemporaryDirectory() as tmp:
+            write_catalog(catalog, Path(tmp) / "catalog.json")
+            write_trace(events, Path(tmp) / "trace.jsonl")
+            rep = validate(Path(tmp) / "trace.jsonl")
+        if rep.ok:
+            assert list(Trace.of(catalog, events)) == events
+            return
+        line, message = rep.errors[0]
+        with pytest.raises(ValueError) as exc:
+            Trace.of(catalog, events)
+        position = line - 1            # the header is line 1
+        if message.startswith("events out of order"):
+            now, before = message.removeprefix("events out of order: time ").split(" after ")
+            message = f"time {now} is before the previous time {before}"
+        assert str(exc.value) == f"event {position}: {message}"
+
+    def test_empty_sequence_is_a_trace(self, small_catalog):
+        assert len(Trace.of(small_catalog, [])) == 0
+
+    def test_readers_return_a_trace_of_their_catalog(self, tmp_path):
+        params = GeneratorParams(n_objects=8, n_queries=30, n_updates=30,
+                                 query_hotspots=(1,), update_hotspots=(5,))
+        catalog, events = generate(params, seed=3)
+        write_catalog(catalog, tmp_path / "catalog.json")
+        write_trace(events, tmp_path / "trace.jsonl")
+        loaded_catalog, loaded = load_trace(tmp_path / "trace.jsonl")
+        merged, regrained = regrain(catalog, events, 4)
+        for cat, trace in ((catalog, events), (loaded_catalog, loaded), (merged, regrained)):
+            assert type(trace) is Trace
+            assert trace.object_ids == frozenset(cat.entries)
+            assert list(Trace.of(cat, trace)) == list(trace)
+        assert loaded == events
+
+    def test_equal_object_sets_are_one_frozenset(self, tmp_path):
+        params = GeneratorParams(n_objects=8, n_queries=60, n_updates=10,
+                                 query_hotspots=(1,), update_hotspots=(5,))
+        catalog, events = generate(params, seed=3)
+        write_catalog(catalog, tmp_path / "catalog.json")
+        write_trace(events, tmp_path / "trace.jsonl")
+        for trace in (events, load_trace(tmp_path / "trace.jsonl")[1],
+                      regrain(catalog, events, 3)[1]):
+            sets = [ev.objects for ev in trace if isinstance(ev, Query)]
+            assert len(set(sets)) < len(sets)
+            assert len({id(s) for s in sets}) == len(set(sets))
+
+    def test_trace_is_immutable(self, small_catalog):
+        trace = Trace.of(small_catalog, [Update(uid=1, time=1, object=0, ship_cost=1, seq=1)])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            trace.events = ()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            trace.object_ids = frozenset({0, 1, 2, 3, 9})
+        with pytest.raises(TypeError, match=r"Trace\.of"):
+            Trace(trace.events, trace.object_ids)
+        assert not hasattr(trace, "__dict__")
+
+    def test_slices_are_plain_tuples_that_run_checks_again(self, monkeypatch):
+        params = GeneratorParams(n_objects=6, n_queries=20, n_updates=20,
+                                 query_hotspots=(1,), update_hotspots=(4,))
+        catalog, events = generate(params, seed=2)
+        assert type(events[3:]) is tuple and type(events[0]) in (Query, Update)
+        checked = []
+        of = Trace.of
+        monkeypatch.setattr(Trace, "of", lambda cat, evs: checked.append(len(evs)) or of(cat, evs))
+        config = RunConfig(policy="nocache", seed=0)
+        assert run(events[3:], catalog, config).summary_json() == \
+            run(of(catalog, events[3:]), catalog, config).summary_json()
+        assert checked == [len(events) - 3]
+        run(events, catalog, config)
+        assert checked == [len(events) - 3]
+        with pytest.raises(ValueError, match=r"^event 2: seq \d+ is not above"):
+            run(events[::-1], catalog, config)
+
+    def test_trace_is_checked_again_under_a_catalog_missing_one_of_its_ids(
+            self, monkeypatch):
+        wide = ObjectCatalog.from_sizes({0: 10, 1: 20, 2: 30})
+        trace = Trace.of(wide, [Query(qid=1, time=1, objects=frozenset({0, 1}),
+                                      ship_cost=5, seq=1),
+                                Update(uid=1, time=2, object=1, ship_cost=3, seq=2)])
+        checked = []
+        of = Trace.of
+        monkeypatch.setattr(Trace, "of", lambda cat, evs: checked.append(cat) or of(cat, evs))
+        config = RunConfig(policy="nocache", seed=0)
+        narrow = ObjectCatalog.from_sizes({0: 10, 1: 20})
+        assert run(trace, narrow, config).ledger.total == 5
+        assert checked == [narrow]
+        run(trace, ObjectCatalog.from_sizes({0: 10, 1: 20, 2: 30, 3: 40}), config)
+        assert checked == [narrow]
+        with pytest.raises(ValueError, match=r"^event 1: query 1 references unknown object 1$"):
+            run(trace, ObjectCatalog.from_sizes({0: 10, 2: 30}), config)
+
+    def test_an_item_that_is_no_event_is_named(self, small_catalog):
+        events = [Update(uid=1, time=1, object=0, ship_cost=1, seq=1), {"kind": "update"}]
+        with pytest.raises(TypeError, match=r"^event 2: \{'kind': 'update'\} is not a Query"):
+            Trace.of(small_catalog, events)
