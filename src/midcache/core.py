@@ -12,7 +12,7 @@ non-negative, and that a query's objects are a non-empty frozenset.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 
 
 ObjectId = int
@@ -38,7 +38,18 @@ class NotOutstanding(CacheError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+def _value(cls):
+    """`dataclass(frozen=True, slots=True)`, whose instances raise
+    FrozenInstanceError on any attribute assignment or deletion. (For a name
+    that is not a field, its own methods raise TypeError on CPython 3.10-3.13.)"""
+    def refuse(self, name, *value):
+        raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+    cls = dataclass(frozen=True, slots=True)(cls)
+    cls.__setattr__ = cls.__delattr__ = refuse
+    return cls
+
+
+@_value
 class ObjectInfo:
     size: int
     load_cost: int
@@ -98,7 +109,7 @@ class ObjectCatalog:
         return sum(e.size for e in self.entries.values())
 
 
-@dataclass(frozen=True, slots=True)
+@_value
 class Update:
     uid: int
     time: int
@@ -112,7 +123,7 @@ class Update:
             raise ValueError(_field_error(self))
 
 
-@dataclass(frozen=True, slots=True)
+@_value
 class Query:
     qid: int
     time: int
@@ -150,7 +161,7 @@ def _field_error(ev: Event) -> str:
     return f"query {eid} has negative tolerance"
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
+@_value
 class Trace(Sequence):
     """An immutable sequence of events that passed the whole event contract
     against a catalog: `seq` rising from 1 or above, time never falling,
@@ -238,27 +249,27 @@ def as_trace(catalog: ObjectCatalog, events: Iterable[Event]) -> Trace:
 # Decisions emitted by policies. Applying them in order to a CacheState must
 # never violate capacity or freshness invariants.
 
-@dataclass(frozen=True, slots=True)
+@_value
 class ShipQuery:
     qid: int
 
 
-@dataclass(frozen=True, slots=True)
+@_value
 class ShipUpdates:
     uids: tuple[int, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@_value
 class AnswerFromCache:
     qid: int
 
 
-@dataclass(frozen=True, slots=True)
+@_value
 class Load:
     oid: ObjectId
 
 
-@dataclass(frozen=True, slots=True)
+@_value
 class Evict:
     oid: ObjectId
 
@@ -330,16 +341,18 @@ def interacting_updates(q: Query, cache: CacheState, now: int) -> list[Update]:
             if u.time <= cutoff]
 
 
-def apply(cache: CacheState, d: Decision) -> None:
-    """Apply one decision to the cache state in place.
+def apply(cache: CacheState, d: Decision) -> int:
+    """Apply one decision to the cache state in place and return the bytes
+    it moves: a Load's load cost (not its size), the summed ship costs of the
+    updates a ShipUpdates drains, and 0 for anything else.
 
     Load admits a whole object with no queue, so it is fresh (updates arriving
     during an instantaneous load are folded into the loaded copy). ShipUpdates
     drains queued updates and drops a queue once it empties. Evict drops
     residency together with the object's queue. Load and Evict keep the
-    running `used` counter.
-    """
+    running `used` counter."""
     kind = type(d)
+    moved = 0
     if kind is Load or kind is Evict:
         oid = d.oid
         if kind is Load:
@@ -351,6 +364,7 @@ def apply(cache: CacheState, d: Decision) -> None:
                                        f"exceeds free space ({cache.free} B)")
             cache.resident.add(oid)
             cache._used += size
+            moved = cache.catalog.load_cost(oid)
         else:
             if oid not in cache.resident:
                 raise NonResident(f"cannot evict non-resident object {oid}")
@@ -367,8 +381,10 @@ def apply(cache: CacheState, d: Decision) -> None:
             queue.remove(u)
             if not queue:
                 cache.outstanding.pop(u.object, None)
+            moved += u.ship_cost
     elif kind is not ShipQuery and kind is not AnswerFromCache:
         raise TypeError(f"unknown decision {d!r}")
+    return moved
 
 
 @dataclass
@@ -387,36 +403,25 @@ class TrafficLedger:
         return (self.query_ship, self.update_ship, self.load)
 
 
-@dataclass
 class CostContext:
-    """Cost lookup for recording decisions: load costs come from the catalog,
-    query/update shipping costs are registered as events stream by."""
-
-    catalog: ObjectCatalog
-    query_cost: dict[int, int] = field(default_factory=dict)
-    update_cost: dict[int, int] = field(default_factory=dict)
+    """Empty and unused in the package (`apply` returns the bytes a decision
+    moves); the benchmark's layer table (`perfbench/layers.py`) patches `see`."""
 
     def see(self, ev: Event) -> None:
-        if isinstance(ev, Query):
-            self.query_cost[ev.qid] = ev.ship_cost
-        else:
-            self.update_cost[ev.uid] = ev.ship_cost
+        pass
 
 
-def record(ledger: TrafficLedger, d: Decision, costs: CostContext, seq: int = 0) -> None:
-    """Charge one decision to the ledger; `seq` is unused (callers may pass it).
-
-    ShipQuery, ShipUpdates and Load each add to exactly one bucket;
-    AnswerFromCache and Evict move no bytes (the cache sits next to the
-    clients, so cache-answered results are free).
-    """
+def record(ledger: TrafficLedger, d: Decision, moved: int, seq: int = 0) -> None:
+    """Add `moved` bytes to the decision's bucket; `seq` is unused (callers
+    may pass it). AnswerFromCache and Evict have no bucket: the cache sits
+    next to the clients, so cache-answered results are free."""
     kind = type(d)
     if kind is ShipQuery:
-        ledger.query_ship += costs.query_cost[d.qid]
+        ledger.query_ship += moved
     elif kind is ShipUpdates:
-        ledger.update_ship += sum(map(costs.update_cost.__getitem__, d.uids))
+        ledger.update_ship += moved
     elif kind is Load:
-        ledger.load += costs.catalog.load_cost(d.oid)
+        ledger.load += moved
 
 
 def check_freshness(cache: CacheState) -> None:

@@ -14,10 +14,9 @@ from dataclasses import asdict, dataclass, field
 from operator import itemgetter
 
 from .benefit import BenefitPolicy
-from .core import (AnswerFromCache, CacheState, CostContext, Decision, Event, Evict,
-                   ObjectCatalog, Query, ShipQuery, Trace, TrafficLedger, Update,
-                   apply, as_trace, check_capacity, check_freshness, interacting_updates,
-                   record)
+from .core import (AnswerFromCache, CacheState, Decision, Event, ObjectCatalog,
+                   Query, ShipQuery, Trace, TrafficLedger, Update, apply, as_trace,
+                   check_capacity, check_freshness, interacting_updates, record)
 from .vcover import VCoverPolicy
 from .yardsticks import NoCachePolicy, ReplicaPolicy, SOptimalPolicy
 
@@ -73,13 +72,10 @@ def make_policy(config: RunConfig, catalog: ObjectCatalog, cache: CacheState,
     name, p = config.policy, config.params
     if name == "vcover":
         return VCoverPolicy(catalog, cache, seed=config.seed, **p)
-    if name == "benefit":
-        return BenefitPolicy(catalog, cache, **p)
-    if name == "nocache":
-        return NoCachePolicy(catalog, cache, **p)
-    if name == "replica":
-        return ReplicaPolicy(catalog, cache, **p)
-    return SOptimalPolicy(catalog, cache, events, **p)
+    if name == "soptimal":
+        return SOptimalPolicy(catalog, cache, events, **p)
+    plain = {"benefit": BenefitPolicy, "nocache": NoCachePolicy, "replica": ReplicaPolicy}
+    return plain[name](catalog, cache, **p)
 
 
 def _csv(header: tuple, rows) -> str:
@@ -127,6 +123,41 @@ class RunReport:
         return _csv(self.SERIES_COLUMNS, self.series)
 
 
+def execute(cache: CacheState, ledger: TrafficLedger, log: list | None,
+            decisions: Sequence[Decision], seq: int, query: Query | None) -> None:
+    """The one decision step of `run()` and `replay_decisions`: apply, audit
+    and charge one event's decisions, logging each as `(seq, d)` unless `log`
+    is None. `query` is the event's query, None for an update or startup. A
+    ShipQuery costs `query`'s ship cost, any other decision what `apply` returns."""
+    to_ship = query
+    for d in decisions:
+        kind = type(d)
+        if kind is ShipQuery:
+            if to_ship is None or d.qid != to_ship.qid:
+                raise AuditError(seq, f"ShipQuery({d.qid}) outside its query event")
+            to_ship = None
+            record(ledger, d, query.ship_cost, seq)
+        elif kind is AnswerFromCache:
+            if query is None or d.qid != query.qid:
+                raise AuditError(seq, f"AnswerFromCache({d.qid}) outside its query event")
+            try:
+                stale = interacting_updates(query, cache, query.time)
+            except Exception as exc:
+                raise AuditError(seq, f"query {d.qid} answered at cache: {exc}") from exc
+            if stale:
+                raise AuditError(seq, f"query {d.qid} answered at cache with {len(stale)} "
+                                      "interacting updates outstanding")
+        else:
+            try:
+                moved = apply(cache, d)
+                check_capacity(cache)
+            except Exception as exc:
+                raise AuditError(seq, f"applying {d!r}: {exc}") from exc
+            record(ledger, d, moved, seq)
+        if log is not None:
+            log.append((seq, d))
+
+
 def run(events: Sequence[Event], catalog: ObjectCatalog, config: RunConfig) -> RunReport:
     """Replay the trace under one policy. Raises AuditError (with the event
     index) if a ShipQuery or a cache answer names anything but its own query
@@ -145,55 +176,23 @@ def run(events: Sequence[Event], catalog: ObjectCatalog, config: RunConfig) -> R
     policy = make_policy(config, catalog, cache, events)
     initial_resident = sorted(cache.resident)
     ledger = TrafficLedger()
-    costs = CostContext(catalog)
     log: list[tuple[int, Decision]] = []
     series: list[tuple] = []
     warmup_snapshot = (0, 0, 0)
 
-    def execute(decisions: list[Decision], seq: int, current_query: Query | None):
-        to_ship = current_query
-        for d in decisions:
-            kind = type(d)
-            if kind is ShipQuery:
-                if to_ship is None or d.qid != to_ship.qid:
-                    raise AuditError(seq, f"ShipQuery({d.qid}) outside its query event")
-                to_ship = None
-                record(ledger, d, costs)
-            elif kind is AnswerFromCache:
-                if current_query is None or d.qid != current_query.qid:
-                    raise AuditError(seq, f"AnswerFromCache({d.qid}) outside its query event")
-                try:
-                    stale = interacting_updates(current_query, cache, current_query.time)
-                except Exception as exc:
-                    raise AuditError(seq, f"query {d.qid} answered at cache: {exc}") from exc
-                if stale:
-                    raise AuditError(
-                        seq, f"query {d.qid} answered at cache with "
-                             f"{len(stale)} interacting updates outstanding")
-            else:
-                try:
-                    apply(cache, d)
-                    check_capacity(cache)
-                except Exception as exc:
-                    raise AuditError(seq, f"applying {d!r}: {exc}") from exc
-                if kind is not Evict:   # an eviction moves no bytes
-                    record(ledger, d, costs)
-            log.append((seq, d))
-
-    execute(policy.startup(), 0, None)
+    execute(cache, ledger, log, policy.startup(), 0, None)
     # Bound after make_policy, so class-level wrappers set before run() apply.
-    see, on_query, on_update = costs.see, policy.on_query, policy.on_update
+    on_query, on_update = policy.on_query, policy.on_update
     receive_update, outstanding = cache.receive_update, cache.outstanding
     warmup, stride, last = config.warmup_events, config.sample_stride, len(events) - 1
     for i, ev in enumerate(events):
         seq = ev.seq
-        see(ev)
         if isinstance(ev, Update):
             receive_update(ev)
             if decisions := on_update(ev):
-                execute(decisions, seq, None)
+                execute(cache, ledger, log, decisions, seq, None)
         elif decisions := on_query(ev):
-            execute(decisions, seq, ev)
+            execute(cache, ledger, log, decisions, seq, ev)
         if outstanding:
             try:
                 check_freshness(cache)
@@ -212,39 +211,34 @@ def run(events: Sequence[Event], catalog: ObjectCatalog, config: RunConfig) -> R
                          f"resident objects hold {resident_bytes} B, capacity "
                          f"counter {cache.used} B, capacity {cache.capacity} B")
 
-    wq, wu, wl = warmup_snapshot
-    post_warmup = {"query_ship": ledger.query_ship - wq,
-                   "update_ship": ledger.update_ship - wu,
-                   "load": ledger.load - wl,
-                   "total": ledger.total - (wq + wu + wl)}
-    return RunReport(config=asdict(config), capacity=cache.capacity,
-                     ledger=ledger, post_warmup=post_warmup, series=series,
-                     n_events=len(events),
+    post = [now - then for now, then in zip(ledger.snapshot(), warmup_snapshot)]
+    post_warmup = dict(zip(("query_ship", "update_ship", "load"), post), total=sum(post))
+    return RunReport(config=asdict(config), capacity=cache.capacity, ledger=ledger,
+                     post_warmup=post_warmup, series=series, n_events=len(events),
                      initial_resident=initial_resident, decision_log=log,
                      final_resident=sorted(cache.resident))
 
 
 def replay_decisions(events: Sequence[Event], catalog: ObjectCatalog,
                      report: RunReport) -> tuple[CacheState, TrafficLedger]:
-    """Re-apply a report's decision log against a fresh cache; the result must
-    reproduce the run's final cache and ledger exactly."""
+    """Re-apply and re-audit a report's decision log on a fresh cache through
+    `execute`; the result must reproduce the run's final cache and ledger.
+    Raises AuditError for the first logged decision that fails an audit, or
+    for the first log entry whose seq names no event (0 names the startup)."""
     cache = CacheState(report.capacity, catalog)
     cache.seed_resident(report.initial_resident)
     ledger = TrafficLedger()
-    costs = CostContext(catalog)
     by_seq: dict[int, list[Decision]] = {}
     for seq, d in report.decision_log:
         by_seq.setdefault(seq, []).append(d)
-    for d in by_seq.get(0, ()):
-        apply(cache, d)
-        record(ledger, d, costs)
+    execute(cache, ledger, None, by_seq.pop(0, ()), 0, None)
     for ev in events:
-        costs.see(ev)
         if isinstance(ev, Update):
             cache.receive_update(ev)
-        for d in by_seq.get(ev.seq, ()):
-            apply(cache, d)
-            record(ledger, d, costs)
+        if decisions := by_seq.pop(ev.seq, None):
+            execute(cache, ledger, None, decisions, ev.seq, ev if type(ev) is Query else None)
+    for seq, decisions in by_seq.items():   # the first entry that no event took
+        raise AuditError(seq, f"logged {decisions[0]!r} names no event")
     return cache, ledger
 
 

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from midcache.core import (AnswerFromCache, CacheError, CacheState,
-                           CapacityExceeded, CostContext, Evict, Load,
+                           CapacityExceeded, Evict, Load,
                            NonResident,
                            NotOutstanding, ObjectCatalog, ObjectInfo, Query, ShipQuery,
-                           ShipUpdates, TrafficLedger, UnknownObject, Update, apply,
+                           ShipUpdates, Trace, TrafficLedger, UnknownObject, Update, apply,
                            check_capacity, check_freshness,
                            interacting_updates, record)
 from tests.conftest import GB, SEC, mk_query, mk_update
@@ -73,46 +73,55 @@ class TestInteractingUpdates:
 
 
 class TestRecord:
-    def test_ship_query_bucket(self, small_catalog):
-        ledger = TrafficLedger()
-        costs = CostContext(small_catalog, query_cost={3: 15 * GB})
-        record(ledger, ShipQuery(3), costs, seq=1)
-        assert ledger.query_ship == 15 * GB
+    """`record` adds the bytes a decision moved to that decision's bucket."""
 
-    def test_ship_updates_bucket(self, small_catalog):
+    def test_ship_query_bucket(self):
         ledger = TrafficLedger()
-        costs = CostContext(small_catalog, update_cost={1: 1 * GB})
-        record(ledger, ShipUpdates((1,)), costs, seq=2)
-        assert ledger.update_ship == 1 * GB
+        record(ledger, ShipQuery(3), 15 * GB, seq=1)
+        assert ledger.snapshot() == (15 * GB, 0, 0)
+
+    def test_ship_updates_bucket(self):
+        ledger = TrafficLedger()
+        record(ledger, ShipUpdates((1, 2)), 1 * GB, seq=2)
+        assert ledger.snapshot() == (0, 1 * GB, 0)
 
     def test_load_bucket_uses_catalog(self):
-        catalog = ObjectCatalog.from_sizes({1: 10 * GB})
+        # The load bucket takes the catalog's load cost, which `apply`
+        # returns, not the object's size.
+        catalog = ObjectCatalog.from_sizes({1: 10 * GB}, {1: 3 * GB})
         ledger = TrafficLedger()
-        record(ledger, Load(1), CostContext(catalog), seq=3)
-        assert ledger.load == 10 * GB
+        record(ledger, Load(1), apply(make_cache(catalog, 10 * GB), Load(1)), seq=3)
+        assert ledger.snapshot() == (0, 0, 3 * GB)
 
-    @given(st.lists(st.tuples(st.sampled_from(["q", "u", "l", "a"]),
-                              st.integers(1, 10**6)), max_size=30))
+    @given(st.lists(st.tuples(st.sampled_from(["q", "u", "l", "a", "e"]),
+                              st.integers(0, 10**6)), max_size=30))
     def test_ledger_conservation(self, ops):
-        catalog = ObjectCatalog.from_sizes({0: 1})
-        costs = CostContext(catalog)
+        kinds = {"q": ShipQuery, "u": lambda i: ShipUpdates((i,)), "l": Load,
+                 "a": AnswerFromCache, "e": Evict}
         ledger = TrafficLedger()
+        moved = {"q": 0, "u": 0, "l": 0}
         for i, (kind, amount) in enumerate(ops):
-            if kind == "q":
-                costs.query_cost[i] = amount
-                record(ledger, ShipQuery(i), costs, seq=i)
-            elif kind == "u":
-                costs.update_cost[i] = amount
-                record(ledger, ShipUpdates((i,)), costs, seq=i)
-            elif kind == "l":
-                catalog.entries[0] = type(catalog.entries[0])(size=1, load_cost=amount)
-                record(ledger, Load(0), costs, seq=i)
+            if kind not in moved:   # AnswerFromCache and Evict move no bytes
+                amount = 0
             else:
-                record(ledger, AnswerFromCache(i), costs, seq=i)
-        assert ledger.total == ledger.query_ship + ledger.update_ship + ledger.load
+                moved[kind] += amount
+            record(ledger, kinds[kind](i), amount, seq=i)
+        assert ledger.snapshot() == (moved["q"], moved["u"], moved["l"])
+        assert ledger.total == sum(moved.values())
 
 
 class TestApply:
+    def test_returns_the_bytes_it_moves(self):
+        catalog = ObjectCatalog.from_sizes({0: 10, 1: 20}, {0: 7, 1: 50})
+        cache = make_cache(catalog, 30, [0])
+        for uid, cost in ((1, 4), (2, 5), (3, 6)):
+            cache.receive_update(mk_update(uid, uid, 0, cost))
+        assert apply(cache, ShipUpdates((3, 1))) == 10
+        assert apply(cache, Load(1)) == 50          # load cost, not size 20
+        assert apply(cache, ShipQuery(9)) == apply(cache, AnswerFromCache(9)) == 0
+        assert apply(cache, Evict(0)) == 0          # drops update 2 unshipped
+        assert apply(cache, Load(0)) == 7
+
     def test_evict_then_load_swaps_on_full_cache(self):
         catalog = ObjectCatalog.from_sizes({3: 20, 4: 18})
         cache = make_cache(catalog, 20, [3])
@@ -371,3 +380,21 @@ class TestSlottedValues:
             setattr(value, first, 0)
         with pytest.raises(dataclasses.FrozenInstanceError):
             delattr(value, first)
+
+    @pytest.mark.parametrize("value", [
+        ObjectInfo(size=5, load_cost=7), Update(uid=2, time=3, object=0, ship_cost=4, seq=2),
+        Query(qid=1, time=1, objects=frozenset({0, 2}), ship_cost=5, seq=1), ShipQuery(1),
+        ShipUpdates((2, 4)), AnswerFromCache(1), Load(3), Evict(3),
+        Trace.of(ObjectCatalog.from_sizes({0: 1}),
+                 [Update(uid=1, time=1, object=0, ship_cost=1, seq=1)]),
+    ], ids=lambda value: type(value).__name__)
+    def test_any_attribute_write_raises_frozen_instance_error(self, value):
+        # A name that is not a field too: `slots=True` once left it a TypeError.
+        first = dataclasses.fields(value)[0].name
+        kept = getattr(value, first)
+        for name in (first, "note"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, name, 2)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(value, name)
+        assert getattr(value, first) is kept and not hasattr(value, "note")

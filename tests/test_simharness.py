@@ -257,6 +257,49 @@ class TestAudit:
                 assert sorted(cache.resident) == report.final_resident
 
 
+class TestReplayAudit:
+    """`replay_decisions` re-audits a log through `run()`'s own step, so a
+    corrupted log fails with AuditError naming the event, not a raw error or
+    a silently different ledger."""
+
+    @pytest.fixture
+    def trace(self):
+        params = GeneratorParams(n_objects=8, n_queries=60, n_updates=60,
+                                 query_hotspots=(1, 2), update_hotspots=(1, 2))
+        return generate(params, seed=2)
+
+    def test_replica_log_without_its_update_shipping(self, trace):
+        catalog, events = trace
+        report = run(events, catalog, RunConfig(policy="replica", seed=0))
+        kept = [(seq, d) for seq, d in report.decision_log if type(d) is not ShipUpdates]
+        # The first query with an update old enough to interact is now stale.
+        stale = next(q.seq for q in events if type(q) is Query and any(
+            type(u) is not Query and u.seq < q.seq and u.object in q.objects
+            and u.time <= q.time - q.tolerance for u in events))
+        with pytest.raises(AuditError, match=r"answered at cache with \d+ interacting") as exc:
+            replay_decisions(events, catalog, dataclasses.replace(report, decision_log=kept))
+        assert exc.value.seq == stale
+
+    def test_ship_query_naming_another_query(self, trace):
+        catalog, events = trace
+        report = run(events, catalog, RunConfig(policy="nocache", seed=0))
+        log = list(report.decision_log)
+        seq, first = log[3]
+        log[3] = (seq, ShipQuery(log[4][1].qid))
+        with pytest.raises(AuditError, match=rf"ShipQuery\({log[4][1].qid}\) outside") as exc:
+            replay_decisions(events, catalog, dataclasses.replace(report, decision_log=log))
+        assert exc.value.seq == seq and type(first) is ShipQuery
+
+    def test_entry_whose_seq_names_no_event(self, trace):
+        catalog, events = trace
+        report = run(events, catalog, RunConfig(policy="nocache", seed=0))
+        log = report.decision_log + [(10**6, AnswerFromCache(12345))]
+        with pytest.raises(AuditError, match=r"AnswerFromCache\(qid=12345\) names no event") \
+                as exc:
+            replay_decisions(events, catalog, dataclasses.replace(report, decision_log=log))
+        assert exc.value.seq == 10**6
+
+
 class TestInputContract:
     """Every trace that `validate` accepts runs under every policy and its
     decision log replays; every trace it rejects fails `load_trace`."""
