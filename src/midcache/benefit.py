@@ -41,9 +41,7 @@ def proportional_shares(amount: int, sizes: list[tuple[ObjectId, int]]) -> dict[
     every query's objects; one object takes the whole amount."""
     if len(sizes) == 1:
         return {sizes[0][0]: amount}
-    total = 0
-    for _, s in sizes:
-        total += s
+    total = sum(s for _, s in sizes)
     shares: dict[ObjectId, int] = {}
     remainders: list[tuple[int, ObjectId]] = []
     leftover = amount
@@ -189,8 +187,7 @@ class BenefitPolicy:
         return []
 
     def on_query(self, q: Query) -> list[Decision]:
-        decisions = self._route_query(q)
-        return decisions + self._tick()
+        return self._route_query(q) + self._tick()
 
     def on_update(self, u: Update) -> list[Decision]:
         if u.object not in self.cache.resident:

@@ -102,14 +102,10 @@ def cmd_compare(args) -> int:
     if max(grains, default=0) > len(catalog):
         raise ValueError(f"--granularity: object counts must be <= {len(catalog)}")
     for grain in grains or [None]:
-        if grain is None:
-            cat, evs, tag = catalog, events, "compare"
-        else:
-            cat, evs = workload.regrain(catalog, events, grain)
-            tag = f"compare-g{grain}"
+        cat, evs = workload.regrain(catalog, events, grain) if grain else (catalog, events)
         cmp_report = simharness.compare(evs, cat, configs)
-        _write_report(cmp_report, out, tag, args.format)
-        label = f"[{grain} objects] " if grain is not None else ""
+        _write_report(cmp_report, out, f"compare-g{grain}" if grain else "compare", args.format)
+        label = f"[{grain} objects] " if grain else ""
         for r in cmp_report.runs:
             print(label + _cost_line(r.config["policy"], r.ledger))
     return 0

@@ -161,13 +161,54 @@ def _field_error(ev: Event) -> str:
     return f"query {eid} has negative tolerance"
 
 
+class EventContract:
+    """The rules that span a trace's events, checked one event at a time by
+    `Trace.of` and the trace reader: `seq` above the previous event's (the
+    first above 0), every named object in the catalog, query ids unique and
+    update ids unique (a query and an update may share one), and time never
+    below the previous event's."""
+
+    __slots__ = ("known", "queries", "updates", "seq", "time")
+
+    def __init__(self, catalog: ObjectCatalog):
+        self.known = catalog.entries.keys()
+        self.queries, self.updates = set(), set()
+        self.seq, self.time = 0, float("-inf")
+
+    def check(self, ev: Event) -> tuple[str, ...]:
+        """Every message `ev` earns, worded as `validate` reports it, in rule
+        order: seq, each unknown object (sorted), duplicate id, time. The
+        event joins the state whether or not it passes."""
+        last_seq, last_time = self.seq, self.time
+        self.seq, self.time = ev.seq, ev.time
+        if type(ev) is Query:
+            eid, seen, known = ev.qid, self.queries, self.known >= ev.objects
+        else:
+            eid, seen, known = ev.uid, self.updates, ev.object in self.known
+        if known and eid not in seen and last_seq < ev.seq and last_time <= ev.time:
+            seen.add(eid)
+            return ()
+        kind, oids = ("query", ev.objects) if type(ev) is Query else ("update", (ev.object,))
+        messages = []
+        if ev.seq <= last_seq:
+            messages.append(f"seq {ev.seq} is not above the previous seq {last_seq}")
+        for oid in sorted(oids):   # before 3.12 a comprehension makes eid a cell: every call slows
+            if oid not in self.known:
+                messages.append(f"{kind} {eid} references unknown object {oid}")
+        if eid in seen:
+            messages.append(f"duplicate {kind} id {eid}")
+        seen.add(eid)
+        if ev.time < last_time:
+            messages.append(f"events out of order: time {ev.time} after {last_time}")
+        return tuple(messages)
+
+
 @_value
 class Trace(Sequence):
     """An immutable sequence of events that passed the whole event contract
-    against a catalog: `seq` rising from 1 or above, time never falling,
-    query ids unique, update ids unique, and every object an event names in
-    the catalog. It keeps the ids of the catalog it was checked against, so
-    it stays valid under any catalog that holds them all (see `as_trace`).
+    (`EventContract`) against a catalog. It keeps the ids of the catalog it
+    was checked against, so it stays valid under any catalog that holds them
+    all (see `as_trace`).
 
     `Trace.of` is the public door and checks everything. The trace reader,
     the generator and `regrain` enforce every rule as they build events, so
@@ -190,38 +231,17 @@ class Trace(Sequence):
 
     @classmethod
     def of(cls, catalog: ObjectCatalog, events: Iterable[Event]) -> Trace:
-        """`events` as a Trace checked against `catalog`. Raises TypeError
-        for the first item that is not a `Query` or an `Update`, and
-        ValueError for the first event, by 1-based position, that breaks a
-        rule. An event's rules are checked in this order: `seq` (`event 2:
-        seq 1 is not above the previous seq 1`), unknown objects and
-        duplicate ids (`validate`'s messages after `event N: `), and time
-        (`event 3: time 4 is before the previous time 5`)."""
+        """`events` as a Trace checked against `catalog`. Raises TypeError for
+        the first item that is not a `Query` or an `Update`, and ValueError for
+        the first event that breaks the contract: `event N: ` (its 1-based
+        position) and the first message `EventContract` gives it."""
         events = tuple(events)
-        known = catalog.entries
-        seen_queries, seen_updates = set(), set()
-        last_seq, last_time = 0, float("-inf")
+        check = EventContract(catalog).check
         for i, ev in enumerate(events, start=1):
-            if type(ev) is Query:
-                kind, eid, oids, seen = "query", ev.qid, ev.objects, seen_queries
-            elif type(ev) is Update:
-                kind, eid, oids, seen = "update", ev.uid, (ev.object,), seen_updates
-            else:
+            if type(ev) is not Query and type(ev) is not Update:
                 raise TypeError(f"event {i}: {ev!r} is not a Query or an Update")
-            if ev.seq <= last_seq:
-                raise ValueError(f"event {i}: seq {ev.seq} is not above "
-                                 f"the previous seq {last_seq}")
-            for oid in oids:
-                if oid not in known:
-                    raise ValueError(f"event {i}: {kind} {eid} references unknown object "
-                                     f"{min(o for o in oids if o not in known)}")
-            if eid in seen:
-                raise ValueError(f"event {i}: duplicate {kind} id {eid}")
-            seen.add(eid)
-            if ev.time < last_time:
-                raise ValueError(f"event {i}: time {ev.time} is before "
-                                 f"the previous time {last_time}")
-            last_seq, last_time = ev.seq, ev.time
+            if messages := check(ev):
+                raise ValueError(f"event {i}: {messages[0]}")
         return cls._trusted(catalog, events)
 
     def __len__(self) -> int:

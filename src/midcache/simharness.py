@@ -48,14 +48,15 @@ class RunConfig:
     def __post_init__(self):
         if self.policy not in POLICY_NAMES:
             raise ValueError(f"unknown policy {self.policy!r} (have: {', '.join(POLICY_NAMES)})")
-        if self.cache_bytes is not None and self.cache_bytes < 0:
-            raise ValueError("cache_bytes must be non-negative")
+        if self.cache_bytes is not None and (type(self.cache_bytes) is not int
+                                             or self.cache_bytes < 0):
+            raise ValueError(f"cache_bytes must be a non-negative int, got {self.cache_bytes!r}")
         if self.cache_bytes is None and not 0.0 < self.cache_frac <= 1.0:
             raise ValueError("cache_frac must be in (0,1]")
-        if self.sample_stride < 1:
-            raise ValueError("sample_stride must be >= 1")
-        if self.warmup_events < 0:
-            raise ValueError("warmup_events must be >= 0")
+        if not (type(self.sample_stride) is int and self.sample_stride >= 1):
+            raise ValueError(f"sample_stride must be an int >= 1, got {self.sample_stride!r}")
+        if not (type(self.warmup_events) is int and self.warmup_events >= 0):
+            raise ValueError(f"warmup_events must be an int >= 0, got {self.warmup_events!r}")
 
     def capacity(self, catalog: ObjectCatalog) -> int:
         """The run's cache capacity in bytes. A replica holds every object,
@@ -166,11 +167,9 @@ def run(events: Sequence[Event], catalog: ObjectCatalog, config: RunConfig) -> R
     an event leaves a broken update queue, or, at the end, the resident set
     disagrees with the capacity counter or exceeds capacity.
 
-    The events must keep the whole event contract (see `core.Trace`). A
-    `Trace` checked against ids that `catalog` all holds, as `load_trace`,
-    `generate` and `regrain` return, is trusted without a walk over its
-    events; any other sequence goes through `Trace.of` first, which raises
-    ValueError naming the first bad event before any policy is built."""
+    The events go through `as_trace` first: the `Trace` that `load_trace`,
+    `generate` and `regrain` return is trusted without a walk, and any other
+    sequence raises ValueError naming its first bad event (`Trace.of`)."""
     events = as_trace(catalog, events)
     cache = CacheState(config.capacity(catalog), catalog)
     policy = make_policy(config, catalog, cache, events)
@@ -223,8 +222,10 @@ def replay_decisions(events: Sequence[Event], catalog: ObjectCatalog,
                      report: RunReport) -> tuple[CacheState, TrafficLedger]:
     """Re-apply and re-audit a report's decision log on a fresh cache through
     `execute`; the result must reproduce the run's final cache and ledger.
-    Raises AuditError for the first logged decision that fails an audit, or
-    for the first log entry whose seq names no event (0 names the startup)."""
+    The events are checked first, as `run()` checks them. Raises AuditError
+    for the first logged decision that fails an audit, or for the first log
+    entry whose seq names no event (0 names the startup)."""
+    events = as_trace(catalog, events)
     cache = CacheState(report.capacity, catalog)
     cache.seed_resident(report.initial_resident)
     ledger = TrafficLedger()

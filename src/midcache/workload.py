@@ -25,7 +25,7 @@ from itertools import accumulate
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from .core import Event, ObjectCatalog, ObjectId, Query, Trace, Update, as_trace
+from .core import Event, EventContract, ObjectCatalog, ObjectId, Query, Trace, Update, as_trace
 
 CATALOG_SCHEMA = "catalog/v1"
 TRACE_SCHEMA = "trace/v1"
@@ -262,8 +262,7 @@ def _read(path, rep: ValidationReport) -> tuple[ObjectCatalog | None, Iterator[E
     events in one pass and adds every (line, message) error to `rep`: per-line
     UTF-8 and JSON (with `json.loads`' messages; nesting too deep to decode is
     malformed JSON too), a record that `Query`/`Update` refuse to build (their
-    field rules), and the rules that span events or need the catalog:
-    duplicate ids, time order, unknown objects. A line of
+    field rules), and every message `EventContract` gives an event. A line of
     JSON whitespace only (space, tab, CR, LF) is blank and skipped. A file
     that cannot be read to its end (truncated or corrupt gzip data, an I/O
     error) adds one error for the line where reading stopped and ends the
@@ -289,12 +288,10 @@ def _read(path, rep: ValidationReport) -> tuple[ObjectCatalog | None, Iterator[E
         return None, iter(())
 
     def events() -> Iterator[Event]:
-        last_time = -math.inf
         n_records = 0
         line_no = 0                 # the last line read whole
-        seen_queries, seen_updates = set(), set()
         object_sets: dict[frozenset[ObjectId], frozenset[ObjectId]] = {}
-        known = catalog.entries.keys()
+        check = EventContract(catalog).check
         try:
             with _open(path, "rb") as fh:
                 fh.readline()
@@ -320,19 +317,10 @@ def _read(path, rep: ValidationReport) -> tuple[ObjectCatalog | None, Iterator[E
                         oids = object_sets.setdefault(ev.objects, ev.objects)
                         if oids is not ev.objects:
                             object.__setattr__(ev, "objects", oids)
-                        kind, eid, seen = "query", ev.qid, seen_queries
                     else:
                         rep.n_updates += 1
-                        kind, eid, oids, seen = "update", ev.uid, {ev.object}, seen_updates
-                    if not known >= oids:
-                        for oid in sorted(oids.difference(catalog.entries)):
-                            fail(line_no, f"{kind} {eid} references unknown object {oid}")
-                    if eid in seen:
-                        fail(line_no, f"duplicate {kind} id {eid}")
-                    seen.add(eid)
-                    if ev.time < last_time:
-                        fail(line_no, f"events out of order: time {ev.time} after {last_time}")
-                    last_time = ev.time
+                    for msg in check(ev):
+                        fail(line_no, msg)
                     yield ev
         except (OSError, EOFError, zlib.error) as exc:
             fail(line_no + 1, f"unreadable trace: {exc}")
@@ -378,9 +366,7 @@ def regrain(catalog: ObjectCatalog, events: Sequence[Event], n_groups: int
     n = len(ids)
     if not 1 <= n_groups <= n:
         raise ValueError(f"n_groups must be in [1,{n}] (merging only)")
-    group_of = {}
-    for rank, oid in enumerate(ids):
-        group_of[oid] = rank * n_groups // n
+    group_of = {oid: rank * n_groups // n for rank, oid in enumerate(ids)}
     sizes: dict[ObjectId, int] = {}
     costs: dict[ObjectId, int] = {}
     for oid in ids:

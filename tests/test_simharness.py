@@ -72,6 +72,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             RunConfig(**{"policy": "vcover", "seed": 0, **bad})
 
+    @pytest.mark.parametrize("name,value", [
+        ("cache_bytes", 12.5), ("cache_bytes", True), ("cache_bytes", "5"),
+        ("warmup_events", 1.0), ("warmup_events", False),
+        ("sample_stride", 2.5), ("sample_stride", True),
+    ])
+    def test_byte_and_count_fields_must_be_ints(self, name, value):
+        # As ObjectCatalog.from_sizes requires for its fields: no floats, no bools.
+        with pytest.raises(ValueError, match=f"^{name} must be .*, got {value!r}$"):
+            RunConfig(policy="vcover", seed=0, **{name: value})
+
     def test_fields_cannot_be_assigned(self):
         config = RunConfig(policy="vcover", seed=0)
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -300,6 +310,48 @@ class TestReplayAudit:
         assert exc.value.seq == 10**6
 
 
+class TestReplayContract:
+    """`replay_decisions` checks its events as `run()` does: a sequence that
+    breaks the event contract raises ValueError before any cache is built,
+    and a checked `Trace` is trusted without another walk."""
+
+    EVENTS = [mk_query(1, 1, {0}, 7), mk_update(2, 2, 0, 3), mk_query(3, 3, {0, 1}, 5)]
+
+    @pytest.fixture
+    def report(self, small_catalog):
+        return run(self.EVENTS, small_catalog, RunConfig(policy="replica", seed=0))
+
+    @pytest.mark.parametrize("events,message", [
+        ([mk_query(1, 1, {0}, 7, seq=2), mk_update(2, 2, 0, 3, seq=1)],
+         "event 2: seq 1 is not above the previous seq 2"),
+        ([mk_query(1, 1, {0}, 7), mk_update(2, 2, 9, 3)],
+         "event 2: update 2 references unknown object 9"),
+        ([mk_query(1, 1, {0}, 7), mk_update(2, 2, 0, 3), mk_query(1, 3, {1}, 5, seq=3)],
+         "event 3: duplicate query id 1"),
+        ([mk_query(1, 5, {0}, 7), mk_update(2, 2, 0, 3)],
+         "event 2: events out of order: time 2 after 5"),
+    ], ids=["seq", "unknown-object", "duplicate-id", "time"])
+    def test_contract_fault_raises_before_any_cache(self, small_catalog, report, events,
+                                                    message, monkeypatch):
+        def no_cache(*args):
+            raise AssertionError("a cache was built")
+
+        monkeypatch.setattr(simharness, "CacheState", no_cache)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            replay_decisions(events, small_catalog, report)
+
+    def test_a_checked_trace_is_not_walked_again(self, small_catalog, report, monkeypatch):
+        trace = Trace.of(small_catalog, self.EVENTS)
+        checked = []
+        of = Trace.of
+        monkeypatch.setattr(Trace, "of", lambda cat, evs: checked.append(1) or of(cat, evs))
+        for events, walks in ((trace, []), (self.EVENTS, [1])):
+            cache, ledger = replay_decisions(events, small_catalog, report)
+            assert ledger.snapshot() == report.ledger.snapshot()
+            assert sorted(cache.resident) == report.final_resident
+            assert checked == walks
+
+
 class TestInputContract:
     """Every trace that `validate` accepts runs under every policy and its
     decision log replays; every trace it rejects fails `load_trace`."""
@@ -384,7 +436,7 @@ class TestInputContract:
         monkeypatch.setattr(simharness, "make_policy", no_policy)
         events = [mk_query(1, 5, {0}, 7), mk_update(2, 5, 0, 3), mk_query(3, 4, {1}, 5)]
         with pytest.raises(ValueError,
-                           match=r"^event 3: time 4 is before the previous time 5$"):
+                           match=r"^event 3: events out of order: time 4 after 5$"):
             run(events, small_catalog, RunConfig(policy=policy, seed=0))
 
     # run() checks object ids and duplicate ids up front too, with

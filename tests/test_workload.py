@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from midcache.cli import main
-from midcache.core import ObjectCatalog, Query, Trace, Update
+from midcache.core import EventContract, ObjectCatalog, Query, Trace, Update
 from midcache.simharness import RunConfig, run
 from midcache.workload import (GeneratorParams, TraceError, _decode, generate, load_trace,
                                params_meta, read_catalog, regrain, validate,
@@ -482,10 +482,34 @@ class TestTraceValue:
         with pytest.raises(ValueError) as exc:
             Trace.of(catalog, events)
         position = line - 1            # the header is line 1
-        if message.startswith("events out of order"):
-            now, before = message.removeprefix("events out of order: time ").split(" after ")
-            message = f"time {now} is before the previous time {before}"
         assert str(exc.value) == f"event {position}: {message}"
+
+    def test_one_event_breaking_several_rules(self, tmp_path):
+        # `validate` reports every rule the line breaks, in rule order, and
+        # Trace.of raises the first; both word them as EventContract does.
+        catalog = ObjectCatalog.from_sizes({0: 1, 1: 1})
+        first = Query(qid=1, time=5, objects=frozenset({0}), ship_cost=1, seq=1)
+        bad = Query(qid=1, time=4, objects=frozenset({9, 0, 7}), ship_cost=1, seq=2)
+        rules = ["query 1 references unknown object 7", "query 1 references unknown object 9",
+                 "duplicate query id 1", "events out of order: time 4 after 5"]
+        write_catalog(catalog, tmp_path / "catalog.json")
+        write_trace([first, bad], tmp_path / "trace.jsonl")
+        assert validate(tmp_path / "trace.jsonl").errors == [(3, m) for m in rules]
+        with pytest.raises(ValueError, match=f"^event 2: {rules[0]}$"):
+            Trace.of(catalog, [first, bad])
+        # The reader never repeats a seq; a list can, and that rule comes first.
+        again = dataclasses.replace(bad, seq=1)
+        with pytest.raises(ValueError, match=r"^event 2: seq 1 is not above the previous seq 1$"):
+            Trace.of(catalog, [first, again])
+        contract = EventContract(catalog)
+        assert contract.check(first) == ()
+        assert contract.check(again) == ("seq 1 is not above the previous seq 1", *rules)
+        # A failing event still joins the state: time 4 and seq 1 are the last.
+        assert contract.check(Query(qid=2, time=4, objects=frozenset({1}), ship_cost=1,
+                                    seq=2)) == ()
+        assert contract.check(Update(uid=1, time=4, object=1, ship_cost=1, seq=3)) == ()
+        assert contract.check(Update(uid=1, time=4, object=1, ship_cost=1, seq=4)) == \
+            ("duplicate update id 1",)
 
     def test_empty_sequence_is_a_trace(self, small_catalog):
         assert len(Trace.of(small_catalog, [])) == 0
