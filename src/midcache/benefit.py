@@ -8,15 +8,16 @@ have earned had they been resident, less one load cost. An exponentially
 smoothed forecast ranks objects at every window boundary and the cache is
 recomposed greedily from the top of the ranking.
 
-The `soptimal` yardstick plans with the same pieces (`split_shape`,
-`WindowStats`, `window_benefits`, `fill`): one window over the whole trace,
-empty cache.
+The policy keeps its state in plain dicts: the window's accruals `saved`
+and `update_cost`, the forecast `mu`, and `splits`. The `soptimal` yardstick
+plans with the same pieces (`split_shape`, `window_benefits`, `fill`): one
+window over the whole trace, empty cache, accrued into two local dicts.
 
 A query's split depends only on its shape (object set, cost) and the
 catalog, so each run computes every distinct shape's split once: `benefit`
-in a `ShareTable` that the run owns and that dies with it, `soptimal` by
-counting the shapes before it splits them. Regrained catalogs reuse object
-ids with other sizes, so no split outlives its run.
+in its `splits` dict, which dies with the policy, `soptimal` by counting the
+shapes before it splits them. Regrained catalogs reuse object ids with other
+sizes, so no split outlives its run.
 
 Between boundaries the cache protocol is plain: fully resident and current
 enough answers at the cache, fully resident but stale ships the interacting
@@ -26,7 +27,7 @@ updates first, anything else ships the query.
 from __future__ import annotations
 
 from collections.abc import Set
-from dataclasses import dataclass, field
+from numbers import Real
 
 from .core import (AnswerFromCache, CacheState, Decision, Evict, Load,
                    ObjectCatalog, ObjectId, Query, ShipQuery, ShipUpdates,
@@ -70,73 +71,24 @@ def split_shape(objects: frozenset[ObjectId], cost: int,
     return tuple(proportional_shares(cost, sizes).items())
 
 
-class ShareTable:
-    """One run's splits: query shape (object set, cost) -> its `split_shape`
-    pairs. A policy that meets queries one at a time splits each distinct
-    shape once, on first use; the table belongs to one run over one catalog.
-    A planner that sees every query up front counts the shapes instead and
-    calls `split_shape` once per shape (see `yardsticks.plan_static_set`)."""
-
-    def __init__(self, catalog: ObjectCatalog):
-        self.catalog = catalog
-        self.splits: dict[tuple[frozenset[ObjectId], int], tuple[tuple[ObjectId, int], ...]] = {}
-
-    def split(self, q: Query) -> tuple[tuple[ObjectId, int], ...]:
-        key = (q.objects, q.ship_cost)
-        pairs = self.splits.get(key)
-        if pairs is None:
-            pairs = self.splits[key] = split_shape(q.objects, q.ship_cost, self.catalog)
-        return pairs
-
-
-@dataclass
-class WindowStats:
-    """Per-object accruals inside one window. Non-resident objects carry
-    hypothetical numbers (what residency would have saved / cost)."""
-
-    saved: dict[ObjectId, int] = field(default_factory=dict)
-    update_cost: dict[ObjectId, int] = field(default_factory=dict)
-
-    def add_query(self, q: Query, shares: ShareTable,
-                  skip: Set[ObjectId] = frozenset()) -> None:
-        """Credit every object the query accesses, except those in `skip`,
-        with its size-proportional share of the query's shipping cost. The
-        split comes from the run's `shares`, which computes each distinct
-        (object set, cost) split once per run."""
-        saved = self.saved
-        for oid, share in shares.split(q):
-            if oid not in skip:
-                saved[oid] = saved.get(oid, 0) + share
-
-    def add_update_cost(self, oid: ObjectId, amount: int) -> None:
-        self.update_cost[oid] = self.update_cost.get(oid, 0) + amount
-
-
-@dataclass
-class Forecast:
-    """Smoothed per-object benefit: mu <- (1-alpha)*mu + alpha*b."""
-
-    mu: dict[ObjectId, float]
-    alpha: float
-    delta: int
-
-    def step(self, benefits: dict[ObjectId, int]) -> None:
-        a = self.alpha
-        for oid in self.mu:
-            self.mu[oid] = (1.0 - a) * self.mu[oid] + a * benefits.get(oid, 0)
-
-
-def window_benefits(stats: WindowStats, resident: Set[ObjectId],
-                    catalog: ObjectCatalog) -> dict[ObjectId, int]:
-    """Benefit of the closing window for every catalog object; objects not
-    in `resident` pay their load cost once."""
+def window_benefits(saved: dict[ObjectId, int], update_cost: dict[ObjectId, int],
+                    resident: Set[ObjectId], catalog: ObjectCatalog) -> dict[ObjectId, int]:
+    """Benefit of the closing window for every catalog object: the bytes
+    `saved` minus the `update_cost` it accrued; objects not in `resident` pay
+    their load cost once."""
     out: dict[ObjectId, int] = {}
     for oid in catalog.ids():
-        b = stats.saved.get(oid, 0) - stats.update_cost.get(oid, 0)
+        b = saved.get(oid, 0) - update_cost.get(oid, 0)
         if oid not in resident:
             b -= catalog.load_cost(oid)
         out[oid] = b
     return out
+
+
+def smooth(mu: dict[ObjectId, float], benefits: dict[ObjectId, int], alpha: float) -> None:
+    """Step the forecast in place: mu <- (1-alpha)*mu + alpha*b."""
+    for oid in mu:
+        mu[oid] = (1.0 - alpha) * mu[oid] + alpha * benefits.get(oid, 0)
 
 
 def fill(scores: dict[ObjectId, float], capacity: int,
@@ -153,34 +105,43 @@ def fill(scores: dict[ObjectId, float], capacity: int,
     return chosen
 
 
-def greedy_recompose(forecast: Forecast, cache: CacheState,
+def greedy_recompose(mu: dict[ObjectId, float], cache: CacheState,
                      catalog: ObjectCatalog) -> list[Decision]:
     """The evictions and loads that turn the current residency into the
-    greedy `fill` of the forecast. Selections already resident are kept,
-    not reloaded."""
-    selected = fill(forecast.mu, cache.capacity, catalog)
+    greedy `fill` of the forecast `mu`. Selections already resident are
+    kept, not reloaded."""
+    selected = fill(mu, cache.capacity, catalog)
     evictions = [Evict(o) for o in sorted(cache.resident.difference(selected))]
     return evictions + [Load(o) for o in selected if o not in cache.resident]
 
 
 def check_window(alpha: float, delta: int) -> None:
-    """Raise ValueError unless alpha is in [0,1] and delta is at least 1."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must be in [0,1]")
-    if delta < 1:
-        raise ValueError("delta must be >= 1")
+    """Raise ValueError unless alpha is a real number in [0,1], not a bool,
+    and delta is of type `int` exactly and at least 1."""
+    if isinstance(alpha, bool) or not (isinstance(alpha, Real) and 0.0 <= alpha <= 1.0):
+        raise ValueError(f"alpha must be a real number in [0,1], got {alpha!r}")
+    if not (type(delta) is int and delta >= 1):
+        raise ValueError(f"delta must be an int >= 1, got {delta!r}")
 
 
 class BenefitPolicy:
+    """Inside a window, `saved` and `update_cost` accrue each object's bytes
+    (hypothetical ones for objects not resident); `mu` is the smoothed
+    forecast, one entry per catalog object in id order; `splits` maps each
+    query shape (object set, cost) met in this run to its `split_shape`
+    pairs, so every distinct shape is split once per run, on first use."""
+
     def __init__(self, catalog: ObjectCatalog, cache: CacheState,
                  alpha: float = 0.5, delta: int = 1000):
         check_window(alpha, delta)
         self.catalog = catalog
         self.cache = cache
-        self.forecast = Forecast(mu={oid: 0.0 for oid in catalog.ids()},
-                                 alpha=alpha, delta=delta)
-        self.shares = ShareTable(catalog)
-        self.stats = WindowStats()
+        self.alpha = alpha
+        self.delta = delta
+        self.mu = {oid: 0.0 for oid in catalog.ids()}
+        self.saved: dict[ObjectId, int] = {}
+        self.update_cost: dict[ObjectId, int] = {}
+        self.splits: dict[tuple[frozenset[ObjectId], int], tuple[tuple[ObjectId, int], ...]] = {}
         self.events_in_window = 0
 
     def startup(self) -> list[Decision]:
@@ -193,31 +154,41 @@ class BenefitPolicy:
         if u.object not in self.cache.resident:
             # Hypothetical: had the object been resident, this update would
             # eventually have been shipped for it.
-            self.stats.add_update_cost(u.object, u.ship_cost)
+            self.update_cost[u.object] = self.update_cost.get(u.object, 0) + u.ship_cost
         return self._tick()
 
     def _route_query(self, q: Query) -> list[Decision]:
-        resident = self.cache.resident
-        if not q.objects <= resident:
-            self.stats.add_query(q, self.shares, skip=resident)
+        """Credit the query's shares to every object it accesses (only to the
+        missing ones when it ships), then route it."""
+        key = (q.objects, q.ship_cost)
+        pairs = self.splits.get(key)
+        if pairs is None:
+            pairs = self.splits[key] = split_shape(q.objects, q.ship_cost, self.catalog)
+        resident, saved = self.cache.resident, self.saved
+        hit = q.objects <= resident
+        for oid, share in pairs:
+            if hit or oid not in resident:
+                saved[oid] = saved.get(oid, 0) + share
+        if not hit:
             return [ShipQuery(q.qid)]
-        self.stats.add_query(q, self.shares)
         ius = interacting_updates(q, self.cache, q.time)
         if not ius:
             return [AnswerFromCache(q.qid)]
+        update_cost = self.update_cost
         for u in ius:
-            self.stats.add_update_cost(u.object, u.ship_cost)
+            update_cost[u.object] = update_cost.get(u.object, 0) + u.ship_cost
         return [ShipUpdates(tuple(u.uid for u in ius)), AnswerFromCache(q.qid)]
 
     def _tick(self) -> list[Decision]:
         self.events_in_window += 1
-        if self.events_in_window < self.forecast.delta:
+        if self.events_in_window < self.delta:
             return []
         return self.roll_window()
 
     def roll_window(self) -> list[Decision]:
-        self.forecast.step(window_benefits(self.stats, self.cache.resident, self.catalog))
-        decisions = greedy_recompose(self.forecast, self.cache, self.catalog)
-        self.stats = WindowStats()
+        smooth(self.mu, window_benefits(self.saved, self.update_cost, self.cache.resident,
+                                        self.catalog), self.alpha)
+        decisions = greedy_recompose(self.mu, self.cache, self.catalog)
+        self.saved, self.update_cost = {}, {}
         self.events_in_window = 0
         return decisions

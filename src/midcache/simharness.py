@@ -48,6 +48,10 @@ class RunConfig:
     def __post_init__(self):
         if self.policy not in POLICY_NAMES:
             raise ValueError(f"unknown policy {self.policy!r} (have: {', '.join(POLICY_NAMES)})")
+        if type(self.seed) is not int:
+            raise ValueError(f"seed must be an int, got {self.seed!r}")
+        if isinstance(self.cache_frac, bool) or not isinstance(self.cache_frac, (int, float)):
+            raise ValueError(f"cache_frac must be an int or float, got {self.cache_frac!r}")
         if self.cache_bytes is not None and (type(self.cache_bytes) is not int
                                              or self.cache_bytes < 0):
             raise ValueError(f"cache_bytes must be a non-negative int, got {self.cache_bytes!r}")
@@ -246,14 +250,6 @@ def replay_decisions(events: Sequence[Event], catalog: ObjectCatalog,
 @dataclass
 class ComparisonReport:
     runs: list[RunReport]
-
-    def table(self) -> list[dict]:
-        return [{"policy": r.config["policy"],
-                 "seed": r.config["seed"],
-                 "query_ship": r.ledger.query_ship,
-                 "update_ship": r.ledger.update_ship,
-                 "load": r.ledger.load,
-                 "total": r.ledger.total} for r in self.runs]
 
     def summary_json(self) -> str:
         return json.dumps({"runs": [r.summary() for r in self.runs]},

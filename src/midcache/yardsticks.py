@@ -3,8 +3,9 @@ ship everything (nocache), replicate everything (replica), and a static
 cache composition chosen with full-trace hindsight (soptimal). The static
 set is `benefit`'s scoring model run as one window over the whole trace from
 an empty cache and filled greedily, so it is not guaranteed optimal. The plan
-accrues per query shape: it counts each distinct (object set, cost) once and
-credits its split times the count, which is exact in integers.
+accrues per query shape into two local dicts, `saved` and `update_cost`: it
+counts each distinct (object set, cost) once and credits its split times the
+count, which is exact in integers.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .benefit import WindowStats, fill, split_shape, window_benefits
+from .benefit import fill, split_shape, window_benefits
 from .core import (AnswerFromCache, CacheState, Decision, Event, Load,
                    ObjectCatalog, ObjectId, Query, ShipQuery, ShipUpdates,
                    Update, interacting_updates)
@@ -73,8 +74,8 @@ def plan_static_set(events: Sequence[Event], catalog: ObjectCatalog,
     generator give equal object sets one frozenset, so a shape hit compares
     its set by identity."""
     shapes: dict[tuple[frozenset[ObjectId], int], int] = {}
-    stats = WindowStats()
-    saved, update_cost = stats.saved, stats.update_cost
+    saved: dict[ObjectId, int] = {}
+    update_cost: dict[ObjectId, int] = {}
     for ev in events:
         if isinstance(ev, Query):
             shape = (ev.objects, ev.ship_cost)
@@ -84,7 +85,7 @@ def plan_static_set(events: Sequence[Event], catalog: ObjectCatalog,
     for (objects, cost), n in shapes.items():
         for oid, share in split_shape(objects, cost, catalog):
             saved[oid] = saved.get(oid, 0) + share * n
-    chosen = fill(window_benefits(stats, frozenset(), catalog), capacity, catalog)
+    chosen = fill(window_benefits(saved, update_cost, frozenset(), catalog), capacity, catalog)
     return SOptimalPlan(frozenset(chosen), tuple(Load(o) for o in chosen))
 
 

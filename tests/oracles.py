@@ -8,7 +8,8 @@ from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
-from midcache.core import ObjectCatalog, Query, Update
+from midcache.core import (AnswerFromCache, Evict, Load, ObjectCatalog, Query,
+                           ShipQuery, ShipUpdates, Update)
 
 
 def brute_force_cover_weight(update_weights: dict[int, int],
@@ -339,6 +340,77 @@ def per_query_static_set(events, catalog: ObjectCatalog, capacity: int) -> list[
             chosen.append(oid)
             space -= entries[oid].size
     return chosen
+
+
+def windowed_benefit_log(events, catalog: ObjectCatalog, capacity: int,
+                         alpha: float, delta: int) -> list[tuple[int, object]]:
+    """The decision log of a `benefit` run from an empty cache, replayed
+    window by window with its own resident set and update queues. Inside a
+    window every query credits its objects with a fresh
+    `largest_remainder_shares` of its cost (only the missing objects when it
+    ships, every object when it answers at the cache), every update shipped
+    for a query charges its object, and every update to an object not
+    resident charges it as if it were. After each full window of `delta`
+    events the forecast is smoothed, mu <- (1-alpha)*mu + alpha*(saved -
+    charged - load cost if not resident), and the cache becomes the
+    positive-mu ranking in (-mu, id) order, skipping any object that no longer
+    fits: unselected residents are evicted in id order, then the missing
+    selections load in ranking order, logged at the window's last event."""
+    entries = catalog.entries
+    mu = {oid: 0.0 for oid in entries}
+    resident: set[int] = set()
+    queues: dict[int, list[Update]] = {}
+    log: list[tuple[int, object]] = []
+    for start in range(0, len(events), delta):
+        window = events[start:start + delta]
+        saved: dict[int, int] = {}
+        charged: dict[int, int] = {}
+        for ev in window:
+            if isinstance(ev, Update):
+                if ev.object in resident:
+                    queues.setdefault(ev.object, []).append(ev)
+                else:
+                    charged[ev.object] = charged.get(ev.object, 0) + ev.ship_cost
+                continue
+            sizes = [(oid, entries[oid].size) for oid in sorted(ev.objects)]
+            hit = ev.objects <= resident
+            for oid, share in largest_remainder_shares(ev.ship_cost, sizes).items():
+                if hit or oid not in resident:
+                    saved[oid] = saved.get(oid, 0) + share
+            if not hit:
+                log.append((ev.seq, ShipQuery(ev.qid)))
+                continue
+            cutoff = ev.time - ev.tolerance
+            shipped = [u for oid in sorted(ev.objects) for u in queues.get(oid, ())
+                       if u.time <= cutoff]
+            for u in shipped:
+                charged[u.object] = charged.get(u.object, 0) + u.ship_cost
+                queues[u.object].remove(u)
+            if shipped:
+                log.append((ev.seq, ShipUpdates(tuple(u.uid for u in shipped))))
+            log.append((ev.seq, AnswerFromCache(ev.qid)))
+        if len(window) < delta:
+            break
+        for oid, info in entries.items():
+            b = saved.get(oid, 0) - charged.get(oid, 0)
+            if oid not in resident:
+                b -= info.load_cost
+            mu[oid] = (1.0 - alpha) * mu[oid] + alpha * b
+        chosen, space = [], capacity
+        for _, oid in sorted((-v, oid) for oid, v in mu.items() if v > 0):
+            if entries[oid].size <= space:
+                chosen.append(oid)
+                space -= entries[oid].size
+        seq = window[-1].seq
+        for oid in sorted(resident.difference(chosen)):
+            resident.discard(oid)
+            queues.pop(oid, None)
+            log.append((seq, Evict(oid)))
+        for oid in chosen:
+            if oid not in resident:
+                resident.add(oid)
+                log.append((seq, Load(oid)))
+    return log
 
 
 def event_fields_ok(fields: dict) -> bool:

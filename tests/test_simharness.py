@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -81,6 +82,19 @@ class TestConfig:
         # As ObjectCatalog.from_sizes requires for its fields: no floats, no bools.
         with pytest.raises(ValueError, match=f"^{name} must be .*, got {value!r}$"):
             RunConfig(policy="vcover", seed=0, **{name: value})
+
+    @pytest.mark.parametrize("name,value", [
+        ("seed", 1.5), ("seed", True), ("seed", "1"), ("seed", None),
+        ("cache_frac", True), ("cache_frac", "0.3"), ("cache_frac", None),
+    ])
+    def test_seed_must_be_an_int_and_cache_frac_a_number(self, name, value):
+        # seed is of type int exactly; cache_frac an int or float but not a
+        # bool, checked even when cache_bytes is set, as summary() records it
+        with pytest.raises(ValueError, match=f"^{name} must be .*, got {re.escape(repr(value))}$"):
+            RunConfig(**{"policy": "vcover", "seed": 0, name: value})
+        if name == "cache_frac":
+            with pytest.raises(ValueError, match="^cache_frac must be "):
+                RunConfig(policy="vcover", seed=0, cache_bytes=10, cache_frac=value)
 
     def test_fields_cannot_be_assigned(self):
         config = RunConfig(policy="vcover", seed=0)
@@ -487,8 +501,8 @@ class TestCompare:
         rep = compare(events, small_catalog,
                       [RunConfig(policy="nocache", seed=0),
                        RunConfig(policy="replica", seed=0)])
-        table = {r["policy"]: r["total"] for r in rep.table()}
-        assert table == {"nocache": 7, "replica": 0}
+        totals = {r.config["policy"]: r.ledger.total for r in rep.runs}
+        assert totals == {"nocache": 7, "replica": 0}
 
     def test_events_are_checked_once_for_every_run(self, small_catalog, monkeypatch):
         checked = []
@@ -497,7 +511,7 @@ class TestCompare:
         events = [mk_query(1, 1, {0}, 7), mk_update(2, 2, 0, 3)]
         rep = compare(events, small_catalog, [RunConfig(policy=p, seed=0)
                                               for p in ("nocache", "replica", "soptimal")])
-        assert [r["total"] for r in rep.table()] == [7, 3, 7]
+        assert [r.ledger.total for r in rep.runs] == [7, 3, 7]
         assert checked == [1]
 
     def test_five_policy_table_shape(self):
@@ -508,7 +522,7 @@ class TestCompare:
                              params={"delta": 10} if p == "benefit" else {})
                    for p in ("vcover", "benefit", "nocache", "replica", "soptimal")]
         rep = compare(events, catalog, configs)
-        assert [r["policy"] for r in rep.table()] == \
+        assert [r.config["policy"] for r in rep.runs] == \
             ["vcover", "benefit", "nocache", "replica", "soptimal"]
         assert rep.series_csv().splitlines()[0] == \
             "policy,seq,query_ship,update_ship,load,total,occupancy"
