@@ -12,10 +12,11 @@ non-negative, and that a query's objects are a non-empty frozenset.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field, fields
 
 
 ObjectId = int
+_INT = frozenset({int})
 
 
 class CacheError(Exception):
@@ -41,11 +42,27 @@ class NotOutstanding(CacheError):
 def _value(cls):
     """`dataclass(frozen=True, slots=True)`, whose instances raise
     FrozenInstanceError on any attribute assignment or deletion. (For a name
-    that is not a field, its own methods raise TypeError on CPython 3.10-3.13.)"""
+    that is not a field, its own methods raise TypeError on CPython 3.10-3.13.)
+
+    Unless the class defines its own `__init__`, the generated one gives way to
+    one made the way `dataclasses` makes it, with the same parameters,
+    defaults, annotations and `__qualname__`, that sets each slot through its
+    descriptor and then calls `__post_init__` if the class has one. That
+    skips the frozen `object.__setattr__`'s attribute lookup per field."""
     def refuse(self, name, *value):
         raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+    own_init = "__init__" in cls.__dict__
     cls = dataclass(frozen=True, slots=True)(cls)
     cls.__setattr__ = cls.__delattr__ = refuse
+    if not own_init:
+        names = [f.name for f in fields(cls)]
+        post = "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""
+        scope = {f"_set_{n}": cls.__dict__[n].__set__ for n in names}
+        exec(f"def __init__(self, {', '.join(names)}):"
+             + "".join(f"\n    _set_{n}(self, {n})" for n in names) + post, scope)
+        for attr in ("__defaults__", "__annotations__", "__qualname__", "__module__"):
+            setattr(scope["__init__"], attr, getattr(cls.__init__, attr))
+        cls.__init__ = scope["__init__"]
     return cls
 
 
@@ -138,7 +155,7 @@ class Query:
                 is type(self.tolerance) is type(self.seq) is int
                 and self.ship_cost >= 0 and self.tolerance >= 0
                 and type(objects) is frozenset and objects
-                and all(type(o) is int for o in objects)):
+                and _INT.issuperset(map(type, objects))):
             raise ValueError(_field_error(self))
 
 

@@ -2,7 +2,10 @@
 
 Files: `catalog.json` holds the object set; `trace.jsonl` starts with a
 header line referencing its catalog, followed by one JSON event per line.
-Both read transparently through gzip when the path ends in `.gz`.
+Both read transparently through gzip when the path ends in `.gz`. The reader
+takes a line spelled exactly as the writer spells it by matching the
+writer's line template, without the JSON decoder; any other spelling goes
+through `json`, with the same values and the same error messages.
 
 The generator mimics the qualitative shape of scan-driven scientific
 workloads: heavy-tailed (log-uniform) object sizes, queries clustered around
@@ -18,6 +21,7 @@ import io
 import json
 import math
 import random
+import re
 import zlib
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
@@ -34,6 +38,18 @@ TRACE_SCHEMA = "trace/v1"
 _QUERY_LINE = '{"cost":%d,"id":%d,"kind":"query","objects":[%s],"time":%d,"tolerance":%d}\n'
 _UPDATE_LINE = '{"cost":%d,"id":%d,"kind":"update","object":%d,"time":%d}\n'
 _raw_decode = json.JSONDecoder().raw_decode
+
+
+def _template(line: str) -> re.Pattern[bytes]:
+    """The lines that `line` gives for non-negative ints, as a bytes pattern:
+    each `%d` is a group of digits without leading zeros, `%s` a group of such
+    ints joined by commas, and the final newline is optional."""
+    n = "(?:0|[1-9][0-9]*)"
+    body = re.escape(line.removesuffix("\n")).replace("%d", f"({n})")
+    return re.compile(f"{body.replace('%s', f'({n}(?:,{n})*)')}\n?".encode())
+
+
+_QUERY_RE, _UPDATE_RE = _template(_QUERY_LINE), _template(_UPDATE_LINE)
 
 
 class TraceError(Exception):
@@ -148,8 +164,7 @@ def generate(params: GeneratorParams, seed: int) -> tuple[ObjectCatalog, Trace]:
             objs = object_sets.setdefault(objs, objs)
             cost = max(1, int(params.selectivity * sum(sizes[o] for o in objs)))
             tol = rng.choices(tol_values, cum_weights=tol_cum)[0]
-            events.append(Query(qid=eid, time=t, objects=objs, ship_cost=cost,
-                                tolerance=tol, seq=eid))
+            events.append(Query(eid, t, objs, cost, tol, eid))
         else:
             if scan_left == 0:
                 if params.update_hotspots and rng.random() < params.update_hotspot_weight:
@@ -162,7 +177,7 @@ def generate(params: GeneratorParams, seed: int) -> tuple[ObjectCatalog, Trace]:
             scan_pos = (scan_pos + 1) % n
             scan_left -= 1
             cost = max(1, int(params.update_fraction * sizes[oid]))
-            events.append(Update(uid=eid, time=t, object=oid, ship_cost=cost, seq=eid))
+            events.append(Update(eid, t, oid, cost, eid))
     return catalog, Trace._trusted(catalog, events)
 
 
@@ -210,11 +225,10 @@ def _event_from_json(doc: dict, seq: int) -> Event:
     raise ValueError; a record of another kind is a TraceError."""
     kind = doc.get("kind")
     if kind == "query":
-        return Query(qid=doc["id"], time=doc["time"], objects=frozenset(doc["objects"]),
-                     ship_cost=doc["cost"], tolerance=doc.get("tolerance", 0), seq=seq)
+        return Query(doc["id"], doc["time"], frozenset(doc["objects"]), doc["cost"],
+                     doc.get("tolerance", 0), seq)
     if kind == "update":
-        return Update(uid=doc["id"], time=doc["time"], object=doc["object"],
-                      ship_cost=doc["cost"], seq=seq)
+        return Update(doc["id"], doc["time"], doc["object"], doc["cost"], seq)
     raise TraceError(f"unknown event kind {kind!r}")
 
 
@@ -270,7 +284,14 @@ def _read(path, rep: ValidationReport) -> tuple[ObjectCatalog | None, Iterator[E
     buffer before the damage, since the gzip reader drops the text it
     decompressed in the failing read; truncation is named exactly. Events get
     1-based sequence numbers, and queries with equal object sets share one
-    frozenset."""
+    frozenset.
+
+    A line that fully matches the writer's template (`_QUERY_RE`,
+    `_UPDATE_RE`: non-negative ints without leading zeros, no whitespace, an
+    optional final newline) is built straight from the matched digits, which
+    gives what `json.loads` would. Any other line, and a matching one whose
+    ints `int()` refuses (its 4300-digit limit), takes the JSON path, so
+    every message stays `json.loads`' own."""
     path = Path(path)
 
     def fail(line: int, msg: str) -> None:
@@ -301,22 +322,36 @@ def _read(path, rep: ValidationReport) -> tuple[ObjectCatalog | None, Iterator[E
                         continue
                     n_records += 1
                     try:
-                        ev = _event_from_json(_decode(line.decode()), line_no - 1)
-                    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-                        fail(line_no, f"malformed JSON: {exc}")
-                        continue
-                    except (TraceError, KeyError, AttributeError, TypeError,
-                            ValueError) as exc:
-                        fail(line_no, f"bad event record: {exc}")
-                        continue
+                        if m := _UPDATE_RE.fullmatch(line):
+                            cost, eid, oid, t = map(int, m.groups())
+                            ev = Update(eid, t, oid, cost, line_no - 1)
+                        elif m := _QUERY_RE.fullmatch(line):
+                            cost, eid, oids, t, tol = m.groups()
+                            # The pattern admits ints only, so the set is safe
+                            # to share before Query checks it.
+                            oids = frozenset(map(int, oids.split(b",")))
+                            ev = Query(int(eid), int(t), object_sets.setdefault(oids, oids),
+                                       int(cost), int(tol), line_no - 1)
+                    except ValueError:      # int()'s digit limit: json.loads words it
+                        m = None
+                    if m is None:
+                        try:
+                            ev = _event_from_json(_decode(line.decode()), line_no - 1)
+                        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+                            fail(line_no, f"malformed JSON: {exc}")
+                            continue
+                        except (TraceError, KeyError, AttributeError, TypeError,
+                                ValueError) as exc:
+                            fail(line_no, f"bad event record: {exc}")
+                            continue
+                        if type(ev) is Query:
+                            # Shared only once Query accepted it: a rejected
+                            # [1.0] or [true] equals frozenset({1}).
+                            oids = object_sets.setdefault(ev.objects, ev.objects)
+                            if oids is not ev.objects:
+                                object.__setattr__(ev, "objects", oids)
                     if type(ev) is Query:
                         rep.n_queries += 1
-                        # Equal object sets share one frozenset, so shape lookups
-                        # hit by identity. Both passed Query's field check, so
-                        # they hold the same ints, and the event keeps its value.
-                        oids = object_sets.setdefault(ev.objects, ev.objects)
-                        if oids is not ev.objects:
-                            object.__setattr__(ev, "objects", oids)
                     else:
                         rep.n_updates += 1
                     for msg in check(ev):

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import itertools
 import pickle
 
@@ -287,6 +288,10 @@ class TestFastPaths:
         check_freshness(cache)
 
 
+class Flag(int):
+    """An int subclass: equal to an int, but not of type `int` exactly."""
+
+
 class TestEventFields:
     """`Query` and `Update` refuse to be built with a field that breaks the
     trace contract, so no caller can replay one."""
@@ -337,9 +342,12 @@ class TestEventFields:
         ({"objects": frozenset()}, "query 2 accesses no objects"),
         ({"objects": {0}}, "query 2: objects must be a frozenset, not set"),
         ({"objects": frozenset({0, "1"})}, "query record has a non-integer field"),
+        ({"objects": frozenset({0, True})}, "query record has a non-integer field"),
+        ({"objects": frozenset({0, Flag(1)})}, "query record has a non-integer field"),
         ({"qid": True}, "query record has a non-integer field"),
         ({"tolerance": -1}, "query 2 has negative tolerance"),
-    ], ids=["no-objects", "set", "string-object-id", "bool-id", "negative-tolerance"])
+    ], ids=["no-objects", "set", "string-object-id", "bool-object-id", "int-subclass-object-id",
+            "bool-id", "negative-tolerance"])
     def test_query_rejected_when_built(self, fields, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             Query(**{"qid": 2, "time": 2, "objects": frozenset({0}), "ship_cost": 7,
@@ -348,6 +356,62 @@ class TestEventFields:
     def test_zero_costs_and_tolerance_are_valid(self):
         assert Query(qid=1, time=0, objects=frozenset({0}), ship_cost=0).tolerance == 0
         assert Update(uid=1, time=0, object=0, ship_cost=0).ship_cost == 0
+
+
+def dataclass_twin(cls):
+    """What plain `dataclass(frozen=True, slots=True)` makes of `cls`'s fields,
+    with no `__post_init__`."""
+    return dataclasses.make_dataclass(
+        cls.__name__, [(f.name, f.type, dataclasses.field(default=f.default))
+                       for f in dataclasses.fields(cls)], frozen=True, slots=True)
+
+
+VALUES = {ObjectInfo: (5, 7), Update: (2, 3, 0, 4, 2), Query: (1, 1, frozenset({0, 2}), 5, 3, 1),
+          ShipQuery: (1,), ShipUpdates: ((2, 4),), AnswerFromCache: (1,), Load: (3,),
+          Evict: (3,)}
+
+
+@pytest.mark.parametrize("cls", VALUES, ids=lambda cls: cls.__name__)
+class TestGeneratedInit:
+    """`_value` swaps the dataclass `__init__` for one that sets the slots
+    directly; callers cannot tell the two apart."""
+
+    def test_signature_is_the_dataclass_one(self, cls):
+        twin = dataclass_twin(cls).__init__
+        assert inspect.signature(cls.__init__) == inspect.signature(twin)
+        assert cls.__init__.__annotations__ == twin.__annotations__
+        assert cls.__init__.__qualname__ == f"{cls.__name__}.__init__"
+        assert cls.__init__.__module__ == cls.__module__
+
+    def test_keyword_positional_and_default_calls_agree(self, cls):
+        args = VALUES[cls]
+        fields = dataclasses.fields(cls)
+        value = cls(*args)
+        assert tuple(getattr(value, f.name) for f in fields) == args
+        assert cls(**{f.name: a for f, a in zip(fields, args)}) == value
+        required = [f for f in fields if f.default is dataclasses.MISSING]
+        assert (cls(*args[:len(required)])
+                == cls(*args[:len(required)], *(f.default for f in fields[len(required):])))
+
+    def test_type_errors_read_as_the_dataclass_ones(self, cls):
+        args, first = VALUES[cls], dataclasses.fields(cls)[0].name
+        twin = dataclass_twin(cls)
+
+        def message(build):
+            with pytest.raises(TypeError) as exc:
+                build()
+            return str(exc.value)
+
+        for call in (lambda c: c(), lambda c: c(*args, 9), lambda c: c(*args, note=1),
+                     lambda c: c(*args, **{first: args[0]})):
+            assert message(lambda: call(cls)) == message(lambda: call(twin))
+
+
+@pytest.mark.parametrize("call", [lambda: Trace(), lambda: Trace((), frozenset()),
+                                  lambda: Trace(events=(), object_ids=frozenset())])
+def test_trace_keeps_its_refusing_init(call):
+    with pytest.raises(TypeError, match=r"^build a Trace with Trace\.of\(catalog, events\)$"):
+        call()
 
 
 class TestSlottedValues:

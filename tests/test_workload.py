@@ -1,21 +1,24 @@
 import dataclasses
 import gzip
 import json
+import re
 import tempfile
 import time
 import zlib
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from midcache.cli import main
 from midcache.core import EventContract, ObjectCatalog, Query, Trace, Update
+from midcache import workload
 from midcache.simharness import RunConfig, run
-from midcache.workload import (GeneratorParams, TraceError, _decode, generate, load_trace,
-                               params_meta, read_catalog, regrain, validate,
-                               write_catalog, write_trace)
+from midcache.workload import (GeneratorParams, TraceError, ValidationReport, _decode, _read,
+                               generate, load_trace, params_meta, read_catalog, regrain,
+                               validate, write_catalog, write_trace)
 from tests.conftest import DATA_DIR
 from tests.oracles import event_record
 
@@ -279,6 +282,143 @@ class TestTraceEncoding:
     @given(TEXTS)
     def test_decode_matches_json_loads(self, text):
         assert self.outcome(_decode, text) == self.outcome(json.loads, text)
+
+
+# Values that replace one int of a record line: leading zeros, -0,
+# negatives, floats, bools, other JSON types, and ints at and past int()'s
+# 4300-digit limit.
+ODD_INTS = ["00", "01", "-0", "-3", "1.0", "1.5", "1e2", "true", "false", "null", '"1"',
+            "9" * 4300, "1" + "0" * 4300]
+
+
+@st.composite
+def record_lines(draw):
+    """Event lines as the writer spells them, some of them mutated: spaces,
+    odd int spellings, reordered, extra or missing keys, duplicate object ids,
+    a BOM, a CRLF ending, and no final newline on the last line. Small ids,
+    times and object ids (6 and 7 are not in the catalog) make the contract
+    fail too."""
+    lines = []
+    for _ in range(draw(st.integers(1, 6))):
+        small = st.integers(0, 9).map(str)
+        if draw(st.booleans()):
+            objects = draw(st.lists(st.integers(0, 7), min_size=1, max_size=4))
+            if not draw(st.booleans()):
+                objects = sorted(set(objects))
+            fields = {"cost": draw(small), "id": draw(small), "kind": '"query"',
+                      "objects": [str(o) for o in objects], "time": draw(small),
+                      "tolerance": draw(small)}
+        else:
+            fields = {"cost": draw(small), "id": draw(small), "kind": '"update"',
+                      "object": str(draw(st.integers(0, 7))), "time": draw(small)}
+        mutations = draw(st.sets(st.sampled_from(
+            ["odd-int", "odd-object", "spaces", "reorder", "extra", "missing", "bom", "crlf"]),
+            max_size=2))
+        ints = [k for k in fields if k not in ("kind", "objects")]
+        if "odd-int" in mutations:
+            fields[draw(st.sampled_from(ints))] = draw(st.sampled_from(ODD_INTS))
+        if "odd-object" in mutations and "objects" in fields:
+            fields["objects"][draw(st.integers(0, len(fields["objects"]) - 1))] = \
+                draw(st.sampled_from(ODD_INTS))
+        if "missing" in mutations:
+            del fields[draw(st.sampled_from(sorted(fields)))]
+        if "extra" in mutations:
+            fields["note"] = draw(st.sampled_from(["1", '"x"', "[]"]))
+        keys = draw(st.permutations(list(fields))) if "reorder" in mutations else list(fields)
+        comma, colon = (", ", ": ") if "spaces" in mutations else (",", ":")
+        text = "{" + comma.join(
+            f'"{k}"{colon}' + ("[" + comma.join(fields[k]) + "]" if k == "objects"
+                               else fields[k]) for k in keys) + "}"
+        lines.append(("\ufeff" if "bom" in mutations else "") + text
+                     + ("\r\n" if "crlf" in mutations else "\n"))
+    if draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip("\r\n")
+    return lines
+
+
+class TestTemplatePath:
+    """The reader builds a line in the writer's own spelling from its template
+    match, without the JSON decoder, and every other line through `json`; the
+    two paths give the same events and the same errors."""
+
+    NEVER = mock.patch.multiple(workload, _QUERY_RE=re.compile(b"(?!)"),
+                                _UPDATE_RE=re.compile(b"(?!)"))
+
+    @staticmethod
+    def read(path):
+        """Events, errors and counts as the reader gives them, after checking
+        that every query's objects are interned all-int frozensets."""
+        rep = ValidationReport()
+        events = list(_read(path, rep)[1])
+        sets = [ev.objects for ev in events if type(ev) is Query]
+        assert all(type(o) is int for objects in sets for o in objects)
+        assert len({id(s) for s in sets}) == len(set(sets))
+        return events, rep.errors, rep.n_queries, rep.n_updates
+
+    @settings(max_examples=300, deadline=None)
+    @given(record_lines())
+    def test_template_path_reads_as_the_json_path(self, lines):
+        header = json.dumps({"catalog": "catalog.json", "n_events": len(lines),
+                             "schema": "trace/v1"}) + "\n"
+        data = (header + "".join(lines)).encode()
+        with tempfile.TemporaryDirectory() as tmp:
+            d = Path(tmp)
+            write_catalog(ObjectCatalog.from_sizes({o: 1 for o in range(6)}), d / "catalog.json")
+            (d / "trace.jsonl").write_bytes(data)
+            (d / "trace.jsonl.gz").write_bytes(gzip.compress(data))
+            fast = [self.read(d / name) for name in ("trace.jsonl", "trace.jsonl.gz")]
+            with self.NEVER:
+                slow = [self.read(d / name) for name in ("trace.jsonl", "trace.jsonl.gz")]
+        assert fast[0] == fast[1] == slow[0] == slow[1]
+
+    @pytest.mark.parametrize("valid", [
+        '{"cost":1,"id":2,"kind":"query","objects":[1],"time":2,"tolerance":0}',
+        '{"cost": 1, "id": 2, "kind": "query", "objects": [1], "time": 2, "tolerance": 0}',
+    ], ids=["template", "json"])
+    @pytest.mark.parametrize("odd", ["1.0", "true"])
+    def test_a_rejected_object_set_is_never_shared(self, tmp_path, odd, valid):
+        # [1.0] and [true] give sets equal to frozenset({1}); sharing one
+        # before Query rejects it would hand a later valid query a float.
+        write_catalog(ObjectCatalog.from_sizes({1: 1}), tmp_path / "catalog.json")
+        (tmp_path / "trace.jsonl").write_text(
+            '{"catalog":"catalog.json","n_events":2,"schema":"trace/v1"}\n'
+            f'{{"cost":1,"id":1,"kind":"query","objects":[{odd}],"time":1,"tolerance":0}}\n'
+            f"{valid}\n")
+        rep = ValidationReport()
+        (ev,) = _read(tmp_path / "trace.jsonl", rep)[1]
+        assert rep.errors == [(2, "bad event record: query record has a non-integer field")]
+        assert ev.objects == {1} and all(type(o) is int for o in ev.objects)
+
+    @pytest.mark.parametrize("params", [
+        GeneratorParams(),
+        GeneratorParams(n_queries=5_000, n_updates=5_000),                       # hot68
+        dataclasses.replace(GeneratorParams.scaled_hotspots(532), size_max=2_000_000_000,
+                            selectivity=0.5, query_hotspot_weight=0.2,
+                            n_queries=4_000, n_updates=4_000),                   # churn532
+    ], ids=["default", "hot68", "churn532"])
+    def test_every_written_line_fits_a_template(self, tmp_path, params):
+        # Were the writer's spelling and the templates to drift apart, every
+        # line would silently take the JSON path.
+        catalog, events = generate(params, seed=1)
+        self.assert_templated(tmp_path, catalog, events)
+
+    def test_zero_and_limit_sized_ints_fit_a_template(self, tmp_path):
+        big = int("9" * 4300)           # the most digits int() reads by default
+        catalog = ObjectCatalog.from_sizes({0: 1, big: 1})
+        events = [Query(1, 0, frozenset({0}), 0, 0, 1), Update(2, 0, 0, 0, 2),
+                  Query(big, big, frozenset({0, big}), big, big, 3),
+                  Update(big, big, big, big, 4)]
+        self.assert_templated(tmp_path, catalog, events)
+
+    @staticmethod
+    def assert_templated(d, catalog, events):
+        write_catalog(catalog, d / "catalog.json")
+        write_trace(events, d / "trace.jsonl")
+        lines = (d / "trace.jsonl").read_bytes().splitlines(keepends=True)[1:]
+        assert len(lines) == len(events)
+        for line in lines:
+            assert workload._QUERY_RE.fullmatch(line) or workload._UPDATE_RE.fullmatch(line)
+        assert list(load_trace(d / "trace.jsonl")[1]) == list(events)
 
 
 class TestEventFieldsInTraces:
