@@ -12,6 +12,7 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 from operator import itemgetter
+from types import SimpleNamespace
 
 from .benefit import BenefitPolicy
 from .core import (AnswerFromCache, CacheState, Decision, Event, ObjectCatalog,
@@ -163,31 +164,19 @@ def execute(cache: CacheState, ledger: TrafficLedger, log: list | None,
             log.append((seq, d))
 
 
-def run(events: Sequence[Event], catalog: ObjectCatalog, config: RunConfig) -> RunReport:
-    """Replay the trace under one policy. Raises AuditError (with the event
-    index) if a ShipQuery or a cache answer names anything but its own query
-    event, a query ships twice, a cache answer breaks its staleness contract,
-    a decision that changes the cache (Load, Evict, ShipUpdates) overfills it,
-    an event leaves a broken update queue, or, at the end, the resident set
-    disagrees with the capacity counter or exceeds capacity.
-
-    The events go through `as_trace` first: the `Trace` that `load_trace`,
-    `generate` and `regrain` return is trusted without a walk, and any other
-    sequence raises ValueError naming its first bad event (`Trace.of`)."""
-    events = as_trace(catalog, events)
-    cache = CacheState(config.capacity(catalog), catalog)
-    policy = make_policy(config, catalog, cache, events)
-    initial_resident = sorted(cache.resident)
+def _event_loop(events: Trace, cache: CacheState, source, log: list | None,
+                warmup: int, stride: int) -> tuple[TrafficLedger, list[tuple], tuple]:
+    """`run()`'s event loop, shared by `replay_decisions`: returns the ledger,
+    the series sampled every `stride` seqs and the ledger at `warmup`."""
     ledger = TrafficLedger()
-    log: list[tuple[int, Decision]] = []
     series: list[tuple] = []
     warmup_snapshot = (0, 0, 0)
 
-    execute(cache, ledger, log, policy.startup(), 0, None)
+    execute(cache, ledger, log, source.startup(), 0, None)
     # Bound after make_policy, so class-level wrappers set before run() apply.
-    on_query, on_update = policy.on_query, policy.on_update
+    on_query, on_update = source.on_query, source.on_update
     receive_update, outstanding = cache.receive_update, cache.outstanding
-    warmup, stride, last = config.warmup_events, config.sample_stride, len(events) - 1
+    last = len(events) - 1
     for i, ev in enumerate(events):
         seq = ev.seq
         if isinstance(ev, Update):
@@ -208,12 +197,33 @@ def run(events: Sequence[Event], catalog: ObjectCatalog, config: RunConfig) -> R
                            ledger.load, ledger.total, cache.used))
     # The per-decision capacity audit trusts the running counter; recount it
     # once, so residency that changed behind apply's back fails the run.
-    resident_bytes = sum(catalog.size(o) for o in cache.resident)
+    resident_bytes = sum(cache.catalog.size(o) for o in cache.resident)
     if resident_bytes != cache.used or resident_bytes > cache.capacity:
         raise AuditError(events[-1].seq if events else 0,
                          f"resident objects hold {resident_bytes} B, capacity "
                          f"counter {cache.used} B, capacity {cache.capacity} B")
+    return ledger, series, warmup_snapshot
 
+
+def run(events: Sequence[Event], catalog: ObjectCatalog, config: RunConfig) -> RunReport:
+    """Replay the trace under one policy. Raises AuditError (with the event
+    index) if a ShipQuery or a cache answer names anything but its own query
+    event, a query ships twice, a cache answer breaks its staleness contract,
+    a decision that changes the cache (Load, Evict, ShipUpdates) overfills it,
+    an event leaves a broken update queue, or, at the end, the resident set
+    disagrees with the capacity counter or exceeds capacity. The event loop
+    and its audits are shared with `replay_decisions`.
+
+    The events go through `as_trace` first: the `Trace` that `load_trace`,
+    `generate` and `regrain` return is trusted without a walk, and any other
+    sequence raises ValueError naming its first bad event (`Trace.of`)."""
+    events = as_trace(catalog, events)
+    cache = CacheState(config.capacity(catalog), catalog)
+    policy = make_policy(config, catalog, cache, events)
+    initial_resident = sorted(cache.resident)
+    log: list[tuple[int, Decision]] = []
+    ledger, series, warmup_snapshot = _event_loop(events, cache, policy, log,
+                                                  config.warmup_events, config.sample_stride)
     post = [now - then for now, then in zip(ledger.snapshot(), warmup_snapshot)]
     post_warmup = dict(zip(("query_ship", "update_ship", "load"), post), total=sum(post))
     return RunReport(config=asdict(config), capacity=cache.capacity, ledger=ledger,
@@ -224,24 +234,21 @@ def run(events: Sequence[Event], catalog: ObjectCatalog, config: RunConfig) -> R
 
 def replay_decisions(events: Sequence[Event], catalog: ObjectCatalog,
                      report: RunReport) -> tuple[CacheState, TrafficLedger]:
-    """Re-apply and re-audit a report's decision log on a fresh cache through
-    `execute`; the result must reproduce the run's final cache and ledger.
-    The events are checked first, as `run()` checks them. Raises AuditError
-    for the first logged decision that fails an audit, or for the first log
+    """Re-apply a report's decision log on a fresh cache through `run()`'s own
+    event loop, which makes every audit a run makes; the result must reproduce
+    the run's final cache and ledger. The events are checked first, as `run()`
+    checks them. Raises AuditError where `run()` would, or for the first log
     entry whose seq names no event (0 names the startup)."""
     events = as_trace(catalog, events)
     cache = CacheState(report.capacity, catalog)
     cache.seed_resident(report.initial_resident)
-    ledger = TrafficLedger()
     by_seq: dict[int, list[Decision]] = {}
     for seq, d in report.decision_log:
         by_seq.setdefault(seq, []).append(d)
-    execute(cache, ledger, None, by_seq.pop(0, ()), 0, None)
-    for ev in events:
-        if isinstance(ev, Update):
-            cache.receive_update(ev)
-        if decisions := by_seq.pop(ev.seq, None):
-            execute(cache, ledger, None, decisions, ev.seq, ev if type(ev) is Query else None)
+    take = by_seq.pop
+    source = SimpleNamespace(startup=lambda: take(0, ()), on_query=lambda ev: take(ev.seq, None))
+    source.on_update = source.on_query
+    ledger, _, _ = _event_loop(events, cache, source, None, 0, report.config["sample_stride"])
     for seq, decisions in by_seq.items():   # the first entry that no event took
         raise AuditError(seq, f"logged {decisions[0]!r} names no event")
     return cache, ledger

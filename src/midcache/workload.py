@@ -37,7 +37,6 @@ TRACE_SCHEMA = "trace/v1"
 # what `json.dumps` prints because every event field is of type `int`.
 _QUERY_LINE = '{"cost":%d,"id":%d,"kind":"query","objects":[%s],"time":%d,"tolerance":%d}\n'
 _UPDATE_LINE = '{"cost":%d,"id":%d,"kind":"update","object":%d,"time":%d}\n'
-_raw_decode = json.JSONDecoder().raw_decode
 
 
 def _template(line: str) -> re.Pattern[bytes]:
@@ -258,25 +257,14 @@ class ValidationReport:
         return not self.errors
 
 
-def _decode(text: str):
-    """`json.loads(text)`: the same value or error, faster when `text` is one
-    JSON value followed by nothing but JSON whitespace."""
-    try:
-        doc, end = _raw_decode(text)
-        if not text[end:].strip(" \t\n\r"):
-            return doc
-    except json.JSONDecodeError:
-        pass
-    return json.loads(text)
-
-
 def _read(path, rep: ValidationReport) -> tuple[ObjectCatalog | None, Iterator[Event]]:
     """The one trace reader: it reads the header and the catalog it names
     (relative to the trace file), then returns an iterator that parses the
     events in one pass and adds every (line, message) error to `rep`: per-line
-    UTF-8 and JSON (with `json.loads`' messages; nesting too deep to decode is
-    malformed JSON too), a record that `Query`/`Update` refuse to build (their
-    field rules), and every message `EventContract` gives an event. A line of
+    UTF-8 and JSON (with `json.loads`' messages, less the advice that ends its
+    int digit-limit one; nesting too deep to decode is malformed JSON too), a
+    record that `Query`/`Update` refuse to build (their field rules), and
+    every message `EventContract` gives an event. A line of
     JSON whitespace only (space, tab, CR, LF) is blank and skipped. A file
     that cannot be read to its end (truncated or corrupt gzip data, an I/O
     error) adds one error for the line where reading stopped and ends the
@@ -291,7 +279,7 @@ def _read(path, rep: ValidationReport) -> tuple[ObjectCatalog | None, Iterator[E
     optional final newline) is built straight from the matched digits, which
     gives what `json.loads` would. Any other line, and a matching one whose
     ints `int()` refuses (its 4300-digit limit), takes the JSON path, so
-    every message stays `json.loads`' own."""
+    every message is the JSON path's."""
     path = Path(path)
 
     def fail(line: int, msg: str) -> None:
@@ -332,14 +320,16 @@ def _read(path, rep: ValidationReport) -> tuple[ObjectCatalog | None, Iterator[E
                             oids = frozenset(map(int, oids.split(b",")))
                             ev = Query(int(eid), int(t), object_sets.setdefault(oids, oids),
                                        int(cost), int(tol), line_no - 1)
-                    except ValueError:      # int()'s digit limit: json.loads words it
+                    except ValueError:      # int()'s digit limit: the JSON path words it
                         m = None
                     if m is None:
                         try:
-                            ev = _event_from_json(_decode(line.decode()), line_no - 1)
-                        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-                            fail(line_no, f"malformed JSON: {exc}")
+                            doc = json.loads(line.decode())
+                        except (ValueError, RecursionError) as exc:   # JSON, UTF-8, digit limit
+                            fail(line_no, f"malformed JSON: {str(exc).partition('; use sys.')[0]}")
                             continue
+                        try:
+                            ev = _event_from_json(doc, line_no - 1)
                         except (TraceError, KeyError, AttributeError, TypeError,
                                 ValueError) as exc:
                             fail(line_no, f"bad event record: {exc}")

@@ -8,6 +8,9 @@ from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
+import networkx as nx
+from networkx.algorithms.flow import preflow_push
+
 from midcache.core import (AnswerFromCache, Evict, Load, ObjectCatalog, Query,
                            ShipQuery, ShipUpdates, Update)
 
@@ -66,6 +69,30 @@ def brute_force_canonical_cover(update_weights: dict[int, int],
 def graph_edges(g) -> set[tuple[int, int]]:
     """Every (update, query) edge of an `InteractionGraph`."""
     return {(uid, qid) for uid, qs in g.update_edges.items() for qid in qs}
+
+
+def networkx_canonical_cover(g) -> tuple[frozenset[int], frozenset[int]]:
+    """The canonical minimum cover of an `InteractionGraph` as (queries,
+    updates), from networkx's preflow-push maximum flow on the derived
+    network: source -> update at the update's weight, update -> query
+    uncapacitated, query -> sink at the query's weight. The nodes reachable
+    from the source in its residual network are the smallest cut side, the
+    same for every maximum flow: a query is covered when it is reachable, an
+    update when it is not."""
+    net = nx.DiGraph()
+    net.add_nodes_from(["s", "t"])
+    net.add_edges_from(("s", ("u", u), {"capacity": w}) for u, w in g.update_weight.items())
+    net.add_edges_from((("q", q), "t", {"capacity": w}) for q, w in g.query_weight.items())
+    net.add_edges_from((("u", u), ("q", q)) for u, q in graph_edges(g))
+    residual = preflow_push(net, "s", "t")
+    reached, queue = {"s"}, deque(["s"])
+    while queue:
+        for node, arc in residual[queue.popleft()].items():
+            if node not in reached and arc["flow"] < arc["capacity"]:
+                reached.add(node)
+                queue.append(node)
+    return (frozenset(q for q in g.query_weight if ("q", q) in reached),
+            frozenset(u for u in g.update_weight if ("u", u) not in reached))
 
 
 def flow_value(fs) -> int:

@@ -5,8 +5,8 @@ import re
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from midcache import simharness
-from midcache.core import (AnswerFromCache, Load, ObjectCatalog, Query, ShipQuery,
+from midcache import core, simharness
+from midcache.core import (AnswerFromCache, Evict, Load, ObjectCatalog, Query, ShipQuery,
                            ShipUpdates, Trace)
 from midcache.simharness import (POLICY_NAMES, AuditError, RunConfig, compare,
                                  replay_decisions, run)
@@ -282,9 +282,10 @@ class TestAudit:
 
 
 class TestReplayAudit:
-    """`replay_decisions` re-audits a log through `run()`'s own step, so a
-    corrupted log fails with AuditError naming the event, not a raw error or
-    a silently different ledger."""
+    """`replay_decisions` re-audits a log through `run()`'s own event loop, so
+    a corrupted log, or a cache that changes behind the decision step's back,
+    fails with AuditError naming the event where a run would, not with a raw
+    error or a silently different ledger."""
 
     @pytest.fixture
     def trace(self):
@@ -322,6 +323,49 @@ class TestReplayAudit:
                 as exc:
             replay_decisions(events, catalog, dataclasses.replace(report, decision_log=log))
         assert exc.value.seq == 10**6
+
+    @pytest.fixture
+    def churn(self):
+        # A 5% cache over fine-grained objects: vcover loads and evicts often,
+        # and evicts objects whose updates are still queued.
+        params = dataclasses.replace(GeneratorParams.scaled_hotspots(68), selectivity=0.5,
+                                     query_hotspot_weight=0.2, n_queries=40, n_updates=40)
+        catalog, events = generate(params, seed=1)
+        config = RunConfig(policy="vcover", seed=1, cache_frac=0.05)
+        return catalog, events, config, run(events, catalog, config)
+
+    def test_counter_drift_fails_the_final_recount(self, churn, monkeypatch):
+        catalog, events, _, report = churn
+
+        def drifting(cache, d):
+            moved = core.apply(cache, d)
+            if type(d) is Load:
+                cache._used -= 1    # low, so the per-decision capacity audit passes
+            return moved
+
+        monkeypatch.setattr(simharness, "apply", drifting)
+        with pytest.raises(AuditError, match="capacity counter") as exc:
+            replay_decisions(events, catalog, report)
+        assert exc.value.seq == events[-1].seq
+
+    def test_queue_left_on_evict_fails_where_run_fails(self, churn, monkeypatch):
+        catalog, events, config, report = churn
+
+        def keeping_queue(cache, d):
+            queue = cache.outstanding.get(d.oid) if type(d) is Evict else None
+            moved = core.apply(cache, d)
+            if queue:
+                cache.outstanding[d.oid] = queue
+            return moved
+
+        monkeypatch.setattr(simharness, "apply", keeping_queue)
+        match = r"non-resident object \d+ has an outstanding queue"
+        with pytest.raises(AuditError, match=match) as ran:
+            run(events, catalog, config)
+        with pytest.raises(AuditError, match=match) as replayed:
+            replay_decisions(events, catalog, report)
+        assert replayed.value.seq == ran.value.seq
+        assert str(replayed.value) == str(ran.value)
 
 
 class TestReplayContract:

@@ -1,5 +1,6 @@
 import copy
 import random
+from itertools import count
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
@@ -11,7 +12,7 @@ from midcache.vcover import VCoverPolicy
 from midcache.workload import GeneratorParams, generate
 from tests.conftest import GB, SEC, mk_query, mk_update
 from tests.oracles import (brute_force_canonical_cover, check_flow, cover_weight,
-                           enumerate_plan_costs, graph_edges)
+                           enumerate_plan_costs, graph_edges, networkx_canonical_cover)
 
 
 def policy_with_cache(catalog, capacity, resident=(), seed=0):
@@ -346,3 +347,26 @@ class TestCanonicalCover:
         cache, ledger = replay_decisions(events, catalog, report)
         assert ledger.snapshot() == report.ledger.snapshot()
         event(f"covers checked: {min(len(checked), 5)}{'+' if len(checked) >= 5 else ''}")
+
+    def test_sampled_covers_match_networkx(self, monkeypatch):
+        # Every 20th cover of a run on the 20k-event default trace (438
+        # covers, graphs up to about 1,400 updates and 55 queries) against
+        # the canonical cover read off networkx's preflow-push residual
+        # network, an oracle that shares no code with `covergraph`.
+        import midcache.vcover as vc
+        from midcache.covergraph import min_weight_cover as real_mwc
+
+        calls, checked = count(1), []
+
+        def sampled_cover(g, prior=None):
+            expect = networkx_canonical_cover(g) if next(calls) % 20 == 0 else None
+            cover, fs = real_mwc(g, prior)
+            if expect is not None:
+                assert (cover.cover_queries, cover.cover_updates) == expect
+                checked.append(cover)
+            return cover, fs
+
+        catalog, events = generate(GeneratorParams(), 1)
+        monkeypatch.setattr(vc, "min_weight_cover", sampled_cover)
+        run(events, catalog, RunConfig(policy="vcover", seed=1, cache_frac=0.3))
+        assert len(checked) >= 20
