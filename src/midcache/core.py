@@ -1,12 +1,14 @@
 """Domain types shared by every policy: catalog, events, cache state, decisions,
 and the traffic ledger.
 
-All byte quantities are 64-bit ints (1 GB == 10**9 bytes in traces) and all
-timestamps are integer microseconds; ties in the trace are broken by sequence
-number. Keeping everything integral makes ledgers exact and runs replayable,
-so `Query` and `Update` check when built that every field and object id is
-of type `int` exactly (no bools or floats), that costs and tolerances are
-non-negative, and that a query's objects are a non-empty frozenset.
+All byte quantities are ints of at most `MAX_BYTES` (2**53 - 1, so floats
+hold them exactly; 1 GB == 10**9 bytes in traces) and all timestamps are
+integer microseconds; ties in the trace are broken by sequence number.
+Keeping everything integral makes ledgers exact and runs replayable, so
+`Query`, `Update` and `ObjectCatalog` check when built that every field and
+object id is of type `int` exactly (no bools or floats), that byte quantities
+are in range and tolerances non-negative, and that a query's objects are a
+non-empty frozenset.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from dataclasses import FrozenInstanceError, dataclass, field, fields
 
 
 ObjectId = int
+MAX_BYTES = 2**53 - 1
 _INT = frozenset({int})
 
 
@@ -74,7 +77,9 @@ class ObjectInfo:
 
 @dataclass
 class ObjectCatalog:
-    """The server's object set with per-object sizes and load costs.
+    """The server's object set with per-object sizes and load costs, checked
+    however it is built: ids, sizes and load costs of type `int` exactly,
+    sizes and load costs in [1, MAX_BYTES].
 
     Load cost defaults to the object's size (cost of moving the whole object
     over the network); catalogs may override it per object.
@@ -82,23 +87,26 @@ class ObjectCatalog:
 
     entries: dict[ObjectId, ObjectInfo] = field(default_factory=dict)
 
-    @classmethod
-    def from_sizes(cls, sizes: dict[ObjectId, int],
-                   load_costs: dict[ObjectId, int] | None = None) -> "ObjectCatalog":
-        """Ids, sizes and load costs must be of type `int` exactly, which
-        also rejects bools and floats, so every byte quantity stays integral."""
-        entries = {}
-        for oid, size in sizes.items():
-            lc = (load_costs or {}).get(oid, size)
+    def __post_init__(self):
+        for oid, info in self.entries.items():
+            if type(info) is not ObjectInfo:
+                raise ValueError(f"object {oid!r}: entry must be an ObjectInfo, "
+                                 f"not {type(info).__name__}")
+            size, lc = info.size, info.load_cost
             if not type(oid) is type(size) is type(lc) is int:
                 raise ValueError(f"object {oid!r}: id, size and load cost must be "
                                  f"integers, got {size!r} and {lc!r}")
-            if size <= 0:
-                raise ValueError(f"object {oid}: size must be positive, got {size}")
-            if lc <= 0:
-                raise ValueError(f"object {oid}: load cost must be positive, got {lc}")
-            entries[oid] = ObjectInfo(size=size, load_cost=lc)
-        return cls(entries)
+            for name, value in (("size", size), ("load cost", lc)):
+                if value <= 0:
+                    raise ValueError(f"object {oid}: {name} must be positive, got {value}")
+                if value > MAX_BYTES:
+                    raise ValueError(f"object {oid}: {name} must be at most {MAX_BYTES}")
+
+    @classmethod
+    def from_sizes(cls, sizes: dict[ObjectId, int],
+                   load_costs: dict[ObjectId, int] | None = None) -> "ObjectCatalog":
+        return cls({oid: ObjectInfo(size, (load_costs or {}).get(oid, size))
+                    for oid, size in sizes.items()})
 
     def __contains__(self, oid: ObjectId) -> bool:
         return oid in self.entries
@@ -135,9 +143,14 @@ class Update:
     seq: int = 0
 
     def __post_init__(self):
-        if not (type(self.uid) is type(self.time) is type(self.object)
-                is type(self.ship_cost) is type(self.seq) is int and self.ship_cost >= 0):
-            raise ValueError(_field_error(self))
+        cost = self.ship_cost
+        if not (type(self.uid) is type(self.time) is type(self.object) is type(cost)
+                is type(self.seq) is int):
+            raise ValueError("update record has a non-integer field")
+        if cost < 0:
+            raise ValueError(f"update {self.uid} has negative cost {cost}")
+        if cost > MAX_BYTES:
+            raise ValueError(f"update {self.uid} has cost above {MAX_BYTES}")
 
 
 @_value
@@ -150,32 +163,24 @@ class Query:
     seq: int = 0
 
     def __post_init__(self):
-        objects = self.objects
-        if not (type(self.qid) is type(self.time) is type(self.ship_cost)
-                is type(self.tolerance) is type(self.seq) is int
-                and self.ship_cost >= 0 and self.tolerance >= 0
-                and type(objects) is frozenset and objects
-                and _INT.issuperset(map(type, objects))):
-            raise ValueError(_field_error(self))
+        qid, objects, cost = self.qid, self.objects, self.ship_cost
+        if type(objects) is not frozenset:
+            raise ValueError(f"query {qid}: objects must be a frozenset, "
+                             f"not {type(objects).__name__}")
+        if not (type(qid) is type(self.time) is type(cost) is type(self.tolerance)
+                is type(self.seq) is int and _INT.issuperset(map(type, objects))):
+            raise ValueError("query record has a non-integer field")
+        if not objects:
+            raise ValueError(f"query {qid} accesses no objects")
+        if cost < 0:
+            raise ValueError(f"query {qid} has negative cost {cost}")
+        if cost > MAX_BYTES:
+            raise ValueError(f"query {qid} has cost above {MAX_BYTES}")
+        if self.tolerance < 0:
+            raise ValueError(f"query {qid} has negative tolerance")
 
 
 Event = Query | Update
-
-
-def _field_error(ev: Event) -> str:
-    """The first field rule `ev` breaks, worded as `validate` reports it."""
-    q = isinstance(ev, Query)
-    kind, eid, objects = ("query", ev.qid, ev.objects) if q else ("update", ev.uid, (ev.object,))
-    if q and type(objects) is not frozenset:
-        return f"query {eid}: objects must be a frozenset, not {type(objects).__name__}"
-    fields = (eid, ev.time, ev.ship_cost, ev.seq, getattr(ev, "tolerance", 0), *objects)
-    if not all(type(v) is int for v in fields):
-        return f"{kind} record has a non-integer field"
-    if not objects:
-        return f"query {eid} accesses no objects"
-    if ev.ship_cost < 0:
-        return f"{kind} {eid} has negative cost {ev.ship_cost}"
-    return f"query {eid} has negative tolerance"
 
 
 class EventContract:

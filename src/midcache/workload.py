@@ -260,19 +260,19 @@ class ValidationReport:
 def _read(path, rep: ValidationReport) -> tuple[ObjectCatalog | None, Iterator[Event]]:
     """The one trace reader: it reads the header and the catalog it names
     (relative to the trace file), then returns an iterator that parses the
-    events in one pass and adds every (line, message) error to `rep`: per-line
-    UTF-8 and JSON (with `json.loads`' messages, less the advice that ends its
-    int digit-limit one; nesting too deep to decode is malformed JSON too), a
-    record that `Query`/`Update` refuse to build (their field rules), and
-    every message `EventContract` gives an event. A line of
-    JSON whitespace only (space, tab, CR, LF) is blank and skipped. A file
-    that cannot be read to its end (truncated or corrupt gzip data, an I/O
-    error) adds one error for the line where reading stopped and ends the
-    stream there. For corrupt deflate data that line can come up to one read
-    buffer before the damage, since the gzip reader drops the text it
-    decompressed in the failing read; truncation is named exactly. Events get
-    1-based sequence numbers, and queries with equal object sets share one
-    frozenset.
+    events in one pass and adds every (line, message) error to `rep`: the
+    header's or catalog's, and per-line UTF-8 and JSON (both with `json.loads`'
+    messages, less the advice that ends its int digit-limit one; nesting too
+    deep to decode is malformed JSON too), a record that `Query`/`Update`
+    refuse to build (their field rules), and every message `EventContract`
+    gives an event. A line of JSON whitespace only (space, tab, CR, LF) is
+    blank and skipped. A file that cannot be read to its end (truncated or
+    corrupt gzip data, an I/O error) adds one error for the line where reading
+    stopped and ends the stream there. For corrupt deflate data that line can
+    come up to one read buffer before the damage, since the gzip reader drops
+    the text it decompressed in the failing read; truncation is named exactly.
+    Events get 1-based sequence numbers, and queries with equal object sets
+    share one frozenset.
 
     A line that fully matches the writer's template (`_QUERY_RE`,
     `_UPDATE_RE`: non-negative ints without leading zeros, no whitespace, an
@@ -293,7 +293,7 @@ def _read(path, rep: ValidationReport) -> tuple[ObjectCatalog | None, Iterator[E
         catalog = read_catalog(path.parent / header["catalog"])
     except (TraceError, OSError, EOFError, zlib.error, KeyError, ValueError,
             TypeError, AttributeError, RecursionError) as exc:
-        fail(1, f"bad header or catalog: {exc}")
+        fail(1, f"bad header or catalog: {str(exc).partition('; use sys.')[0]}")
         return None, iter(())
 
     def events() -> Iterator[Event]:

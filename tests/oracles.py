@@ -443,14 +443,15 @@ def windowed_benefit_log(events, catalog: ObjectCatalog, capacity: int,
 def event_fields_ok(fields: dict) -> bool:
     """Whether `Query(**fields)` (with an `objects` key) or `Update(**fields)` may
     be built: every scalar field and object id a true `int` (a bool is not),
-    a query's objects a non-empty frozenset, cost and tolerance at least 0."""
+    a query's objects a non-empty frozenset, cost in [0, 2**53 - 1] and
+    tolerance at least 0."""
     objects = fields.get("objects", frozenset({0}))
     if not isinstance(objects, frozenset) or not objects:
         return False
     scalars = [v for k, v in fields.items() if k != "objects"]
     if any(isinstance(v, bool) or not isinstance(v, int) for v in scalars + list(objects)):
         return False
-    return fields["ship_cost"] >= 0 and fields.get("tolerance", 0) >= 0
+    return 0 <= fields["ship_cost"] <= 2**53 - 1 and fields.get("tolerance", 0) >= 0
 
 
 def event_record(ev) -> dict:

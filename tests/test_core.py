@@ -6,7 +6,7 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from midcache.core import (AnswerFromCache, CacheError, CacheState,
+from midcache.core import (MAX_BYTES, AnswerFromCache, CacheError, CacheState,
                            CapacityExceeded, Evict, Load,
                            NonResident,
                            NotOutstanding, ObjectCatalog, ObjectInfo, Query, ShipQuery,
@@ -356,6 +356,24 @@ class TestEventFields:
     def test_zero_costs_and_tolerance_are_valid(self):
         assert Query(qid=1, time=0, objects=frozenset({0}), ship_cost=0).tolerance == 0
         assert Update(uid=1, time=0, object=0, ship_cost=0).ship_cost == 0
+
+    def test_largest_cost_is_valid(self):
+        assert MAX_BYTES == 2**53 - 1
+        query = Query(qid=1, time=0, objects=frozenset({0}), ship_cost=MAX_BYTES)
+        assert query.ship_cost == Update(uid=1, time=0, object=0, ship_cost=MAX_BYTES).ship_cost
+
+    @pytest.mark.parametrize("cost", [2**53, 10**400], ids=["2**53", "10**400"])
+    def test_cost_above_the_bound_rejected_when_built(self, cost):
+        # Costs feed float arithmetic, which holds an int exactly only up to
+        # 2**53 and overflows past about 1.8e308.
+        query = {"qid": 2, "time": 2, "objects": frozenset({0}), "ship_cost": cost, "seq": 4}
+        assert not event_fields_ok(query)
+        with pytest.raises(ValueError, match=r"^query 2 has cost above 9007199254740991$"):
+            Query(**query)
+        with pytest.raises(ValueError, match=r"^update 3 has cost above 9007199254740991$"):
+            Update(uid=3, time=2, object=0, ship_cost=cost, seq=4)
+        with pytest.raises(ValueError, match="^query 2 has cost above "):
+            Query(**query, tolerance=-1)      # the cost rule comes before the tolerance one
 
 
 def dataclass_twin(cls):

@@ -11,7 +11,7 @@ from midcache.core import (AnswerFromCache, Evict, Load, ObjectCatalog, Query, S
 from midcache.simharness import (POLICY_NAMES, AuditError, RunConfig, compare,
                                  replay_decisions, run)
 from midcache.workload import (GeneratorParams, TraceError, generate,
-                               load_trace, validate, write_catalog)
+                               load_trace, validate)
 from tests.conftest import mk_query, mk_update
 
 
@@ -418,15 +418,20 @@ class TestInputContract:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.data())
     def test_validated_traces_run_and_replay_under_every_policy(self, tmp_path, data):
+        # Some examples put one large byte quantity next to the small ones:
+        # the largest one allowed, or one past the bound that fails `validate`.
+        big = data.draw(st.sampled_from([[], [], [2**53 - 1], [2**53], [10**400]]), label="big")
         n_objects = data.draw(st.integers(1, 4), label="objects")
-        catalog = ObjectCatalog.from_sizes(
-            {o: data.draw(st.integers(1, 5)) for o in range(n_objects)})
-        write_catalog(catalog, tmp_path / "catalog.json")
+        quantity = st.sampled_from([1, 2, 3, 4, 5] + big)
+        objects = [{"id": o, "size": data.draw(quantity), "load_cost": data.draw(quantity)}
+                   for o in range(n_objects)]
+        (tmp_path / "catalog.json").write_text(
+            json.dumps({"schema": "catalog/v1", "objects": objects}))
         oid = st.integers(0, n_objects - 1)
         time, update_times, docs = 0, [0], []
         for eid in range(1, data.draw(st.integers(0, 15), label="events") + 1):
             time += data.draw(st.sampled_from([0, 0, 1, 2]))   # ties are common
-            doc = {"id": eid, "time": time, "cost": data.draw(st.sampled_from([0, 2, 8]))}
+            doc = {"id": eid, "time": time, "cost": data.draw(st.sampled_from([0, 2, 8] + big))}
             if data.draw(st.booleans()):
                 # Some tolerances put an earlier update exactly on the boundary.
                 tol = data.draw(st.sampled_from(sorted({time - t for t in update_times})))
@@ -448,12 +453,17 @@ class TestInputContract:
         trace = tmp_path / "trace.jsonl"
         header = {"schema": "trace/v1", "catalog": "catalog.json", "n_events": len(docs)}
         trace.write_text("".join(json.dumps(d) + "\n" for d in [header] + docs))
+        quantities = [d["cost"] for d in docs] + [o["size"] for o in objects] + [
+            o["load_cost"] for o in objects]
+        oversized = max(quantities) > core.MAX_BYTES
         rep = validate(trace)
         if not rep.ok:
-            assert any(fault in msg for _, msg in rep.errors)
+            causes = ([fault] if fault else []) + ([f" {core.MAX_BYTES}"] if oversized else [])
+            assert any(cause in msg for _, msg in rep.errors for cause in causes)
             with pytest.raises(TraceError, match=r"trace\.jsonl:\d+: "):
                 load_trace(trace)
             return
+        assert not oversized
         catalog, events = load_trace(trace)
         sizing = data.draw(st.sampled_from([{"cache_frac": 0.3}, {"cache_frac": 1.0},
                                             {"cache_bytes": 0}, {"cache_bytes": 6}]))

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from midcache.cli import main
-from midcache.core import EventContract, ObjectCatalog, Query, Trace, Update
+from midcache.core import EventContract, ObjectCatalog, ObjectInfo, Query, Trace, Update
 from midcache import workload
 from midcache.simharness import RunConfig, run
 from midcache.workload import (GeneratorParams, TraceError, ValidationReport, _read,
@@ -161,7 +161,9 @@ class TestTraceIO:
         ("event", "[" * 100_000, 3, "malformed JSON: "),
         ("header", "[" * 100_000, 1, "bad header or catalog: "),
         ("event", LONG % ":", 3, TOO_LONG), ("event", LONG % ": ", 3, TOO_LONG),
-    ], ids=["deep-event", "deep-header", "long-int-template", "long-int-json"])
+        ("header", '{"catalog":"catalog.json","n_events":%s,"schema":"trace/v1"}' % ("1" * 4301),
+         1, "bad header or catalog: Exceeds the limit (4300"),
+    ], ids=["deep-event", "deep-header", "long-int-template", "long-int-json", "long-int-header"])
     def test_undecodable_json_is_named_by_line(self, tmp_path, capsys, where, bad, line,
                                                prefix):
         # The JSON decoder raises RecursionError for deep nesting and a plain
@@ -180,6 +182,22 @@ class TestTraceIO:
         err = capsys.readouterr().err
         assert f"{trace}:{line}: {prefix}" in err
         assert "Traceback" not in err and "set_int_max_str_digits" not in err
+
+    def test_long_int_in_catalog_names_the_limit(self, tmp_path, capsys):
+        # As for a header or event line: no advice to call a Python API.
+        (tmp_path / "catalog.json").write_text(
+            '{"objects":[{"id":0,"load_cost":1,"size":%s}],"schema":"catalog/v1"}' % ("1" * 4301))
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text('{"catalog":"catalog.json","n_events":0,"schema":"trace/v1"}\n')
+        [(line, message)] = validate(trace).errors
+        assert line == 1 and message.startswith("bad header or catalog: Exceeds the limit (4300")
+        assert "4301 digits" in message and "use sys." not in message
+        for command in (["validate"], ["run", "--policy", "nocache", "--seed", "1",
+                                       "--out", str(tmp_path)]):
+            assert main(command + ["--trace", str(trace)]) == 1
+            err = capsys.readouterr().err
+            assert f"{trace}:1: {message}" in err
+            assert "Traceback" not in err and "set_int_max_str_digits" not in err
 
     def test_unknown_object_flagged(self, tmp_path):
         write_catalog(read_catalog(DATA_DIR / "worked_example" / "catalog.json"),
@@ -217,13 +235,13 @@ def valid_traces(draw):
     n = draw(st.integers(0, 12))
     times = sorted(draw(st.lists(BIG, min_size=n, max_size=n)))
     ids = draw(st.lists(BIG, min_size=n, max_size=n, unique=True))
-    costs = st.integers(0, 2**64)
+    costs = st.integers(0, 2**53 - 1)    # the byte bound; tolerances have none
     events = []
     for seq, (t, eid) in enumerate(zip(times, ids), start=1):
         if draw(st.booleans()):
             objects = draw(st.frozensets(st.sampled_from(object_ids), min_size=1, max_size=4))
             events.append(Query(qid=eid, time=t, objects=objects, ship_cost=draw(costs),
-                                tolerance=draw(costs), seq=seq))
+                                tolerance=draw(st.integers(0, 2**64)), seq=seq))
         else:
             events.append(Update(uid=eid, time=t, object=draw(st.sampled_from(object_ids)),
                                  ship_cost=draw(costs), seq=seq))
@@ -392,10 +410,11 @@ class TestTemplatePath:
 
     def test_zero_and_limit_sized_ints_fit_a_template(self, tmp_path):
         big = int("9" * 4300)           # the most digits int() reads by default
+        top = 2**53 - 1                 # the largest cost
         catalog = ObjectCatalog.from_sizes({0: 1, big: 1})
         events = [Query(1, 0, frozenset({0}), 0, 0, 1), Update(2, 0, 0, 0, 2),
-                  Query(big, big, frozenset({0, big}), big, big, 3),
-                  Update(big, big, big, big, 4)]
+                  Query(big, big, frozenset({0, big}), top, big, 3),
+                  Update(big, big, big, top, 4)]
         self.assert_templated(tmp_path, catalog, events)
 
     @staticmethod
@@ -450,6 +469,8 @@ class TestCatalogContract:
         "string-id": [{"id": "0", "size": 1, "load_cost": 2}],
         "duplicate-id": [{"id": 0, "size": 1, "load_cost": 2},
                          {"id": 0, "size": 3, "load_cost": 4}],
+        "size-above-max": [{"id": 0, "size": 2**53, "load_cost": 2}],
+        "load-cost-1e400": [{"id": 0, "size": 1, "load_cost": 10**400}],
     }
 
     @pytest.fixture(params=sorted(BAD))
@@ -486,6 +507,52 @@ class TestCatalogContract:
     def test_from_sizes_rejects_non_int(self, sizes, costs):
         with pytest.raises(ValueError, match="must be integers"):
             ObjectCatalog.from_sizes(sizes, costs)
+
+    @pytest.mark.parametrize("build", [
+        lambda oid, size, lc: ObjectCatalog({oid: ObjectInfo(size, lc)}),
+        lambda oid, size, lc: ObjectCatalog.from_sizes({oid: size}, {oid: lc}),
+    ], ids=["direct", "from_sizes"])
+    @pytest.mark.parametrize("oid, size, lc, message", [
+        (0, 0, 1, "object 0: size must be positive, got 0"),
+        (0, 1, -2, "object 0: load cost must be positive, got -2"),
+        (0, 1.5, 1, "object 0: id, size and load cost must be integers, got 1.5 and 1"),
+        (0, 1, True, "object 0: id, size and load cost must be integers, got 1 and True"),
+        ("0", 1, 1, "object '0': id, size and load cost must be integers, got 1 and 1"),
+        (0, 2**53, 1, "object 0: size must be at most 9007199254740991"),
+        (0, 1, 10**400, "object 0: load cost must be at most 9007199254740991"),
+    ], ids=["zero-size", "negative-load-cost", "float-size", "bool-load-cost", "string-id",
+            "size-above-max", "load-cost-1e400"])
+    def test_every_way_of_building_checks_it(self, build, oid, size, lc, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build(oid, size, lc)
+
+    @pytest.mark.parametrize("entry", [(1, 1), {"size": 1, "load_cost": 1}, 1],
+                             ids=["tuple", "dict", "int"])
+    def test_entry_that_is_not_an_object_info_is_refused(self, entry):
+        with pytest.raises(ValueError, match=f"^object 0: entry must be an ObjectInfo, "
+                                             f"not {type(entry).__name__}$"):
+            ObjectCatalog({0: entry})
+
+    def test_largest_quantity_builds(self):
+        top = 2**53 - 1
+        for catalog in (ObjectCatalog({0: ObjectInfo(top, top)}),
+                        ObjectCatalog.from_sizes({0: top})):
+            assert catalog.size(0) == catalog.load_cost(0) == top
+
+    def test_derived_catalogs_are_checked(self, tmp_path):
+        catalog = ObjectCatalog.from_sizes({0: 2**52, 1: 2**52})
+        with pytest.raises(ValueError, match="^object 0: size must be at most "):
+            regrain(catalog, [], 1)     # the merged size is 2**53
+        with pytest.raises(ValueError, match="^object 1: size must be positive, got 0$"):
+            dataclasses.replace(catalog, entries={1: ObjectInfo(0, 1)})
+        with pytest.raises(ValueError, match="^object 0: load cost must be at most "):
+            generate(GeneratorParams(n_objects=1, size_min=10**10, size_max=10**10,
+                                     load_cost_factor=10**6, query_hotspots=(),
+                                     update_hotspots=()), seed=1)
+        (tmp_path / "catalog.json").write_text(json.dumps(
+            {"schema": "catalog/v1", "objects": [{"id": 0, "size": 1, "load_cost": 0}]}))
+        with pytest.raises(ValueError, match="^object 0: load cost must be positive, got 0$"):
+            read_catalog(tmp_path / "catalog.json")
 
 
 class TestUnreadableTrace:
