@@ -129,7 +129,12 @@ class BenefitPolicy:
     (hypothetical ones for objects not resident); `mu` is the smoothed
     forecast, one entry per catalog object in id order; `splits` maps each
     query shape (object set, cost) met in this run to its `split_shape`
-    pairs, so every distinct shape is split once per run, on first use."""
+    pairs, so every distinct shape is split once per run, on first use.
+
+    Each hook accrues and routes its own event, then counts it; the event
+    that fills the window appends `roll_window`'s recomposition to its own
+    decisions. A query credits its shares to every object it accesses (only
+    to the missing ones when it ships)."""
 
     def __init__(self, catalog: ObjectCatalog, cache: CacheState,
                  alpha: float = 0.5, delta: int = 1000):
@@ -148,18 +153,6 @@ class BenefitPolicy:
         return []
 
     def on_query(self, q: Query) -> list[Decision]:
-        return self._route_query(q) + self._tick()
-
-    def on_update(self, u: Update) -> list[Decision]:
-        if u.object not in self.cache.resident:
-            # Hypothetical: had the object been resident, this update would
-            # eventually have been shipped for it.
-            self.update_cost[u.object] = self.update_cost.get(u.object, 0) + u.ship_cost
-        return self._tick()
-
-    def _route_query(self, q: Query) -> list[Decision]:
-        """Credit the query's shares to every object it accesses (only to the
-        missing ones when it ships), then route it."""
         key = (q.objects, q.ship_cost)
         pairs = self.splits.get(key)
         if pairs is None:
@@ -170,16 +163,24 @@ class BenefitPolicy:
             if hit or oid not in resident:
                 saved[oid] = saved.get(oid, 0) + share
         if not hit:
-            return [ShipQuery(q.qid)]
-        ius = interacting_updates(q, self.cache, q.time)
-        if not ius:
-            return [AnswerFromCache(q.qid)]
-        update_cost = self.update_cost
-        for u in ius:
-            update_cost[u.object] = update_cost.get(u.object, 0) + u.ship_cost
-        return [ShipUpdates(tuple(u.uid for u in ius)), AnswerFromCache(q.qid)]
+            decisions: list[Decision] = [ShipQuery(q.qid)]
+        elif ius := interacting_updates(q, self.cache, q.time):
+            update_cost = self.update_cost
+            for u in ius:
+                update_cost[u.object] = update_cost.get(u.object, 0) + u.ship_cost
+            decisions = [ShipUpdates(tuple(u.uid for u in ius)), AnswerFromCache(q.qid)]
+        else:
+            decisions = [AnswerFromCache(q.qid)]
+        self.events_in_window += 1
+        if self.events_in_window < self.delta:
+            return decisions
+        return decisions + self.roll_window()
 
-    def _tick(self) -> list[Decision]:
+    def on_update(self, u: Update) -> list[Decision]:
+        if u.object not in self.cache.resident:
+            # Hypothetical: had the object been resident, this update would
+            # eventually have been shipped for it.
+            self.update_cost[u.object] = self.update_cost.get(u.object, 0) + u.ship_cost
         self.events_in_window += 1
         if self.events_in_window < self.delta:
             return []

@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 from . import benefit, simharness, workload
+from .core import MAX_BYTES
 from .simharness import POLICY_NAMES, RunConfig
 
 
@@ -102,7 +103,11 @@ def cmd_compare(args) -> int:
     if max(grains, default=0) > len(catalog):
         raise ValueError(f"--granularity: object counts must be <= {len(catalog)}")
     for grain in grains or [None]:
-        cat, evs = workload.regrain(catalog, events, grain) if grain else (catalog, events)
+        try:
+            cat, evs = workload.regrain(catalog, events, grain) if grain else (catalog, events)
+        except ValueError:   # the trace passed its checks, so a merged quantity is too large
+            raise ValueError(f"--granularity {grain}: a merged object's size or load cost "
+                             f"would be above {MAX_BYTES}") from None
         cmp_report = simharness.compare(evs, cat, configs)
         _write_report(cmp_report, out, f"compare-g{grain}" if grain else "compare", args.format)
         label = f"[{grain} objects] " if grain else ""

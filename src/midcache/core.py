@@ -397,21 +397,23 @@ def apply(cache: CacheState, d: Decision) -> int:
     moved = 0
     if kind is Load or kind is Evict:
         oid = d.oid
+        if kind is Load and oid in cache.resident:
+            raise CacheError(f"object {oid} is already resident")
+        if kind is Evict and oid not in cache.resident:
+            raise NonResident(f"cannot evict non-resident object {oid}")
+        if (info := cache.catalog.entries.get(oid)) is None:
+            raise UnknownObject(f"object {oid} not in catalog")
         if kind is Load:
-            if oid in cache.resident:
-                raise CacheError(f"object {oid} is already resident")
-            size = cache.catalog.size(oid)
-            if size > cache.free:
+            size, free = info.size, cache.capacity - cache._used
+            if size > free:
                 raise CapacityExceeded(f"loading object {oid} ({size} B) "
-                                       f"exceeds free space ({cache.free} B)")
+                                       f"exceeds free space ({free} B)")
             cache.resident.add(oid)
             cache._used += size
-            moved = cache.catalog.load_cost(oid)
+            moved = info.load_cost
         else:
-            if oid not in cache.resident:
-                raise NonResident(f"cannot evict non-resident object {oid}")
             cache.resident.remove(oid)
-            cache._used -= cache.catalog.size(oid)
+            cache._used -= info.size
         for u in cache.outstanding.pop(oid, ()):
             cache._by_uid.pop(u.uid, None)
     elif kind is ShipUpdates:
@@ -471,8 +473,7 @@ def check_freshness(cache: CacheState) -> None:
     least one update. Freshness is queue absence by construction, so this
     invariant is all that can break; it costs O(objects with queued updates)."""
     outstanding = cache.outstanding
-    if not outstanding or (outstanding.keys() <= cache.resident
-                           and all(outstanding.values())):
+    if cache.resident.issuperset(outstanding) and all(outstanding.values()):
         return
     for oid, queue in outstanding.items():
         if oid not in cache.resident:

@@ -190,33 +190,42 @@ def _scope(g: InteractionGraph, fs: FlowState):
 
 def _search(g: InteractionGraph, fs: FlowState, updates):
     """Breadth-first search of the residual network from the unsaturated
-    updates among `updates`. Returns (path, None, None) for the first
-    augmenting path, as ids [u0, q0, u1, q1, ..., uk, qk]: arcs u_i -> q_i
-    gain flow and arcs u_(i+1) -> q_i lose it. When there is none, the flow
-    is maximum there and it returns (None, reached updates, reached queries),
-    the source side of the canonical minimum cut."""
+    updates among `updates`, seeded lazily: in the order of `updates`, the
+    next unsaturated update not yet reached becomes a root only when the
+    queue runs dry, so a search that finds a path early skips the rest of
+    them. Returns (path, None, None) for the first augmenting path, as ids
+    [u0, q0, u1, q1, ..., uk, qk]: arcs u_i -> q_i gain flow and arcs
+    u_(i+1) -> q_i lose it. When there is none, every unsaturated update has
+    been a root or reached, the flow is maximum there, and it returns (None,
+    reached updates, reached queries), the source side of the canonical
+    minimum cut."""
     update_weight, query_weight = g.update_weight, g.query_weight
     flow_su, flow_uq, flow_qt = fs.flow_su, fs.flow_uq, fs.flow_qt
-    pred_u = {uid: None for uid in updates if flow_su.get(uid, 0) < update_weight[uid]}
+    pred_u: dict[int, int | None] = {}
     pred_q: dict[int, int] = {}
-    queue = deque(pred_u)
-    while queue:
-        uid = queue.popleft()
-        for qid in g.update_edges[uid]:
-            if qid in pred_q:
-                continue
-            pred_q[qid] = uid            # forward arc, unbounded capacity
-            if flow_qt.get(qid, 0) < query_weight[qid]:
-                path = [qid, uid]
-                while pred_u[path[-1]] is not None:
-                    path.append(pred_u[path[-1]])
-                    path.append(pred_q[path[-1]])
-                path.reverse()
-                return path, None, None
-            for back in flow_uq.get(qid, ()):
-                if back not in pred_u:
-                    pred_u[back] = qid   # residual reverse arc
-                    queue.append(back)
+    queue: deque[int] = deque()
+    for root in updates:
+        if root in pred_u or flow_su.get(root, 0) >= update_weight[root]:
+            continue
+        pred_u[root] = None
+        queue.append(root)
+        while queue:
+            uid = queue.popleft()
+            for qid in g.update_edges[uid]:
+                if qid in pred_q:
+                    continue
+                pred_q[qid] = uid            # forward arc, unbounded capacity
+                if flow_qt.get(qid, 0) < query_weight[qid]:
+                    path = [qid, uid]
+                    while pred_u[path[-1]] is not None:
+                        path.append(pred_u[path[-1]])
+                        path.append(pred_q[path[-1]])
+                    path.reverse()
+                    return path, None, None
+                for back in flow_uq.get(qid, ()):
+                    if back not in pred_u:
+                        pred_u[back] = qid   # residual reverse arc
+                        queue.append(back)
     return None, pred_u, pred_q
 
 
@@ -258,7 +267,8 @@ def min_weight_cover(g: InteractionGraph, prior: FlowState | None = None
     `prior` itself, brought to a maximum in place (a new flow without one).
 
     Augmentation starts from the prior flow (valid after any sequence of adds
-    and prunes) and uses shortest augmenting paths. When the prior flow was
+    and prunes) and takes augmenting paths breadth-first from one lazily
+    chosen root at a time (see `_search`). When the prior flow was
     settled by a prune, the searches run only in the components touched since
     (see the module docstring); the result is still the whole graph's cover.
     Among equal-weight covers the extraction prefers covering updates: an

@@ -19,8 +19,8 @@ decisions leave resident.
 Victims come off a heap of (credit, oid) entries with lazy deletion. Every
 live credit has its pair on the heap; an entry whose pair no longer matches
 the credit map is stale and is skipped when it surfaces. Credits change only
-through `gds_touch` and `gds_lazy_apply`, which push each new pair, so the
-heap's minimum valid entry is always the minimum-(credit, oid) resident.
+through `gds_lazy_apply`, which pushes each new pair, so the heap's minimum
+valid entry is always the minimum-(credit, oid) resident.
 
 A policy keeps one `GdsState` and one random stream for the whole run; for
 each shipped query it calls `offer` and hands the batch to `gds_lazy_apply`.
@@ -35,8 +35,8 @@ import random
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 
-from .core import (CacheState, Decision, Evict, Load, ObjectCatalog, ObjectId, ObjectInfo,
-                   Query, UnknownObject)
+from .core import (CacheState, Decision, Evict, Load, ObjectCatalog, ObjectId, Query,
+                   UnknownObject)
 
 
 @dataclass
@@ -47,8 +47,8 @@ class GdsState:
 
     `heap` holds a (credit, oid) entry for every live credit, plus stale
     entries left behind when a credit is replaced or dropped. It is built
-    from `credit` here, and `credit` must change only through `gds_touch`
-    and `gds_lazy_apply`, which keep the heap in step."""
+    from `credit` here, and `credit` must change only through
+    `gds_lazy_apply`, which keeps the heap in step."""
 
     inflation: float = 0.0
     credit: dict[ObjectId, float] = field(default_factory=dict)
@@ -89,14 +89,6 @@ def offer(q: Query, cache: CacheState, catalog: ObjectCatalog,
     return batch
 
 
-def gds_touch(state: GdsState, oid: ObjectId, info: ObjectInfo) -> None:
-    """Refresh an object's credit to inflation + load_cost/size, from its catalog
-    entry. Idempotent; called on admission and on candidacy for a resident."""
-    h = state.inflation + info.load_cost / info.size
-    state.credit[oid] = h
-    heappush(state.heap, (h, oid))
-
-
 def gds_lazy_apply(state: GdsState, cache: CacheState, catalog: ObjectCatalog,
                    batch: list[ObjectId]) -> tuple[GdsState, list[Decision]]:
     """Run Greedy-Dual-Size over the batch on `state` in place and emit only
@@ -109,9 +101,11 @@ def gds_lazy_apply(state: GdsState, cache: CacheState, catalog: ObjectCatalog,
     residents the decisions leave. Each candidacy evicts minimum-(credit,
     oid) residents until the candidate fits (inflation rises to each
     victim's credit) and then admits it; a candidate bigger than the whole
-    cache is skipped. Since the diff is taken at the end, no batch ever both
-    loads and evicts the same object. The heap is rebuilt from the credits
-    once stale entries outnumber live ones.
+    cache is skipped. An admitted candidate, and a resident one, gets the
+    credit inflation + load_cost/size, pushed onto the heap. Since the diff is
+    taken at the end, no batch ever both loads and evicts the same object.
+    The heap is rebuilt from the credits once stale entries outnumber live
+    ones.
     """
     credit, resident = state.credit, cache.resident
     if credit.keys() != resident:
@@ -125,32 +119,31 @@ def gds_lazy_apply(state: GdsState, cache: CacheState, catalog: ObjectCatalog,
     if len(state.heap) > 2 * len(credit) + 16:
         state.rebuild_heap()
     heap, entries, capacity = state.heap, catalog.entries, cache.capacity
-    free = cache.free
+    free = capacity - cache._used
     admitted: dict[ObjectId, None] = {}
     evicted: list[ObjectId] = []
 
     for oid in batch:
         if (info := entries.get(oid)) is None:
             raise UnknownObject(f"object {oid} not in catalog")
-        if oid in credit:
-            gds_touch(state, oid, info)
-            continue
         size = info.size
-        if size > capacity:
-            continue
-        while free < size:
-            h, victim = heappop(heap)
-            if credit.get(victim) != h:
-                continue   # stale: the credit was replaced or dropped
-            state.inflation = h
-            del credit[victim]
-            free += entries[victim].size   # a resident, so in the catalog
-            if victim in admitted:
-                del admitted[victim]
-            else:
-                evicted.append(victim)
-        gds_touch(state, oid, info)
-        free -= size
-        admitted[oid] = None
+        if oid not in credit:
+            if size > capacity:
+                continue
+            while free < size:
+                h, victim = heappop(heap)
+                if credit.get(victim) != h:
+                    continue   # stale: the credit was replaced or dropped
+                state.inflation = h
+                del credit[victim]
+                free += entries[victim].size   # a resident, so in the catalog
+                if victim in admitted:
+                    del admitted[victim]
+                else:
+                    evicted.append(victim)
+            free -= size
+            admitted[oid] = None
+        credit[oid] = h = state.inflation + info.load_cost / size
+        heappush(heap, (h, oid))
 
     return state, [*map(Evict, evicted), *map(Load, admitted)]

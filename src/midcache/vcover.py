@@ -39,14 +39,13 @@ class VCoverPolicy:
     def on_query(self, q: Query) -> list[Decision]:
         if q.objects <= self.cache.resident:
             return self.update_manager(q)
-        decisions: list[Decision] = [ShipQuery(q.qid)]
         batch = loadmgr.offer(q, self.cache, self.catalog, self.rng)
         _, loads = loadmgr.gds_lazy_apply(self.gds, self.cache, self.catalog, batch)
-        for d in loads:
-            if type(d) is Evict:
-                self._forget_object_updates(d.oid)
-        decisions.extend(loads)
-        return decisions
+        if self.cache.outstanding:   # otherwise no evicted object has a queue
+            for d in loads:
+                if type(d) is Evict:
+                    self._forget_object_updates(d.oid)
+        return [ShipQuery(q.qid), *loads]
 
     def update_manager(self, q: Query) -> list[Decision]:
         """Choose between shipping the query and shipping all its outstanding

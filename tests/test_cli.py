@@ -9,8 +9,10 @@ from pathlib import Path
 import pytest
 
 from midcache.cli import main
+from midcache.core import ObjectCatalog, Query
 from midcache.simharness import POLICY_NAMES, ComparisonReport, RunConfig, run
-from midcache.workload import GeneratorParams, generate, load_trace, regrain
+from midcache.workload import (GeneratorParams, generate, load_trace, regrain,
+                               write_catalog, write_trace)
 from tests.conftest import DATA_DIR
 
 
@@ -156,6 +158,19 @@ class TestCompare:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: --granularity")
         assert not list(workspace.glob("compare-g*"))
+
+    def test_granularity_past_byte_bound_named(self, tmp_path, capsys):
+        # Each object fits the 2**53 - 1 bound, but merged into one group
+        # they do not: the error names the granularity, not merged object 0.
+        write_catalog(ObjectCatalog.from_sizes({0: 2**52, 1: 2**52}), tmp_path / "catalog.json")
+        write_trace([Query(qid=1, time=1, objects=frozenset({0, 1}), ship_cost=5, seq=1)],
+                    tmp_path / "trace.jsonl")
+        rc = main(["compare", "--trace", str(tmp_path / "trace.jsonl"), "--seed", "1",
+                   "--policies", "nocache", "--granularity", "1", "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: --granularity 1: a merged object's size or load cost would be "
+            "above 9007199254740991\n")
 
     def test_unknown_policy_rejected(self, workspace, capsys):
         rc = main(["compare", "--trace", str(workspace / "trace.jsonl"),

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from midcache.covergraph import (CoverResult, FlowState, GraphError, InteractionGraph,
-                                 min_weight_cover, prune_remainder,
+                                 _search, min_weight_cover, prune_remainder,
                                  source_reachable)
 from tests.oracles import (brute_force_cover_weight, check_cover, check_flow,
                            cover_weight, flow_value, graph_edges, residual_reachable)
@@ -278,6 +278,22 @@ class TestScopedCover:
         fs = FlowState()
         cover, out = min_weight_cover(g, fs)
         assert out is fs and flow_value(fs) == 3
+
+
+class TestLazySeeding:
+    def test_later_seed_finds_the_path_the_first_seed_lacks(self):
+        # Update 1 keeps slack on its source arc but its only query is full,
+        # so no augmenting path starts there; update 2's does. A search that
+        # stopped after its first root would call the flow maximum and cover
+        # update 2 (weight 3) where query 12 (weight 2) is cheaper.
+        g = build({1: 10, 2: 3}, {11: 5, 12: 2}, [(1, 11), (2, 12)])
+        fs = FlowState(flow_su={1: 5}, flow_uq={11: {1: 5}}, flow_qt={11: 5})
+        check_flow(g, fs)
+        assert _search(g, fs, g.update_weight) == ([2, 12], None, None)
+        cover, fs = min_weight_cover(g, fs)
+        assert cover.cover_queries == {11, 12} and not cover.cover_updates
+        assert fs.augmentations == 1
+        assert cover_weight(g, cover) == flow_value(fs) == 7
 
 
 class TestCycleExits:

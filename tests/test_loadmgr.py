@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from midcache.core import CacheState, Evict, Load, ObjectCatalog, UnknownObject, apply
-from midcache.loadmgr import GdsState, gds_lazy_apply, gds_touch, offer
+from midcache.loadmgr import GdsState, gds_lazy_apply, offer
 from midcache.vcover import VCoverPolicy
 from tests.conftest import mk_query
 from tests.oracles import eager_gds_trace, sorted_offer
@@ -103,9 +103,13 @@ class TestStateShape:
 
 
 class TestGdsTouch:
+    # A candidacy for a resident object refreshes its credit to
+    # inflation + load_cost/size and changes no residency.
     def test_unit_credit_when_cost_proportional(self, small_catalog):
         state = GdsState()
-        gds_touch(state, 0, small_catalog.entries[0])
+        state, decisions = gds_lazy_apply(state, make_cache(small_catalog, 100, [0]),
+                                          small_catalog, [0])
+        assert decisions == []
         assert state.credit[0] == 1.0
 
     def test_inflation_raises_credit(self):
@@ -121,8 +125,10 @@ class TestGdsTouch:
 
     def test_touch_is_idempotent(self, small_catalog):
         state = GdsState(inflation=2.0)
+        cache = make_cache(small_catalog, 100, [1])
         for _ in range(5):
-            gds_touch(state, 1, small_catalog.entries[1])
+            state, decisions = gds_lazy_apply(state, cache, small_catalog, [1])
+            assert decisions == []
             assert state.credit[1] == 2.0 + 1.0
 
 
