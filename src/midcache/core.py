@@ -339,10 +339,6 @@ class CacheState:
     def used(self) -> int:
         return self._used
 
-    @property
-    def free(self) -> int:
-        return self.capacity - self._used
-
     def seed_resident(self, oids) -> None:
         """Mark objects resident without charging traffic (run bootstrap only:
         replica-style policies and replay of recorded initial residency).

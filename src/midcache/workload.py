@@ -22,14 +22,17 @@ import json
 import math
 import random
 import re
+import sys
 import zlib
+from bisect import bisect
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from itertools import accumulate
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from .core import Event, EventContract, ObjectCatalog, ObjectId, Query, Trace, Update, as_trace
+from .core import (MAX_BYTES, Event, EventContract, ObjectCatalog, ObjectId, Query, Trace,
+                   Update, as_trace)
 
 CATALOG_SCHEMA = "catalog/v1"
 TRACE_SCHEMA = "trace/v1"
@@ -53,6 +56,21 @@ _QUERY_RE, _UPDATE_RE = _template(_QUERY_LINE), _template(_UPDATE_LINE)
 
 class TraceError(Exception):
     pass
+
+
+def _finite(x) -> bool:
+    """An int, or a float that is not inf or NaN (a bool is neither)."""
+    return type(x) is int or type(x) is float and math.isfinite(x)
+
+
+def _check_weights(name: str, weights) -> None:
+    """The rule `Random.choices` sets for its weights, checked up front: a
+    non-empty vector of non-negative numbers whose running total ends above 0
+    and converts to a finite float."""
+    if not weights or not all(_finite(w) and w >= 0 for w in weights):
+        raise ValueError(f"{name} must be non-empty, finite and non-negative, got {weights!r}")
+    if not 0 < list(accumulate(weights))[-1] <= sys.float_info.max:
+        raise ValueError(f"{name} must have a finite, positive total, got {weights!r}")
 
 
 @dataclass(frozen=True)
@@ -79,28 +97,46 @@ class GeneratorParams:
     drift_cycles: float = 1.0
 
     def __post_init__(self):
+        for name in ("n_objects", "size_min", "size_max", "n_queries", "n_updates",
+                     "scan_len", "mean_interarrival_us"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
+        for name in ("load_cost_factor", "query_hotspot_weight", "update_hotspot_weight",
+                     "selectivity", "update_fraction", "drift_cycles"):
+            if not _finite(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
         if self.n_objects < 1:
             raise ValueError("n_objects must be >= 1")
         if self.n_queries < 0 or self.n_updates < 0:
             raise ValueError("n_queries and n_updates must be >= 0")
         if self.mean_interarrival_us < 1:
             raise ValueError("mean_interarrival_us must be >= 1")
-        if not 0 < self.size_min <= self.size_max:
-            raise ValueError("size bounds must satisfy 0 < min <= max")
-        for h in self.query_hotspots + self.update_hotspots:
-            if not 0 <= h < self.n_objects:
-                raise ValueError(f"hotspot id {h} outside catalog [0,{self.n_objects})")
+        if not 0 < self.size_min <= self.size_max <= MAX_BYTES:
+            raise ValueError(f"size bounds must satisfy 0 < min <= max <= {MAX_BYTES}")
+        for name in ("query_hotspots", "update_hotspots"):
+            for h in getattr(self, name):
+                if type(h) is not int:
+                    raise ValueError(f"{name} must hold ints, got {h!r}")
+                if not 0 <= h < self.n_objects:
+                    raise ValueError(f"hotspot id {h} outside catalog [0,{self.n_objects})")
         for w in (self.query_hotspot_weight, self.update_hotspot_weight):
             if not 0.0 <= w <= 1.0:
                 raise ValueError("hotspot weights must be in [0,1]")
         if self.scan_len < 1:
             raise ValueError("scan_len must be >= 1")
-        if not self.objects_per_query_weights or min(self.objects_per_query_weights) < 0:
-            raise ValueError("objects_per_query_weights must be non-negative")
-        if any(t < 0 or w < 0 for t, w in self.tolerance_mix):
-            raise ValueError("tolerance mix entries must be non-negative")
-        if self.selectivity <= 0 or self.update_fraction <= 0:
-            raise ValueError("cost scaling factors must be positive")
+        _check_weights("objects_per_query_weights", self.objects_per_query_weights)
+        if not all(isinstance(e, (tuple, list)) and len(e) == 2 and type(e[0]) is int
+                   and e[0] >= 0 for e in self.tolerance_mix):
+            raise ValueError(f"tolerance_mix must hold (int tolerance >= 0, weight) pairs, "
+                             f"got {self.tolerance_mix!r}")
+        _check_weights("tolerance_mix", [w for _, w in self.tolerance_mix])
+        # Past MAX_BYTES a factor prices every event past it, and past float
+        # range int() of the cost raises OverflowError instead.
+        for name in ("selectivity", "update_fraction"):
+            if not 0 < getattr(self, name) <= MAX_BYTES:
+                raise ValueError(f"{name} must be in (0, {MAX_BYTES}]")
+        if self.load_cost_factor > MAX_BYTES:
+            raise ValueError(f"load_cost_factor must be at most {MAX_BYTES}")
 
     @classmethod
     def scaled_hotspots(cls, n_objects: int) -> "GeneratorParams":
@@ -125,14 +161,25 @@ def _drifting_choice(rng: random.Random, centers: tuple[int, ...],
 def generate(params: GeneratorParams, seed: int) -> tuple[ObjectCatalog, Trace]:
     """A catalog and a trace over it. Ids and `seq` count from 1, time rises,
     and equal object sets share one frozenset, so the events keep the whole
-    contract and come back as a trusted `Trace`."""
+    contract and come back as a trusted `Trace`.
+
+    The weighted picks (objects per query, tolerance) and the inter-arrival
+    gaps draw `rng.random()` directly, by the formulas `Random.choices(...,
+    cum_weights=cum)[0]` and `Random.expovariate` use on CPython 3.10-3.13:
+    `population[bisect(cum, random() * (cum[-1] + 0.0), 0, len(cum) - 1)]`
+    and `-log(1.0 - random()) / lambd`. `GeneratorParams` makes the checks
+    `choices` would make. Each query shape, its object set and cost, is built
+    once per `(center, nobj)`. Neither changes a draw: the trace is the one
+    the `choices`/`expovariate` calls give, byte for byte."""
     rng = random.Random(seed)
+    draw = rng.random
     n = params.n_objects
     sizes = {}
     lo, hi = math.log(params.size_min), math.log(params.size_max)
     for oid in range(n):
         sizes[oid] = max(1, int(math.exp(rng.uniform(lo, hi))))
     load_costs = {oid: max(1, int(params.load_cost_factor * s)) for oid, s in sizes.items()}
+    update_costs = {oid: max(1, int(params.update_fraction * s)) for oid, s in sizes.items()}
     catalog = ObjectCatalog.from_sizes(sizes, load_costs)
 
     markers = ["q"] * params.n_queries + ["u"] * params.n_updates
@@ -141,42 +188,45 @@ def generate(params: GeneratorParams, seed: int) -> tuple[ObjectCatalog, Trace]:
 
     tol_values = [t for t, _ in params.tolerance_mix]
     tol_cum = list(accumulate(w for _, w in params.tolerance_mix))
-    opq_sizes = list(range(1, len(params.objects_per_query_weights) + 1))
+    tol_total, tol_hi = tol_cum[-1] + 0.0, len(tol_cum) - 1
     opq_cum = list(accumulate(params.objects_per_query_weights))
+    opq_total, opq_hi = opq_cum[-1] + 0.0, len(opq_cum) - 1
+    lambd = 1.0 / params.mean_interarrival_us
 
     events: list[Event] = []
     object_sets: dict[frozenset[ObjectId], frozenset[ObjectId]] = {}
+    shapes: dict[tuple[int, int], tuple[frozenset[ObjectId], int]] = {}
     t = 0
     scan_pos, scan_left = 0, 0
     for i, kind in enumerate(markers):
-        t += max(1, int(rng.expovariate(1.0 / params.mean_interarrival_us)))
-        progress = i / total
+        t += max(1, int(-math.log(1.0 - draw()) / lambd))
         eid = i + 1
         if kind == "q":
-            if params.query_hotspots and rng.random() < params.query_hotspot_weight:
-                center = _drifting_choice(rng, params.query_hotspots, progress,
+            if params.query_hotspots and draw() < params.query_hotspot_weight:
+                center = _drifting_choice(rng, params.query_hotspots, i / total,
                                           params.drift_cycles)
             else:
                 center = rng.randrange(n)
-            nobj = rng.choices(opq_sizes, cum_weights=opq_cum)[0]
-            objs = frozenset((center - nobj // 2 + k) % n for k in range(nobj))
-            objs = object_sets.setdefault(objs, objs)
-            cost = max(1, int(params.selectivity * sum(sizes[o] for o in objs)))
-            tol = rng.choices(tol_values, cum_weights=tol_cum)[0]
-            events.append(Query(eid, t, objs, cost, tol, eid))
+            nobj = bisect(opq_cum, draw() * opq_total, 0, opq_hi) + 1
+            shape = shapes.get((center, nobj))
+            if shape is None:
+                objs = frozenset((center - nobj // 2 + k) % n for k in range(nobj))
+                objs = object_sets.setdefault(objs, objs)
+                cost = max(1, int(params.selectivity * sum(sizes[o] for o in objs)))
+                shape = shapes[center, nobj] = objs, cost
+            tol = tol_values[bisect(tol_cum, draw() * tol_total, 0, tol_hi)]
+            events.append(Query(eid, t, shape[0], shape[1], tol, eid))
         else:
             if scan_left == 0:
-                if params.update_hotspots and rng.random() < params.update_hotspot_weight:
-                    scan_pos = _drifting_choice(rng, params.update_hotspots, progress,
+                if params.update_hotspots and draw() < params.update_hotspot_weight:
+                    scan_pos = _drifting_choice(rng, params.update_hotspots, i / total,
                                                 params.drift_cycles)
                 else:
                     scan_pos = rng.randrange(n)
                 scan_left = params.scan_len
-            oid = scan_pos
+            events.append(Update(eid, t, scan_pos, update_costs[scan_pos], eid))
             scan_pos = (scan_pos + 1) % n
             scan_left -= 1
-            cost = max(1, int(params.update_fraction * sizes[oid]))
-            events.append(Update(eid, t, oid, cost, eid))
     return catalog, Trace._trusted(catalog, events)
 
 
@@ -233,14 +283,18 @@ def _event_from_json(doc: dict, seq: int) -> Event:
 
 def write_trace(events: list[Event], path, catalog_ref: str = "catalog.json",
                 meta: dict | None = None) -> None:
-    """Write the header line, then one line per event, in order."""
+    """Write the header line, then one line per event, in order. Each
+    distinct object set is sorted and joined once."""
     header = {"schema": TRACE_SCHEMA, "catalog": catalog_ref,
               "n_events": len(events)}
     if meta:
         header["meta"] = meta
+    ids: dict[frozenset[ObjectId], str] = {}    # never "": a query has objects
     with _open(Path(path), "w") as fh:
         fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
-        fh.writelines(_QUERY_LINE % (ev.ship_cost, ev.qid, ",".join(map(str, sorted(ev.objects))),
+        fh.writelines(_QUERY_LINE % (ev.ship_cost, ev.qid,
+                                     ids.get(ev.objects) or ids.setdefault(
+                                         ev.objects, ",".join(map(str, sorted(ev.objects)))),
                                      ev.time, ev.tolerance) if type(ev) is Query else
                       _UPDATE_LINE % (ev.ship_cost, ev.uid, ev.object, ev.time)
                       for ev in events)

@@ -1,7 +1,11 @@
 """Byte-identity of run outputs at 80k events, the north star's middle size.
 
 Generates the default-shape trace with 40,000 queries and 40,000 updates
-(generator seed 1) and replays it under every policy at a 30% cache (vcover
+(generator seed 1) and first checks the sha256 of its catalog and trace as
+written (`catalog.json`, a NUL byte, then `trace.jsonl` with its
+`params_meta` header, as perfbench fingerprints its traces), so a generator
+drift is named as such rather than as ten failed run digests. It then replays
+it under every policy at a 30% cache (vcover
 at policy seeds 1-3, the others at seed 1), and under vcover at policy seeds
 1-3 at a 5% cache, where it evicts objects whose updates are still on its
 interaction graph. Each run's summary JSON, series CSV and decision-log repr
@@ -11,18 +15,25 @@ Too slow for the tier-1 suite (about 8 s of generation and replay on a
 
     PYTHONPATH=src python tests/check_80k_digests.py
 
-Exits 0 when every digest matches and 1 otherwise, printing one line per run.
+Exits 0 when every digest matches and 1 otherwise, printing one line for the
+trace and one per run.
 A change that means to alter behaviour re-records the pins and says why.
 """
 
 import hashlib
 import sys
+import tempfile
 import time
+from pathlib import Path
 
 from midcache.simharness import RunConfig, run
-from midcache.workload import GeneratorParams, generate
+from midcache.workload import GeneratorParams, generate, params_meta, write_catalog, write_trace
 
 PARAMS = GeneratorParams(n_queries=40_000, n_updates=40_000)
+SEED = 1
+
+# sha256 of catalog.json + b"\0" + trace.jsonl as written
+TRACE_GOLDEN = "ddc4a5db6e40fa06fb27eba9da9780ae6610032a65d4169cd2b283973d326f0d"
 
 # (policy, cache_frac, policy seed) -> sha256
 GOLDEN = {
@@ -47,9 +58,24 @@ def digest(catalog, events, policy: str, cache_frac: float, seed: int) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def trace_digest(catalog, events) -> str:
+    with tempfile.TemporaryDirectory() as d:
+        write_catalog(catalog, Path(d) / "catalog.json")
+        write_trace(events, Path(d) / "trace.jsonl", catalog_ref="catalog.json",
+                    meta=params_meta(PARAMS, SEED))
+        h = hashlib.sha256((Path(d) / "catalog.json").read_bytes())
+        h.update(b"\0")
+        h.update((Path(d) / "trace.jsonl").read_bytes())
+    return h.hexdigest()
+
+
 def main() -> int:
-    catalog, events = generate(PARAMS, seed=1)
-    failed = 0
+    start = time.perf_counter()
+    catalog, events = generate(PARAMS, seed=SEED)
+    got = trace_digest(catalog, events)
+    failed = got != TRACE_GOLDEN
+    print(f"{'FAIL' if failed else 'ok  '} trace (generator seed {SEED}): {got} "
+          f"({time.perf_counter() - start:.2f} s)")
     for (policy, cache_frac, seed), want in GOLDEN.items():
         start = time.perf_counter()
         got = digest(catalog, events, policy, cache_frac, seed)

@@ -4,9 +4,11 @@ verifies."""
 
 from __future__ import annotations
 
+import math
+import random
 from collections import deque
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import networkx as nx
 from networkx.algorithms.flow import preflow_push
@@ -463,3 +465,69 @@ def event_record(ev) -> dict:
                 "tolerance": ev.tolerance}
     return {"kind": "update", "id": ev.uid, "time": ev.time,
             "object": ev.object, "cost": ev.ship_cost}
+
+
+def _drifting_choice(rng: random.Random, centers: tuple[int, ...],
+                     progress: float, cycles: float) -> int:
+    focus = progress * cycles * len(centers)
+    idx = int(focus + rng.gauss(0.0, 0.75)) % len(centers)
+    return centers[idx]
+
+
+def reference_generate(params, seed: int) -> tuple[ObjectCatalog, tuple]:
+    """The generator as it was written before its draws were inlined: every
+    weighted pick goes through `Random.choices` and every gap through
+    `Random.expovariate`, and each query's object set and cost are derived
+    afresh. Equal object sets share one frozenset."""
+    rng = random.Random(seed)
+    n = params.n_objects
+    sizes = {}
+    lo, hi = math.log(params.size_min), math.log(params.size_max)
+    for oid in range(n):
+        sizes[oid] = max(1, int(math.exp(rng.uniform(lo, hi))))
+    load_costs = {oid: max(1, int(params.load_cost_factor * s)) for oid, s in sizes.items()}
+    catalog = ObjectCatalog.from_sizes(sizes, load_costs)
+
+    markers = ["q"] * params.n_queries + ["u"] * params.n_updates
+    rng.shuffle(markers)
+    total = len(markers)
+
+    tol_values = [t for t, _ in params.tolerance_mix]
+    tol_cum = list(accumulate(w for _, w in params.tolerance_mix))
+    opq_sizes = list(range(1, len(params.objects_per_query_weights) + 1))
+    opq_cum = list(accumulate(params.objects_per_query_weights))
+
+    events = []
+    object_sets = {}
+    t = 0
+    scan_pos, scan_left = 0, 0
+    for i, kind in enumerate(markers):
+        t += max(1, int(rng.expovariate(1.0 / params.mean_interarrival_us)))
+        progress = i / total
+        eid = i + 1
+        if kind == "q":
+            if params.query_hotspots and rng.random() < params.query_hotspot_weight:
+                center = _drifting_choice(rng, params.query_hotspots, progress,
+                                          params.drift_cycles)
+            else:
+                center = rng.randrange(n)
+            nobj = rng.choices(opq_sizes, cum_weights=opq_cum)[0]
+            objs = frozenset((center - nobj // 2 + k) % n for k in range(nobj))
+            objs = object_sets.setdefault(objs, objs)
+            cost = max(1, int(params.selectivity * sum(sizes[o] for o in objs)))
+            tol = rng.choices(tol_values, cum_weights=tol_cum)[0]
+            events.append(Query(eid, t, objs, cost, tol, eid))
+        else:
+            if scan_left == 0:
+                if params.update_hotspots and rng.random() < params.update_hotspot_weight:
+                    scan_pos = _drifting_choice(rng, params.update_hotspots, progress,
+                                                params.drift_cycles)
+                else:
+                    scan_pos = rng.randrange(n)
+                scan_left = params.scan_len
+            oid = scan_pos
+            scan_pos = (scan_pos + 1) % n
+            scan_left -= 1
+            cost = max(1, int(params.update_fraction * sizes[oid]))
+            events.append(Update(eid, t, oid, cost, eid))
+    return catalog, tuple(events)

@@ -120,7 +120,7 @@ def test_c05_lazy_gds_no_churn():
         fill = [o for o in range(n)]
         rng.shuffle(fill)
         for o in fill:
-            if catalog.size(o) <= cache.free and rng.random() < 0.5:
+            if catalog.size(o) <= cache.capacity - cache.used and rng.random() < 0.5:
                 cache.seed_resident([o])
         state = GdsState(rng.uniform(0, 2),
                          {o: rng.uniform(0, 4) for o in cache.resident})

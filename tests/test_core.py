@@ -210,8 +210,8 @@ class TestAccounting:
                 uid += 1
                 cache.receive_update(mk_update(uid, uid, data.draw(st.integers(0, 4)), 1))
             elif kind == "load":
-                fits = [o for o in catalog.ids()
-                        if o not in cache.resident and catalog.size(o) <= cache.free]
+                fits = [o for o in catalog.ids() if o not in cache.resident
+                        and catalog.size(o) <= cache.capacity - cache.used]
                 if fits:
                     apply(cache, Load(data.draw(st.sampled_from(fits))))
             elif kind == "evict" and cache.resident:
@@ -223,7 +223,6 @@ class TestAccounting:
                                                 unique=True))
                     apply(cache, ShipUpdates(tuple(picked)))
             assert cache.used == sum(catalog.size(o) for o in cache.resident)
-            assert cache.free == cache.capacity - cache.used
             for o in cache.resident:
                 assert (o not in cache.outstanding) == (not cache.outstanding.get(o))
             check_freshness(cache)

@@ -284,7 +284,7 @@ def drive_chained_batches(draw, n_batches: int) -> int:
             apply(cache, Evict(resident[draw(0, len(resident) - 1)]))
         elif outside == 2:
             fits = [o for o in range(n)
-                    if o not in cache.resident and catalog.size(o) <= cache.free]
+                    if o not in cache.resident and catalog.size(o) <= cache.capacity - cache.used]
             if fits:
                 apply(cache, Load(fits[draw(0, len(fits) - 1)]))
     return rebuilds

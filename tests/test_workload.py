@@ -1,5 +1,6 @@
 import dataclasses
 import gzip
+import hashlib
 import json
 import re
 import tempfile
@@ -20,7 +21,8 @@ from midcache.workload import (GeneratorParams, TraceError, ValidationReport, _r
                                generate, load_trace, params_meta, read_catalog, regrain,
                                validate, write_catalog, write_trace)
 from tests.conftest import DATA_DIR
-from tests.oracles import event_record
+from perfbench.workloads import WORKLOADS
+from tests.oracles import event_record, reference_generate
 
 
 class TestGenerate:
@@ -86,6 +88,125 @@ class TestGenerate:
             dataclasses.replace(GeneratorParams(), query_hotspot_weight=1.5)
         with pytest.raises(dataclasses.FrozenInstanceError):
             GeneratorParams().n_queries = 5
+
+    @pytest.mark.parametrize("field, value", [
+        ("objects_per_query_weights", (0.0, 0.0)),
+        ("objects_per_query_weights", (float("inf"), 1.0)),
+        ("objects_per_query_weights", (float("nan"), 1.0)),
+        ("objects_per_query_weights", (1e308, 1e308)),      # total past float range
+        ("objects_per_query_weights", (10**400,)),
+        ("objects_per_query_weights", (True,)),
+        ("tolerance_mix", ()),
+        ("tolerance_mix", ((0, 0.0), (5, 0.0))),
+        ("tolerance_mix", ((0, float("inf")),)),
+        ("tolerance_mix", ((0, float("nan")),)),
+        ("tolerance_mix", ((1.5, 1.0),)),
+        ("tolerance_mix", ((True, 1.0),)),
+        ("selectivity", float("inf")),
+        ("selectivity", float("nan")),
+        ("update_fraction", float("nan")),
+        ("drift_cycles", float("nan")),
+        ("drift_cycles", float("inf")),
+        ("selectivity", 1e300),         # int() of an inf cost: OverflowError
+        ("update_fraction", 1e300),
+        ("load_cost_factor", 1e300),
+        ("load_cost_factor", float("nan")),
+        ("load_cost_factor", True),
+        ("scan_len", 2.5),
+        ("n_objects", 68.0),
+        ("n_objects", True),
+        ("n_queries", 10.0),
+        ("n_updates", 10.0),
+        ("size_min", 5e7),
+        ("size_max", 2e10),
+        ("mean_interarrival_us", 1.5),
+        ("query_hotspots", (22.0,)),
+        ("update_hotspots", (True,)),
+    ])
+    def test_params_generate_cannot_run_are_rejected(self, field, value):
+        # Each of these used to be accepted, and generate then raised from
+        # inside `random` or `int()`, or (scan_len 2.5) ran one endless scan.
+        with pytest.raises(ValueError, match=f"^{field} must "):
+            dataclasses.replace(GeneratorParams(), **{field: value})
+
+    def test_size_max_past_the_byte_bound_rejected(self):
+        # math.exp overflowed on 10**400; past 2**53 - 1 the catalog refused
+        # the sizes only once they were drawn.
+        for size_max in (2**53, 10**400):
+            with pytest.raises(ValueError, match="^size bounds must satisfy"):
+                GeneratorParams(size_max=size_max)
+
+
+@st.composite
+def generator_params(draw) -> GeneratorParams:
+    """Any settings `GeneratorParams` accepts whose costs fit the byte bound:
+    hotspot tuples empty or not, hotspot weights at 0 and 1, weight vectors
+    with zero entries and single-entry mixes."""
+    n = draw(st.integers(1, 600))
+    hotspots = st.lists(st.integers(0, n - 1), max_size=6).map(tuple)
+    unit = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    weight = st.one_of(st.just(0), st.integers(0, 5), st.floats(0.0, 10.0))
+    size_min = draw(st.integers(1, 10**11))
+    return GeneratorParams(
+        n_objects=n, size_min=size_min, size_max=draw(st.integers(size_min, 10**11)),
+        load_cost_factor=draw(st.floats(0.0, 100.0)),
+        n_queries=draw(st.integers(0, 60)), n_updates=draw(st.integers(0, 60)),
+        query_hotspots=draw(hotspots), query_hotspot_weight=draw(unit),
+        update_hotspots=draw(hotspots), update_hotspot_weight=draw(unit),
+        scan_len=draw(st.integers(1, 20)),
+        objects_per_query_weights=draw(st.lists(weight, min_size=1, max_size=8)
+                                       .filter(lambda ws: sum(ws) > 0).map(tuple)),
+        tolerance_mix=draw(st.lists(st.tuples(st.integers(0, 10**6), weight),
+                                    min_size=1, max_size=4)
+                           .filter(lambda m: sum(w for _, w in m) > 0).map(tuple)),
+        selectivity=draw(st.floats(1e-6, 10.0)),
+        update_fraction=draw(st.floats(1e-6, 10.0)),
+        mean_interarrival_us=draw(st.integers(1, 10**6)),
+        drift_cycles=draw(st.floats(-5.0, 5.0)))
+
+
+class TestGenerateMatchesReference:
+    """`generate` draws its weighted picks and gaps from `rng.random()`
+    directly and builds each query shape once; `reference_generate` calls
+    `Random.choices`/`expovariate` and builds every query afresh. Both must
+    give the same catalog, events and bytes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(generator_params(), st.integers(0, 2**32))
+    def test_same_catalog_events_and_bytes(self, params, seed):
+        catalog, events = generate(params, seed)
+        ref_catalog, ref_events = reference_generate(params, seed)
+        assert catalog.entries == ref_catalog.entries
+        assert tuple(events) == ref_events
+        sets = [q.objects for q in events if type(q) is Query]
+        assert len({id(s) for s in sets}) == len(set(sets))
+        with tempfile.TemporaryDirectory() as d:
+            blobs = []
+            for name, cat, evs in (("new", catalog, events), ("ref", ref_catalog, ref_events)):
+                write_catalog(cat, Path(d) / f"{name}.json")
+                write_trace(evs, Path(d) / f"{name}.jsonl", meta=params_meta(params, seed))
+                blobs.append((Path(d) / f"{name}.json").read_bytes()
+                             + (Path(d) / f"{name}.jsonl").read_bytes())
+            assert blobs[0] == blobs[1]
+
+
+class TestBenchmarkTraces:
+    """The benchmark's workloads regenerate to the fingerprints it recorded,
+    written as its set-up writes them (`perfbench/bench.py` `set_up`)."""
+
+    @pytest.mark.parametrize("name, seed", [(w.name, seed) for w in WORKLOADS.values()
+                                            for seed in w.fingerprints])
+    def test_fingerprint_matches_the_recorded_one(self, tmp_path, name, seed):
+        w = WORKLOADS[name]
+        params = w.params()
+        catalog, events = generate(params, seed)
+        write_catalog(catalog, tmp_path / "catalog.json")
+        write_trace(events, tmp_path / "trace.jsonl", catalog_ref="catalog.json",
+                    meta=params_meta(params, seed))
+        h = hashlib.sha256((tmp_path / "catalog.json").read_bytes())
+        h.update(b"\0")
+        h.update((tmp_path / "trace.jsonl").read_bytes())
+        assert h.hexdigest() == w.fingerprints[seed]
 
 
 class TestTraceIO:
