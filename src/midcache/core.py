@@ -323,6 +323,13 @@ class CacheState:
     """Resident set plus per-object queues of updates received at the server
     but not yet shipped. An object is fresh iff its outstanding queue is empty;
     non-resident objects carry no queue at all.
+
+    `moves` counts residency changes: one per successful Load or Evict in
+    `apply` and one per object `seed_resident` adds; a refused decision
+    changes nothing. The load manager compares it to skip re-checking a
+    resident set it already knows. So a policy's returned decisions are
+    applied before its next call, as `run()` does, and residency changes
+    otherwise only through `apply` and `seed_resident`.
     """
 
     def __init__(self, capacity: int, catalog: ObjectCatalog):
@@ -334,6 +341,7 @@ class CacheState:
         self.outstanding: dict[ObjectId, list[Update]] = {}
         self._by_uid: dict[int, Update] = {}
         self._used = 0   # bytes resident; kept by seed_resident and apply
+        self.moves = 0   # residency changes; kept by seed_resident and apply
 
     @property
     def used(self) -> int:
@@ -350,6 +358,7 @@ class CacheState:
             raise CapacityExceeded("seeded residency exceeds capacity")
         self.resident |= new
         self._used += added
+        self.moves += len(new)
 
     def receive_update(self, u: Update) -> None:
         """Server-side arrival of an update. Invalidate the cached copy when
@@ -388,7 +397,7 @@ def apply(cache: CacheState, d: Decision) -> int:
     during an instantaneous load are folded into the loaded copy). ShipUpdates
     drains queued updates and drops a queue once it empties. Evict drops
     residency together with the object's queue. Load and Evict keep the
-    running `used` counter."""
+    running `used` counter and add 1 to `moves`."""
     kind = type(d)
     moved = 0
     if kind is Load or kind is Evict:
@@ -410,6 +419,7 @@ def apply(cache: CacheState, d: Decision) -> int:
         else:
             cache.resident.remove(oid)
             cache._used -= info.size
+        cache.moves += 1
         for u in cache.outstanding.pop(oid, ()):
             cache._by_uid.pop(u.uid, None)
     elif kind is ShipUpdates:

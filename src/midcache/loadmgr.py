@@ -27,6 +27,13 @@ each shipped query it calls `offer` and hands the batch to `gds_lazy_apply`.
 Both read each object's catalog entry once, through lookups bound once per
 call. `offer` shuffles only two or more missing objects (shuffling one draws
 nothing), and an empty batch returns once the credits match the residents.
+
+The caller applies the returned decisions to the cache before the next call,
+as `run()` does, and changes residency otherwise only through `apply` and
+`seed_resident`. The state remembers the cache it last synced against and
+the `moves` count the decisions bring it to, so the credits are checked
+against the resident set only when some other change came between; breaking
+the contract leaves the credits, and so the victims, wrong.
 """
 
 from __future__ import annotations
@@ -48,14 +55,21 @@ class GdsState:
     `heap` holds a (credit, oid) entry for every live credit, plus stale
     entries left behind when a credit is replaced or dropped. It is built
     from `credit` here, and `credit` must change only through
-    `gds_lazy_apply`, which keeps the heap in step."""
+    `gds_lazy_apply`, which keeps the heap in step.
+
+    `synced_cache` is the cache the credits were last synced against and
+    `synced_moves` the `moves` count it reaches once the last returned
+    decisions are applied; a fresh state has none, so its first call syncs."""
 
     inflation: float = 0.0
     credit: dict[ObjectId, float] = field(default_factory=dict)
     heap: list[tuple[float, ObjectId]] = field(init=False, repr=False, compare=False)
+    synced_cache: CacheState | None = field(init=False, repr=False, compare=False)
+    synced_moves: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.rebuild_heap()
+        self.synced_cache, self.synced_moves = None, -1
 
     def rebuild_heap(self) -> None:
         self.heap = [(h, oid) for oid, h in self.credit.items()]
@@ -66,11 +80,22 @@ def offer(q: Query, cache: CacheState, catalog: ObjectCatalog,
           rng: random.Random) -> list[ObjectId]:
     """Spend the query's shipping cost across its missing objects in uniformly
     random order, emitting load candidacies: distinct ids, none resident at
-    batch start, in candidacy order."""
+    batch start, in candidacy order.
+
+    The order is `rng.shuffle(sorted(missing))`, drawn as `Random.shuffle`
+    draws it on CPython 3.10-3.13 (each index by `getrandbits` until it is in
+    range) without its calls, so the permutation and the stream's state after
+    it are the same."""
     missing = q.objects - cache.resident
     if len(missing) > 1:   # shuffling one object would draw nothing
         missing = sorted(missing)
-        rng.shuffle(missing)
+        getrandbits = rng.getrandbits
+        for i in range(len(missing) - 1, 0, -1):
+            k = (i + 1).bit_length()
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            missing[i], missing[j] = missing[j], missing[i]
     entries, c = catalog.entries, q.ship_cost
     batch: list[ObjectId] = []
     for oid in missing:
@@ -97,25 +122,33 @@ def gds_lazy_apply(state: GdsState, cache: CacheState, catalog: ObjectCatalog,
     First the credit keys become the resident set: other credits are
     dropped, and a resident without a credit (one loaded or seeded outside
     this function) gets the batch-start inflation, so inflation never falls.
-    The keys then stay the resident set: after the batch they are the
-    residents the decisions leave. Each candidacy evicts minimum-(credit,
-    oid) residents until the candidate fits (inflation rises to each
-    victim's credit) and then admits it; a candidate bigger than the whole
-    cache is skipped. An admitted candidate, and a resident one, gets the
-    credit inflation + load_cost/size, pushed onto the heap. Since the diff is
-    taken at the end, no batch ever both loads and evicts the same object.
-    The heap is rebuilt from the credits once stale entries outnumber live
-    ones.
+    That walk is skipped when `cache` is the one the state last synced
+    against and its `moves` count is the one the last returned decisions
+    bring it to: the caller must apply them before the next call and change
+    residency otherwise only through `apply` and `seed_resident`. The keys
+    then stay the resident set: after the batch they are the residents the
+    decisions leave. Each candidacy evicts minimum-(credit, oid) residents
+    until the candidate fits (inflation rises to each victim's credit) and
+    then admits it; a candidate bigger than the whole cache is skipped. An
+    admitted candidate, and a resident one, gets the credit inflation +
+    load_cost/size, pushed onto the heap. Since the diff is taken at the end,
+    no batch ever both loads and evicts the same object. The heap is rebuilt
+    from the credits once stale entries outnumber live ones.
     """
-    credit, resident = state.credit, cache.resident
-    if credit.keys() != resident:
-        for oid in credit.keys() - resident:
-            del credit[oid]
-        for oid in resident.difference(credit):
-            credit[oid] = state.inflation
-            heappush(state.heap, (state.inflation, oid))
+    credit, moves = state.credit, cache.moves
+    if state.synced_cache is not cache or state.synced_moves != moves:
+        resident = cache.resident
+        if credit.keys() != resident:
+            for oid in credit.keys() - resident:
+                del credit[oid]
+            for oid in resident.difference(credit):
+                credit[oid] = state.inflation
+                heappush(state.heap, (state.inflation, oid))
+        state.synced_cache = cache
     if not batch:
+        state.synced_moves = moves
         return state, []
+    state.synced_moves = -1   # unsynced until the batch completes without an error
     if len(state.heap) > 2 * len(credit) + 16:
         state.rebuild_heap()
     heap, entries, capacity = state.heap, catalog.entries, cache.capacity
@@ -146,4 +179,5 @@ def gds_lazy_apply(state: GdsState, cache: CacheState, catalog: ObjectCatalog,
         credit[oid] = h = state.inflation + info.load_cost / size
         heappush(heap, (h, oid))
 
+    state.synced_moves = moves + len(evicted) + len(admitted)
     return state, [*map(Evict, evicted), *map(Load, admitted)]

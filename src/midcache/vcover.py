@@ -49,7 +49,15 @@ class VCoverPolicy:
 
     def update_manager(self, q: Query) -> list[Decision]:
         """Choose between shipping the query and shipping all its outstanding
-        interacting updates, by incremental minimum-weight vertex cover."""
+        interacting updates, by incremental minimum-weight vertex cover.
+
+        `on_query` calls it only when every object of `q` is resident, and
+        the caller applies the returned decisions before the next event, as
+        `run()` does, changing residency otherwise only through `apply` and
+        `seed_resident`. So when no object of `q` has an update queue, the
+        cache answers at once, without gathering interacting updates."""
+        if self.cache.outstanding.keys().isdisjoint(q.objects):
+            return [AnswerFromCache(q.qid)]
         ius = interacting_updates(q, self.cache, q.time)
         if not ius:
             return [AnswerFromCache(q.qid)]

@@ -10,13 +10,19 @@ at policy seeds 1-3, the others at seed 1), and under vcover at policy seeds
 1-3 at a 5% cache, where it evicts objects whose updates are still on its
 interaction graph. Each run's summary JSON, series CSV and decision-log repr
 are hashed as `test_golden.py` hashes them and compared with the pins below.
-Too slow for the tier-1 suite (about 8 s of generation and replay on a
-2-vCPU host), so CI runs it as its own step:
+Each run's decision log is then replayed through `replay_decisions`, which
+must reproduce the run's ledger and final resident set and count one
+`CacheState.moves` per initial resident and per logged Load or Evict. Every
+`COVER_STRIDE`-th cover that vcover computes, counted over all its runs, is
+checked against the minimum cut that `networkx.minimum_cut` finds, an oracle
+that shares no code with `covergraph` (38 of 7,772 covers). Too slow for the
+tier-1 suite (about 30 s on a 2-vCPU host, two thirds of it in networkx), so
+CI runs it as its own step:
 
     PYTHONPATH=src python tests/check_80k_digests.py
 
-Exits 0 when every digest matches and 1 otherwise, printing one line for the
-trace and one per run.
+Exits 0 when every digest, replay and checked cover holds and 1 otherwise,
+printing one line for the trace, one per run and one cover count.
 A change that means to alter behaviour re-records the pins and says why.
 """
 
@@ -26,7 +32,11 @@ import tempfile
 import time
 from pathlib import Path
 
-from midcache.simharness import RunConfig, run
+import networkx as nx
+
+from midcache import vcover
+from midcache.core import Evict, Load
+from midcache.simharness import RunConfig, replay_decisions, run
 from midcache.workload import GeneratorParams, generate, params_meta, write_catalog, write_trace
 
 PARAMS = GeneratorParams(n_queries=40_000, n_updates=40_000)
@@ -52,10 +62,64 @@ GOLDEN = {
 }
 
 
-def digest(catalog, events, policy: str, cache_frac: float, seed: int) -> str:
-    report = run(events, catalog, RunConfig(policy=policy, seed=seed, cache_frac=cache_frac))
+COVER_STRIDE = 200
+
+
+def digest(report) -> str:
     blob = report.summary_json() + report.series_csv() + repr(report.decision_log)
     return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def replay_problems(catalog, events, report) -> list[str]:
+    """How the replay of `report`'s log differs from the run, if it does."""
+    cache, ledger = replay_decisions(events, catalog, report)
+    moves = sum(type(d) is Load or type(d) is Evict for _, d in report.decision_log)
+    checks = {"ledger": (ledger.snapshot(), report.ledger.snapshot()),
+              "final resident set": (sorted(cache.resident), report.final_resident),
+              "moves": (cache.moves, moves + len(report.initial_resident))}
+    return [f"replay {name}: {got} != {want}" for name, (got, want) in checks.items()
+            if got != want]
+
+
+def minimum_cut_cover(g) -> tuple[frozenset[int], frozenset[int], int]:
+    """The canonical minimum cover of an `InteractionGraph` as (queries,
+    updates, cut value), from `networkx.minimum_cut` on the network source ->
+    update at the update's weight, update -> query uncapacitated, query ->
+    sink at the query's weight. networkx's sink side is the nodes that can
+    reach its sink in the residual network, so the cut is taken on the
+    reversed network from sink to source: its sink side is then the nodes
+    reachable from the source, the smallest source side, which is the same
+    for every maximum flow. A query is covered when it is on that side, an
+    update when it is not."""
+    net = nx.DiGraph()
+    net.add_nodes_from(["s", "t"])
+    net.add_edges_from((("u", u), "s", {"capacity": w}) for u, w in g.update_weight.items())
+    net.add_edges_from(("t", ("q", q), {"capacity": w}) for q, w in g.query_weight.items())
+    net.add_edges_from((("q", q), ("u", u)) for u, qs in g.update_edges.items() for q in qs)
+    value, (_, source_side) = nx.minimum_cut(net, "t", "s")
+    return (frozenset(q for q in g.query_weight if ("q", q) in source_side),
+            frozenset(u for u in g.update_weight if ("u", u) not in source_side), value)
+
+
+class SampledCovers:
+    """Stands in for vcover's `min_weight_cover`, checking every
+    `COVER_STRIDE`-th call against `minimum_cut_cover`."""
+
+    def __init__(self):
+        self.calls, self.checked, self.problems = 0, 0, []
+        self.real = vcover.min_weight_cover
+
+    def __call__(self, g, prior=None):
+        self.calls += 1
+        expect = minimum_cut_cover(g) if self.calls % COVER_STRIDE == 0 else None
+        cover, flow = self.real(g, prior)
+        if expect is not None:
+            self.checked += 1
+            weight = (sum(g.query_weight[q] for q in cover.cover_queries)
+                      + sum(g.update_weight[u] for u in cover.cover_updates))
+            if (cover.cover_queries, cover.cover_updates, weight) != expect:
+                self.problems.append(f"cover {self.calls} differs from networkx's minimum cut")
+        return cover, flow
 
 
 def trace_digest(catalog, events) -> str:
@@ -76,13 +140,27 @@ def main() -> int:
     failed = got != TRACE_GOLDEN
     print(f"{'FAIL' if failed else 'ok  '} trace (generator seed {SEED}): {got} "
           f"({time.perf_counter() - start:.2f} s)")
-    for (policy, cache_frac, seed), want in GOLDEN.items():
-        start = time.perf_counter()
-        got = digest(catalog, events, policy, cache_frac, seed)
-        ok = got == want
-        failed += not ok
-        print(f"{'ok  ' if ok else 'FAIL'} {policy} cache {cache_frac} seed {seed}: {got} "
-              f"({time.perf_counter() - start:.2f} s)")
+    covers = SampledCovers()
+    vcover.min_weight_cover = covers
+    try:
+        for (policy, cache_frac, seed), want in GOLDEN.items():
+            start = time.perf_counter()
+            covers.problems.clear()
+            report = run(events, catalog,
+                         RunConfig(policy=policy, seed=seed, cache_frac=cache_frac))
+            got = digest(report)
+            problems = ([] if got == want else ["digest"]) + covers.problems
+            problems += replay_problems(catalog, events, report)
+            failed += bool(problems)
+            detail = "".join(f"; {p}" for p in problems)
+            print(f"{'FAIL' if problems else 'ok  '} {policy} cache {cache_frac} seed {seed}: "
+                  f"{got} ({time.perf_counter() - start:.2f} s){detail}")
+    finally:
+        vcover.min_weight_cover = covers.real
+    print(f"{covers.checked} of {covers.calls} vcover covers checked against networkx")
+    if not covers.checked:
+        print("FAIL no cover was checked")
+        failed += 1
     return 1 if failed else 0
 
 

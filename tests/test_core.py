@@ -186,8 +186,10 @@ class TestAccounting:
     def test_seed_resident_skips_duplicate_ids(self, small_catalog):
         cache = make_cache(small_catalog, 100, [0, 0])
         assert cache.used == small_catalog.size(0)
+        assert cache.moves == 1
         cache.seed_resident([0, 1])
         assert cache.used == small_catalog.size(0) + small_catalog.size(1)
+        assert cache.moves == 2   # one per object added; 0 was resident already
 
     def test_seed_resident_is_all_or_nothing(self):
         catalog = ObjectCatalog.from_sizes({0: 3, 1: 4})
@@ -198,12 +200,27 @@ class TestAccounting:
             cache.seed_resident([0, 99])
         assert cache.resident == set()
         assert cache.used == 0
+        assert cache.moves == 0
+
+    @pytest.mark.parametrize("decision, error", [
+        (Load(0), CacheError),           # already resident
+        (Evict(1), NonResident),         # not resident
+        (Load(99), UnknownObject),
+        (Evict(99), NonResident),        # unknown, so not resident either
+        (Load(3), CapacityExceeded),     # 40 B against 30 B free
+    ])
+    def test_refused_load_or_evict_moves_nothing(self, small_catalog, decision, error):
+        cache = make_cache(small_catalog, 40, [0])
+        with pytest.raises(error):
+            apply(cache, decision)
+        assert cache.moves == 1
+        assert cache.resident == {0}
 
     @given(st.data())
     def test_counter_and_freshness_track_every_step(self, data):
         catalog = ObjectCatalog.from_sizes({0: 10, 1: 20, 2: 30, 3: 40, 4: 50})
         cache = make_cache(catalog, data.draw(st.integers(0, 150)))
-        uid = 0
+        uid, moves = 0, 0
         for _ in range(data.draw(st.integers(0, 40))):
             kind = data.draw(st.sampled_from(["update", "load", "evict", "ship"]))
             if kind == "update":
@@ -214,8 +231,10 @@ class TestAccounting:
                         and catalog.size(o) <= cache.capacity - cache.used]
                 if fits:
                     apply(cache, Load(data.draw(st.sampled_from(fits))))
+                    moves += 1
             elif kind == "evict" and cache.resident:
                 apply(cache, Evict(data.draw(st.sampled_from(sorted(cache.resident)))))
+                moves += 1
             elif kind == "ship":
                 queued = sorted(u.uid for q in cache.outstanding.values() for u in q)
                 if queued:
@@ -223,6 +242,7 @@ class TestAccounting:
                                                 unique=True))
                     apply(cache, ShipUpdates(tuple(picked)))
             assert cache.used == sum(catalog.size(o) for o in cache.resident)
+            assert cache.moves == moves   # updates and ShipUpdates move nothing
             for o in cache.resident:
                 assert (o not in cache.outstanding) == (not cache.outstanding.get(o))
             check_freshness(cache)

@@ -19,7 +19,8 @@ from functools import lru_cache
 import pytest
 
 from midcache import vcover
-from midcache.simharness import POLICY_NAMES, RunConfig, run
+from midcache.core import Evict, Load
+from midcache.simharness import POLICY_NAMES, RunConfig, replay_decisions, run
 from midcache.workload import GeneratorParams, generate
 
 POLICIES = POLICY_NAMES
@@ -159,3 +160,18 @@ def test_evict_shape_drops_graph_updates(seed, monkeypatch):
     run(events, catalog, RunConfig(policy="vcover", seed=seed,
                                    cache_frac=SHAPES["write68_evict"][1]))
     assert any(drops)
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("shape", ["default", "churn532", "write68_evict"])
+def test_replay_counts_one_move_per_residency_change(shape, policy):
+    # The load manager trusts `CacheState.moves` to name every residency
+    # change; a replay of a golden run seeds the initial residents and then
+    # applies each logged Load and Evict, one move apiece.
+    catalog, events = trace(shape)
+    report = run(events, catalog, RunConfig(policy=policy, seed=1, cache_frac=SHAPES[shape][1]))
+    cache, ledger = replay_decisions(events, catalog, report)
+    moves = sum(type(d) is Load or type(d) is Evict for _, d in report.decision_log)
+    assert cache.moves == moves + len(report.initial_resident)
+    assert ledger.snapshot() == report.ledger.snapshot()
+    assert sorted(cache.resident) == report.final_resident

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -77,6 +78,21 @@ class TestOffer:
         assert offer(q, cache, catalog, rng) == expected
         assert rng.getstate() == expected_rng.getstate()
 
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(2, 64), seed=st.integers(0, 2**64 - 1), data=st.data())
+    def test_order_and_stream_are_random_shuffles(self, n, seed, data):
+        # offer draws the shuffle's indices itself; a fully paid batch is the
+        # whole permutation, which must be Random.shuffle's over the sorted
+        # ids, leaving the stream where Random.shuffle leaves it.
+        ids = data.draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n, unique=True))
+        catalog = ObjectCatalog.from_sizes(dict.fromkeys(ids, 1))
+        cache = make_cache(catalog, n)
+        rng, expected_rng = random.Random(seed), random.Random(seed)
+        expected = sorted(ids)
+        expected_rng.shuffle(expected)
+        assert offer(mk_query(1, 0, ids, n), cache, catalog, rng) == expected
+        assert rng.getstate() == expected_rng.getstate()
+
     def test_unknown_object_is_named(self, small_catalog):
         cache = make_cache(small_catalog, 100)
         with pytest.raises(UnknownObject, match="object 99 not in catalog"):
@@ -93,7 +109,8 @@ class TestStateShape:
         cache = make_cache(small_catalog, 40, [0, 1])
         policy = VCoverPolicy(small_catalog, cache)
         assert set(vars(policy)) == {"catalog", "cache", "rng", "graph", "flow", "gds"}
-        assert set(vars(policy.gds)) == {"inflation", "credit", "heap"}
+        assert set(vars(policy.gds)) == {"inflation", "credit", "heap",
+                                         "synced_cache", "synced_moves"}
         # the heap only indexes the credits: (credit, oid) pairs, with an
         # entry for every live credit
         policy.on_query(mk_query(1, 0, {2, 3}, 100))
@@ -173,6 +190,39 @@ class TestLazyApply:
         assert state.inflation == 10.0
         assert state.credit == {1: 20.0, 2: 20.0}
 
+    def test_another_cache_with_equal_moves_still_syncs(self, small_catalog):
+        # The move count alone does not name a resident set: a second cache
+        # that made as many moves to reach other residents must be synced.
+        first, second = make_cache(small_catalog, 100, [0]), make_cache(small_catalog, 100, [1])
+        assert first.moves == second.moves == 1
+        state, _ = gds_lazy_apply(GdsState(), first, small_catalog, [])
+        assert state.credit.keys() == {0}
+        gds_lazy_apply(state, second, small_catalog, [])
+        assert state.credit.keys() == {1}
+        _, decisions = gds_lazy_apply(state, second, small_catalog, [3])
+        assert decisions == [Load(3)]
+        assert state.credit.keys() == {1, 3}
+
+    def test_unapplied_decisions_force_the_sync(self, small_catalog):
+        # Decisions the caller drops leave the cache short of the count the
+        # state expects, so the next call walks the residents again.
+        cache = make_cache(small_catalog, 100, [0])
+        state, decisions = gds_lazy_apply(GdsState(), cache, small_catalog, [3])
+        assert decisions == [Load(3)]
+        gds_lazy_apply(state, cache, small_catalog, [])
+        assert state.credit.keys() == {0}
+
+    def test_failed_batch_forces_the_sync(self, small_catalog):
+        # A batch that stops at an unknown object has already evicted 0 from
+        # the credits; no decision came back, so the next call walks again.
+        cache = make_cache(small_catalog, 30, [0])
+        state, _ = gds_lazy_apply(GdsState(), cache, small_catalog, [])
+        with pytest.raises(UnknownObject):
+            gds_lazy_apply(state, cache, small_catalog, [2, 99])
+        assert state.credit.keys() == {2}
+        gds_lazy_apply(state, cache, small_catalog, [])
+        assert state.credit.keys() == {0}
+
     def test_oversized_candidate_skipped(self, small_catalog):
         cache = make_cache(small_catalog, 25, [0])   # object 2 has size 30
         state, decisions = gds_lazy_apply(GdsState(credit={0: 1.0}),
@@ -244,13 +294,17 @@ class TestLazyApply:
         assert cache.used <= cache.capacity
 
 
-def drive_chained_batches(draw, n_batches: int) -> int:
+def drive_chained_batches(draw, n_batches: int) -> Counter:
     """Run one persistent GdsState through `n_batches` candidacy batches and
     check each against the eager oracle, chained from the oracle's previous
     result. Between batches the decisions are applied, and sometimes an
-    outside Load or Evict changes the cache behind the load manager's back.
-    `draw(lo, hi)` supplies every choice. Returns how often the victim heap
-    was rebuilt."""
+    outside Load, Evict or `seed_resident` changes the cache behind the load
+    manager's back. `draw(lo, hi)` supplies every choice. Counts how often
+    the victim heap was rebuilt ("rebuilds") and how each call stood to the
+    resident set: "fresh" (the state's first call), "skipped" (its cache and
+    move count match, so it skips its walk: no outside change came between,
+    and the credits already are the residents) or "forced" (an outside
+    change came between, and the counts say so)."""
     n = draw(2, 10)
     catalog = ObjectCatalog.from_sizes({i: draw(1, 9) for i in range(n)},
                                        {i: draw(1, 60) for i in range(n)})
@@ -259,7 +313,7 @@ def drive_chained_batches(draw, n_batches: int) -> int:
     state = GdsState()
     credits: dict[int, float] = {}
     inflation = 0.0
-    rebuilds = 0
+    counts, moved_outside = Counter(), False
     for _ in range(n_batches):
         missing = [o for o in range(n) if o not in cache.resident]
         batch = []
@@ -269,8 +323,16 @@ def drive_chained_batches(draw, n_batches: int) -> int:
         actions, final, credits, inflation = eager_gds_trace(
             catalog, capacity, start, credits, inflation, batch)
         heap = state.heap
+        if state.synced_cache is None:
+            counts["fresh"] += 1
+        elif state.synced_cache is cache and state.synced_moves == cache.moves:
+            assert not moved_outside and state.credit.keys() == cache.resident
+            counts["skipped"] += 1
+        else:
+            assert moved_outside
+            counts["forced"] += 1
         _, decisions = gds_lazy_apply(state, cache, catalog, batch)
-        rebuilds += state.heap is not heap
+        counts["rebuilds"] += state.heap is not heap
         assert decisions == ([Evict(o) for a, o in actions if a == "evict" and o in start]
                              + [Load(o) for a, o in actions if a == "load" and o in final])
         assert state.credit == credits
@@ -278,16 +340,22 @@ def drive_chained_batches(draw, n_batches: int) -> int:
         for d in decisions:
             apply(cache, d)
         assert cache.resident == final
-        outside = draw(0, 3)
+        outside, moved_outside = draw(0, 3), False
         if outside == 1 and cache.resident:
             resident = sorted(cache.resident)
             apply(cache, Evict(resident[draw(0, len(resident) - 1)]))
-        elif outside == 2:
+            moved_outside = True
+        elif outside >= 2:
             fits = [o for o in range(n)
                     if o not in cache.resident and catalog.size(o) <= cache.capacity - cache.used]
             if fits:
-                apply(cache, Load(fits[draw(0, len(fits) - 1)]))
-    return rebuilds
+                oid = fits[draw(0, len(fits) - 1)]
+                if outside == 2:
+                    apply(cache, Load(oid))
+                else:
+                    cache.seed_resident([oid])
+                moved_outside = True
+    return counts
 
 
 class TestChainedBatches:
@@ -300,8 +368,12 @@ class TestChainedBatches:
         drive_chained_batches(lambda lo, hi: data.draw(st.integers(lo, hi)), 60)
 
     def test_seeded_runs_rebuild_the_heap(self):
-        rebuilds = 0
+        counts = Counter()
         for seed in range(30):
             rng = random.Random(seed)
-            rebuilds += drive_chained_batches(rng.randint, 200)
-        assert rebuilds > 0
+            counts += drive_chained_batches(rng.randint, 200)
+        assert counts["rebuilds"] > 0
+        # Batches with nothing in between skip the walk; an outside apply or
+        # seed_resident forces it.
+        assert counts["fresh"] == 30
+        assert counts["skipped"] > 0 and counts["forced"] > 0
