@@ -31,7 +31,7 @@ from numbers import Real
 
 from .core import (AnswerFromCache, CacheState, Decision, Evict, Load,
                    ObjectCatalog, ObjectId, Query, ShipQuery, ShipUpdates,
-                   UnknownObject, Update, interacting_updates)
+                   Update, interacting_updates)
 
 
 def proportional_shares(amount: int, sizes: list[tuple[ObjectId, int]]) -> dict[ObjectId, int]:
@@ -40,8 +40,6 @@ def proportional_shares(amount: int, sizes: list[tuple[ObjectId, int]]) -> dict[
     (ties to the smaller object id, whatever the input order). Integer
     arithmetic throughout. Sizes are positive and the list non-empty, as for
     every query's objects; one object takes the whole amount."""
-    if len(sizes) == 1:
-        return {sizes[0][0]: amount}
     total = sum(s for _, s in sizes)
     shares: dict[ObjectId, int] = {}
     remainders: list[tuple[int, ObjectId]] = []
@@ -63,11 +61,7 @@ def split_shape(objects: frozenset[ObjectId], cost: int,
     """The `(oid, share)` pairs of `proportional_shares` for one query shape
     (object set, cost), in sorted-oid order. An object missing from the
     catalog raises UnknownObject, naming the smallest such id."""
-    entries = catalog.entries
-    try:
-        sizes = [(oid, entries[oid].size) for oid in sorted(objects)]
-    except KeyError as e:
-        raise UnknownObject(f"object {e.args[0]} not in catalog") from None
+    sizes = [(oid, catalog.entries[oid].size) for oid in sorted(objects)]
     return tuple(proportional_shares(cost, sizes).items())
 
 
@@ -105,12 +99,11 @@ def fill(scores: dict[ObjectId, float], capacity: int,
     return chosen
 
 
-def greedy_recompose(mu: dict[ObjectId, float], cache: CacheState,
-                     catalog: ObjectCatalog) -> list[Decision]:
+def greedy_recompose(mu: dict[ObjectId, float], cache: CacheState) -> list[Decision]:
     """The evictions and loads that turn the current residency into the
     greedy `fill` of the forecast `mu`. Selections already resident are
     kept, not reloaded."""
-    selected = fill(mu, cache.capacity, catalog)
+    selected = fill(mu, cache.capacity, cache.catalog)
     evictions = [Evict(o) for o in sorted(cache.resident.difference(selected))]
     return evictions + [Load(o) for o in selected if o not in cache.resident]
 
@@ -136,14 +129,12 @@ class BenefitPolicy:
     decisions. A query credits its shares to every object it accesses (only
     to the missing ones when it ships)."""
 
-    def __init__(self, catalog: ObjectCatalog, cache: CacheState,
-                 alpha: float = 0.5, delta: int = 1000):
+    def __init__(self, cache: CacheState, alpha: float = 0.5, delta: int = 1000):
         check_window(alpha, delta)
-        self.catalog = catalog
         self.cache = cache
         self.alpha = alpha
         self.delta = delta
-        self.mu = {oid: 0.0 for oid in catalog.ids()}
+        self.mu = {oid: 0.0 for oid in cache.catalog.ids()}
         self.saved: dict[ObjectId, int] = {}
         self.update_cost: dict[ObjectId, int] = {}
         self.splits: dict[tuple[frozenset[ObjectId], int], tuple[tuple[ObjectId, int], ...]] = {}
@@ -156,7 +147,7 @@ class BenefitPolicy:
         key = (q.objects, q.ship_cost)
         pairs = self.splits.get(key)
         if pairs is None:
-            pairs = self.splits[key] = split_shape(q.objects, q.ship_cost, self.catalog)
+            pairs = self.splits[key] = split_shape(q.objects, q.ship_cost, self.cache.catalog)
         resident, saved = self.cache.resident, self.saved
         hit = q.objects <= resident
         for oid, share in pairs:
@@ -188,8 +179,8 @@ class BenefitPolicy:
 
     def roll_window(self) -> list[Decision]:
         smooth(self.mu, window_benefits(self.saved, self.update_cost, self.cache.resident,
-                                        self.catalog), self.alpha)
-        decisions = greedy_recompose(self.mu, self.cache, self.catalog)
+                                        self.cache.catalog), self.alpha)
+        decisions = greedy_recompose(self.mu, self.cache)
         self.saved, self.update_cost = {}, {}
         self.events_in_window = 0
         return decisions

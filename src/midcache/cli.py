@@ -33,8 +33,13 @@ def cmd_gen(args) -> int:
     n_objects = given.get("n_objects", workload.GeneratorParams.n_objects)
     params = dataclasses.replace(
         workload.GeneratorParams.scaled_hotspots(n_objects), **given)
+    try:
+        catalog, events = workload.generate(params, args.seed)
+    except ValueError as exc:   # the params passed their checks, so a drawn cost is too large
+        flag, value = (("--selectivity", params.selectivity) if str(exc).startswith("query")
+                       else ("--update-fraction", params.update_fraction))
+        raise ValueError(f"{flag} {value}: {exc}") from None
     out = _out_dir(args)
-    catalog, events = workload.generate(params, args.seed)
     workload.write_catalog(catalog, out / "catalog.json")
     workload.write_trace(events, out / "trace.jsonl", catalog_ref="catalog.json",
                          meta=workload.params_meta(params, args.seed))

@@ -13,8 +13,9 @@ non-empty frozenset.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import FrozenInstanceError, dataclass, field, fields
+from types import MappingProxyType
 
 
 ObjectId = int
@@ -75,20 +76,32 @@ class ObjectInfo:
     load_cost: int
 
 
-@dataclass
+class _Table(dict):
+    """A catalog's table: one lookup reads an entry or refuses an unknown id."""
+
+    __slots__ = ()
+
+    def __missing__(self, oid):
+        raise UnknownObject(f"object {oid} not in catalog")
+
+
+@dataclass(frozen=True)
 class ObjectCatalog:
     """The server's object set with per-object sizes and load costs, checked
     however it is built: ids, sizes and load costs of type `int` exactly,
-    sizes and load costs in [1, MAX_BYTES].
+    sizes and load costs in [1, MAX_BYTES]. Read-only once built: `entries`
+    is a `MappingProxyType` over a checked copy of the given mapping, whose
+    lookup raises UnknownObject for an id the catalog lacks.
 
     Load cost defaults to the object's size (cost of moving the whole object
     over the network); catalogs may override it per object.
     """
 
-    entries: dict[ObjectId, ObjectInfo] = field(default_factory=dict)
+    entries: Mapping[ObjectId, ObjectInfo] = field(default_factory=dict)
 
     def __post_init__(self):
-        for oid, info in self.entries.items():
+        table = _Table(self.entries)
+        for oid, info in table.items():
             if type(info) is not ObjectInfo:
                 raise ValueError(f"object {oid!r}: entry must be an ObjectInfo, "
                                  f"not {type(info).__name__}")
@@ -101,6 +114,10 @@ class ObjectCatalog:
                     raise ValueError(f"object {oid}: {name} must be positive, got {value}")
                 if value > MAX_BYTES:
                     raise ValueError(f"object {oid}: {name} must be at most {MAX_BYTES}")
+        object.__setattr__(self, "entries", MappingProxyType(table))
+
+    def __reduce__(self):   # a mappingproxy does not pickle; its dict does
+        return type(self), (dict(self.entries),)
 
     @classmethod
     def from_sizes(cls, sizes: dict[ObjectId, int],
@@ -118,16 +135,10 @@ class ObjectCatalog:
         return sorted(self.entries)
 
     def size(self, oid: ObjectId) -> int:
-        try:
-            return self.entries[oid].size
-        except KeyError:
-            raise UnknownObject(f"object {oid} not in catalog") from None
+        return self.entries[oid].size
 
     def load_cost(self, oid: ObjectId) -> int:
-        try:
-            return self.entries[oid].load_cost
-        except KeyError:
-            raise UnknownObject(f"object {oid} not in catalog") from None
+        return self.entries[oid].load_cost
 
     @property
     def total_size(self) -> int:
@@ -324,12 +335,15 @@ class CacheState:
     but not yet shipped. An object is fresh iff its outstanding queue is empty;
     non-resident objects carry no queue at all.
 
+    Decision-application contract, which policies and the load manager rely
+    on: a policy's returned decisions are applied before its next call, as
+    `run()` does, and residency changes otherwise only through `apply` and
+    `seed_resident`. A policy reads the catalog only as `cache.catalog`.
+
     `moves` counts residency changes: one per successful Load or Evict in
     `apply` and one per object `seed_resident` adds; a refused decision
     changes nothing. The load manager compares it to skip re-checking a
-    resident set it already knows. So a policy's returned decisions are
-    applied before its next call, as `run()` does, and residency changes
-    otherwise only through `apply` and `seed_resident`.
+    resident set it already knows.
     """
 
     def __init__(self, capacity: int, catalog: ObjectCatalog):
@@ -362,9 +376,8 @@ class CacheState:
 
     def receive_update(self, u: Update) -> None:
         """Server-side arrival of an update. Invalidate the cached copy when
-        the target is resident; otherwise nothing reaches the cache."""
-        if u.object not in self.catalog.entries:
-            raise UnknownObject(f"update {u.uid} targets unknown object {u.object}")
+        the target is resident; otherwise nothing reaches the cache (an
+        object outside the catalog is never resident)."""
         if u.object in self.resident:
             self.outstanding.setdefault(u.object, []).append(u)
             self._by_uid[u.uid] = u
@@ -406,8 +419,7 @@ def apply(cache: CacheState, d: Decision) -> int:
             raise CacheError(f"object {oid} is already resident")
         if kind is Evict and oid not in cache.resident:
             raise NonResident(f"cannot evict non-resident object {oid}")
-        if (info := cache.catalog.entries.get(oid)) is None:
-            raise UnknownObject(f"object {oid} not in catalog")
+        info = cache.catalog.entries[oid]
         if kind is Load:
             size, free = info.size, cache.capacity - cache._used
             if size > free:

@@ -24,16 +24,16 @@ valid entry is always the minimum-(credit, oid) resident.
 
 A policy keeps one `GdsState` and one random stream for the whole run; for
 each shipped query it calls `offer` and hands the batch to `gds_lazy_apply`.
-Both read each object's catalog entry once, through lookups bound once per
-call. `offer` shuffles only two or more missing objects (shuffling one draws
-nothing), and an empty batch returns once the credits match the residents.
+Both read each object's entry in the cache's catalog once, and an id it
+lacks raises UnknownObject. `offer` shuffles only two or more missing
+objects (shuffling one draws nothing), and an empty batch returns once the
+credits match the residents.
 
-The caller applies the returned decisions to the cache before the next call,
-as `run()` does, and changes residency otherwise only through `apply` and
-`seed_resident`. The state remembers the cache it last synced against and
-the `moves` count the decisions bring it to, so the credits are checked
-against the resident set only when some other change came between; breaking
-the contract leaves the credits, and so the victims, wrong.
+The caller keeps `CacheState`'s decision-application contract. The state
+remembers the cache it last synced against and the `moves` count the
+decisions bring it to, so the credits are checked against the resident set
+only when some other change came between; breaking the contract leaves the
+credits, and so the victims, wrong.
 """
 
 from __future__ import annotations
@@ -42,8 +42,7 @@ import random
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 
-from .core import (CacheState, Decision, Evict, Load, ObjectCatalog, ObjectId, Query,
-                   UnknownObject)
+from .core import CacheState, Decision, Evict, Load, ObjectId, Query
 
 
 @dataclass
@@ -76,8 +75,7 @@ class GdsState:
         heapify(self.heap)
 
 
-def offer(q: Query, cache: CacheState, catalog: ObjectCatalog,
-          rng: random.Random) -> list[ObjectId]:
+def offer(q: Query, cache: CacheState, rng: random.Random) -> list[ObjectId]:
     """Spend the query's shipping cost across its missing objects in uniformly
     random order, emitting load candidacies: distinct ids, none resident at
     batch start, in candidacy order.
@@ -96,14 +94,12 @@ def offer(q: Query, cache: CacheState, catalog: ObjectCatalog,
             while j > i:
                 j = getrandbits(k)
             missing[i], missing[j] = missing[j], missing[i]
-    entries, c = catalog.entries, q.ship_cost
+    entries, c = cache.catalog.entries, q.ship_cost
     batch: list[ObjectId] = []
     for oid in missing:
         if c <= 0:
             break
-        if (info := entries.get(oid)) is None:
-            raise UnknownObject(f"object {oid} not in catalog")
-        lc = info.load_cost
+        lc = entries[oid].load_cost
         if c >= lc:
             batch.append(oid)
             c -= lc
@@ -114,7 +110,7 @@ def offer(q: Query, cache: CacheState, catalog: ObjectCatalog,
     return batch
 
 
-def gds_lazy_apply(state: GdsState, cache: CacheState, catalog: ObjectCatalog,
+def gds_lazy_apply(state: GdsState, cache: CacheState,
                    batch: list[ObjectId]) -> tuple[GdsState, list[Decision]]:
     """Run Greedy-Dual-Size over the batch on `state` in place and emit only
     the net residency difference; returns `state` itself with the decisions.
@@ -124,16 +120,16 @@ def gds_lazy_apply(state: GdsState, cache: CacheState, catalog: ObjectCatalog,
     this function) gets the batch-start inflation, so inflation never falls.
     That walk is skipped when `cache` is the one the state last synced
     against and its `moves` count is the one the last returned decisions
-    bring it to: the caller must apply them before the next call and change
-    residency otherwise only through `apply` and `seed_resident`. The keys
-    then stay the resident set: after the batch they are the residents the
-    decisions leave. Each candidacy evicts minimum-(credit, oid) residents
-    until the candidate fits (inflation rises to each victim's credit) and
-    then admits it; a candidate bigger than the whole cache is skipped. An
-    admitted candidate, and a resident one, gets the credit inflation +
-    load_cost/size, pushed onto the heap. Since the diff is taken at the end,
-    no batch ever both loads and evicts the same object. The heap is rebuilt
-    from the credits once stale entries outnumber live ones.
+    bring it to, as `CacheState`'s decision-application contract allows.
+    The keys then stay the resident set: after the batch they are the
+    residents the decisions leave. Each candidacy evicts minimum-(credit,
+    oid) residents until the candidate fits (inflation rises to each
+    victim's credit) and then admits it; a candidate bigger than the whole
+    cache is skipped. An admitted candidate, and a resident one, gets the
+    credit inflation + load_cost/size, pushed onto the heap. Since the diff
+    is taken at the end, no batch ever both loads and evicts the same
+    object. The heap is rebuilt from the credits once stale entries
+    outnumber live ones.
     """
     credit, moves = state.credit, cache.moves
     if state.synced_cache is not cache or state.synced_moves != moves:
@@ -151,14 +147,13 @@ def gds_lazy_apply(state: GdsState, cache: CacheState, catalog: ObjectCatalog,
     state.synced_moves = -1   # unsynced until the batch completes without an error
     if len(state.heap) > 2 * len(credit) + 16:
         state.rebuild_heap()
-    heap, entries, capacity = state.heap, catalog.entries, cache.capacity
+    heap, entries, capacity = state.heap, cache.catalog.entries, cache.capacity
     free = capacity - cache._used
     admitted: dict[ObjectId, None] = {}
     evicted: list[ObjectId] = []
 
     for oid in batch:
-        if (info := entries.get(oid)) is None:
-            raise UnknownObject(f"object {oid} not in catalog")
+        info = entries[oid]
         size = info.size
         if oid not in credit:
             if size > capacity:

@@ -73,15 +73,14 @@ class RunConfig:
         return int(self.cache_frac * catalog.total_size)
 
 
-def make_policy(config: RunConfig, catalog: ObjectCatalog, cache: CacheState,
-                events: Trace):
+def make_policy(config: RunConfig, cache: CacheState, events: Trace):
     name, p = config.policy, config.params
     if name == "vcover":
-        return VCoverPolicy(catalog, cache, seed=config.seed, **p)
+        return VCoverPolicy(cache, seed=config.seed, **p)
     if name == "soptimal":
-        return SOptimalPolicy(catalog, cache, events, **p)
+        return SOptimalPolicy(cache, events, **p)
     plain = {"benefit": BenefitPolicy, "nocache": NoCachePolicy, "replica": ReplicaPolicy}
-    return plain[name](catalog, cache, **p)
+    return plain[name](cache, **p)
 
 
 def _csv(header: tuple, rows) -> str:
@@ -219,7 +218,7 @@ def run(events: Sequence[Event], catalog: ObjectCatalog, config: RunConfig) -> R
     sequence raises ValueError naming its first bad event (`Trace.of`)."""
     events = as_trace(catalog, events)
     cache = CacheState(config.capacity(catalog), catalog)
-    policy = make_policy(config, catalog, cache, events)
+    policy = make_policy(config, cache, events)
     initial_resident = sorted(cache.resident)
     log: list[tuple[int, Decision]] = []
     ledger, series, warmup_snapshot = _event_loop(events, cache, policy, log,

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import random
 
-from .core import (AnswerFromCache, CacheState, Decision, Evict, ObjectCatalog,
-                   Query, ShipQuery, ShipUpdates, Update, interacting_updates)
+from .core import (AnswerFromCache, CacheState, Decision, Evict, Query, ShipQuery,
+                   ShipUpdates, Update, interacting_updates)
 from . import loadmgr
 from .covergraph import FlowState, InteractionGraph, min_weight_cover, prune_remainder
 
@@ -25,8 +25,7 @@ class VCoverPolicy:
     """Online policy: interaction graph + incremental cover for update-vs-query
     shipping, randomized lazy Greedy-Dual-Size for loads."""
 
-    def __init__(self, catalog: ObjectCatalog, cache: CacheState, seed: int = 0):
-        self.catalog = catalog
+    def __init__(self, cache: CacheState, seed: int = 0):
         self.cache = cache
         self.rng = random.Random(seed)
         self.graph = InteractionGraph()
@@ -39,8 +38,8 @@ class VCoverPolicy:
     def on_query(self, q: Query) -> list[Decision]:
         if q.objects <= self.cache.resident:
             return self.update_manager(q)
-        batch = loadmgr.offer(q, self.cache, self.catalog, self.rng)
-        _, loads = loadmgr.gds_lazy_apply(self.gds, self.cache, self.catalog, batch)
+        batch = loadmgr.offer(q, self.cache, self.rng)
+        _, loads = loadmgr.gds_lazy_apply(self.gds, self.cache, batch)
         if self.cache.outstanding:   # otherwise no evicted object has a queue
             for d in loads:
                 if type(d) is Evict:
@@ -52,10 +51,9 @@ class VCoverPolicy:
         interacting updates, by incremental minimum-weight vertex cover.
 
         `on_query` calls it only when every object of `q` is resident, and
-        the caller applies the returned decisions before the next event, as
-        `run()` does, changing residency otherwise only through `apply` and
-        `seed_resident`. So when no object of `q` has an update queue, the
-        cache answers at once, without gathering interacting updates."""
+        the caller keeps `CacheState`'s decision-application contract. So
+        when no object of `q` has an update queue, the cache answers at
+        once, without gathering interacting updates."""
         if self.cache.outstanding.keys().isdisjoint(q.objects):
             return [AnswerFromCache(q.qid)]
         ius = interacting_updates(q, self.cache, q.time)

@@ -22,8 +22,8 @@ from .core import (AnswerFromCache, CacheState, Decision, Event, Load,
 class NoCachePolicy:
     """Ship every query to the server; the cache stays empty."""
 
-    def __init__(self, catalog: ObjectCatalog, cache: CacheState):
-        pass   # stateless; takes the arguments every policy takes
+    def __init__(self, cache: CacheState):
+        pass   # stateless; takes the cache every policy takes
 
     def startup(self) -> list[Decision]:
         return []
@@ -40,8 +40,8 @@ class ReplicaPolicy:
     charged; `RunConfig.capacity` sizes it to the whole catalog); every
     update ships the moment it arrives, so every query answers at the cache."""
 
-    def __init__(self, catalog: ObjectCatalog, cache: CacheState):
-        cache.seed_resident(catalog.ids())
+    def __init__(self, cache: CacheState):
+        cache.seed_resident(cache.catalog.ids())
 
     def startup(self) -> list[Decision]:
         return []
@@ -94,13 +94,12 @@ class SOptimalPolicy:
     (default) updates for set members ship on arrival; in lazy mode they queue
     until a query needs them."""
 
-    def __init__(self, catalog: ObjectCatalog, cache: CacheState,
-                 events: Sequence[Event], mode: str = "eager"):
+    def __init__(self, cache: CacheState, events: Sequence[Event], mode: str = "eager"):
         if mode not in ("eager", "lazy"):
             raise ValueError(f"unknown soptimal mode {mode!r}")
         self.cache = cache
         self.mode = mode
-        self.plan = plan_static_set(events, catalog, cache.capacity)
+        self.plan = plan_static_set(events, cache.catalog, cache.capacity)
 
     def startup(self) -> list[Decision]:
         return list(self.plan.initial_loads)

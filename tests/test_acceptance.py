@@ -97,7 +97,7 @@ def test_c04_ski_rental_expectation():
         shipped = 0
         while True:
             shipped += q.ship_cost
-            if offer(q, cache, catalog, rng):
+            if offer(q, cache, rng):
                 break
         total += shipped
     mean = total / trials
@@ -127,7 +127,7 @@ def test_c05_lazy_gds_no_churn():
         missing = [o for o in range(n) if o not in cache.resident]
         rng.shuffle(missing)
         batch = missing[:rng.randint(0, len(missing))]
-        _, decisions = gds_lazy_apply(state, cache, catalog, batch)
+        _, decisions = gds_lazy_apply(state, cache, batch)
         loaded = {d.oid for d in decisions if isinstance(d, Load)}
         evicted = {d.oid for d in decisions if isinstance(d, Evict)}
         violations += bool(loaded & evicted)

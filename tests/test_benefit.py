@@ -19,7 +19,7 @@ from tests.oracles import largest_remainder_shares, windowed_benefit_log
 def make_policy(catalog, capacity, alpha=0.5, delta=1000, resident=()):
     cache = CacheState(capacity, catalog)
     cache.seed_resident(resident)
-    return BenefitPolicy(catalog, cache, alpha=alpha, delta=delta), cache
+    return BenefitPolicy(cache, alpha=alpha, delta=delta), cache
 
 
 def drive(policy, cache, ev):
@@ -211,7 +211,7 @@ class TestRecompose:
         mu = {0: 5.0, 1: 3.0, 2: -1.0}
         selected = fill(mu, cache.capacity, catalog)
         assert selected == [0, 1]
-        assert greedy_recompose(mu, cache, catalog) == [Load(0), Load(1)]
+        assert greedy_recompose(mu, cache) == [Load(0), Load(1)]
         # exhaustive check: no feasible positive-mu set has higher mu-sum
         best = max((mu[0] * (s & 1 > 0) + mu[1] * (s & 2 > 0) + mu[2] * (s & 4 > 0))
                    for s in range(8)
@@ -229,14 +229,14 @@ class TestRecompose:
         cache = CacheState(8, catalog)
         cache.seed_resident([0])
         mu = {0: 5.0, 1: 4.0}
-        assert greedy_recompose(mu, cache, catalog) == [Load(1)]
+        assert greedy_recompose(mu, cache) == [Load(1)]
 
     def test_unselected_resident_evicted(self):
         catalog = ObjectCatalog.from_sizes({0: 4, 1: 4})
         cache = CacheState(4, catalog)
         cache.seed_resident([0])
         mu = {0: 1.0, 1: 7.0}
-        assert greedy_recompose(mu, cache, catalog) == [Evict(0), Load(1)]
+        assert greedy_recompose(mu, cache) == [Evict(0), Load(1)]
 
     @given(st.data())
     def test_selection_is_fit_constrained_prefix(self, data):

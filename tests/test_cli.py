@@ -48,6 +48,21 @@ class TestGen:
         assert rc == 0
         assert (tmp_path / "envout" / "trace.jsonl").exists()
 
+    @pytest.mark.parametrize("flag, event", [
+        ("--selectivity", "query 1"), ("--update-fraction", "update 4")])
+    def test_drawn_cost_past_byte_bound_names_the_flag(self, tmp_path, capsys, flag, event):
+        # The value passes GeneratorParams' own checks; only the costs it
+        # draws pass 2**53 - 1, and the error names the flag that set them.
+        out = tmp_path / "out"
+        rc = main(["gen", "--seed", "1", "--queries", "5", "--updates", "5", flag, "1e10",
+                   "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {flag} 10000000000.0: {event} has cost above "
+                                "9007199254740991\n")
+        assert not out.exists()
+
 
 class TestValidate:
     def test_valid_trace(self, workspace, capsys):

@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from midcache.benefit import split_shape
 from midcache.core import CacheState, Evict, Load, ObjectCatalog, UnknownObject, apply
 from midcache.loadmgr import GdsState, gds_lazy_apply, offer
 from midcache.vcover import VCoverPolicy
@@ -21,18 +22,18 @@ class TestOffer:
     def test_zero_cost_query_offers_nothing(self, small_catalog):
         cache = make_cache(small_catalog, 100)
         q = mk_query(1, 0, {0, 1}, 0)
-        assert offer(q, cache, small_catalog, random.Random(0)) == []
+        assert offer(q, cache, random.Random(0)) == []
 
     def test_cost_covering_load_is_deterministic(self, small_catalog):
         cache = make_cache(small_catalog, 100)
         q = mk_query(1, 0, {0}, 10)   # cost == load cost of object 0
         for seed in range(20):
-            assert offer(q, cache, small_catalog, random.Random(seed)) == [0]
+            assert offer(q, cache, random.Random(seed)) == [0]
 
     def test_resident_objects_never_offered(self, small_catalog):
         cache = make_cache(small_catalog, 100, [0])
         q = mk_query(1, 0, {0, 1}, 100)
-        batch = offer(q, cache, small_catalog, random.Random(1))
+        batch = offer(q, cache, random.Random(1))
         assert batch == [1]
 
     def test_ski_rental_expectation(self):
@@ -48,7 +49,7 @@ class TestOffer:
             shipped = 0
             while True:
                 shipped += q.ship_cost
-                if offer(q, cache, catalog, rng):
+                if offer(q, cache, rng):
                     break
             total += shipped
         mean = total / trials
@@ -75,7 +76,7 @@ class TestOffer:
         seed = data.draw(st.integers(0, 2**16))
         rng, expected_rng = random.Random(seed), random.Random(seed)
         expected = sorted_offer(q, set(cache.resident), catalog, expected_rng)
-        assert offer(q, cache, catalog, rng) == expected
+        assert offer(q, cache, rng) == expected
         assert rng.getstate() == expected_rng.getstate()
 
     @settings(max_examples=150, deadline=None)
@@ -90,15 +91,26 @@ class TestOffer:
         rng, expected_rng = random.Random(seed), random.Random(seed)
         expected = sorted(ids)
         expected_rng.shuffle(expected)
-        assert offer(mk_query(1, 0, ids, n), cache, catalog, rng) == expected
+        assert offer(mk_query(1, 0, ids, n), cache, rng) == expected
         assert rng.getstate() == expected_rng.getstate()
 
-    def test_unknown_object_is_named(self, small_catalog):
-        cache = make_cache(small_catalog, 100)
-        with pytest.raises(UnknownObject, match="object 99 not in catalog"):
-            offer(mk_query(1, 0, {99}, 5), cache, small_catalog, random.Random(0))
-        with pytest.raises(UnknownObject, match="object 99 not in catalog"):
-            gds_lazy_apply(GdsState(), cache, small_catalog, [99])
+
+@pytest.mark.parametrize("lookup", [
+    lambda cache: cache.catalog.size(99),
+    lambda cache: cache.catalog.load_cost(99),
+    lambda cache: cache.seed_resident([0, 99]),
+    lambda cache: apply(cache, Load(99)),
+    lambda cache: offer(mk_query(1, 0, {99}, 5), cache, random.Random(0)),
+    lambda cache: gds_lazy_apply(GdsState(), cache, [2, 99]),
+    lambda cache: split_shape(frozenset({0, 99, 100}), 5, cache.catalog),
+], ids=["size", "load_cost", "seed_resident", "apply", "offer", "gds_lazy_apply",
+        "split_shape"])
+def test_unknown_object_is_named(small_catalog, lookup):
+    # Every site reads the catalog's one table, whose missing-id lookup
+    # raises; split_shape names the smallest unknown id.
+    cache = make_cache(small_catalog, 100)
+    with pytest.raises(UnknownObject, match="^object 99 not in catalog$"):
+        lookup(cache)
 
 
 class TestStateShape:
@@ -107,8 +119,8 @@ class TestStateShape:
         # load-manager state is the GDS bookkeeping and its random stream,
         # nothing accumulates per-object shipping cost
         cache = make_cache(small_catalog, 40, [0, 1])
-        policy = VCoverPolicy(small_catalog, cache)
-        assert set(vars(policy)) == {"catalog", "cache", "rng", "graph", "flow", "gds"}
+        policy = VCoverPolicy(cache)
+        assert set(vars(policy)) == {"cache", "rng", "graph", "flow", "gds"}
         assert set(vars(policy.gds)) == {"inflation", "credit", "heap",
                                          "synced_cache", "synced_moves"}
         # the heap only indexes the credits: (credit, oid) pairs, with an
@@ -124,8 +136,7 @@ class TestGdsTouch:
     # inflation + load_cost/size and changes no residency.
     def test_unit_credit_when_cost_proportional(self, small_catalog):
         state = GdsState()
-        state, decisions = gds_lazy_apply(state, make_cache(small_catalog, 100, [0]),
-                                          small_catalog, [0])
+        state, decisions = gds_lazy_apply(state, make_cache(small_catalog, 100, [0]), [0])
         assert decisions == []
         assert state.credit[0] == 1.0
 
@@ -135,7 +146,7 @@ class TestGdsTouch:
         state = GdsState(credit={0: 3.0})
         # admitting object 1 must evict 0; inflation becomes 3, and the next
         # touch builds on it
-        state, decisions = gds_lazy_apply(state, cache, catalog, [1])
+        state, decisions = gds_lazy_apply(state, cache, [1])
         assert decisions == [Evict(0), Load(1)]
         assert state.inflation == 3.0
         assert state.credit[1] == 3.0 + catalog.load_cost(1) / catalog.size(1)
@@ -144,7 +155,7 @@ class TestGdsTouch:
         state = GdsState(inflation=2.0)
         cache = make_cache(small_catalog, 100, [1])
         for _ in range(5):
-            state, decisions = gds_lazy_apply(state, cache, small_catalog, [1])
+            state, decisions = gds_lazy_apply(state, cache, [1])
             assert decisions == []
             assert state.credit[1] == 2.0 + 1.0
 
@@ -152,7 +163,7 @@ class TestGdsTouch:
 class TestLazyApply:
     def test_plain_load_when_space_available(self, small_catalog):
         cache = make_cache(small_catalog, 100)
-        state, decisions = gds_lazy_apply(GdsState(), cache, small_catalog, [3])
+        state, decisions = gds_lazy_apply(GdsState(), cache, [3])
         assert decisions == [Load(3)]
         assert 3 in state.credit
 
@@ -163,13 +174,13 @@ class TestLazyApply:
         batch = [10, 11]
         actions, final, _, _ = eager_gds_trace(catalog, 10, set(), {}, 0.0, batch)
         assert ("load", 10) in actions and ("evict", 10) in actions
-        state, decisions = gds_lazy_apply(GdsState(), cache, catalog, batch)
+        state, decisions = gds_lazy_apply(GdsState(), cache, batch)
         assert decisions == [Load(11)]
         assert final == {11}
 
     def test_empty_batch_no_decisions(self, small_catalog):
         cache = make_cache(small_catalog, 100, [0])
-        state, decisions = gds_lazy_apply(GdsState(), cache, small_catalog, [])
+        state, decisions = gds_lazy_apply(GdsState(), cache, [])
         assert decisions == []
 
     def test_resident_loaded_outside_starts_at_inflation(self):
@@ -179,13 +190,13 @@ class TestLazyApply:
         cache = make_cache(catalog, 10)
         state = GdsState()
         for batch in ([0], [1], [2]):
-            _, decisions = gds_lazy_apply(state, cache, catalog, batch)
+            _, decisions = gds_lazy_apply(state, cache, batch)
             for d in decisions:
                 apply(cache, d)
         assert cache.resident == {1, 2} and state.inflation == 10.0
         apply(cache, Evict(1))
         apply(cache, Load(0))
-        _, decisions = gds_lazy_apply(state, cache, catalog, [1])
+        _, decisions = gds_lazy_apply(state, cache, [1])
         assert decisions == [Evict(0), Load(1)]
         assert state.inflation == 10.0
         assert state.credit == {1: 20.0, 2: 20.0}
@@ -195,11 +206,11 @@ class TestLazyApply:
         # that made as many moves to reach other residents must be synced.
         first, second = make_cache(small_catalog, 100, [0]), make_cache(small_catalog, 100, [1])
         assert first.moves == second.moves == 1
-        state, _ = gds_lazy_apply(GdsState(), first, small_catalog, [])
+        state, _ = gds_lazy_apply(GdsState(), first, [])
         assert state.credit.keys() == {0}
-        gds_lazy_apply(state, second, small_catalog, [])
+        gds_lazy_apply(state, second, [])
         assert state.credit.keys() == {1}
-        _, decisions = gds_lazy_apply(state, second, small_catalog, [3])
+        _, decisions = gds_lazy_apply(state, second, [3])
         assert decisions == [Load(3)]
         assert state.credit.keys() == {1, 3}
 
@@ -207,26 +218,25 @@ class TestLazyApply:
         # Decisions the caller drops leave the cache short of the count the
         # state expects, so the next call walks the residents again.
         cache = make_cache(small_catalog, 100, [0])
-        state, decisions = gds_lazy_apply(GdsState(), cache, small_catalog, [3])
+        state, decisions = gds_lazy_apply(GdsState(), cache, [3])
         assert decisions == [Load(3)]
-        gds_lazy_apply(state, cache, small_catalog, [])
+        gds_lazy_apply(state, cache, [])
         assert state.credit.keys() == {0}
 
     def test_failed_batch_forces_the_sync(self, small_catalog):
         # A batch that stops at an unknown object has already evicted 0 from
         # the credits; no decision came back, so the next call walks again.
         cache = make_cache(small_catalog, 30, [0])
-        state, _ = gds_lazy_apply(GdsState(), cache, small_catalog, [])
+        state, _ = gds_lazy_apply(GdsState(), cache, [])
         with pytest.raises(UnknownObject):
-            gds_lazy_apply(state, cache, small_catalog, [2, 99])
+            gds_lazy_apply(state, cache, [2, 99])
         assert state.credit.keys() == {2}
-        gds_lazy_apply(state, cache, small_catalog, [])
+        gds_lazy_apply(state, cache, [])
         assert state.credit.keys() == {0}
 
     def test_oversized_candidate_skipped(self, small_catalog):
         cache = make_cache(small_catalog, 25, [0])   # object 2 has size 30
-        state, decisions = gds_lazy_apply(GdsState(credit={0: 1.0}),
-                                          cache, small_catalog, [2])
+        state, decisions = gds_lazy_apply(GdsState(credit={0: 1.0}), cache, [2])
         assert decisions == []
         assert cache.resident == {0}
 
@@ -256,7 +266,7 @@ class TestLazyApply:
             _, final, final_credit, final_inflation = eager_gds_trace(
                 catalog, capacity, cache.resident, credits, inflation, batch)
             given = GdsState(inflation, dict(credits))
-            state, decisions = gds_lazy_apply(given, cache, catalog, batch)
+            state, decisions = gds_lazy_apply(given, cache, batch)
             got = set(cache.resident)
             for d in decisions:
                 got.discard(d.oid) if isinstance(d, Evict) else got.add(d.oid)
@@ -283,7 +293,7 @@ class TestLazyApply:
         missing = [o for o in range(n) if o not in cache.resident]
         batch = data.draw(st.permutations(missing))
         state, decisions = gds_lazy_apply(
-            GdsState(0.0, credits), cache, catalog, list(batch))
+            GdsState(0.0, credits), cache, list(batch))
         loaded = {d.oid for d in decisions if isinstance(d, Load)}
         evicted = {d.oid for d in decisions if isinstance(d, Evict)}
         assert not (loaded & evicted)
@@ -331,7 +341,7 @@ def drive_chained_batches(draw, n_batches: int) -> Counter:
         else:
             assert moved_outside
             counts["forced"] += 1
-        _, decisions = gds_lazy_apply(state, cache, catalog, batch)
+        _, decisions = gds_lazy_apply(state, cache, batch)
         counts["rebuilds"] += state.heap is not heap
         assert decisions == ([Evict(o) for a, o in actions if a == "evict" and o in start]
                              + [Load(o) for a, o in actions if a == "load" and o in final])

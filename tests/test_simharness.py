@@ -128,7 +128,7 @@ class TestAudit:
 
         import midcache.simharness as sh
         orig = sh.make_policy
-        sh.make_policy = lambda cfg, cat, cache, events: BrokenPolicy(cache)
+        sh.make_policy = lambda cfg, cache, events: BrokenPolicy(cache)
         try:
             events = [mk_update(1, 1, 0, 2, seq=1),
                       mk_query(2, 2, {0}, 5, seq=2)]
@@ -151,7 +151,7 @@ class TestAudit:
 
         import midcache.simharness as sh
         orig = sh.make_policy
-        sh.make_policy = lambda cfg, cat, cache, events: BrokenPolicy()
+        sh.make_policy = lambda cfg, cache, events: BrokenPolicy()
         try:
             events = [mk_query(1, 1, {0}, 5, seq=1)]
             with pytest.raises(AuditError) as exc:
@@ -177,7 +177,7 @@ class TestAudit:
 
         import midcache.simharness as sh
         orig = sh.make_policy
-        sh.make_policy = lambda cfg, cat, cache, events: CorruptingPolicy(cache)
+        sh.make_policy = lambda cfg, cache, events: CorruptingPolicy(cache)
         try:
             events = [mk_query(1, 1, {0}, 5, seq=1), mk_query(2, 2, {1}, 5, seq=2)]
             with pytest.raises(AuditError, match="capacity counter") as exc:
@@ -204,7 +204,7 @@ class TestAudit:
                 return []
 
         monkeypatch.setattr(simharness, "make_policy",
-                            lambda cfg, cat, cache, events: CorruptingPolicy(cache))
+                            lambda cfg, cache, events: CorruptingPolicy(cache))
         trace = Trace.of(small_catalog, [mk_query(1, 1, {0}, 5, seq=3),
                                          mk_query(2, 2, {1}, 5, seq=7)])
         with pytest.raises(AuditError, match="capacity counter") as exc:
@@ -256,7 +256,7 @@ class TestAudit:
             on_query = on_update = on_event
 
         monkeypatch.setattr(simharness, "make_policy",
-                            lambda cfg, cat, cache, events: ScriptedPolicy(cache))
+                            lambda cfg, cache, events: ScriptedPolicy(cache))
         events = [mk_update(1, 1, 0, 2, seq=1), mk_query(2, 2, {0}, 5, seq=2),
                   mk_query(3, 3, {1}, 5, seq=3)]
         with pytest.raises(AuditError, match=match) as exc:

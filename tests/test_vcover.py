@@ -18,7 +18,7 @@ from tests.oracles import (brute_force_canonical_cover, check_flow, cover_weight
 def policy_with_cache(catalog, capacity, resident=(), seed=0):
     cache = CacheState(capacity, catalog)
     cache.seed_resident(resident)
-    return VCoverPolicy(catalog, cache, seed=seed), cache
+    return VCoverPolicy(cache, seed=seed), cache
 
 
 def drive(policy, cache, ev):

@@ -1,7 +1,10 @@
+import copy
 import dataclasses
 import gzip
 import hashlib
 import json
+import operator
+import pickle
 import re
 import tempfile
 import time
@@ -674,6 +677,27 @@ class TestCatalogContract:
             {"schema": "catalog/v1", "objects": [{"id": 0, "size": 1, "load_cost": 0}]}))
         with pytest.raises(ValueError, match="^object 0: load cost must be positive, got 0$"):
             read_catalog(tmp_path / "catalog.json")
+
+    @pytest.mark.parametrize("write", [
+        lambda c: operator.setitem(c.entries, 0, ObjectInfo(0, 1)),
+        lambda c: operator.delitem(c.entries, 0),
+        lambda c: c.entries.update({0: ObjectInfo(0, 1)}),
+        lambda c: c.entries.pop(0),
+        lambda c: c.entries.clear(),
+        lambda c: c.entries.setdefault(9, ObjectInfo(1, 1)),
+        lambda c: setattr(c, "entries", {0: ObjectInfo(0, 1)}),
+    ], ids=["setitem", "del", "update", "pop", "clear", "setdefault", "assign-entries"])
+    def test_entries_refuse_every_write(self, small_catalog, write):
+        """A built catalog cannot be changed past its checks, and it still
+        pickles, deep-copies, replaces and compares as a value."""
+        with pytest.raises((TypeError, AttributeError)):
+            write(small_catalog)
+        assert small_catalog.size(0) == 10 and len(small_catalog) == 4
+        for twin in (pickle.loads(pickle.dumps(small_catalog)), copy.deepcopy(small_catalog),
+                     dataclasses.replace(small_catalog)):
+            assert twin is not small_catalog and twin == small_catalog
+            assert twin.size(3) == 40
+        assert small_catalog != ObjectCatalog.from_sizes({0: 10})
 
 
 class TestUnreadableTrace:
