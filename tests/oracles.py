@@ -271,6 +271,104 @@ def sorted_offer(q: Query, resident: set[int], catalog: ObjectCatalog, rng) -> l
     return batch
 
 
+class ReferenceVCover:
+    """vcover as the paper states it, one event at a time, with its own
+    residency, its own update queues and a plain graph of one node per
+    update (`update_weight`, `query_weight`, and `update_edges` as {uid:
+    {qid}}), so `networkx_canonical_cover` reads it as it reads an
+    `InteractionGraph`.
+    - An update to a resident object joins its object's queue.
+    - A query on a missing object ships; `sorted_offer` spends its cost on
+      load candidacies and `eager_gds_trace` admits them. The decisions are
+      the net change: evictions of objects resident before the batch, in
+      eviction order, then loads of objects resident after it, in load
+      order. An evicted object's queue and its update nodes go.
+    - A fully resident query with no interacting update answers at the
+      cache. Otherwise it joins the graph with an edge to each interacting
+      update, added as a node if it is not one already, and the cover is
+      recomputed from scratch: a covered query ships; otherwise its
+      interacting updates ship, in (object id, arrival) order, and it
+      answers at the cache. Covered updates and uncovered queries then
+      leave the graph.
+    No flow is kept between covers, and nothing is skipped or grouped."""
+
+    def __init__(self, catalog: ObjectCatalog, capacity: int, seed: int):
+        self.catalog, self.capacity = catalog, capacity
+        self.rng = random.Random(seed)
+        self.resident: set[int] = set()
+        self.credits: dict[int, float] = {}
+        self.inflation = 0.0
+        self.queues: dict[int, list[Update]] = {}
+        self.update_weight: dict[int, int] = {}
+        self.query_weight: dict[int, int] = {}
+        self.update_edges: dict[int, set[int]] = {}
+        self.ledger = [0, 0, 0]   # query_ship, update_ship, load
+
+    def step(self, ev) -> list:
+        """The decisions for one event, applied to this state."""
+        if isinstance(ev, Update):
+            if ev.object in self.resident:
+                self.queues.setdefault(ev.object, []).append(ev)
+            return []
+        if ev.objects <= self.resident:
+            return self._update_manager(ev)
+        self.ledger[0] += ev.ship_cost
+        batch = sorted_offer(ev, self.resident, self.catalog, self.rng)
+        actions, live, self.credits, self.inflation = eager_gds_trace(
+            self.catalog, self.capacity, self.resident, self.credits, self.inflation, batch)
+        evicted = [oid for kind, oid in actions if kind == "evict" and oid in self.resident]
+        loaded = [oid for kind, oid in actions if kind == "load" and oid in live]
+        for oid in evicted:
+            for u in self.queues.pop(oid, ()):
+                self._drop_update(u.uid)
+        self.ledger[2] += sum(self.catalog.load_cost(oid) for oid in loaded)
+        self.resident = live
+        return [ShipQuery(ev.qid), *map(Evict, evicted), *map(Load, loaded)]
+
+    def _update_manager(self, q: Query) -> list:
+        cutoff = q.time - q.tolerance
+        ius = [u for oid in sorted(q.objects) for u in self.queues.get(oid, ())
+               if u.time <= cutoff]
+        if not ius:
+            return [AnswerFromCache(q.qid)]
+        self.query_weight[q.qid] = q.ship_cost
+        for u in ius:
+            self.update_weight.setdefault(u.uid, u.ship_cost)
+            self.update_edges.setdefault(u.uid, set()).add(q.qid)
+        cover_q, cover_u = networkx_canonical_cover(self)
+        if q.qid in cover_q:
+            self.ledger[0] += q.ship_cost
+            decisions = [ShipQuery(q.qid)]
+        else:
+            for u in ius:
+                self.queues[u.object].remove(u)
+                if not self.queues[u.object]:
+                    del self.queues[u.object]
+            self.ledger[1] += sum(u.ship_cost for u in ius)
+            decisions = [ShipUpdates(tuple(u.uid for u in ius)), AnswerFromCache(q.qid)]
+        for uid in cover_u:
+            self._drop_update(uid)
+        for qid in set(self.query_weight) - cover_q:
+            del self.query_weight[qid]
+            for qids in self.update_edges.values():
+                qids.discard(qid)
+        return decisions
+
+    def _drop_update(self, uid: int) -> None:
+        self.update_weight.pop(uid, None)
+        self.update_edges.pop(uid, None)
+
+
+def reference_vcover_log(events, catalog: ObjectCatalog, capacity: int, seed: int
+                         ) -> tuple[list[tuple[int, object]], tuple[int, int, int]]:
+    """The decision log, as `(seq, decision)` pairs, and the final ledger, as
+    (query_ship, update_ship, load), of a vcover run from an empty cache of
+    `capacity` bytes at policy seed `seed`, worked by `ReferenceVCover`."""
+    policy = ReferenceVCover(catalog, capacity, seed)
+    log = [(ev.seq, d) for ev in events for d in policy.step(ev)]
+    return log, tuple(policy.ledger)
+
+
 def static_set_replay_cost(events, catalog: ObjectCatalog,
                            members: frozenset[int], eager: bool = True) -> int:
     """Cost of running the whole trace against a fixed cached set: loads up

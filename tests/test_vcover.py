@@ -12,7 +12,38 @@ from midcache.vcover import VCoverPolicy
 from midcache.workload import GeneratorParams, generate
 from tests.conftest import GB, SEC, mk_query, mk_update
 from tests.oracles import (brute_force_canonical_cover, check_flow, cover_weight,
-                           enumerate_plan_costs, graph_edges, networkx_canonical_cover)
+                           enumerate_plan_costs, graph_edges, networkx_canonical_cover,
+                           reference_vcover_log)
+
+
+# Two or three bytes of cache, so loads evict objects whose updates are on
+# the graph, or room for every object of a `draw_small_trace` catalog.
+SMALL_CACHES = st.sampled_from([{"cache_bytes": 2}, {"cache_bytes": 3}, {"cache_frac": 1.0}])
+
+
+def draw_small_trace(data, max_objects, load_costs=False):
+    """A catalog of 1 to `max_objects` objects of one or two bytes (load
+    costs of 1 to 4 bytes when `load_costs`, else the sizes) and a trace of
+    10 to 40 events on it, with timestamp ties, zero costs and tolerances
+    that put an update exactly on a query's boundary."""
+    n_objects = data.draw(st.integers(1, max_objects), label="objects")
+    sizes = {o: data.draw(st.integers(1, 2)) for o in range(n_objects)}
+    catalog = ObjectCatalog.from_sizes(
+        sizes, {o: data.draw(st.integers(1, 4)) for o in sizes} if load_costs else None)
+    oid = st.integers(0, n_objects - 1)
+    time, update_times, events = 0, [0], []
+    for eid in range(1, data.draw(st.integers(10, 40), label="events") + 1):
+        time += data.draw(st.sampled_from([0, 0, 1, 2]))
+        if data.draw(st.booleans()):
+            tol = data.draw(st.sampled_from([0] + sorted({time - t for t in update_times})))
+            objects = data.draw(st.sets(oid, min_size=1, max_size=2))
+            cost = data.draw(st.sampled_from([0, 1, 3, 8]))
+            events.append(mk_query(eid, time, objects, cost, tol=tol))
+        else:
+            cost = data.draw(st.sampled_from([0, 3, 8]))
+            events.append(mk_update(eid, time, data.draw(oid), cost))
+            update_times.append(time)
+    return catalog, events
 
 
 def policy_with_cache(catalog, capacity, resident=(), seed=0):
@@ -301,22 +332,7 @@ class TestCanonicalCover:
         import midcache.vcover as vc
         from midcache.covergraph import min_weight_cover as real_mwc
 
-        n_objects = data.draw(st.integers(1, 4), label="objects")
-        catalog = ObjectCatalog.from_sizes(
-            {o: data.draw(st.integers(1, 2)) for o in range(n_objects)})
-        oid = st.integers(0, n_objects - 1)
-        time, update_times, events = 0, [0], []
-        for eid in range(1, data.draw(st.integers(10, 40), label="events") + 1):
-            time += data.draw(st.sampled_from([0, 0, 1, 2]))
-            if data.draw(st.booleans()):
-                tol = data.draw(st.sampled_from([0] + sorted({time - t for t in update_times})))
-                objects = data.draw(st.sets(oid, min_size=1, max_size=2))
-                cost = data.draw(st.sampled_from([0, 1, 3, 8]))
-                events.append(mk_query(eid, time, objects, cost, tol=tol))
-            else:
-                cost = data.draw(st.sampled_from([0, 3, 8]))
-                events.append(mk_update(eid, time, data.draw(oid), cost))
-                update_times.append(time)
+        catalog, events = draw_small_trace(data, 4)
         checked = []
 
         def checked_cover(g, prior=None):
@@ -337,9 +353,8 @@ class TestCanonicalCover:
                 event("evicts an object with updates on the graph")
             return forget(self, oid)
 
-        sizing = data.draw(st.sampled_from([{"cache_bytes": 2}, {"cache_bytes": 3},
-                                            {"cache_frac": 1.0}]))
-        config = RunConfig(policy="vcover", seed=data.draw(st.integers(0, 3)), **sizing)
+        config = RunConfig(policy="vcover", seed=data.draw(st.integers(0, 3)),
+                           **data.draw(SMALL_CACHES))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(vc, "min_weight_cover", checked_cover)
             mp.setattr(vc.VCoverPolicy, "_forget_object_updates", noting_forget)
@@ -370,3 +385,46 @@ class TestCanonicalCover:
         monkeypatch.setattr(vc, "min_weight_cover", sampled_cover)
         run(events, catalog, RunConfig(policy="vcover", seed=1, cache_frac=0.3))
         assert len(checked) >= 20
+
+
+class TestReferenceVCover:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_run_matches_the_reference(self, data):
+        # Traces of up to six objects and 40 events, with zero costs,
+        # timestamp ties, tolerance boundaries, load costs above and below
+        # the query costs, and a cache small enough that loads evict objects
+        # whose updates are on the graph.
+        import midcache.vcover as vc
+
+        catalog, events = draw_small_trace(data, 6, load_costs=True)
+        config = RunConfig(policy="vcover", seed=data.draw(st.integers(0, 3)),
+                           **data.draw(SMALL_CACHES))
+        forget = vc.VCoverPolicy._forget_object_updates
+
+        def noting_forget(self, oid):
+            if any(u.uid in self.graph.update_weight for u in self.cache.outstanding.get(oid, ())):
+                event("evicts an object with updates on the graph")
+            return forget(self, oid)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(vc.VCoverPolicy, "_forget_object_updates", noting_forget)
+            report = run(events, catalog, config)
+        log, ledger = reference_vcover_log(events, catalog, config.capacity(catalog),
+                                           config.seed)
+        assert report.decision_log == log
+        assert report.ledger.snapshot() == ledger
+
+    # The golden shapes but the 20k one, whose reference run takes about half
+    # a minute a seed; tests/check_20k_reference.py checks that one.
+    @pytest.mark.parametrize("seed", (1, 2, 3))
+    @pytest.mark.parametrize("shape", ("default", "churn532", "write68", "write68_evict"))
+    def test_golden_shapes_match_the_reference(self, shape, seed):
+        from tests.test_golden import SHAPES, trace
+
+        catalog, events = trace(shape)
+        config = RunConfig(policy="vcover", seed=seed, cache_frac=SHAPES[shape][1])
+        report = run(events, catalog, config)
+        log, ledger = reference_vcover_log(events, catalog, config.capacity(catalog), seed)
+        assert report.decision_log == log
+        assert report.ledger.snapshot() == ledger
