@@ -23,6 +23,17 @@ source-arc slack, so every node left stays reachable and every other query
 keeps its inflow. The next cover searches only the changed components; every
 other component is still settled, so its queries are covered and its updates
 are not. Any other mark makes the next cover treat the whole graph.
+
+An update node may stand for a group of twin updates, as in `vcover`: updates
+of one object with the same neighbour set, all of zero cost or all of
+positive cost, on one node named by the oldest member's uid and weighing the
+members' summed cost. Positive-weight twins are all source-reachable in the
+residual network or none are, and a zero-weight node never is, so the
+canonical cover of the grouped graph, each node read as its members, is that
+of the graph with one node per update; a zero-cost update sharing a node with
+positive-cost ones would break this. `split_update` splits a node whose
+members a query's cutoff cuts in two: the new part is added with every old
+edge, so it puts their component in the next cover's scope.
 """
 
 from __future__ import annotations
@@ -118,6 +129,44 @@ class InteractionGraph:
             raise GraphError(f"duplicate edge ({uid},{qid})")
         self.update_edges[uid][qid] = None
         self.query_edges[qid][uid] = None
+
+    def split_update(self, fs: FlowState, uid: int, part: int, weight: int) -> None:
+        """Move `weight` of update node `uid`'s weight to a new update node
+        `part` that gets every edge of `uid`. The flow `fs` (required) is
+        divided so each node stays within its weight: `uid` keeps all it can,
+        and `part` takes the rest, arc by arc in edge order. Any such division
+        is a valid flow of the same value, and `part` counts as added, so the
+        next cover searches their component. `uid` must have an edge: a node
+        alone is a component of its own, which `part` would not reach.
+        """
+        if not self.update_edges.get(uid):
+            raise GraphError(f"split of update node {uid}: node missing or without edges")
+        keep = self.update_weight[uid] - weight
+        if weight < 0 or keep < 0:
+            raise GraphError(f"split of update node {uid}: weight {weight} out of range")
+        self.add_update(part, weight)
+        self.update_weight[uid] = keep
+        edges = self.update_edges[uid]
+        self.update_edges[part] = dict(edges)
+        for qid in edges:
+            self.query_edges[qid][part] = None
+        excess = fs.flow_su.get(uid, 0) - keep
+        if excess <= 0:
+            return
+        fs.flow_su[uid], fs.flow_su[part] = keep, excess
+        for qid in edges:
+            inflow = fs.flow_uq.get(qid)
+            f = inflow.get(uid, 0) if inflow else 0
+            if f:
+                moved = min(f, excess)
+                inflow[part] = moved
+                if moved == f:
+                    del inflow[uid]
+                else:
+                    inflow[uid] = f - moved
+                excess -= moved
+                if not excess:
+                    return
 
     @property
     def n_edges(self) -> int:

@@ -15,14 +15,18 @@ must reproduce the run's ledger and final resident set and count one
 `CacheState.moves` per initial resident and per logged Load or Evict. Every
 `COVER_STRIDE`-th cover that vcover computes, counted over all its runs, is
 checked against the minimum cut that `networkx.minimum_cut` finds, an oracle
-that shares no code with `covergraph` (38 of 7,772 covers). Too slow for the
-tier-1 suite (about 30 s on a 2-vCPU host, two thirds of it in networkx), so
-CI runs it as its own step:
+that shares no code with `covergraph` (38 of 7,772 covers): once on the graph
+as given, whose update nodes are groups of twin updates, and once on the graph
+with one node per member update, against the cover read as member uids. Too
+slow for the tier-1 suite (about 25 s on a 2-vCPU host, most of it in
+networkx on the graphs with one node per update), so CI runs it as its own
+step:
 
     PYTHONPATH=src python tests/check_80k_digests.py
 
 Exits 0 when every digest, replay and checked cover holds and 1 otherwise,
-printing one line for the trace, one per run and one cover count.
+printing one line for the trace, one per run and one with the cover count and
+the group nodes and member updates the checked graphs held.
 A change that means to alter behaviour re-records the pins and says why.
 """
 
@@ -31,6 +35,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import networkx as nx
 
@@ -101,24 +106,46 @@ def minimum_cut_cover(g) -> tuple[frozenset[int], frozenset[int], int]:
             frozenset(u for u in g.update_weight if ("u", u) not in source_side), value)
 
 
+def members_graph(g, group_of):
+    """`g` with one node per member update of its groups (`group_of` maps a
+    member's uid to its group's members): each member at its own cost, with
+    its group's edges."""
+    members = [(u, gid) for gid in g.update_weight for u in group_of[gid]]
+    return SimpleNamespace(update_weight={u.uid: u.ship_cost for u, _ in members},
+                           update_edges={u.uid: g.update_edges[gid] for u, gid in members},
+                           query_weight=g.query_weight)
+
+
 class SampledCovers:
     """Stands in for vcover's `min_weight_cover`, checking every
-    `COVER_STRIDE`-th call against `minimum_cut_cover`."""
+    `COVER_STRIDE`-th call against `minimum_cut_cover` of the graph as given
+    and of its `members_graph`. `group_of` is the running policy's."""
 
     def __init__(self):
         self.calls, self.checked, self.problems = 0, 0, []
+        self.group_nodes = self.member_updates = 0
+        self.group_of = {}
         self.real = vcover.min_weight_cover
 
     def __call__(self, g, prior=None):
         self.calls += 1
-        expect = minimum_cut_cover(g) if self.calls % COVER_STRIDE == 0 else None
+        sampled = self.calls % COVER_STRIDE == 0
+        if sampled:
+            ungrouped = members_graph(g, self.group_of)
+            expect, expect_members = minimum_cut_cover(g), minimum_cut_cover(ungrouped)
+            self.group_nodes += len(g.update_weight)
+            self.member_updates += len(ungrouped.update_weight)
         cover, flow = self.real(g, prior)
-        if expect is not None:
+        if sampled:
             self.checked += 1
             weight = (sum(g.query_weight[q] for q in cover.cover_queries)
                       + sum(g.update_weight[u] for u in cover.cover_updates))
+            members = frozenset(u.uid for gid in cover.cover_updates for u in self.group_of[gid])
             if (cover.cover_queries, cover.cover_updates, weight) != expect:
                 self.problems.append(f"cover {self.calls} differs from networkx's minimum cut")
+            if (cover.cover_queries, members, weight) != expect_members:
+                self.problems.append(f"cover {self.calls}, read as member updates, differs "
+                                     "from networkx's minimum cut of the ungrouped graph")
         return cover, flow
 
 
@@ -141,7 +168,14 @@ def main() -> int:
     print(f"{'FAIL' if failed else 'ok  '} trace (generator seed {SEED}): {got} "
           f"({time.perf_counter() - start:.2f} s)")
     covers = SampledCovers()
+    real_init = vcover.VCoverPolicy.__init__
+
+    def noting_init(policy, *args, **kwargs):
+        real_init(policy, *args, **kwargs)
+        covers.group_of = policy.group_of
+
     vcover.min_weight_cover = covers
+    vcover.VCoverPolicy.__init__ = noting_init
     try:
         for (policy, cache_frac, seed), want in GOLDEN.items():
             start = time.perf_counter()
@@ -157,7 +191,10 @@ def main() -> int:
                   f"{got} ({time.perf_counter() - start:.2f} s){detail}")
     finally:
         vcover.min_weight_cover = covers.real
-    print(f"{covers.checked} of {covers.calls} vcover covers checked against networkx")
+        vcover.VCoverPolicy.__init__ = real_init
+    print(f"{covers.checked} of {covers.calls} vcover covers checked against networkx, "
+          f"as given and read as member updates: {covers.group_nodes} group nodes for "
+          f"{covers.member_updates} member updates")
     if not covers.checked:
         print("FAIL no cover was checked")
         failed += 1

@@ -103,6 +103,82 @@ class TestMutations:
         check_flow(g, fs)   # still a valid (non-maximum) flow
 
 
+class TestSplitUpdate:
+    def test_split_keeps_the_edges_and_divides_the_flow(self):
+        # Update 1 (10) sends 4 to query 7 and 5 to query 8. Splitting 6 off
+        # to node 2 leaves node 1 at weight 4, so it keeps 4 of its 9; node 2
+        # takes the other 5, arc by arc in edge order.
+        g = build({1: 10}, {7: 4, 8: 5}, [(1, 7), (1, 8)])
+        _, fs = min_weight_cover(g)
+        assert fs.flow_uq == {7: {1: 4}, 8: {1: 5}}
+        g.split_update(fs, 1, 2, 6)
+        assert g.update_weight == {1: 4, 2: 6} and g.updates_added == 2
+        assert graph_edges(g) == {(1, 7), (1, 8), (2, 7), (2, 8)}
+        assert list(g.query_edges[7]) == [1, 2]
+        assert fs.flow_su == {1: 4, 2: 5}
+        assert fs.flow_uq == {7: {2: 4}, 8: {1: 4, 2: 1}}
+        assert fs.flow_qt == {7: 4, 8: 5}
+        check_flow(g, fs)
+
+    def test_a_split_within_the_kept_weight_moves_no_flow(self):
+        g = build({1: 10}, {7: 4}, [(1, 7)])
+        _, fs = min_weight_cover(g)
+        g.split_update(fs, 1, 2, 6)
+        assert fs.flow_su == {1: 4} and fs.flow_uq == {7: {1: 4}}
+        check_flow(g, fs)
+
+    def test_bad_splits_rejected(self):
+        g = build({1: 5, 2: 1}, {7: 4}, [(1, 7)])
+        fs = FlowState()
+        for uid, part, weight in ((3, 4, 1), (2, 4, 1), (1, 4, -1), (1, 4, 6), (1, 2, 1)):
+            with pytest.raises(GraphError):
+                g.split_update(fs, uid, part, weight)
+        assert g.update_weight == {1: 5, 2: 1}
+
+    def test_covers_after_splits_equal_whole_graph_covers(self):
+        # Adds, splits of nodes with and without flow, covers and prunes,
+        # interleaved. A split part counts as added, so a cover after a
+        # prune settled the flow must search its component: every cover must
+        # equal the from-scratch cover of the whole graph, every flow stay
+        # valid, and every cover stay minimum by brute force.
+        rng = random.Random(31)
+        splits = 0
+        for _ in range(300):
+            g = InteractionGraph()
+            fs = FlowState()
+            next_u, next_q = 0, 1000
+            for _ in range(rng.randint(3, 30)):
+                op = rng.random()
+                if op < 0.2 or not g.update_weight:
+                    g.add_update(next_u, rng.randint(0, 8))
+                    next_u += 1
+                elif op < 0.5 or not g.query_weight:
+                    g.add_query(next_q, rng.randint(0, 8))
+                    for u in list(g.update_weight):
+                        if rng.random() < 0.4:
+                            g.add_edge(u, next_q)
+                    next_q += 1
+                elif op < 0.75:
+                    uid = rng.choice(list(g.update_weight))
+                    if not g.update_edges[uid]:
+                        continue
+                    g.split_update(fs, uid, next_u, rng.randint(0, g.update_weight[uid]))
+                    splits += bool(fs.flow_su.get(next_u))
+                    next_u += 1
+                    check_flow(g, fs)
+                else:
+                    cover, fs = min_weight_cover(g, fs)
+                    assert cover == min_weight_cover(g, FlowState())[0]
+                    if len(g.update_weight) + len(g.query_weight) <= 12:
+                        assert cover_weight(g, cover) == brute_force_cover_weight(
+                            g.update_weight, g.query_weight, graph_edges(g))
+                    prune_remainder(g, cover, fs)
+                    check_flow(g, fs)
+            cover, fs = min_weight_cover(g, fs)
+            assert cover == min_weight_cover(g, FlowState())[0]
+        assert splits > 30   # splits that moved flow to the new part
+
+
 class TestMinWeightCover:
     def test_empty_graph(self):
         g = InteractionGraph()

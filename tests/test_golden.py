@@ -151,8 +151,8 @@ def test_evict_shape_drops_graph_updates(seed, monkeypatch):
     forget = vcover.VCoverPolicy._forget_object_updates
 
     def counting(self, oid):
-        drops.append(sum(u.uid in self.graph.update_weight
-                         for u in self.cache.outstanding.get(oid, ())))
+        on_graph = {u.uid for gid in self.graph.update_weight for u in self.group_of[gid]}
+        drops.append(sum(u.uid in on_graph for u in self.cache.outstanding.get(oid, ())))
         return forget(self, oid)
 
     monkeypatch.setattr(vcover.VCoverPolicy, "_forget_object_updates", counting)

@@ -117,10 +117,12 @@ class TestStateShape:
     def test_no_per_object_cost_counters(self, small_catalog):
         # the whole point of randomized attribution: the policy's only
         # load-manager state is the GDS bookkeeping and its random stream,
-        # nothing accumulates per-object shipping cost
+        # nothing accumulates per-object shipping cost (the rest is the update
+        # manager's graph, flow and twin-update groups)
         cache = make_cache(small_catalog, 40, [0, 1])
         policy = VCoverPolicy(cache)
-        assert set(vars(policy)) == {"cache", "rng", "graph", "flow", "gds"}
+        assert set(vars(policy)) == {"cache", "rng", "graph", "flow", "gds",
+                                     "groups", "group_of"}
         assert set(vars(policy.gds)) == {"inflation", "credit", "heap",
                                          "synced_cache", "synced_moves"}
         # the heap only indexes the credits: (credit, oid) pairs, with an

@@ -1,6 +1,7 @@
 import copy
 import random
 from itertools import count
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
@@ -11,9 +12,9 @@ from midcache.simharness import RunConfig, replay_decisions, run
 from midcache.vcover import VCoverPolicy
 from midcache.workload import GeneratorParams, generate
 from tests.conftest import GB, SEC, mk_query, mk_update
-from tests.oracles import (brute_force_canonical_cover, check_flow, cover_weight,
-                           enumerate_plan_costs, graph_edges, networkx_canonical_cover,
-                           reference_vcover_log)
+from tests.oracles import (ReferenceVCover, brute_force_canonical_cover, check_flow,
+                           cover_weight, enumerate_plan_costs, graph_edges,
+                           networkx_canonical_cover, reference_vcover_log)
 
 
 # Two or three bytes of cache, so loads evict objects whose updates are on
@@ -50,6 +51,11 @@ def policy_with_cache(catalog, capacity, resident=(), seed=0):
     cache = CacheState(capacity, catalog)
     cache.seed_resident(resident)
     return VCoverPolicy(cache, seed=seed), cache
+
+
+def graph_uids(policy) -> set[int]:
+    """Uids of the updates on the policy's graph, read through its groups."""
+    return {u.uid for gid in policy.graph.update_weight for u in policy.group_of[gid]}
 
 
 def drive(policy, cache, ev):
@@ -113,10 +119,10 @@ class TestUpdateManager:
         cache.receive_update(mk_update(6, 2, 0, 5))
         first = drive(policy, cache, mk_query(10, 3, {0}, 4))
         assert first == [ShipQuery(10)]
-        assert set(policy.graph.update_weight) == {1, 6}   # retained pressure
+        assert graph_uids(policy) == {1, 6}                # retained pressure
         second = drive(policy, cache, mk_query(11, 4, {0}, 4))
         assert second == [ShipUpdates((1, 6)), AnswerFromCache(11)]
-        assert not policy.graph.update_weight                # pruned after ship
+        assert not graph_uids(policy)                        # pruned after ship
         # offline enumeration for the same micro-trace: hindsight ships the
         # two updates up front for 6, the online run paid 4 + 6
         catalog = small_catalog
@@ -167,12 +173,12 @@ class TestGraphConsistency:
         policy, cache = policy_with_cache(small_catalog, 30, [0])
         cache.receive_update(mk_update(1, 1, 0, 9))
         drive(policy, cache, mk_query(2, 5, {0}, 4))   # ships query, retains u1
-        assert 1 in policy.graph.update_weight
+        assert 1 in graph_uids(policy)
         # a shipped query for a big missing object forces object 0 out
         q = mk_query(3, 6, {2}, 30 * 4)
         decisions = drive(policy, cache, q)
         assert Evict(0) in decisions and Load(2) in decisions
-        assert 1 not in policy.graph.update_weight
+        assert 1 not in graph_uids(policy)
 
     def test_evicting_an_object_without_a_queue_leaves_graph_and_flow(self, small_catalog):
         # object 1 is seeded (credit at inflation 0), object 0 is loaded by
@@ -208,7 +214,7 @@ class TestGraphConsistency:
                 objs = {rng.randrange(4)}
                 drive(policy, cache, mk_query(qid, t, objs, rng.randint(1, 12)))
             live = {u.uid for o in cache.resident for u in cache.outstanding.get(o, ())}
-            assert set(policy.graph.update_weight) <= live
+            assert graph_uids(policy) <= live
             check_flow(policy.graph, policy.flow)   # repair kept flow valid
 
 
@@ -349,7 +355,7 @@ class TestCanonicalCover:
         forget = vc.VCoverPolicy._forget_object_updates
 
         def noting_forget(self, oid):
-            if any(u.uid in self.graph.update_weight for u in self.cache.outstanding.get(oid, ())):
+            if oid in self.groups:
                 event("evicts an object with updates on the graph")
             return forget(self, oid)
 
@@ -387,6 +393,179 @@ class TestCanonicalCover:
         assert len(checked) >= 20
 
 
+def ungrouped(policy, g) -> SimpleNamespace:
+    """`g` with each group of the policy read as its members: one node per
+    member at its own cost, with the group's edges."""
+    members = [(u, gid) for gid in g.update_weight for u in policy.group_of[gid]]
+    return SimpleNamespace(update_weight={u.uid: u.ship_cost for u, _ in members},
+                           update_edges={u.uid: set(g.update_edges[gid]) for u, gid in members},
+                           query_weight=g.query_weight)
+
+
+def check_groups(policy, cache) -> None:
+    """The groups are the graph's update nodes, each named by its oldest
+    member and weighing its members' costs, all of zero or all of positive
+    cost; their members are outstanding updates of the group's object, in
+    queue order, and `group_of` maps exactly the members to their groups."""
+    graph = policy.graph
+    by_gid = {gid: members for groups in policy.groups.values()
+              for gid, members in groups.items()}
+    assert by_gid.keys() == graph.update_weight.keys()
+    assert all(groups for groups in policy.groups.values())
+    for oid, groups in policy.groups.items():
+        queue = cache.outstanding[oid]
+        for gid, members in groups.items():
+            assert gid == members[0].uid
+            assert graph.update_weight[gid] == sum(u.ship_cost for u in members)
+            assert len({u.ship_cost > 0 for u in members}) == 1
+            assert all(u.object == oid for u in members)
+            positions = [queue.index(u) for u in members]
+            assert positions == sorted(positions)
+    assert policy.group_of == {u.uid: members for members in by_gid.values() for u in members}
+    assert all(policy.group_of[u.uid] is members for members in by_gid.values() for u in members)
+
+
+class TestTwinGroups:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_groups_are_twins_and_covers_expand_to_the_ungrouped_cover(self, data):
+        # vcover and ReferenceVCover, which keeps one node per update, are
+        # driven side by side on small drawn traces with up to six objects.
+        # At every cover no group mixes zero and positive cost, and the cover
+        # read as member uids is networkx's canonical cover of the graph with
+        # one node per member. After every event both give the same
+        # decisions, the groups are consistent, the flow is valid, and each
+        # member's neighbours in the reference's graph are its group's: all
+        # members of a group share one neighbour set.
+        import midcache.vcover as vc
+        from midcache.covergraph import InteractionGraph, min_weight_cover as real_mwc
+
+        catalog, events = draw_small_trace(data, 6, load_costs=True)
+        seed = data.draw(st.integers(0, 3))
+        capacity = RunConfig(policy="vcover", seed=seed,
+                             **data.draw(SMALL_CACHES)).capacity(catalog)
+        cache = CacheState(capacity, catalog)
+        policy = VCoverPolicy(cache, seed=seed)
+        reference = ReferenceVCover(catalog, capacity, seed)
+        seen = set()
+
+        def checked_cover(g, prior=None):
+            for gid in g.update_weight:
+                assert len({u.ship_cost > 0 for u in policy.group_of[gid]}) == 1
+            if any(len(policy.group_of[gid]) > 1 for gid in g.update_weight):
+                seen.add("a cover with a group of two or more")
+            expect = networkx_canonical_cover(ungrouped(policy, g))
+            cover, fs = real_mwc(g, prior)
+            members = {u.uid for gid in cover.cover_updates for u in policy.group_of[gid]}
+            assert (cover.cover_queries, members) == expect
+            return cover, fs
+
+        split = InteractionGraph.split_update
+
+        def noting_split(g, fs, uid, part, weight):
+            seen.add("a split" + (" of a node with flow" if fs.flow_su.get(uid) else ""))
+            return split(g, fs, uid, part, weight)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(vc, "min_weight_cover", checked_cover)
+            mp.setattr(InteractionGraph, "split_update", noting_split)
+            for ev in events:
+                had_groups = set(policy.groups)
+                decisions = drive(policy, cache, ev)
+                assert decisions == reference.step(ev)
+                if any(type(d) is Evict and d.oid in had_groups for d in decisions):
+                    seen.add("an eviction of an object with groups")
+                check_groups(policy, cache)
+                check_flow(policy.graph, policy.flow)
+                expanded = ungrouped(policy, policy.graph)
+                assert expanded.update_weight == reference.update_weight
+                assert expanded.update_edges == reference.update_edges
+                assert policy.graph.query_weight == reference.query_weight
+        for note in sorted(seen):
+            event(note)
+
+    def test_high_tolerance_query_splits_a_group(self, small_catalog):
+        # Query 4 ships (5 < 12) and leaves group 1 = updates 1, 2, 3 on the
+        # graph, sending it 5 of flow. Query 5's cutoff of 2 takes updates 1
+        # and 2 only, so group 1 splits: it keeps updates 1 and 2 at weight
+        # 2, and update 3 becomes group 3 at weight 10, with query 4's edge
+        # too. Group 1 keeps the 2 of flow that fits, group 3 takes 3. The
+        # cover {group 1, query 4} (7) beats {query 4, query 5} (8), so
+        # updates 1 and 2 ship and group 3 stays against query 4.
+        import midcache.vcover as vc
+        from midcache.covergraph import min_weight_cover as real_mwc
+
+        policy, cache = policy_with_cache(small_catalog, 100, [0])
+        for uid, cost in ((1, 1), (2, 1), (3, 10)):
+            drive(policy, cache, mk_update(uid, uid, 0, cost))
+        assert drive(policy, cache, mk_query(4, 4, {0}, 5)) == [ShipQuery(4)]
+        assert policy.graph.update_weight == {1: 12}
+        assert policy.flow.flow_su == {1: 5}
+        before_cover = []
+
+        def noting_cover(g, prior=None):
+            check_flow(g, prior)
+            before_cover.append((dict(g.update_weight), graph_edges(g), dict(prior.flow_su),
+                                 {q: dict(i) for q, i in prior.flow_uq.items()}))
+            return real_mwc(g, prior)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(vc, "min_weight_cover", noting_cover)
+            decisions = drive(policy, cache, mk_query(5, 5, {0}, 3, tol=3))
+        assert before_cover == [({1: 2, 3: 10}, {(1, 4), (1, 5), (3, 4)}, {1: 2, 3: 3},
+                                 {4: {1: 2, 3: 3}})]
+        assert decisions == [ShipUpdates((1, 2)), AnswerFromCache(5)]
+        assert policy.groups == {0: {3: [mk_update(3, 3, 0, 10)]}}
+        assert graph_uids(policy) == {3}
+        assert graph_edges(policy.graph) == {(3, 4)}
+        check_groups(policy, cache)
+        check_flow(policy.graph, policy.flow)
+
+    def test_eviction_while_the_objects_groups_hold_flow(self, small_catalog):
+        # Group 1 (updates 1 and 2 of object 0, weight 11) and group 3
+        # (update 3 of object 1, weight 2) both neighbour shipped query 4 (5
+        # B), whose whole inflow comes through group 1. Loading the 30 B
+        # object 2 evicts objects 0 and 1; both objects' groups go, and
+        # query 4 loses its inflow.
+        policy, cache = policy_with_cache(small_catalog, 40, [0, 1])
+        for ev in (mk_update(1, 1, 0, 5), mk_update(2, 2, 0, 6), mk_update(3, 3, 1, 2)):
+            drive(policy, cache, ev)
+        assert drive(policy, cache, mk_query(4, 4, {0, 1}, 5)) == [ShipQuery(4)]
+        assert policy.graph.update_weight == {1: 11, 3: 2}
+        assert policy.flow.flow_su == {1: 5} and policy.flow.flow_qt == {4: 5}
+        decisions = drive(policy, cache, mk_query(5, 5, {2}, 30))
+        assert decisions[0] == ShipQuery(5) and Load(2) in decisions
+        assert {Evict(0), Evict(1)} <= set(decisions)
+        assert not policy.groups and not policy.group_of
+        assert policy.graph.update_weight == {} and policy.graph.query_weight == {4: 5}
+        assert policy.flow.flow_qt.get(4, 0) == 0 and 4 in policy.flow.touched
+        check_flow(policy.graph, policy.flow)
+
+    def test_update_a_prune_dropped_unshipped_is_added_back(self, small_catalog):
+        # Query 5 (10) ships against group 1 (update 1, object 0, weight 6)
+        # and group 2 (updates 2 and 3, object 1, weight 6). Query 6 (7)
+        # joins on object 0 only; the cover {group 1, group 2} (12) beats
+        # {query 5, query 6} (17), so update 1 ships for query 6, and group
+        # 2 leaves the graph unshipped, still queued. Query 8 on object 1
+        # then adds updates 2 and 3 back, with the new update 7, as one new
+        # group 2 of weight 8, and ships itself (3 < 8).
+        policy, cache = policy_with_cache(small_catalog, 100, [0, 1])
+        for ev in (mk_update(1, 1, 0, 6), mk_update(2, 2, 1, 3), mk_update(3, 3, 1, 3)):
+            drive(policy, cache, ev)
+        assert drive(policy, cache, mk_query(5, 5, {0, 1}, 10)) == [ShipQuery(5)]
+        assert policy.graph.update_weight == {1: 6, 2: 6}
+        assert drive(policy, cache, mk_query(6, 6, {0}, 7)) == \
+            [ShipUpdates((1,)), AnswerFromCache(6)]
+        assert not graph_uids(policy) and not policy.graph.query_weight
+        assert [u.uid for u in cache.outstanding[1]] == [2, 3]
+        drive(policy, cache, mk_update(7, 7, 1, 2))
+        assert drive(policy, cache, mk_query(8, 8, {1}, 3)) == [ShipQuery(8)]
+        assert policy.graph.update_weight == {2: 8}
+        assert [u.uid for u in policy.group_of[2]] == [2, 3, 7]
+        assert graph_edges(policy.graph) == {(2, 8)}
+        check_groups(policy, cache)
+
+
 class TestReferenceVCover:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -403,7 +582,7 @@ class TestReferenceVCover:
         forget = vc.VCoverPolicy._forget_object_updates
 
         def noting_forget(self, oid):
-            if any(u.uid in self.graph.update_weight for u in self.cache.outstanding.get(oid, ())):
+            if oid in self.groups:
                 event("evicts an object with updates on the graph")
             return forget(self, oid)
 
