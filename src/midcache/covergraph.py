@@ -22,7 +22,8 @@ Removing a query keeps its component settled: each update that fed it gains
 source-arc slack, so every node left stays reachable and every other query
 keeps its inflow. The next cover searches only the changed components; every
 other component is still settled, so its queries are covered and its updates
-are not. Any other mark makes the next cover treat the whole graph.
+are not. Any other mark makes the next cover treat the whole graph. `quiet`
+tells a caller whether the flow is settled with neither kind of change since.
 
 An update node may stand for a group of twin updates, as in `vcover`: updates
 of one object with the same neighbour set, all of zero cost or all of
@@ -215,6 +216,15 @@ class InteractionGraph:
 
 def _marks(g: InteractionGraph) -> tuple:
     return g, g.updates_added, g.queries_added
+
+
+def quiet(g: InteractionGraph, fs: FlowState) -> bool:
+    """Whether `fs` is settled on `g` with nothing changed since: no node
+    added and no query touched. The components of nodes added now form the
+    next cover's whole scope, and every other component keeps its cover: its
+    queries covered, its updates not."""
+    mark = fs.mark
+    return mark is not None and mark[1] is None and mark[0] == _marks(g) and not fs.touched
 
 
 def _scope(g: InteractionGraph, fs: FlowState):

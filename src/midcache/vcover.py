@@ -29,6 +29,18 @@ A query left uncovered ships the members of its groups, listed in (object
 id, arrival) order as `interacting_updates` returns them. A covered group
 leaves the graph with all its members, and an eviction drops the object's
 groups.
+
+A query whose interacting updates are all off the graph would join as a
+*star*: itself and its new groups, a component of their own. When the flow
+is `quiet` (settled, nothing added or touched since) that star is the
+cover's whole scope, and when its updates cost no more than the query the
+answer is known without the kernel: each update node is saturated, so none
+is source-reachable and all are covered, and the query is not reached, so
+it is not (a tie goes to the updates, as the canonical cover prefers). The
+prune would then take the whole star away again, leaving the graph, the
+flow and the group records as they were but for the add counters and
+`augmentations`, which no decision reads. So such a query ships its updates
+and is answered at once, and the graph is left untouched.
 """
 
 from __future__ import annotations
@@ -40,7 +52,8 @@ from operator import attrgetter
 from .core import (AnswerFromCache, CacheState, Decision, Evict, ObjectId, Query,
                    ShipQuery, ShipUpdates, Update, interacting_updates)
 from . import loadmgr
-from .covergraph import FlowState, InteractionGraph, min_weight_cover, prune_remainder
+from .covergraph import (FlowState, InteractionGraph, min_weight_cover, prune_remainder,
+                         quiet)
 
 _time, _cost, _uid = attrgetter("time"), attrgetter("ship_cost"), attrgetter("uid")
 
@@ -81,14 +94,16 @@ class VCoverPolicy:
         `on_query` calls it only when every object of `q` is resident, and
         the caller keeps `CacheState`'s decision-application contract. So
         when no object of `q` has an update queue, the cache answers at
-        once, without gathering interacting updates."""
+        once, without gathering interacting updates. A star whose updates
+        cost no more than `q`, met on a quiet flow, ships its updates without
+        joining the graph: the cover and prune would take exactly that
+        decision and leave the graph as it was (see the module docstring)."""
         if self.cache.outstanding.keys().isdisjoint(q.objects):
             return [AnswerFromCache(q.qid)]
         ius = interacting_updates(q, self.cache, q.time)
         if not ius:
             return [AnswerFromCache(q.qid)]
         graph, group_of, qid = self.graph, self.group_of, q.qid
-        graph.add_query(qid, q.ship_cost)
         joined: dict[int, list[Update]] = {}   # node id -> members, for q's edges
         fresh: dict[tuple[ObjectId, bool], list[Update]] = {}
         for u in ius:
@@ -98,6 +113,9 @@ class VCoverPolicy:
                 fresh[key].append(u)
             else:
                 fresh[key] = [u]
+        if not joined and quiet(graph, self.flow) and sum(map(_cost, ius)) <= q.ship_cost:
+            return [ShipUpdates(tuple(map(_uid, ius))), AnswerFromCache(qid)]
+        graph.add_query(qid, q.ship_cost)
         cutoff = q.time - q.tolerance
         for members in joined.values():
             if members[-1].time > cutoff:   # the newer members become a group of their own

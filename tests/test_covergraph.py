@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from midcache.covergraph import (CoverResult, FlowState, GraphError, InteractionGraph,
-                                 _search, min_weight_cover, prune_remainder,
-                                 source_reachable)
+                                 _scope, _search, min_weight_cover, prune_remainder,
+                                 quiet, source_reachable)
 from tests.oracles import (brute_force_cover_weight, check_cover, check_flow,
                            cover_weight, flow_value, graph_edges, residual_reachable)
 
@@ -346,6 +346,8 @@ class TestScopedCover:
                                          | {("q", q) for q in g.query_weight})
                         assert source_reachable(g, fs) == reach
                         assert all(fs.flow_qt.get(q, 0) == w for q, w in g.query_weight.items())
+                        if quiet(g, fs):
+                            assert _scope(g, fs) == (set(), set())
             cover, fs = min_weight_cover(g, fs)
             assert cover == min_weight_cover(g, FlowState())[0]
 
@@ -354,6 +356,41 @@ class TestScopedCover:
         fs = FlowState()
         cover, out = min_weight_cover(g, fs)
         assert out is fs and flow_value(fs) == 3
+
+
+class TestQuiet:
+    @staticmethod
+    def settled():
+        # Query 10 (3) is covered against update 1 (5) and stays with it.
+        g = build({1: 5}, {10: 3}, [(1, 10)])
+        cover, fs = min_weight_cover(g)
+        assert not quiet(g, fs)
+        prune_remainder(g, cover, fs)
+        assert quiet(g, fs) and set(g.query_weight) == {10}
+        return g, fs
+
+    def test_a_flow_never_covered_is_not_quiet(self):
+        assert not quiet(InteractionGraph(), FlowState())
+
+    def test_an_added_node_ends_it(self):
+        g, fs = self.settled()
+        g.add_update(2, 1)
+        assert not quiet(g, fs)
+        g, fs = self.settled()
+        g.add_query(11, 1)
+        assert not quiet(g, fs)
+
+    def test_a_touched_query_ends_it_and_a_removed_query_does_not(self):
+        g, fs = self.settled()
+        g.remove_nodes(fs, drop_queries={10})
+        assert quiet(g, fs)
+        g, fs = self.settled()
+        g.remove_nodes(fs, drop_updates={1})
+        assert fs.touched == {10} and not quiet(g, fs)
+
+    def test_settled_on_another_graph_is_not_quiet(self):
+        _, fs = self.settled()
+        assert not quiet(build({1: 5}, {10: 3}, [(1, 10)]), fs)
 
 
 class TestLazySeeding:

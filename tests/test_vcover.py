@@ -6,8 +6,9 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from midcache.core import (AnswerFromCache, CacheState, Evict, Load,
-                           ObjectCatalog, ShipQuery, ShipUpdates, apply)
+from midcache.core import (AnswerFromCache, CacheState, Evict, Load, ObjectCatalog,
+                           ShipQuery, ShipUpdates, apply, interacting_updates)
+from midcache.covergraph import quiet
 from midcache.simharness import RunConfig, replay_decisions, run
 from midcache.vcover import VCoverPolicy
 from midcache.workload import GeneratorParams, generate
@@ -22,11 +23,12 @@ from tests.oracles import (ReferenceVCover, brute_force_canonical_cover, check_f
 SMALL_CACHES = st.sampled_from([{"cache_bytes": 2}, {"cache_bytes": 3}, {"cache_frac": 1.0}])
 
 
-def draw_small_trace(data, max_objects, load_costs=False):
+def draw_small_trace(data, max_objects, load_costs=False, query_costs=(0, 1, 3, 8)):
     """A catalog of 1 to `max_objects` objects of one or two bytes (load
     costs of 1 to 4 bytes when `load_costs`, else the sizes) and a trace of
     10 to 40 events on it, with timestamp ties, zero costs and tolerances
-    that put an update exactly on a query's boundary."""
+    that put an update exactly on a query's boundary. Updates cost 0, 3 or 8
+    bytes, queries one of `query_costs`."""
     n_objects = data.draw(st.integers(1, max_objects), label="objects")
     sizes = {o: data.draw(st.integers(1, 2)) for o in range(n_objects)}
     catalog = ObjectCatalog.from_sizes(
@@ -38,7 +40,7 @@ def draw_small_trace(data, max_objects, load_costs=False):
         if data.draw(st.booleans()):
             tol = data.draw(st.sampled_from([0] + sorted({time - t for t in update_times})))
             objects = data.draw(st.sets(oid, min_size=1, max_size=2))
-            cost = data.draw(st.sampled_from([0, 1, 3, 8]))
+            cost = data.draw(st.sampled_from(query_costs))
             events.append(mk_query(eid, time, objects, cost, tol=tol))
         else:
             cost = data.draw(st.sampled_from([0, 3, 8]))
@@ -370,8 +372,9 @@ class TestCanonicalCover:
         event(f"covers checked: {min(len(checked), 5)}{'+' if len(checked) >= 5 else ''}")
 
     def test_sampled_covers_match_networkx(self, monkeypatch):
-        # Every 20th cover of a run on the 20k-event default trace (438
-        # covers, graphs up to about 1,400 updates and 55 queries) against
+        # Every 3rd cover of a run on the 20k-event default trace (77 covers,
+        # since most joins there are stars that vcover answers without one;
+        # graphs up to 57 update nodes and 54 queries) against
         # the canonical cover read off networkx's preflow-push residual
         # network, an oracle that shares no code with `covergraph`.
         import midcache.vcover as vc
@@ -380,7 +383,7 @@ class TestCanonicalCover:
         calls, checked = count(1), []
 
         def sampled_cover(g, prior=None):
-            expect = networkx_canonical_cover(g) if next(calls) % 20 == 0 else None
+            expect = networkx_canonical_cover(g) if next(calls) % 3 == 0 else None
             cover, fs = real_mwc(g, prior)
             if expect is not None:
                 assert (cover.cover_queries, cover.cover_updates) == expect
@@ -564,6 +567,155 @@ class TestTwinGroups:
         assert [u.uid for u in policy.group_of[2]] == [2, 3, 7]
         assert graph_edges(policy.graph) == {(2, 8)}
         check_groups(policy, cache)
+
+
+def graph_and_flow(policy) -> tuple:
+    """The policy's graph and flow as ordered lists, group records included:
+    dict order fixes the kernel's search order, so it must hold too."""
+    g, fs = policy.graph, policy.flow
+    return ([list(d.items()) for d in (g.update_weight, g.query_weight)],
+            [[(k, list(v)) for k, v in d.items()] for d in (g.update_edges, g.query_edges)],
+            [list(fs.flow_su.items()), list(fs.flow_qt.items()),
+             [(q, list(i.items())) for q, i in fs.flow_uq.items()]],
+            [(oid, [(gid, [u.uid for u in m]) for gid, m in groups.items()])
+             for oid, groups in policy.groups.items()],
+            sorted((uid, m[0].uid) for uid, m in policy.group_of.items()))
+
+
+class TestStarAnswer:
+    """A query whose interacting updates are all off the graph, met on a
+    quiet flow, whose updates cost no more than it: vcover ships the updates
+    without calling the cover kernel and leaves the graph as it was."""
+
+    @staticmethod
+    def counting_kernel(mp) -> list:
+        """Route vcover's covers through a wrapper that notes, per call, the
+        newest query on the graph and the queries the flow holds touched."""
+        import midcache.vcover as vc
+
+        real, calls = vc.min_weight_cover, []
+
+        def counted(g, prior=None):
+            calls.append((max(g.query_weight), set(prior.touched)))
+            return real(g, prior)
+
+        mp.setattr(vc, "min_weight_cover", counted)
+        return calls
+
+    # (object, cost) of each update, and the query's cost: a tie, zero-cost
+    # updates against a query of cost 0, a zero-cost and a positive update of
+    # one object (two groups), and updates cheaper than the query.
+    @pytest.mark.parametrize("updates, cost", [
+        (((0, 4), (1, 4)), 8), (((0, 0), (1, 0)), 0), (((0, 0), (0, 5)), 5),
+        (((0, 2), (1, 3)), 9)])
+    def test_a_star_on_a_quiet_flow_skips_the_kernel(self, small_catalog, updates, cost):
+        import midcache.vcover as vc
+
+        events = [mk_update(1, 1, 0, 3), mk_query(2, 2, {0}, 8),
+                  *(mk_update(uid, uid, oid, c) for uid, (oid, c) in enumerate(updates, 3)),
+                  mk_query(9, 9, {0, 1}, cost)]
+        expect = [ShipUpdates(tuple(range(3, 3 + len(updates)))), AnswerFromCache(9)]
+        logs = []
+        for shortcut in (True, False):
+            policy, cache = policy_with_cache(small_catalog, 100, [0, 1])
+            with pytest.MonkeyPatch.context() as mp:
+                calls = self.counting_kernel(mp)
+                if not shortcut:
+                    mp.setattr(vc, "quiet", lambda g, fs: False)
+                logs.append([drive(policy, cache, ev) for ev in events[:-1]])
+                before = graph_and_flow(policy)
+                assert quiet(policy.graph, policy.flow)
+                logs[-1].append(drive(policy, cache, events[-1]))
+            assert logs[-1][-1] == expect
+            assert [q for q, _ in calls] == ([2] if shortcut else [2, 9])
+            assert graph_and_flow(policy) == before
+            assert quiet(policy.graph, policy.flow)
+        assert logs[0] == logs[1]
+
+    def test_a_touched_flow_reaches_the_kernel(self, monkeypatch):
+        # As in test_eviction_reopens_a_settled_component: loading object 3
+        # evicts object 0, so query 4 loses update 2 and the flow holds it
+        # touched. Query 7 then meets a star whose update 5 (5 B) costs less
+        # than it, on a settled flow with nothing added since; only the
+        # touched query keeps it from the shortcut, and its cover revisits
+        # query 4's component.
+        catalog = ObjectCatalog.from_sizes({0: 10, 1: 10, 2: 10, 3: 10})
+        events = [mk_query(1, 1, {0, 1, 2}, 100), mk_update(2, 2, 0, 3),
+                  mk_update(3, 3, 1, 3), mk_query(4, 4, {0, 1}, 4),
+                  mk_update(5, 5, 2, 5), mk_query(6, 6, {3}, 100),
+                  mk_query(7, 7, {2}, 10)]
+        calls = self.counting_kernel(monkeypatch)
+        report = run(events, catalog, RunConfig(policy="vcover", seed=0, cache_bytes=30))
+        assert (6, Evict(0)) in report.decision_log
+        assert report.decision_log[-2:] == [(7, ShipUpdates((5,))), (7, AnswerFromCache(7))]
+        assert calls == [(4, set()), (7, {4})]
+
+    def test_a_star_with_a_group_on_the_graph_reaches_the_kernel(self, small_catalog,
+                                                                 monkeypatch):
+        # Query 2 ships (1 < 5) and leaves update 1 on the graph as a group.
+        # Query 4's updates, 1 and the fresh 3, cost 6 against its 100, on a
+        # quiet flow; update 1's group sends it to the kernel all the same.
+        calls = self.counting_kernel(monkeypatch)
+        policy, cache = policy_with_cache(small_catalog, 100, [0, 1])
+        drive(policy, cache, mk_update(1, 1, 0, 5))
+        assert drive(policy, cache, mk_query(2, 2, {0}, 1)) == [ShipQuery(2)]
+        drive(policy, cache, mk_update(3, 3, 1, 1))
+        assert quiet(policy.graph, policy.flow) and 1 in policy.group_of
+        assert drive(policy, cache, mk_query(4, 4, {0, 1}, 100)) == \
+            [ShipUpdates((1, 3)), AnswerFromCache(4)]
+        assert [q for q, _ in calls] == [2, 4]
+        assert not policy.graph.update_weight and not policy.group_of
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_each_star_answer_is_the_kernels(self, data):
+        # Small drawn traces, as TestTwinGroups draws them but with dearer
+        # queries (ties included) and room for every object, so about half
+        # the examples meet a star answer; stars after an eviction are
+        # test_a_touched_flow_reaches_the_kernel's. Each time vcover answers
+        # a query without a cover, the star is joined to a deep copy
+        # of the graph and flow it held before: the kernel's cover there must
+        # cover exactly the star's updates and not the query, and the prune
+        # must leave the graph, the flow and their order as vcover left them.
+        from midcache.covergraph import min_weight_cover, prune_remainder
+
+        catalog, events = draw_small_trace(data, 6, load_costs=True,
+                                           query_costs=(0, 3, 8, 24))
+        seed = data.draw(st.integers(0, 3))
+        config = RunConfig(policy="vcover", seed=seed, cache_frac=1.0)
+        cache = CacheState(config.capacity(catalog), catalog)
+        policy = VCoverPolicy(cache, seed=seed)
+        answered = 0
+        with pytest.MonkeyPatch.context() as mp:
+            calls = self.counting_kernel(mp)
+            for ev in events:
+                shadow = copy.deepcopy((policy.graph, policy.flow))
+                ius = ([] if hasattr(ev, "uid") or not ev.objects <= cache.resident
+                       else interacting_updates(ev, cache, ev.time))
+                made = len(calls)
+                decisions = drive(policy, cache, ev)
+                if not ius or len(calls) > made or type(decisions[0]) is not ShipUpdates:
+                    continue
+                answered += 1
+                g, fs = shadow
+                g.add_query(ev.qid, ev.ship_cost)
+                star: dict[tuple, list] = {}
+                for u in ius:
+                    star.setdefault((u.object, u.ship_cost > 0), []).append(u)
+                for members in star.values():
+                    g.add_update(members[0].uid, sum(u.ship_cost for u in members))
+                    g.add_edge(members[0].uid, ev.qid)
+                cover, fs = min_weight_cover(g, fs)
+                assert ev.qid not in cover.cover_queries
+                assert cover.cover_updates == {m[0].uid for m in star.values()}
+                assert decisions == [ShipUpdates(tuple(u.uid for u in ius)),
+                                     AnswerFromCache(ev.qid)]
+                prune_remainder(g, cover, fs)
+                shadow_policy = SimpleNamespace(graph=g, flow=fs, groups=policy.groups,
+                                                group_of=policy.group_of)
+                assert graph_and_flow(shadow_policy) == graph_and_flow(policy)
+                assert quiet(g, fs) and quiet(policy.graph, policy.flow)
+        event(f"star answers: {min(answered, 3)}{'+' if answered >= 3 else ''}")
 
 
 class TestReferenceVCover:
