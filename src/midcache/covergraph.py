@@ -8,22 +8,20 @@ out of residual reachability from the source.
 
 The flow lives in a `FlowState` that `min_weight_cover` mutates in place.
 `remove_nodes` and `prune_remainder` require it too: every graph edit
-repairs the flow. The flow's `mark` holds its place in the cycle of a cover
-and the prune after it: a cover marks it with the graph's marks (the graph
-and its add counts) and the cover, which `remove_nodes` clears. A prune
-handed that very cover on the unchanged graph *settles* the flow, keeping the
+repairs the flow. A graph is edited only by adds and removals. The flow's
+`mark` holds its place in the cycle of a cover and the prune after it: a
+cover marks it with the graph's marks (the graph and its add counts) and the
+cover, and every removal clears it. A prune handed that very cover on the
+unchanged graph *settles* the flow after its own removal, keeping the
 graph's marks alone: every node left is source-reachable in the residual
 network and every remaining query is saturated. (A prune drops only nodes
 outside the reachable side, and no flow crosses that cut, so the flow stays
-maximum.) Until the next cover only two kinds of component can change: those
-holding nodes added since, and those holding a query that lost an update
-through `remove_nodes(fs, ...)`, which the flow records in `touched`.
-Removing a query keeps its component settled: each update that fed it gains
-source-arc slack, so every node left stays reachable and every other query
-keeps its inflow. The next cover searches only the changed components; every
-other component is still settled, so its queries are covered and its updates
-are not. Any other mark makes the next cover treat the whole graph. `quiet`
-tells a caller whether the flow is settled with neither kind of change since.
+maximum.) A settled flow stays settled only while nodes are added, as any
+other removal clears its mark, so the next cover searches only the
+components holding the nodes added since; every other component is still
+settled, so its queries are covered and its updates are not. Any other mark
+makes the next cover treat the whole graph. `quiet` tells a caller whether the flow is
+settled with nothing added since.
 
 An update node may stand for a group of twin updates, as in `vcover`: updates
 of one object with the same neighbour set, all of zero cost or all of
@@ -32,9 +30,8 @@ members' summed cost. Positive-weight twins are all source-reachable in the
 residual network or none are, and a zero-weight node never is, so the
 canonical cover of the grouped graph, each node read as its members, is that
 of the graph with one node per update; a zero-cost update sharing a node with
-positive-cost ones would break this. `split_update` splits a node whose
-members a query's cutoff cuts in two: the new part is added with every old
-edge, so it puts their component in the next cover's scope.
+positive-cost ones would break this. A caller divides a node by removing it
+and adding its parts back, each with every old edge.
 """
 
 from __future__ import annotations
@@ -53,9 +50,9 @@ class FlowState:
     """Arc flows for the derived network, reusable across cover computations.
 
     `augmentations` counts augmenting paths found so far; it only ever grows
-    and exists to measure how much incremental reuse saves. The remaining
-    fields bound the next cover's work (see the module docstring) and take
-    no part in comparisons.
+    and exists to measure how much incremental reuse saves. `mark` bounds
+    the next cover's work (see the module docstring) and takes no part in
+    comparisons.
     """
 
     flow_su: dict[int, int] = field(default_factory=dict)             # source -> update
@@ -66,10 +63,8 @@ class FlowState:
     augmentations: int = 0
     # ((graph, updates_added, queries_added), cover) from a cover until
     # remove_nodes; (that graph's marks, None) once the prune of that cover
-    # settles the flow; None before any cover and after a cleared one.
+    # settles the flow; None before any cover and after any other removal.
     mark: tuple | None = field(default=None, compare=False, repr=False)
-    # Queries that lost an update to remove_nodes since the flow settled.
-    touched: set[int] = field(default_factory=set, compare=False, repr=False)
 
     def copy(self) -> "FlowState":
         """The arc flows alone: a copy is unsettled, so its first cover
@@ -131,44 +126,6 @@ class InteractionGraph:
         self.update_edges[uid][qid] = None
         self.query_edges[qid][uid] = None
 
-    def split_update(self, fs: FlowState, uid: int, part: int, weight: int) -> None:
-        """Move `weight` of update node `uid`'s weight to a new update node
-        `part` that gets every edge of `uid`. The flow `fs` (required) is
-        divided so each node stays within its weight: `uid` keeps all it can,
-        and `part` takes the rest, arc by arc in edge order. Any such division
-        is a valid flow of the same value, and `part` counts as added, so the
-        next cover searches their component. `uid` must have an edge: a node
-        alone is a component of its own, which `part` would not reach.
-        """
-        if not self.update_edges.get(uid):
-            raise GraphError(f"split of update node {uid}: node missing or without edges")
-        keep = self.update_weight[uid] - weight
-        if weight < 0 or keep < 0:
-            raise GraphError(f"split of update node {uid}: weight {weight} out of range")
-        self.add_update(part, weight)
-        self.update_weight[uid] = keep
-        edges = self.update_edges[uid]
-        self.update_edges[part] = dict(edges)
-        for qid in edges:
-            self.query_edges[qid][part] = None
-        excess = fs.flow_su.get(uid, 0) - keep
-        if excess <= 0:
-            return
-        fs.flow_su[uid], fs.flow_su[part] = keep, excess
-        for qid in edges:
-            inflow = fs.flow_uq.get(qid)
-            f = inflow.get(uid, 0) if inflow else 0
-            if f:
-                moved = min(f, excess)
-                inflow[part] = moved
-                if moved == f:
-                    del inflow[uid]
-                else:
-                    inflow[uid] = f - moved
-                excess -= moved
-                if not excess:
-                    return
-
     @property
     def n_edges(self) -> int:
         """Edge count, for the benchmark's traced layer table."""
@@ -180,21 +137,18 @@ class InteractionGraph:
         """Delete nodes plus incident edges, repairing the flow `fs` (required)
         so what remains is still a valid (not necessarily maximum) flow:
         inflow lost by a surviving query comes off its sink arc, outflow lost
-        by a surviving update comes off its source arc. The flow records each
-        surviving query that lost an update, whose component the next cover
-        must revisit; a removed query leaves its component settled (see the
-        module docstring). A cover's mark is cleared, a settled one kept. Ids
-        not on the graph are skipped.
+        by a surviving update comes off its source arc. The flow's mark is
+        cleared, so the next cover treats the whole graph unless a prune
+        settles the flow again (see the module docstring). Ids not on the
+        graph are skipped.
         """
-        if fs.mark is not None and fs.mark[1] is not None:
-            fs.mark = None
+        fs.mark = None
         for uid in drop_updates:
             if uid not in self.update_weight:
                 continue
             qids = self.update_edges.pop(uid)
             for qid in qids:
                 del self.query_edges[qid][uid]
-                fs.touched.add(qid)
                 f = fs.flow_uq.get(qid, {}).pop(uid, 0)
                 if f and qid not in drop_queries:
                     fs.flow_qt[qid] = fs.flow_qt.get(qid, 0) - f
@@ -219,12 +173,12 @@ def _marks(g: InteractionGraph) -> tuple:
 
 
 def quiet(g: InteractionGraph, fs: FlowState) -> bool:
-    """Whether `fs` is settled on `g` with nothing changed since: no node
-    added and no query touched. The components of nodes added now form the
-    next cover's whole scope, and every other component keeps its cover: its
-    queries covered, its updates not."""
+    """Whether `fs` is settled on `g` with no node added since. The
+    components of nodes added now form the next cover's whole scope, and
+    every other component keeps its cover: its queries covered, its updates
+    not."""
     mark = fs.mark
-    return mark is not None and mark[1] is None and mark[0] == _marks(g) and not fs.touched
+    return mark is not None and mark[1] is None and mark[0] == _marks(g)
 
 
 def _scope(g: InteractionGraph, fs: FlowState):
@@ -233,11 +187,8 @@ def _scope(g: InteractionGraph, fs: FlowState):
     if fs.mark is None or fs.mark[1] is not None or fs.mark[0][0] is not g:
         return g.update_weight, g.query_weight
     _, updates_added, queries_added = fs.mark[0]
-    # Counting back from the newest key may also take older nodes (when
-    # some new ones were removed again); a larger scope is still exact.
     us = set(islice(reversed(g.update_weight), g.updates_added - updates_added))
     qs = set(islice(reversed(g.query_weight), g.queries_added - queries_added))
-    qs |= fs.touched.intersection(g.query_weight)
     grow_u, grow_q = set(us), set(qs)
     while grow_u or grow_q:
         grow_u, grow_q = ({u for q in grow_q for u in g.query_edges[q]} - us,
@@ -326,10 +277,11 @@ def min_weight_cover(g: InteractionGraph, prior: FlowState | None = None
     `prior` itself, brought to a maximum in place (a new flow without one).
 
     Augmentation starts from the prior flow (valid after any sequence of adds
-    and prunes) and takes augmenting paths breadth-first from one lazily
+    and removals) and takes augmenting paths breadth-first from one lazily
     chosen root at a time (see `_search`). When the prior flow was
-    settled by a prune, the searches run only in the components touched since
-    (see the module docstring); the result is still the whole graph's cover.
+    settled by a prune, the searches run only in the components of the nodes
+    added since (see the module docstring); the result is still the whole
+    graph's cover.
     Among equal-weight covers the extraction prefers covering updates: an
     update is covered iff unreachable from the source in the residual
     network, a query iff reachable, and the canonical reachable set is the
@@ -364,4 +316,3 @@ def prune_remainder(g: InteractionGraph, cover: CoverResult, fs: FlowState) -> N
                    drop_queries=g.query_weight.keys() - cover.cover_queries)
     if settles:
         fs.mark = (_marks(g), None)
-        fs.touched.clear()

@@ -16,23 +16,26 @@ cost. Its weight is the sum of its members' costs, and it is named by its
 oldest member's uid. Positive-weight twins are all reachable from the source
 in the residual network or none are, and a zero-weight node never is, so the
 canonical cover of the grouped graph, each group read as its members, is the
-canonical cover of the graph with one node per update. When a query joins
-with cutoff `c = q.time - q.tolerance`, on each of its objects:
+canonical cover of the graph with one node per update. The graph is edited
+only by adds and removals. When a query joins with cutoff
+`c = q.time - q.tolerance`, on each of its objects:
 - a group whose members all have `time <= c` gets an edge to the query;
-- a group that `c` cuts in two is split (`InteractionGraph.split_update`):
-  the older part keeps the node, the newer part becomes a new node named by
-  its own oldest member, and both keep every old edge;
+- a group that `c` cuts in two leaves the graph (`remove_nodes`), and both
+  parts come back with every old edge: the older part under the group's id,
+  the newer part as a new node named by its own oldest member. The removal
+  unsettles the flow, so this query's cover treats the whole graph;
 - the interacting updates not on the graph form one new group, or two when
   both zero and positive costs are among them: a zero-cost update never joins
   a group of positive weight.
 A query left uncovered ships the members of its groups, listed in (object
 id, arrival) order as `interacting_updates` returns them. A covered group
-leaves the graph with all its members, and an eviction drops the object's
-groups.
+leaves the graph with all its members. Every member is outstanding in its
+object's queue, so an eviction finds the object's groups through that queue
+and removes them, and the next cover treats the whole graph.
 
 A query whose interacting updates are all off the graph would join as a
 *star*: itself and its new groups, a component of their own. When the flow
-is `quiet` (settled, nothing added or touched since) that star is the
+is `quiet` (settled, nothing added or removed since) that star is the
 cover's whole scope, and when its updates cost no more than the query the
 answer is known without the kernel: each update node is saturated, so none
 is source-reachable and all are covered, and the query is not reached, so
@@ -68,9 +71,8 @@ class VCoverPolicy:
         self.graph = InteractionGraph()
         self.flow = FlowState()
         self.gds = loadmgr.GdsState()
-        # Each object's groups on the graph, by node id, each holding its
-        # members in queue order; and each member's group.
-        self.groups: dict[ObjectId, dict[int, list[Update]]] = {}
+        # Each on-graph update's group: the members of one graph node, in
+        # queue order, named by the oldest of them.
         self.group_of: dict[int, list[Update]] = {}
 
     def startup(self) -> list[Decision]:
@@ -81,7 +83,7 @@ class VCoverPolicy:
             return self.update_manager(q)
         batch = loadmgr.offer(q, self.cache, self.rng)
         _, loads = loadmgr.gds_lazy_apply(self.gds, self.cache, batch)
-        if self.groups:   # otherwise no evicted object has updates on the graph
+        if self.group_of:   # otherwise no evicted object has updates on the graph
             for d in loads:
                 if type(d) is Evict:
                     self._forget_object_updates(d.oid)
@@ -117,16 +119,20 @@ class VCoverPolicy:
             return [ShipUpdates(tuple(map(_uid, ius))), AnswerFromCache(qid)]
         graph.add_query(qid, q.ship_cost)
         cutoff = q.time - q.tolerance
-        for members in joined.values():
+        for gid, members in joined.items():
             if members[-1].time > cutoff:   # the newer members become a group of their own
                 newer = members[bisect_right(members, cutoff, key=_time):]
                 del members[-len(newer):]
-                graph.split_update(self.flow, members[0].uid, newer[0].uid,
-                                   sum(map(_cost, newer)))
-                self._record_group(newer)
+                qids = list(graph.update_edges[gid])
+                graph.remove_nodes(self.flow, drop_updates={gid})
+                for part in (members, newer):
+                    graph.add_update(part[0].uid, sum(map(_cost, part)))
+                    for old in qids:
+                        graph.add_edge(part[0].uid, old)
+                group_of.update((u.uid, newer) for u in newer)
         for members in fresh.values():
             graph.add_update(members[0].uid, sum(map(_cost, members)))
-            self._record_group(members)
+            group_of.update((u.uid, members) for u in members)
             joined[members[0].uid] = members
         for gid in joined:
             graph.add_edge(gid, qid)
@@ -140,12 +146,7 @@ class VCoverPolicy:
             decisions = [ShipUpdates(tuple(map(_uid, ius))), AnswerFromCache(qid)]
         prune_remainder(graph, cover, self.flow)
         for gid in cover.cover_updates:   # each left the graph with all its members
-            members = group_of[gid]
-            groups = self.groups[members[0].object]
-            del groups[gid]
-            if not groups:
-                del self.groups[members[0].object]
-            for u in members:
+            for u in group_of[gid]:
                 del group_of[u.uid]
         return decisions
 
@@ -154,22 +155,16 @@ class VCoverPolicy:
         # the cache; nothing is shipped until a query demands it.
         return []
 
-    def _record_group(self, members: list[Update]) -> None:
-        """Record `members`, now one graph node named by the oldest of them,
-        as a group."""
-        self.groups.setdefault(members[0].object, {})[members[0].uid] = members
-        group_of = self.group_of
-        for u in members:
-            group_of[u.uid] = members
-
     def _forget_object_updates(self, oid: int) -> None:
         # Eviction throws away the object's queue; any graph nodes for those
         # updates would otherwise outlive them and poison later covers. The
-        # flow records their surviving neighbours, so the next cover also
-        # revisits the components they leave behind. An object without
+        # Evict is applied after on_query returns, so the queue still holds
+        # every member of the object's groups. Removing them unsettles the
+        # flow, so the next cover treats the whole graph. An object without
         # groups leaves the graph and the flow as they are.
-        if groups := self.groups.pop(oid, None):
-            for members in groups.values():
-                for u in members:
-                    del self.group_of[u.uid]
-            self.graph.remove_nodes(self.flow, drop_updates=set(groups))
+        group_of, gids = self.group_of, set()
+        for u in self.cache.outstanding.get(oid, ()):
+            if (members := group_of.pop(u.uid, None)) is not None:
+                gids.add(members[0].uid)
+        if gids:
+            self.graph.remove_nodes(self.flow, drop_updates=gids)

@@ -103,82 +103,6 @@ class TestMutations:
         check_flow(g, fs)   # still a valid (non-maximum) flow
 
 
-class TestSplitUpdate:
-    def test_split_keeps_the_edges_and_divides_the_flow(self):
-        # Update 1 (10) sends 4 to query 7 and 5 to query 8. Splitting 6 off
-        # to node 2 leaves node 1 at weight 4, so it keeps 4 of its 9; node 2
-        # takes the other 5, arc by arc in edge order.
-        g = build({1: 10}, {7: 4, 8: 5}, [(1, 7), (1, 8)])
-        _, fs = min_weight_cover(g)
-        assert fs.flow_uq == {7: {1: 4}, 8: {1: 5}}
-        g.split_update(fs, 1, 2, 6)
-        assert g.update_weight == {1: 4, 2: 6} and g.updates_added == 2
-        assert graph_edges(g) == {(1, 7), (1, 8), (2, 7), (2, 8)}
-        assert list(g.query_edges[7]) == [1, 2]
-        assert fs.flow_su == {1: 4, 2: 5}
-        assert fs.flow_uq == {7: {2: 4}, 8: {1: 4, 2: 1}}
-        assert fs.flow_qt == {7: 4, 8: 5}
-        check_flow(g, fs)
-
-    def test_a_split_within_the_kept_weight_moves_no_flow(self):
-        g = build({1: 10}, {7: 4}, [(1, 7)])
-        _, fs = min_weight_cover(g)
-        g.split_update(fs, 1, 2, 6)
-        assert fs.flow_su == {1: 4} and fs.flow_uq == {7: {1: 4}}
-        check_flow(g, fs)
-
-    def test_bad_splits_rejected(self):
-        g = build({1: 5, 2: 1}, {7: 4}, [(1, 7)])
-        fs = FlowState()
-        for uid, part, weight in ((3, 4, 1), (2, 4, 1), (1, 4, -1), (1, 4, 6), (1, 2, 1)):
-            with pytest.raises(GraphError):
-                g.split_update(fs, uid, part, weight)
-        assert g.update_weight == {1: 5, 2: 1}
-
-    def test_covers_after_splits_equal_whole_graph_covers(self):
-        # Adds, splits of nodes with and without flow, covers and prunes,
-        # interleaved. A split part counts as added, so a cover after a
-        # prune settled the flow must search its component: every cover must
-        # equal the from-scratch cover of the whole graph, every flow stay
-        # valid, and every cover stay minimum by brute force.
-        rng = random.Random(31)
-        splits = 0
-        for _ in range(300):
-            g = InteractionGraph()
-            fs = FlowState()
-            next_u, next_q = 0, 1000
-            for _ in range(rng.randint(3, 30)):
-                op = rng.random()
-                if op < 0.2 or not g.update_weight:
-                    g.add_update(next_u, rng.randint(0, 8))
-                    next_u += 1
-                elif op < 0.5 or not g.query_weight:
-                    g.add_query(next_q, rng.randint(0, 8))
-                    for u in list(g.update_weight):
-                        if rng.random() < 0.4:
-                            g.add_edge(u, next_q)
-                    next_q += 1
-                elif op < 0.75:
-                    uid = rng.choice(list(g.update_weight))
-                    if not g.update_edges[uid]:
-                        continue
-                    g.split_update(fs, uid, next_u, rng.randint(0, g.update_weight[uid]))
-                    splits += bool(fs.flow_su.get(next_u))
-                    next_u += 1
-                    check_flow(g, fs)
-                else:
-                    cover, fs = min_weight_cover(g, fs)
-                    assert cover == min_weight_cover(g, FlowState())[0]
-                    if len(g.update_weight) + len(g.query_weight) <= 12:
-                        assert cover_weight(g, cover) == brute_force_cover_weight(
-                            g.update_weight, g.query_weight, graph_edges(g))
-                    prune_remainder(g, cover, fs)
-                    check_flow(g, fs)
-            cover, fs = min_weight_cover(g, fs)
-            assert cover == min_weight_cover(g, FlowState())[0]
-        assert splits > 30   # splits that moved flow to the new part
-
-
 class TestMinWeightCover:
     def test_empty_graph(self):
         g = InteractionGraph()
@@ -297,9 +221,10 @@ class TestScopedCover:
     def test_scoped_covers_equal_whole_graph_covers(self):
         # Like the interleaving above, plus zero weights, edges between nodes
         # already on the graph, query drops, re-added ids and queries added
-        # between a cover and its prune. A flow settled
-        # by a prune searches only the touched components, yet every cover
-        # must equal the from-scratch cover of the whole graph.
+        # between a cover and its prune. A flow settled by a prune searches
+        # only the components of nodes added since, and any other removal
+        # unsettles it, yet every cover must equal the from-scratch cover of
+        # the whole graph.
         rng = random.Random(12)
         for _ in range(300):
             g = InteractionGraph()
@@ -380,13 +305,12 @@ class TestQuiet:
         g.add_query(11, 1)
         assert not quiet(g, fs)
 
-    def test_a_touched_query_ends_it_and_a_removed_query_does_not(self):
-        g, fs = self.settled()
-        g.remove_nodes(fs, drop_queries={10})
-        assert quiet(g, fs)
-        g, fs = self.settled()
-        g.remove_nodes(fs, drop_updates={1})
-        assert fs.touched == {10} and not quiet(g, fs)
+    def test_any_removal_ends_it(self):
+        for drop in ({"drop_queries": {10}}, {"drop_updates": {1}},
+                     {"drop_updates": {1}, "drop_queries": {10}}, {"drop_updates": {7}}):
+            g, fs = self.settled()
+            g.remove_nodes(fs, **drop)
+            assert not quiet(g, fs) and fs.mark is None
 
     def test_settled_on_another_graph_is_not_quiet(self):
         _, fs = self.settled()
@@ -442,6 +366,23 @@ class TestCycleExits:
         prune_remainder(g, CoverResult(frozenset(g.query_weight), frozenset()), fs)
         self.next_cover_from_scratch(g, fs)
 
+    def test_removal_after_the_flow_settled(self):
+        # Query 10 (6) is covered against updates 1 (5) and 2 (2) and stays
+        # with them, update 1 carrying 5 of its flow. Removing update 1
+        # leaves query 10 short of inflow with nothing added since the prune
+        # settled the flow: only the cleared mark sends the next cover to
+        # query 10's component, where update 2 now costs less than query 10
+        # and is covered in its place.
+        g = build({1: 5, 2: 2}, {10: 6}, [(1, 10), (2, 10)])
+        cover, fs = min_weight_cover(g)
+        assert cover.cover_queries == {10} and not cover.cover_updates
+        prune_remainder(g, cover, fs)
+        assert quiet(g, fs) and fs.flow_uq[10][1] == 5
+        g.remove_nodes(fs, drop_updates={1})
+        assert not quiet(g, fs)
+        self.next_cover_from_scratch(g, fs)
+        assert min_weight_cover(g, fs)[0] == CoverResult(frozenset(), frozenset({2}))
+
     def test_query_added_between_a_cover_and_its_prune(self):
         # The prune drops the new query, which the cover did not cover; the
         # zero-weight update that came with it stays, and no source arc
@@ -496,11 +437,10 @@ class TestPrune:
         g.remove_nodes(fs, drop_updates={1})
         before = (dict(g.update_weight), dict(g.query_weight), graph_edges(g), g.n_edges,
                   dict(fs.flow_su), {q: dict(i) for q, i in fs.flow_uq.items()},
-                  dict(fs.flow_qt), set(fs.touched))
+                  dict(fs.flow_qt))
         g.remove_nodes(fs, drop_updates={1, 7}, drop_queries={99})
         assert before == (g.update_weight, g.query_weight, graph_edges(g), g.n_edges,
-                          fs.flow_su, fs.flow_uq, fs.flow_qt, fs.touched)
-        assert fs.touched == {10}
+                          fs.flow_su, fs.flow_uq, fs.flow_qt)
         check_flow(g, fs)
 
     def test_random_prune_matches_set_algebra(self):

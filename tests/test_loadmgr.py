@@ -118,11 +118,10 @@ class TestStateShape:
         # the whole point of randomized attribution: the policy's only
         # load-manager state is the GDS bookkeeping and its random stream,
         # nothing accumulates per-object shipping cost (the rest is the update
-        # manager's graph, flow and twin-update groups)
+        # manager's graph, flow and each on-graph update's twin group)
         cache = make_cache(small_catalog, 40, [0, 1])
         policy = VCoverPolicy(cache)
-        assert set(vars(policy)) == {"cache", "rng", "graph", "flow", "gds",
-                                     "groups", "group_of"}
+        assert set(vars(policy)) == {"cache", "rng", "graph", "flow", "gds", "group_of"}
         assert set(vars(policy.gds)) == {"inflation", "credit", "heap",
                                          "synced_cache", "synced_moves"}
         # the heap only indexes the credits: (credit, oid) pairs, with an

@@ -8,7 +8,7 @@ from hypothesis import event, given, settings, strategies as st
 
 from midcache.core import (AnswerFromCache, CacheState, Evict, Load, ObjectCatalog,
                            ShipQuery, ShipUpdates, apply, interacting_updates)
-from midcache.covergraph import quiet
+from midcache.covergraph import _scope, quiet
 from midcache.simharness import RunConfig, replay_decisions, run
 from midcache.vcover import VCoverPolicy
 from midcache.workload import GeneratorParams, generate
@@ -58,6 +58,11 @@ def policy_with_cache(catalog, capacity, resident=(), seed=0):
 def graph_uids(policy) -> set[int]:
     """Uids of the updates on the policy's graph, read through its groups."""
     return {u.uid for gid in policy.graph.update_weight for u in policy.group_of[gid]}
+
+
+def objects_with_groups(policy) -> set[int]:
+    """Objects with a group on the policy's graph."""
+    return {members[0].object for members in policy.group_of.values()}
 
 
 def drive(policy, cache, ev):
@@ -191,17 +196,17 @@ class TestGraphConsistency:
         cache.receive_update(mk_update(2, 2, 0, 9))
         assert drive(policy, cache, mk_query(3, 3, {0}, 4)) == [ShipQuery(3)]
         graph, flow = policy.graph, policy.flow
-        assert graph.update_weight == {2: 9} and flow.mark[1] is None   # settled
+        assert graph.update_weight == {2: 9} and quiet(graph, flow)
 
         def snapshot():
-            return (copy.deepcopy((vars(graph), flow.flow_su, flow.flow_uq, flow.flow_qt,
-                                   flow.touched)), flow.mark)
+            return (copy.deepcopy((vars(graph), flow.flow_su, flow.flow_uq, flow.flow_qt)),
+                    flow.mark)
         before = snapshot()
         assert drive(policy, cache, mk_query(4, 4, {2}, 10**6)) == \
             [ShipQuery(4), Evict(1), Load(2)]
         assert 1 not in cache.outstanding
         assert snapshot() == before
-        assert flow.mark[0][0] is graph and flow.mark[1] is None
+        assert quiet(graph, flow)
 
     def test_graph_nodes_subset_of_outstanding(self, small_catalog):
         rng = random.Random(9)
@@ -357,7 +362,7 @@ class TestCanonicalCover:
         forget = vc.VCoverPolicy._forget_object_updates
 
         def noting_forget(self, oid):
-            if oid in self.groups:
+            if oid in objects_with_groups(self):
                 event("evicts an object with updates on the graph")
             return forget(self, oid)
 
@@ -409,21 +414,19 @@ def check_groups(policy, cache) -> None:
     """The groups are the graph's update nodes, each named by its oldest
     member and weighing its members' costs, all of zero or all of positive
     cost; their members are outstanding updates of the group's object, in
-    queue order, and `group_of` maps exactly the members to their groups."""
+    queue order, and `group_of` maps exactly the members to their groups.
+    An eviction finds an object's groups through its queue, so every member
+    must be there."""
     graph = policy.graph
-    by_gid = {gid: members for groups in policy.groups.values()
-              for gid, members in groups.items()}
+    by_gid = {members[0].uid: members for members in policy.group_of.values()}
     assert by_gid.keys() == graph.update_weight.keys()
-    assert all(groups for groups in policy.groups.values())
-    for oid, groups in policy.groups.items():
-        queue = cache.outstanding[oid]
-        for gid, members in groups.items():
-            assert gid == members[0].uid
-            assert graph.update_weight[gid] == sum(u.ship_cost for u in members)
-            assert len({u.ship_cost > 0 for u in members}) == 1
-            assert all(u.object == oid for u in members)
-            positions = [queue.index(u) for u in members]
-            assert positions == sorted(positions)
+    for gid, members in by_gid.items():
+        oid = members[0].object
+        assert graph.update_weight[gid] == sum(u.ship_cost for u in members)
+        assert len({u.ship_cost > 0 for u in members}) == 1
+        assert all(u.object == oid for u in members)
+        positions = [cache.outstanding[oid].index(u) for u in members]
+        assert positions == sorted(positions)
     assert policy.group_of == {u.uid: members for members in by_gid.values() for u in members}
     assert all(policy.group_of[u.uid] is members for members in by_gid.values() for u in members)
 
@@ -441,7 +444,7 @@ class TestTwinGroups:
         # member's neighbours in the reference's graph are its group's: all
         # members of a group share one neighbour set.
         import midcache.vcover as vc
-        from midcache.covergraph import InteractionGraph, min_weight_cover as real_mwc
+        from midcache.covergraph import min_weight_cover as real_mwc
 
         catalog, events = draw_small_trace(data, 6, load_costs=True)
         seed = data.draw(st.integers(0, 3))
@@ -451,29 +454,32 @@ class TestTwinGroups:
         policy = VCoverPolicy(cache, seed=seed)
         reference = ReferenceVCover(catalog, capacity, seed)
         seen = set()
+        before = {}   # uid -> (group id, flow on the group) before the event
 
         def checked_cover(g, prior=None):
             for gid in g.update_weight:
                 assert len({u.ship_cost > 0 for u in policy.group_of[gid]}) == 1
             if any(len(policy.group_of[gid]) > 1 for gid in g.update_weight):
                 seen.add("a cover with a group of two or more")
+            # Within one query a member changes group only when a split
+            # makes its newer part a group of its own.
+            split = {before[uid] for uid, m in policy.group_of.items()
+                     if uid in before and m[0].uid != before[uid][0]}
+            if split:
+                seen.add("a split" + (" of a group holding flow"
+                                      if any(f for _, f in split) else ""))
             expect = networkx_canonical_cover(ungrouped(policy, g))
             cover, fs = real_mwc(g, prior)
             members = {u.uid for gid in cover.cover_updates for u in policy.group_of[gid]}
             assert (cover.cover_queries, members) == expect
             return cover, fs
 
-        split = InteractionGraph.split_update
-
-        def noting_split(g, fs, uid, part, weight):
-            seen.add("a split" + (" of a node with flow" if fs.flow_su.get(uid) else ""))
-            return split(g, fs, uid, part, weight)
-
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(vc, "min_weight_cover", checked_cover)
-            mp.setattr(InteractionGraph, "split_update", noting_split)
             for ev in events:
-                had_groups = set(policy.groups)
+                before = {uid: (m[0].uid, policy.flow.flow_su.get(m[0].uid, 0))
+                          for uid, m in policy.group_of.items()}
+                had_groups = objects_with_groups(policy)
                 decisions = drive(policy, cache, ev)
                 assert decisions == reference.step(ev)
                 if any(type(d) is Evict and d.oid in had_groups for d in decisions):
@@ -490,11 +496,12 @@ class TestTwinGroups:
     def test_high_tolerance_query_splits_a_group(self, small_catalog):
         # Query 4 ships (5 < 12) and leaves group 1 = updates 1, 2, 3 on the
         # graph, sending it 5 of flow. Query 5's cutoff of 2 takes updates 1
-        # and 2 only, so group 1 splits: it keeps updates 1 and 2 at weight
-        # 2, and update 3 becomes group 3 at weight 10, with query 4's edge
-        # too. Group 1 keeps the 2 of flow that fits, group 3 takes 3. The
-        # cover {group 1, query 4} (7) beats {query 4, query 5} (8), so
-        # updates 1 and 2 ship and group 3 stays against query 4.
+        # and 2 only, so group 1 splits: it leaves the graph, taking its flow
+        # with it and unsettling the flow, and comes back as updates 1 and 2
+        # at weight 2, and update 3 becomes group 3 at weight 10; both parts
+        # keep query 4's edge. The cover, over the whole graph, finds
+        # {group 1, query 4} (7) beats {query 4, query 5} (8), so updates 1
+        # and 2 ship and group 3 stays against query 4.
         import midcache.vcover as vc
         from midcache.covergraph import min_weight_cover as real_mwc
 
@@ -509,16 +516,16 @@ class TestTwinGroups:
         def noting_cover(g, prior=None):
             check_flow(g, prior)
             before_cover.append((dict(g.update_weight), graph_edges(g), dict(prior.flow_su),
-                                 {q: dict(i) for q, i in prior.flow_uq.items()}))
+                                 {q: dict(i) for q, i in prior.flow_uq.items() if i},
+                                 prior.mark))
             return real_mwc(g, prior)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(vc, "min_weight_cover", noting_cover)
             decisions = drive(policy, cache, mk_query(5, 5, {0}, 3, tol=3))
-        assert before_cover == [({1: 2, 3: 10}, {(1, 4), (1, 5), (3, 4)}, {1: 2, 3: 3},
-                                 {4: {1: 2, 3: 3}})]
+        assert before_cover == [({1: 2, 3: 10}, {(1, 4), (1, 5), (3, 4)}, {}, {}, None)]
         assert decisions == [ShipUpdates((1, 2)), AnswerFromCache(5)]
-        assert policy.groups == {0: {3: [mk_update(3, 3, 0, 10)]}}
+        assert policy.group_of == {3: [mk_update(3, 3, 0, 10)]}
         assert graph_uids(policy) == {3}
         assert graph_edges(policy.graph) == {(3, 4)}
         check_groups(policy, cache)
@@ -528,8 +535,8 @@ class TestTwinGroups:
         # Group 1 (updates 1 and 2 of object 0, weight 11) and group 3
         # (update 3 of object 1, weight 2) both neighbour shipped query 4 (5
         # B), whose whole inflow comes through group 1. Loading the 30 B
-        # object 2 evicts objects 0 and 1; both objects' groups go, and
-        # query 4 loses its inflow.
+        # object 2 evicts objects 0 and 1; both objects' groups go, query 4
+        # loses its inflow, and the flow is unsettled.
         policy, cache = policy_with_cache(small_catalog, 40, [0, 1])
         for ev in (mk_update(1, 1, 0, 5), mk_update(2, 2, 0, 6), mk_update(3, 3, 1, 2)):
             drive(policy, cache, ev)
@@ -539,9 +546,9 @@ class TestTwinGroups:
         decisions = drive(policy, cache, mk_query(5, 5, {2}, 30))
         assert decisions[0] == ShipQuery(5) and Load(2) in decisions
         assert {Evict(0), Evict(1)} <= set(decisions)
-        assert not policy.groups and not policy.group_of
+        assert not policy.group_of
         assert policy.graph.update_weight == {} and policy.graph.query_weight == {4: 5}
-        assert policy.flow.flow_qt.get(4, 0) == 0 and 4 in policy.flow.touched
+        assert policy.flow.flow_qt.get(4, 0) == 0 and not quiet(policy.graph, policy.flow)
         check_flow(policy.graph, policy.flow)
 
     def test_update_a_prune_dropped_unshipped_is_added_back(self, small_catalog):
@@ -577,9 +584,7 @@ def graph_and_flow(policy) -> tuple:
             [[(k, list(v)) for k, v in d.items()] for d in (g.update_edges, g.query_edges)],
             [list(fs.flow_su.items()), list(fs.flow_qt.items()),
              [(q, list(i.items())) for q, i in fs.flow_uq.items()]],
-            [(oid, [(gid, [u.uid for u in m]) for gid, m in groups.items()])
-             for oid, groups in policy.groups.items()],
-            sorted((uid, m[0].uid) for uid, m in policy.group_of.items()))
+            [(uid, [u.uid for u in m]) for uid, m in policy.group_of.items()])
 
 
 class TestStarAnswer:
@@ -590,13 +595,13 @@ class TestStarAnswer:
     @staticmethod
     def counting_kernel(mp) -> list:
         """Route vcover's covers through a wrapper that notes, per call, the
-        newest query on the graph and the queries the flow holds touched."""
+        newest query on the graph and the queries in the cover's scope."""
         import midcache.vcover as vc
 
         real, calls = vc.min_weight_cover, []
 
         def counted(g, prior=None):
-            calls.append((max(g.query_weight), set(prior.touched)))
+            calls.append((max(g.query_weight), sorted(_scope(g, prior)[1])))
             return real(g, prior)
 
         mp.setattr(vc, "min_weight_cover", counted)
@@ -632,13 +637,13 @@ class TestStarAnswer:
             assert quiet(policy.graph, policy.flow)
         assert logs[0] == logs[1]
 
-    def test_a_touched_flow_reaches_the_kernel(self, monkeypatch):
+    def test_a_flow_unsettled_by_an_eviction_reaches_the_kernel(self, monkeypatch):
         # As in test_eviction_reopens_a_settled_component: loading object 3
-        # evicts object 0, so query 4 loses update 2 and the flow holds it
-        # touched. Query 7 then meets a star whose update 5 (5 B) costs less
-        # than it, on a settled flow with nothing added since; only the
-        # touched query keeps it from the shortcut, and its cover revisits
-        # query 4's component.
+        # evicts object 0, so query 4 loses update 2, and the removal
+        # unsettles the flow. Query 7 then meets a star whose update 5 (5 B)
+        # costs less than it, with nothing added since the last prune; only
+        # the unsettled flow keeps it from the shortcut, and its cover
+        # treats the whole graph, query 4's component included.
         catalog = ObjectCatalog.from_sizes({0: 10, 1: 10, 2: 10, 3: 10})
         events = [mk_query(1, 1, {0, 1, 2}, 100), mk_update(2, 2, 0, 3),
                   mk_update(3, 3, 1, 3), mk_query(4, 4, {0, 1}, 4),
@@ -648,7 +653,7 @@ class TestStarAnswer:
         report = run(events, catalog, RunConfig(policy="vcover", seed=0, cache_bytes=30))
         assert (6, Evict(0)) in report.decision_log
         assert report.decision_log[-2:] == [(7, ShipUpdates((5,))), (7, AnswerFromCache(7))]
-        assert calls == [(4, set()), (7, {4})]
+        assert calls == [(4, [4]), (7, [4, 7])]
 
     def test_a_star_with_a_group_on_the_graph_reaches_the_kernel(self, small_catalog,
                                                                  monkeypatch):
@@ -672,11 +677,12 @@ class TestStarAnswer:
         # Small drawn traces, as TestTwinGroups draws them but with dearer
         # queries (ties included) and room for every object, so about half
         # the examples meet a star answer; stars after an eviction are
-        # test_a_touched_flow_reaches_the_kernel's. Each time vcover answers
-        # a query without a cover, the star is joined to a deep copy
-        # of the graph and flow it held before: the kernel's cover there must
-        # cover exactly the star's updates and not the query, and the prune
-        # must leave the graph, the flow and their order as vcover left them.
+        # test_a_flow_unsettled_by_an_eviction_reaches_the_kernel's. Each
+        # time vcover answers a query without a cover, the star is joined to
+        # a deep copy of the graph, flow and group records it held before:
+        # the kernel's cover there must cover exactly the star's updates and
+        # not the query, and the prune must leave the graph, the flow, the
+        # group records and their order as vcover left them.
         from midcache.covergraph import min_weight_cover, prune_remainder
 
         catalog, events = draw_small_trace(data, 6, load_costs=True,
@@ -689,7 +695,7 @@ class TestStarAnswer:
         with pytest.MonkeyPatch.context() as mp:
             calls = self.counting_kernel(mp)
             for ev in events:
-                shadow = copy.deepcopy((policy.graph, policy.flow))
+                shadow = copy.deepcopy((policy.graph, policy.flow, policy.group_of))
                 ius = ([] if hasattr(ev, "uid") or not ev.objects <= cache.resident
                        else interacting_updates(ev, cache, ev.time))
                 made = len(calls)
@@ -697,7 +703,7 @@ class TestStarAnswer:
                 if not ius or len(calls) > made or type(decisions[0]) is not ShipUpdates:
                     continue
                 answered += 1
-                g, fs = shadow
+                g, fs, group_of = shadow
                 g.add_query(ev.qid, ev.ship_cost)
                 star: dict[tuple, list] = {}
                 for u in ius:
@@ -711,8 +717,7 @@ class TestStarAnswer:
                 assert decisions == [ShipUpdates(tuple(u.uid for u in ius)),
                                      AnswerFromCache(ev.qid)]
                 prune_remainder(g, cover, fs)
-                shadow_policy = SimpleNamespace(graph=g, flow=fs, groups=policy.groups,
-                                                group_of=policy.group_of)
+                shadow_policy = SimpleNamespace(graph=g, flow=fs, group_of=group_of)
                 assert graph_and_flow(shadow_policy) == graph_and_flow(policy)
                 assert quiet(g, fs) and quiet(policy.graph, policy.flow)
         event(f"star answers: {min(answered, 3)}{'+' if answered >= 3 else ''}")
@@ -734,7 +739,7 @@ class TestReferenceVCover:
         forget = vc.VCoverPolicy._forget_object_updates
 
         def noting_forget(self, oid):
-            if oid in self.groups:
+            if oid in objects_with_groups(self):
                 event("evicts an object with updates on the graph")
             return forget(self, oid)
 
