@@ -103,6 +103,89 @@ class TestMutations:
         check_flow(g, fs)   # still a valid (non-maximum) flow
 
 
+def divide(g, fs, uid, part, weight):
+    """Divide update node `uid` as vcover divides a group: remove it, then
+    add it back at its weight less `weight` and `part` at `weight`, each with
+    every old edge in the old order."""
+    qids, total = list(g.update_edges[uid]), g.update_weight[uid]
+    g.remove_nodes(fs, drop_updates={uid})
+    for node, w in ((uid, total - weight), (part, weight)):
+        g.add_update(node, w)
+        for qid in qids:
+            g.add_edge(node, qid)
+
+
+class TestDivideByRemoval:
+    def test_a_division_keeps_the_edges_and_unsettles_the_flow(self):
+        # Update 1 (10) is kept against queries 7 (4) and 8 (5), the prune
+        # settling the flow. Dividing 6 off to node 2 takes update 1's flow
+        # away with it and clears the mark, so the next cover treats the
+        # whole graph; its prune settles the flow again.
+        g = build({1: 10}, {7: 4, 8: 5}, [(1, 7), (1, 8)])
+        cover, fs = min_weight_cover(g)
+        prune_remainder(g, cover, fs)
+        assert quiet(g, fs) and fs.flow_su == {1: 9}
+        divide(g, fs, 1, 2, 6)
+        assert g.update_weight == {1: 4, 2: 6} and g.updates_added == 3
+        assert graph_edges(g) == {(1, 7), (1, 8), (2, 7), (2, 8)}
+        assert list(g.query_edges[7]) == list(g.query_edges[8]) == [1, 2]
+        assert not fs.flow_su and fs.flow_qt == {7: 0, 8: 0}
+        check_flow(g, fs)
+        assert fs.mark is None and not quiet(g, fs)
+        assert _scope(g, fs) == (g.update_weight, g.query_weight)
+        cover, fs = min_weight_cover(g, fs)
+        assert cover == min_weight_cover(g, FlowState())[0] == \
+            CoverResult(frozenset({7, 8}), frozenset())
+        assert flow_value(fs) == 9
+        prune_remainder(g, cover, fs)
+        assert quiet(g, fs) and _scope(g, fs) == (set(), set())
+        check_flow(g, fs)
+
+    def test_covers_after_divisions_equal_whole_graph_covers(self):
+        # Adds, divisions of nodes with and without flow, covers and prunes,
+        # interleaved. Every cover must equal the from-scratch cover of the
+        # whole graph, every flow stay valid, and every cover stay minimum
+        # by brute force.
+        rng = random.Random(31)
+        divisions = 0
+        for _ in range(300):
+            g = InteractionGraph()
+            fs = FlowState()
+            next_u, next_q = 0, 1000
+            for _ in range(rng.randint(3, 30)):
+                op = rng.random()
+                if op < 0.2 or not g.update_weight:
+                    g.add_update(next_u, rng.randint(0, 8))
+                    next_u += 1
+                elif op < 0.5 or not g.query_weight:
+                    g.add_query(next_q, rng.randint(0, 8))
+                    for u in list(g.update_weight):
+                        if rng.random() < 0.4:
+                            g.add_edge(u, next_q)
+                    next_q += 1
+                elif op < 0.75:
+                    uid = rng.choice(list(g.update_weight))
+                    if not g.update_edges[uid]:
+                        continue
+                    divisions += bool(fs.flow_su.get(uid))
+                    divide(g, fs, uid, next_u, rng.randint(0, g.update_weight[uid]))
+                    next_u += 1
+                    assert not quiet(g, fs)
+                    check_flow(g, fs)
+                else:
+                    cover, fs = min_weight_cover(g, fs)
+                    assert cover == min_weight_cover(g, FlowState())[0]
+                    if len(g.update_weight) + len(g.query_weight) <= 12:
+                        assert cover_weight(g, cover) == brute_force_cover_weight(
+                            g.update_weight, g.query_weight, graph_edges(g))
+                    prune_remainder(g, cover, fs)
+                    assert quiet(g, fs)
+                    check_flow(g, fs)
+            cover, fs = min_weight_cover(g, fs)
+            assert cover == min_weight_cover(g, FlowState())[0]
+        assert divisions > 30   # divisions of a node that held flow
+
+
 class TestMinWeightCover:
     def test_empty_graph(self):
         g = InteractionGraph()

@@ -187,6 +187,26 @@ class TestGraphConsistency:
         assert Evict(0) in decisions and Load(2) in decisions
         assert 1 not in graph_uids(policy)
 
+    def test_eviction_keeps_other_objects_groups(self, small_catalog):
+        # Queries 3 and 4 ship (1 < 5), leaving update 1 (object 0) and
+        # update 2 (object 1) on the graph as groups of their own. Loading
+        # the 30 B object 2 evicts object 0 only: its group goes, query 3
+        # loses its inflow, and object 1's group keeps its edge and flow.
+        policy, cache = policy_with_cache(small_catalog, 50, [0, 1])
+        drive(policy, cache, mk_update(1, 1, 0, 5))
+        drive(policy, cache, mk_update(2, 2, 1, 5))
+        assert drive(policy, cache, mk_query(3, 3, {0}, 1)) == [ShipQuery(3)]
+        assert drive(policy, cache, mk_query(4, 4, {1}, 1)) == [ShipQuery(4)]
+        assert graph_edges(policy.graph) == {(1, 3), (2, 4)}
+        assert drive(policy, cache, mk_query(5, 5, {2}, 30 * 4)) == \
+            [ShipQuery(5), Evict(0), Load(2)]
+        assert policy.group_of == {2: [mk_update(2, 2, 1, 5)]}
+        assert graph_edges(policy.graph) == {(2, 4)}
+        assert policy.flow.flow_su == {2: 1}
+        assert policy.flow.flow_qt == {3: 0, 4: 1} and not quiet(policy.graph, policy.flow)
+        check_groups(policy, cache)
+        check_flow(policy.graph, policy.flow)
+
     def test_evicting_an_object_without_a_queue_leaves_graph_and_flow(self, small_catalog):
         # object 1 is seeded (credit at inflation 0), object 0 is loaded by
         # GDS (credit 1.0) and then keeps update 1 on the graph. Loading the
@@ -530,6 +550,33 @@ class TestTwinGroups:
         assert graph_edges(policy.graph) == {(3, 4)}
         check_groups(policy, cache)
         check_flow(policy.graph, policy.flow)
+
+    def test_both_parts_of_a_split_stay_until_an_eviction_takes_them(self, small_catalog):
+        # Query 4 ships (1 < 15) and leaves group 1 = updates 1, 2, 3 on the
+        # graph. Query 5's cutoff of 2 cuts it: the older part, updates 1
+        # and 2, comes back first under id 1 at weight 10, then update 3 as
+        # group 3 at weight 5, each with query 4's edge, and group 1 gets
+        # query 5's. Query 5 ships too (2 < 15), so both parts stay. Loading
+        # the 30 B object 2 then evicts object 0, whose queue leads to both
+        # parts.
+        policy, cache = policy_with_cache(small_catalog, 30, [0])
+        for uid in (1, 2, 3):
+            drive(policy, cache, mk_update(uid, uid, 0, 5))
+        assert drive(policy, cache, mk_query(4, 4, {0}, 1)) == [ShipQuery(4)]
+        assert drive(policy, cache, mk_query(5, 5, {0}, 1, tol=3)) == [ShipQuery(5)]
+        graph = policy.graph
+        assert list(graph.update_weight.items()) == [(1, 10), (3, 5)]
+        assert graph_edges(graph) == {(1, 4), (3, 4), (1, 5)}
+        assert list(graph.query_edges[4]) == [1, 3]
+        assert {uid: [u.uid for u in m] for uid, m in policy.group_of.items()} == \
+            {1: [1, 2], 2: [1, 2], 3: [3]}
+        check_groups(policy, cache)
+        assert quiet(graph, policy.flow)
+        decisions = drive(policy, cache, mk_query(6, 6, {2}, 30 * 4))
+        assert Evict(0) in decisions and Load(2) in decisions
+        assert not policy.group_of and not graph.update_weight
+        assert graph.query_weight == {4: 1, 5: 1} and not quiet(graph, policy.flow)
+        check_flow(graph, policy.flow)
 
     def test_eviction_while_the_objects_groups_hold_flow(self, small_catalog):
         # Group 1 (updates 1 and 2 of object 0, weight 11) and group 3
