@@ -378,8 +378,13 @@ class CacheState:
         """Server-side arrival of an update. Invalidate the cached copy when
         the target is resident; otherwise nothing reaches the cache (an
         object outside the catalog is never resident)."""
-        if u.object in self.resident:
-            self.outstanding.setdefault(u.object, []).append(u)
+        oid = u.object
+        if oid in self.resident:
+            queue = self.outstanding.get(oid)
+            if queue is None:
+                self.outstanding[oid] = [u]
+            else:
+                queue.append(u)
             self._by_uid[u.uid] = u
 
 
@@ -439,7 +444,7 @@ def apply(cache: CacheState, d: Decision) -> int:
             u = cache._by_uid.pop(uid, None)
             if u is None:
                 raise NotOutstanding(f"update {uid} is not outstanding")
-            queue = cache.outstanding.get(u.object, [])
+            queue = cache.outstanding.get(u.object) or []
             queue.remove(u)
             if not queue:
                 cache.outstanding.pop(u.object, None)

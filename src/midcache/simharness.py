@@ -145,13 +145,16 @@ def execute(cache: CacheState, ledger: TrafficLedger, log: list | None,
         elif kind is AnswerFromCache:
             if query is None or d.qid != query.qid:
                 raise AuditError(seq, f"AnswerFromCache({d.qid}) outside its query event")
-            try:
-                stale = interacting_updates(query, cache, query.time)
-            except Exception as exc:
-                raise AuditError(seq, f"query {d.qid} answered at cache: {exc}") from exc
-            if stale:
-                raise AuditError(seq, f"query {d.qid} answered at cache with {len(stale)} "
-                                      "interacting updates outstanding")
+            # Resident with no queue is fresh; anything else goes to the full check.
+            objects = query.objects
+            if not (objects <= cache.resident and cache.outstanding.keys().isdisjoint(objects)):
+                try:
+                    stale = interacting_updates(query, cache, query.time)
+                except Exception as exc:
+                    raise AuditError(seq, f"query {d.qid} answered at cache: {exc}") from exc
+                if stale:
+                    raise AuditError(seq, f"query {d.qid} answered at cache with {len(stale)} "
+                                          "interacting updates outstanding")
         else:
             try:
                 moved = apply(cache, d)
@@ -174,9 +177,8 @@ def _event_loop(events: Trace, cache: CacheState, source, log: list | None,
     execute(cache, ledger, log, source.startup(), 0, None)
     # Bound after make_policy, so class-level wrappers set before run() apply.
     on_query, on_update = source.on_query, source.on_update
-    receive_update, outstanding = cache.receive_update, cache.outstanding
-    last = len(events) - 1
-    for i, ev in enumerate(events):
+    receive_update = cache.receive_update
+    for ev in events:
         seq = ev.seq
         if isinstance(ev, Update):
             receive_update(ev)
@@ -184,16 +186,19 @@ def _event_loop(events: Trace, cache: CacheState, source, log: list | None,
                 execute(cache, ledger, log, decisions, seq, None)
         elif decisions := on_query(ev):
             execute(cache, ledger, log, decisions, seq, ev)
-        if outstanding:
+        if cache.outstanding:   # read each event: a policy may rebind the map
             try:
                 check_freshness(cache)
             except Exception as exc:
                 raise AuditError(seq, str(exc)) from exc
         if seq <= warmup:
             warmup_snapshot = ledger.snapshot()
-        if seq % stride == 0 or i == last:
+        if seq % stride == 0:
             series.append((seq, ledger.query_ship, ledger.update_ship,
                            ledger.load, ledger.total, cache.used))
+    if events and events[-1].seq % stride:   # the last event is always sampled
+        series.append((events[-1].seq, ledger.query_ship, ledger.update_ship,
+                       ledger.load, ledger.total, cache.used))
     # The per-decision capacity audit trusts the running counter; recount it
     # once, so residency that changed behind apply's back fails the run.
     resident_bytes = sum(cache.catalog.size(o) for o in cache.resident)

@@ -52,14 +52,22 @@ class TestRun:
             assert report.ledger.total == 100
             assert report.post_warmup["total"] == 60
 
-    def test_series_monotone_and_sampled(self, small_catalog):
-        events = [mk_query(i, i, {0}, 5, seq=i) for i in range(1, 26)]
+    @pytest.mark.parametrize("seqs, sampled", [
+        (range(1, 21), [10, 20]),                 # the last seq sampled once
+        (range(1, 26), [10, 20, 25]),             # the last seq added
+        ([*range(1, 20), 25, 31], [10, 31]),      # a gap skips seq 20
+        ([], []),
+    ], ids=["last-on-stride", "last-off-stride", "gap-over-stride", "empty"])
+    def test_series_monotone_and_sampled(self, small_catalog, seqs, sampled):
+        events = [mk_query(i, i, {0}, 5, seq=s) for i, s in enumerate(seqs, 1)]
         report = run(events, small_catalog,
                      RunConfig(policy="nocache", seed=0, sample_stride=10))
-        seqs = [row[0] for row in report.series]
-        assert seqs == [10, 20, 25]
+        assert [row[0] for row in report.series] == sampled
         totals = [row[4] for row in report.series]
         assert totals == sorted(totals)
+        if events:
+            assert report.series[-1][1:5] == (report.ledger.query_ship, 0, 0,
+                                              report.ledger.total)
 
 
 class TestConfig:
@@ -221,6 +229,10 @@ class TestAudit:
         cache.resident.discard(0)   # its update queue stays behind
         cache._used -= 10
 
+    @staticmethod
+    def rebind_queues(cache):
+        cache.outstanding = {1: []}   # a new map, queueing for a non-resident object
+
     @pytest.mark.parametrize("script, tamper, seq, match", [
         ({1: [AnswerFromCache(2)]}, None, 1, r"AnswerFromCache\(2\) outside its query event"),
         ({2: [AnswerFromCache(3)]}, None, 2, r"AnswerFromCache\(3\) outside its query event"),
@@ -231,13 +243,20 @@ class TestAudit:
         ({}, (3, grow), 3, "resident objects hold 20 B, capacity counter 20 B, capacity 15 B"),
         ({2: [ShipUpdates(())]}, (2, grow), 2, "residency 20 exceeds capacity 15"),
         ({0: [Load(0)]}, (2, drop_queued), 2, "non-resident object 0 has an outstanding queue"),
+        ({}, (2, rebind_queues), 2, "non-resident object 1 has an outstanding queue"),
+        ({2: [AnswerFromCache(2)]}, None, 2,
+         "^event 2: query 2 answered at cache: query 2: object 0 is not resident$"),
+        # Query 2 tolerates update 1's age, so the answer passes; seq 3 then fails.
+        ({0: [Load(0)], 2: [AnswerFromCache(2)], 3: [Load(1)]}, None, 3,
+         r"loading object 1 \(20 B\) exceeds free space \(5 B\)"),
         ({2: [ShipQuery(3)]}, None, 2, r"ShipQuery\(3\) outside its query event"),
         ({1: [ShipQuery(2)]}, None, 1, r"ShipQuery\(2\) outside its query event"),
         ({2: [ShipQuery(2), ShipQuery(2)]}, None, 2, r"ShipQuery\(2\) outside its query event"),
     ], ids=["answer-from-update", "answer-names-another-query", "unknown-decision",
             "ship-update-not-outstanding", "load-past-capacity",
             "grown-behind-apply-empty-hook", "grown-behind-apply-then-applied",
-            "queue-left-on-dropped-object", "ship-another-qid", "ship-from-update",
+            "queue-left-on-dropped-object", "queue-map-rebound", "answer-non-resident",
+            "answer-within-tolerance", "ship-another-qid", "ship-from-update",
             "ship-twice"])
     def test_bad_decision_aborts_with_event_index(self, small_catalog, monkeypatch,
                                                   script, tamper, seq, match):
@@ -257,11 +276,35 @@ class TestAudit:
 
         monkeypatch.setattr(simharness, "make_policy",
                             lambda cfg, cache, events: ScriptedPolicy(cache))
-        events = [mk_update(1, 1, 0, 2, seq=1), mk_query(2, 2, {0}, 5, seq=2),
+        events = [mk_update(1, 1, 0, 2, seq=1), mk_query(2, 2, {0}, 5, tol=2, seq=2),
                   mk_query(3, 3, {1}, 5, seq=3)]
         with pytest.raises(AuditError, match=match) as exc:
             run(events, small_catalog, RunConfig(policy="nocache", seed=0, cache_bytes=15))
         assert exc.value.seq == seq
+
+    def test_answer_over_unqueued_residents_skips_interacting_updates(self, small_catalog,
+                                                                       monkeypatch):
+        class AnsweringPolicy:
+            def startup(self):
+                return [Load(0)]
+
+            def on_query(self, q):
+                return [AnswerFromCache(q.qid)]
+
+            def on_update(self, u):
+                return []
+
+        called = []
+        real = simharness.interacting_updates
+        monkeypatch.setattr(simharness, "interacting_updates",
+                            lambda q, cache, now: called.append(q.qid) or real(q, cache, now))
+        monkeypatch.setattr(simharness, "make_policy",
+                            lambda cfg, cache, events: AnsweringPolicy())
+        events = [mk_query(1, 1, {0}, 5), mk_update(2, 2, 0, 3),
+                  mk_query(3, 3, {0}, 5, tol=5)]   # update 2 is queued but tolerated
+        report = run(events, small_catalog, RunConfig(policy="nocache", seed=0))
+        assert report.summary()["answers_audited"] == 2
+        assert called == [3]
 
     def test_every_policy_replayable(self):
         params = GeneratorParams(n_objects=8, n_queries=50, n_updates=50,
