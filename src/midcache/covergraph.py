@@ -9,19 +9,20 @@ out of residual reachability from the source.
 The flow lives in a `FlowState` that `min_weight_cover` mutates in place.
 `remove_nodes` and `prune_remainder` require it too: every graph edit
 repairs the flow. A graph is edited only by adds and removals. The flow's
-`mark` holds its place in the cycle of a cover and the prune after it: a
-cover marks it with the graph's marks (the graph and its add counts) and the
-cover, and every removal clears it. A prune handed that very cover on the
-unchanged graph *settles* the flow after its own removal, keeping the
-graph's marks alone: every node left is source-reachable in the residual
-network and every remaining query is saturated. (A prune drops only nodes
-outside the reachable side, and no flow crosses that cut, so the flow stays
-maximum.) A settled flow stays settled only while nodes are added, as any
-other removal clears its mark, so the next cover searches only the
-components holding the nodes added since; every other component is still
-settled, so its queries are covered and its updates are not. Any other mark
-makes the next cover treat the whole graph. `quiet` tells a caller whether the flow is
-settled with nothing added since.
+`mark` holds its place in one cycle: a cover marks it with the graph and its
+node counts and the cover, and the prune after it consumes that mark,
+drops what the cover decided and *settles* the flow, keeping the graph's
+marks alone: every node left is source-reachable in the residual network and
+every remaining query is saturated. (A prune drops only nodes outside the
+reachable side, and no flow crosses that cut, so the flow stays maximum.)
+Any removal clears the mark, so a settled graph only grows: the nodes added
+since are the last keys of each insertion-ordered dict, as many as the
+counts have grown, and the next cover searches only their components.
+Every other component is still settled, so its queries are covered and its
+updates are not. Without a settled mark the next cover treats the whole
+graph. A prune refuses a flow that holds no cover of the graph as it
+stands. `quiet` tells a caller whether the flow is settled with nothing
+added since.
 
 An update node may stand for a group of twin updates, as in `vcover`: updates
 of one object with the same neighbour set, all of zero cost or all of
@@ -50,9 +51,9 @@ class FlowState:
     """Arc flows for the derived network, reusable across cover computations.
 
     `augmentations` counts augmenting paths found so far; it only ever grows
-    and exists to measure how much incremental reuse saves. `mark` bounds
-    the next cover's work (see the module docstring) and takes no part in
-    comparisons.
+    and exists to measure how much incremental reuse saves. `mark` hands a
+    cover to its prune and bounds the next cover's work (see the module
+    docstring); it takes no part in comparisons.
     """
 
     flow_su: dict[int, int] = field(default_factory=dict)             # source -> update
@@ -61,9 +62,9 @@ class FlowState:
     flow_uq: dict[int, dict[int, int]] = field(default_factory=dict)
     flow_qt: dict[int, int] = field(default_factory=dict)             # query -> sink
     augmentations: int = 0
-    # ((graph, updates_added, queries_added), cover) from a cover until
-    # remove_nodes; (that graph's marks, None) once the prune of that cover
-    # settles the flow; None before any cover and after any other removal.
+    # ((graph, update count, query count), cover) from a cover until its
+    # prune; (that graph's marks, None) once the prune settles the flow; None
+    # before any cover and after any removal.
     mark: tuple | None = field(default=None, compare=False, repr=False)
 
     def copy(self) -> "FlowState":
@@ -93,10 +94,6 @@ class InteractionGraph:
         # order, which fixes the search order.
         self.update_edges: dict[int, dict[int, None]] = {}
         self.query_edges: dict[int, dict[int, None]] = {}
-        # add_update/add_query calls so far: nodes added after a flow settled
-        # are among the last that many keys of each insertion-ordered dict.
-        self.updates_added = 0
-        self.queries_added = 0
 
     def add_query(self, qid: int, weight: int) -> None:
         if qid in self.query_weight:
@@ -105,7 +102,6 @@ class InteractionGraph:
             raise GraphError(f"query node {qid}: weight must be non-negative")
         self.query_weight[qid] = weight
         self.query_edges[qid] = {}
-        self.queries_added += 1
 
     def add_update(self, uid: int, weight: int) -> None:
         if uid in self.update_weight:
@@ -114,7 +110,6 @@ class InteractionGraph:
             raise GraphError(f"update node {uid}: weight must be non-negative")
         self.update_weight[uid] = weight
         self.update_edges[uid] = {}
-        self.updates_added += 1
 
     def add_edge(self, uid: int, qid: int) -> None:
         if uid not in self.update_weight:
@@ -131,45 +126,27 @@ class InteractionGraph:
         """Edge count, for the benchmark's traced layer table."""
         return sum(map(len, self.update_edges.values()))
 
-    def remove_nodes(self, fs: FlowState,
-                     drop_updates: set[int] = frozenset(),
-                     drop_queries: set[int] = frozenset()) -> None:
-        """Delete nodes plus incident edges, repairing the flow `fs` (required)
-        so what remains is still a valid (not necessarily maximum) flow:
-        inflow lost by a surviving query comes off its sink arc, outflow lost
-        by a surviving update comes off its source arc. The flow's mark is
-        cleared, so the next cover treats the whole graph unless a prune
-        settles the flow again (see the module docstring). Ids not on the
-        graph are skipped.
-        """
+    def remove_nodes(self, fs: FlowState, drop_updates: set[int]) -> None:
+        """Delete update nodes plus incident edges, repairing the flow `fs`
+        (required) so what remains is still a valid (not necessarily
+        maximum) flow: inflow a query loses comes off its sink arc. The
+        flow's mark is cleared, so the next cover treats the whole graph
+        unless a prune settles the flow again (see the module docstring).
+        Every id must be on the graph."""
+        if missing := drop_updates - self.update_weight.keys():
+            raise GraphError(f"update nodes {sorted(missing)} not on the graph")
         fs.mark = None
         for uid in drop_updates:
-            if uid not in self.update_weight:
-                continue
-            qids = self.update_edges.pop(uid)
-            for qid in qids:
+            for qid in self.update_edges.pop(uid):
                 del self.query_edges[qid][uid]
-                f = fs.flow_uq.get(qid, {}).pop(uid, 0)
-                if f and qid not in drop_queries:
+                if f := fs.flow_uq.get(qid, {}).pop(uid, 0):
                     fs.flow_qt[qid] = fs.flow_qt.get(qid, 0) - f
             del self.update_weight[uid]
             fs.flow_su.pop(uid, None)
-        for qid in drop_queries:
-            if qid not in self.query_weight:
-                continue
-            uids = self.query_edges.pop(qid)
-            inflow = fs.flow_uq.pop(qid, {})
-            for uid in uids:
-                del self.update_edges[uid][qid]
-                f = inflow.get(uid, 0)
-                if f:
-                    fs.flow_su[uid] = fs.flow_su.get(uid, 0) - f
-            del self.query_weight[qid]
-            fs.flow_qt.pop(qid, None)
 
 
 def _marks(g: InteractionGraph) -> tuple:
-    return g, g.updates_added, g.queries_added
+    return g, len(g.update_weight), len(g.query_weight)
 
 
 def quiet(g: InteractionGraph, fs: FlowState) -> bool:
@@ -186,9 +163,9 @@ def _scope(g: InteractionGraph, fs: FlowState):
     `fs` settled on `g`: all of them when it has not."""
     if fs.mark is None or fs.mark[1] is not None or fs.mark[0][0] is not g:
         return g.update_weight, g.query_weight
-    _, updates_added, queries_added = fs.mark[0]
-    us = set(islice(reversed(g.update_weight), g.updates_added - updates_added))
-    qs = set(islice(reversed(g.query_weight), g.queries_added - queries_added))
+    _, n_updates, n_queries = fs.mark[0]
+    us = set(islice(reversed(g.update_weight), len(g.update_weight) - n_updates))
+    qs = set(islice(reversed(g.query_weight), len(g.query_weight) - n_queries))
     grow_u, grow_q = set(us), set(qs)
     while grow_u or grow_q:
         grow_u, grow_q = ({u for q in grow_q for u in g.query_edges[q]} - us,
@@ -302,17 +279,26 @@ def min_weight_cover(g: InteractionGraph, prior: FlowState | None = None
     return cover, fs
 
 
-def prune_remainder(g: InteractionGraph, cover: CoverResult, fs: FlowState) -> None:
-    """Shrink to the remainder subgraph: drop covered (shipped) updates and
-    uncovered (cache-answered) queries; covered queries stay and keep
-    accumulating weight against their surviving updates. The flow `fs` is
-    required; it is repaired in place and stays valid for the remainder. When
-    `cover` is that flow's last cover and the graph has not changed since,
-    the flow is settled. Every query outside the cover's scope is in
-    `cover.cover_queries`, so the same drop set serves either way."""
+def prune_remainder(g: InteractionGraph, fs: FlowState) -> None:
+    """Shrink to the remainder subgraph of the cover that `min_weight_cover`
+    left in `fs`: drop covered (shipped) updates and uncovered
+    (cache-answered) queries; covered queries stay and keep accumulating
+    weight against their surviving updates. Once the covered updates are
+    gone an uncovered query has no edge, so it leaves with its empty arcs.
+    The flow is then settled (see the module docstring). Refuses a flow
+    that holds no cover of the graph as it stands: before any cover, after
+    an add or a removal, after a prune, or on another graph; and, after
+    removing the covered updates, refuses to drop an uncovered query that
+    an edge added since the cover still joins to an update."""
     mark = fs.mark
-    settles = mark is not None and mark[1] is cover and mark[0] == _marks(g)
-    g.remove_nodes(fs, drop_updates=cover.cover_updates,
-                   drop_queries=g.query_weight.keys() - cover.cover_queries)
-    if settles:
-        fs.mark = (_marks(g), None)
+    if mark is None or mark[1] is None or mark[0] != _marks(g):
+        raise GraphError("the flow holds no cover of the graph as it stands")
+    answered = g.query_weight.keys() - mark[1].cover_queries
+    g.remove_nodes(fs, mark[1].cover_updates)
+    if edged := [qid for qid in answered if g.query_edges[qid]]:
+        raise GraphError(f"queries {sorted(edged)} have edges the cover leaves open")
+    for qid in answered:
+        del g.query_weight[qid], g.query_edges[qid]
+        fs.flow_uq.pop(qid, None)
+        fs.flow_qt.pop(qid, None)
+    fs.mark = (_marks(g), None)

@@ -62,6 +62,8 @@ class RunConfig:
             raise ValueError(f"sample_stride must be an int >= 1, got {self.sample_stride!r}")
         if not (type(self.warmup_events) is int and self.warmup_events >= 0):
             raise ValueError(f"warmup_events must be an int >= 0, got {self.warmup_events!r}")
+        if not (isinstance(self.params, dict) and all(isinstance(k, str) for k in self.params)):
+            raise ValueError(f"params must be a dict with str keys, got {self.params!r}")
 
     def capacity(self, catalog: ObjectCatalog) -> int:
         """The run's cache capacity in bytes. A replica holds every object,

@@ -20,18 +20,21 @@ canonical cover of the graph with one node per update. The graph is edited
 only by adds and removals. When a query joins with cutoff
 `c = q.time - q.tolerance`, on each of its objects:
 - a group whose members all have `time <= c` gets an edge to the query;
-- a group that `c` cuts in two leaves the graph (`remove_nodes`), and both
-  parts come back with every old edge: the older part under the group's id,
-  the newer part as a new node named by its own oldest member. The removal
-  unsettles the flow, so this query's cover treats the whole graph;
+- a group that `c` cuts in two leaves the graph (`remove_nodes`, which
+  removes update nodes only), and both parts come back with every old edge:
+  the older part under the group's id, the newer part as a new node named by
+  its own oldest member. The removal unsettles the flow, so this query's
+  cover treats the whole graph;
 - the interacting updates not on the graph form one new group, or two when
   both zero and positive costs are among them: a zero-cost update never joins
   a group of positive weight.
 A query left uncovered ships the members of its groups, listed in (object
-id, arrival) order as `interacting_updates` returns them. A covered group
-leaves the graph with all its members. Every member is outstanding in its
-object's queue, so an eviction finds the object's groups through that queue
-and removes them, and the next cover treats the whole graph.
+id, arrival) order as `interacting_updates` returns them. The prune after
+each cover removes the covered groups, each with all its members, and the
+queries the cache answers; nothing else removes a query. Every member is
+outstanding in its object's queue, so an eviction finds the object's groups
+through that queue and removes them (`remove_nodes` again), and the next
+cover treats the whole graph.
 
 A query whose interacting updates are all off the graph would join as a
 *star*: itself and its new groups, a component of their own. When the flow
@@ -41,9 +44,9 @@ answer is known without the kernel: each update node is saturated, so none
 is source-reachable and all are covered, and the query is not reached, so
 it is not (a tie goes to the updates, as the canonical cover prefers). The
 prune would then take the whole star away again, leaving the graph, the
-flow and the group records as they were but for the add counters and
-`augmentations`, which no decision reads. So such a query ships its updates
-and is answered at once, and the graph is left untouched.
+flow and the group records as they were but for `augmentations`, which no
+decision reads. So such a query ships its updates and is answered at once,
+and the graph is left untouched.
 """
 
 from __future__ import annotations
@@ -144,7 +147,7 @@ class VCoverPolicy:
             # then the cached copy is current enough to answer.
             assert cover.cover_updates.issuperset(joined)
             decisions = [ShipUpdates(tuple(map(_uid, ius))), AnswerFromCache(qid)]
-        prune_remainder(graph, cover, self.flow)
+        prune_remainder(graph, self.flow)
         for gid in cover.cover_updates:   # each left the graph with all its members
             for u in group_of[gid]:
                 del group_of[u.uid]

@@ -24,6 +24,12 @@ step:
 
     PYTHONPATH=src python tests/check_80k_digests.py
 
+Last, vcover at policy seed 1 runs again at both caches on the trace with
+every size, load cost and event cost, and the capacity, multiplied by
+`SCALE`: each run must give the same decision log and exactly `SCALE` times
+the ledger, the byte-scaling relation of `tests/test_metamorphic.py` at this
+size.
+
 Each vcover run's line also counts the covers that follow a split of a group
 or an eviction of an object with groups on the graph. Either removes nodes
 outside a prune, which unsettles the flow, so those covers treat the whole
@@ -31,10 +37,12 @@ graph; the incremental kernel pays off only while they stay rare.
 
 Exits 0 when every digest, replay and checked cover holds and 1 otherwise,
 printing one line for the trace, one per run and one with the cover count and
-the group nodes and member updates the checked graphs held.
+the group nodes and member updates the checked graphs held, and one per
+scaled run.
 A change that means to alter behaviour re-records the pins and says why.
 """
 
+import dataclasses
 import hashlib
 import sys
 import tempfile
@@ -45,7 +53,7 @@ from types import SimpleNamespace
 import networkx as nx
 
 from midcache import vcover
-from midcache.core import Evict, Load
+from midcache.core import Evict, Load, ObjectCatalog, ObjectInfo
 from midcache.simharness import RunConfig, replay_decisions, run
 from midcache.workload import GeneratorParams, generate, params_meta, write_catalog, write_trace
 
@@ -73,6 +81,7 @@ GOLDEN = {
 
 
 COVER_STRIDE = 60
+SCALE = 3
 
 
 def digest(report) -> str:
@@ -161,6 +170,22 @@ class SampledCovers:
         return cover, flow
 
 
+def scaling_problems(catalog, events, report) -> list[str]:
+    """How vcover's run with every byte quantity times `SCALE` differs from
+    `report`'s run scaled, if it does."""
+    big_catalog = ObjectCatalog({o: ObjectInfo(e.size * SCALE, e.load_cost * SCALE)
+                                 for o, e in catalog.entries.items()})
+    big_events = [dataclasses.replace(ev, ship_cost=ev.ship_cost * SCALE) for ev in events]
+    config = RunConfig(policy="vcover", seed=report.config["seed"],
+                       cache_bytes=report.capacity * SCALE)
+    big = run(big_events, big_catalog, config)
+    problems = [] if big.decision_log == report.decision_log else ["decision log"]
+    if big.ledger.snapshot() != tuple(SCALE * x for x in report.ledger.snapshot()):
+        problems.append(f"ledger {big.ledger.snapshot()} is not {SCALE} x "
+                        f"{report.ledger.snapshot()}")
+    return problems
+
+
 def trace_digest(catalog, events) -> str:
     with tempfile.TemporaryDirectory() as d:
         write_catalog(catalog, Path(d) / "catalog.json")
@@ -186,6 +211,7 @@ def main() -> int:
         real_init(policy, *args, **kwargs)
         covers.group_of = policy.group_of
 
+    scaled = []   # the reports of vcover at policy seed 1
     vcover.min_weight_cover = covers
     vcover.VCoverPolicy.__init__ = noting_init
     try:
@@ -205,6 +231,8 @@ def main() -> int:
                            "after a split or an eviction")
             print(f"{'FAIL' if problems else 'ok  '} {policy} cache {cache_frac} seed {seed}: "
                   f"{got} ({time.perf_counter() - start:.2f} s){detail}")
+            if (policy, seed) == ("vcover", 1):
+                scaled.append((cache_frac, report))
     finally:
         vcover.min_weight_cover = covers.real
         vcover.VCoverPolicy.__init__ = real_init
@@ -214,6 +242,13 @@ def main() -> int:
     if not covers.checked:
         print("FAIL no cover was checked")
         failed += 1
+    for cache_frac, report in scaled:
+        start = time.perf_counter()
+        problems = scaling_problems(catalog, events, report)
+        failed += bool(problems)
+        print(f"{'FAIL' if problems else 'ok  '} vcover cache {cache_frac} seed 1 with every "
+              f"byte quantity x{SCALE}, against x1 ({time.perf_counter() - start:.2f} s)"
+              + "".join(f"; {p}" for p in problems))
     return 1 if failed else 0
 
 

@@ -64,7 +64,7 @@ def test_c02_incremental_equals_from_scratch():
                 if cover_weight(g, cover) != cover_weight(g, scratch):
                     mismatches += 1
                 if rng.random() < 0.5:
-                    prune_remainder(g, cover, fs)
+                    prune_remainder(g, fs)
         cover, fs = min_weight_cover(g, fs)
         scratch, _ = min_weight_cover(g, FlowState())
         if cover_weight(g, cover) != cover_weight(g, scratch):

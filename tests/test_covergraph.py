@@ -123,10 +123,10 @@ class TestDivideByRemoval:
         # whole graph; its prune settles the flow again.
         g = build({1: 10}, {7: 4, 8: 5}, [(1, 7), (1, 8)])
         cover, fs = min_weight_cover(g)
-        prune_remainder(g, cover, fs)
+        prune_remainder(g, fs)
         assert quiet(g, fs) and fs.flow_su == {1: 9}
         divide(g, fs, 1, 2, 6)
-        assert g.update_weight == {1: 4, 2: 6} and g.updates_added == 3
+        assert g.update_weight == {1: 4, 2: 6}
         assert graph_edges(g) == {(1, 7), (1, 8), (2, 7), (2, 8)}
         assert list(g.query_edges[7]) == list(g.query_edges[8]) == [1, 2]
         assert not fs.flow_su and fs.flow_qt == {7: 0, 8: 0}
@@ -137,7 +137,7 @@ class TestDivideByRemoval:
         assert cover == min_weight_cover(g, FlowState())[0] == \
             CoverResult(frozenset({7, 8}), frozenset())
         assert flow_value(fs) == 9
-        prune_remainder(g, cover, fs)
+        prune_remainder(g, fs)
         assert quiet(g, fs) and _scope(g, fs) == (set(), set())
         check_flow(g, fs)
 
@@ -178,7 +178,7 @@ class TestDivideByRemoval:
                     if len(g.update_weight) + len(g.query_weight) <= 12:
                         assert cover_weight(g, cover) == brute_force_cover_weight(
                             g.update_weight, g.query_weight, graph_edges(g))
-                    prune_remainder(g, cover, fs)
+                    prune_remainder(g, fs)
                     assert quiet(g, fs)
                     check_flow(g, fs)
             cover, fs = min_weight_cover(g, fs)
@@ -273,7 +273,7 @@ class TestIncremental:
                     assert cover_weight(g, cover) == cover_weight(g, scratch)
                     check_flow(g, fs)
                     if rng.random() < 0.5:
-                        prune_remainder(g, cover, fs)
+                        prune_remainder(g, fs)
                         check_flow(g, fs)
             cover, fs = min_weight_cover(g, fs)
             scratch, _ = min_weight_cover(g, FlowState())
@@ -303,12 +303,13 @@ class TestIncremental:
 class TestScopedCover:
     def test_scoped_covers_equal_whole_graph_covers(self):
         # Like the interleaving above, plus zero weights, edges between nodes
-        # already on the graph, query drops, re-added ids and queries added
-        # between a cover and its prune. A flow settled by a prune searches
-        # only the components of nodes added since, and any other removal
-        # unsettles it, yet every cover must equal the from-scratch cover of
-        # the whole graph.
+        # already on the graph, re-added ids and queries added between a
+        # cover and its prune, which the prune refuses. A flow settled by a
+        # prune searches only the components of nodes added since, and any
+        # removal unsettles it, yet every cover must equal the from-scratch
+        # cover of the whole graph.
         rng = random.Random(12)
+        refused = 0
         for _ in range(300):
             g = InteractionGraph()
             fs = FlowState()
@@ -331,9 +332,7 @@ class TestScopedCover:
                     if q not in g.update_edges[u]:
                         g.add_edge(u, q)
                 elif op < 0.7:
-                    g.remove_nodes(fs,
-                                   drop_updates={u for u in g.update_weight if rng.random() < 0.3},
-                                   drop_queries={q for q in g.query_weight if rng.random() < 0.2})
+                    g.remove_nodes(fs, {u for u in g.update_weight if rng.random() < 0.3})
                     check_flow(g, fs)
                 else:
                     cover, fs = min_weight_cover(g, fs)
@@ -346,18 +345,21 @@ class TestScopedCover:
                             if rng.random() < 0.4:
                                 g.add_edge(u, next_q)
                         next_q += 1
-                    if rng.random() < 0.8:
-                        prune_remainder(g, cover, fs)
+                        with pytest.raises(GraphError, match="no cover"):
+                            prune_remainder(g, fs)
+                        refused += 1
+                    elif rng.random() < 0.8:
+                        prune_remainder(g, fs)
                         check_flow(g, fs)
                         reach = residual_reachable(g, fs)
                         assert reach == ({("u", u) for u in g.update_weight}
                                          | {("q", q) for q in g.query_weight})
                         assert source_reachable(g, fs) == reach
                         assert all(fs.flow_qt.get(q, 0) == w for q, w in g.query_weight.items())
-                        if quiet(g, fs):
-                            assert _scope(g, fs) == (set(), set())
+                        assert quiet(g, fs) and _scope(g, fs) == (set(), set())
             cover, fs = min_weight_cover(g, fs)
             assert cover == min_weight_cover(g, FlowState())[0]
+        assert refused > 30
 
     def test_flow_is_mutated_in_place(self):
         g = build({1: 3}, {10: 5}, [(1, 10)])
@@ -371,9 +373,9 @@ class TestQuiet:
     def settled():
         # Query 10 (3) is covered against update 1 (5) and stays with it.
         g = build({1: 5}, {10: 3}, [(1, 10)])
-        cover, fs = min_weight_cover(g)
+        _, fs = min_weight_cover(g)
         assert not quiet(g, fs)
-        prune_remainder(g, cover, fs)
+        prune_remainder(g, fs)
         assert quiet(g, fs) and set(g.query_weight) == {10}
         return g, fs
 
@@ -389,11 +391,9 @@ class TestQuiet:
         assert not quiet(g, fs)
 
     def test_any_removal_ends_it(self):
-        for drop in ({"drop_queries": {10}}, {"drop_updates": {1}},
-                     {"drop_updates": {1}, "drop_queries": {10}}, {"drop_updates": {7}}):
-            g, fs = self.settled()
-            g.remove_nodes(fs, **drop)
-            assert not quiet(g, fs) and fs.mark is None
+        g, fs = self.settled()
+        g.remove_nodes(fs, {1})
+        assert not quiet(g, fs) and fs.mark is None
 
     def test_settled_on_another_graph_is_not_quiet(self):
         _, fs = self.settled()
@@ -417,9 +417,9 @@ class TestLazySeeding:
 
 
 class TestCycleExits:
-    """Every way a flow leaves the cover -> prune cycle other than a prune of
-    its own cover on the unchanged graph. In each, the next cover must still
-    equal the from-scratch cover."""
+    """Every way a flow leaves the cover -> prune cycle other than the prune
+    of its own cover on the unchanged graph. The prune refuses each, and the
+    next cover must still equal the from-scratch cover."""
 
     @staticmethod
     def next_cover_from_scratch(g, fs):
@@ -427,26 +427,47 @@ class TestCycleExits:
         assert cover == min_weight_cover(g, FlowState())[0]
         check_flow(g, fs)
 
+    @staticmethod
+    def refused(g, fs):
+        with pytest.raises(GraphError, match="no cover of the graph as it stands"):
+            prune_remainder(g, fs)
+
     def test_settled_on_one_graph_then_covered_on_another(self):
         g = build({1: 5}, {10: 1}, [(1, 10)])
+        _, fs = min_weight_cover(g)
+        prune_remainder(g, fs)
+        # Same ids and node counts, and the flow is valid on it, but query
+        # 10 now outweighs update 1.
+        other = build({1: 5}, {10: 9}, [(1, 10)])
+        self.refused(other, fs)
+        self.next_cover_from_scratch(other, fs)
+
+    def test_a_flow_never_covered_is_refused(self):
+        g = build({1: 5}, {10: 1}, [(1, 10)])
+        self.refused(g, FlowState())
+
+    def test_a_cover_computed_on_another_graph_is_refused(self):
+        g = build({1: 5}, {10: 1}, [(1, 10)])
+        _, fs = min_weight_cover(g)
+        self.refused(build({1: 5}, {10: 1}, [(1, 10)]), fs)
+
+    def test_a_second_prune_is_refused(self):
+        # The first prune consumes the cover; the second finds a settled
+        # flow, which holds none, and leaves the graph as the first left it.
+        g = build({1: 1, 2: 5}, {10: 5, 11: 1}, [(1, 10), (2, 11)])
         cover, fs = min_weight_cover(g)
-        prune_remainder(g, cover, fs)
-        # Same ids and add counts, and the flow is valid on it, but query 10
-        # now outweighs update 1.
-        self.next_cover_from_scratch(build({1: 5}, {10: 9}, [(1, 10)]), fs)
+        assert cover == CoverResult(frozenset({11}), frozenset({1}))
+        prune_remainder(g, fs)
+        self.refused(g, fs)
+        assert (g.update_weight, g.query_weight, graph_edges(g)) == ({2: 5}, {11: 1}, {(2, 11)})
+        assert quiet(g, fs)
 
     def test_remove_nodes_between_a_cover_and_its_prune(self):
         g = build({1: 3, 2: 3}, {10: 5}, [(1, 10), (2, 10)])
         cover, fs = min_weight_cover(g)
         assert cover.cover_queries == {10}
-        g.remove_nodes(fs, drop_updates={1})
-        prune_remainder(g, cover, fs)
-        self.next_cover_from_scratch(g, fs)
-
-    def test_prune_handed_a_cover_its_flow_did_not_compute(self):
-        g = build({1: 1, 2: 5}, {10: 5, 11: 1}, [(1, 10), (2, 11)])
-        _, fs = min_weight_cover(g)
-        prune_remainder(g, CoverResult(frozenset(g.query_weight), frozenset()), fs)
+        g.remove_nodes(fs, {1})
+        self.refused(g, fs)
         self.next_cover_from_scratch(g, fs)
 
     def test_removal_after_the_flow_settled(self):
@@ -459,25 +480,35 @@ class TestCycleExits:
         g = build({1: 5, 2: 2}, {10: 6}, [(1, 10), (2, 10)])
         cover, fs = min_weight_cover(g)
         assert cover.cover_queries == {10} and not cover.cover_updates
-        prune_remainder(g, cover, fs)
+        prune_remainder(g, fs)
         assert quiet(g, fs) and fs.flow_uq[10][1] == 5
-        g.remove_nodes(fs, drop_updates={1})
+        g.remove_nodes(fs, {1})
         assert not quiet(g, fs)
         self.next_cover_from_scratch(g, fs)
         assert min_weight_cover(g, fs)[0] == CoverResult(frozenset(), frozenset({2}))
 
-    def test_query_added_between_a_cover_and_its_prune(self):
-        # The prune drops the new query, which the cover did not cover; the
-        # zero-weight update that came with it stays, and no source arc
-        # reaches it.
-        g = build({1: 5}, {10: 1}, [(1, 10)])
+    def test_nodes_added_between_a_cover_and_its_prune(self):
+        # The cover did not see the new node, so it cannot say whether the
+        # prune should drop it.
+        for add in (lambda g: g.add_query(11, 3), lambda g: g.add_update(2, 0)):
+            g = build({1: 5}, {10: 1}, [(1, 10)])
+            _, fs = min_weight_cover(g)
+            add(g)
+            self.refused(g, fs)
+            self.next_cover_from_scratch(g, fs)
+
+    def test_an_edge_the_cover_leaves_open_is_refused(self):
+        # Update 2 and query 10 are both outside the cover, so an edge added
+        # between them after it leaves query 10 with an edge once update 1
+        # is gone. The prune refuses before dropping any query; the flow
+        # stays valid and unsettled.
+        g = build({1: 1, 2: 5}, {10: 5, 11: 1}, [(1, 10), (2, 11)])
         cover, fs = min_weight_cover(g)
-        g.add_update(2, 0)
-        g.add_query(11, 3)
-        g.add_edge(1, 11)
-        g.add_edge(2, 11)
-        prune_remainder(g, cover, fs)
-        assert set(g.update_weight) == {1, 2}
+        assert cover == CoverResult(frozenset({11}), frozenset({1}))
+        g.add_edge(2, 10)
+        with pytest.raises(GraphError, match=r"queries \[10\] have edges the cover leaves open"):
+            prune_remainder(g, fs)
+        assert set(g.query_weight) == {10, 11} and fs.mark is None
         self.next_cover_from_scratch(g, fs)
 
 
@@ -486,7 +517,7 @@ class TestPrune:
         g = build({1: 2, 2: 3}, {10: 9}, [(1, 10), (2, 10)])
         cover, fs = min_weight_cover(g)
         assert cover.cover_updates == {1, 2}
-        prune_remainder(g, cover, fs)
+        prune_remainder(g, fs)
         assert not g.update_weight
         assert not g.query_weight   # answered at cache, so not retained
         check_flow(g, fs)
@@ -499,7 +530,7 @@ class TestPrune:
         cover, fs = min_weight_cover(g)
         assert cover.cover_updates == {1, 2}
         assert cover.cover_queries == {11}
-        prune_remainder(g, cover, fs)
+        prune_remainder(g, fs)
         assert g.query_weight == {11: 5}   # shipped query keeps its weight
         assert set(g.update_weight) == {3}
         check_flow(g, fs)
@@ -508,22 +539,24 @@ class TestPrune:
         g = build({1: 7, 2: 8}, {10: 5}, [(1, 10), (2, 10)])
         cover, fs = min_weight_cover(g)
         assert cover.cover_queries == {10}
-        prune_remainder(g, cover, fs)
+        prune_remainder(g, fs)
         assert set(g.update_weight) == {1, 2}
         assert graph_edges(g) == {(1, 10), (2, 10)}
         check_flow(g, fs)
 
-    def test_remove_nodes_skips_absent_ids(self):
-        # Eviction hands over every queued uid of the object, on the graph or not.
+    def test_remove_nodes_refuses_absent_ids(self):
+        # Only the prune removes queries, and a caller names only update
+        # nodes on the graph: vcover names the groups it tracks.
         g = build({1: 3, 2: 4}, {10: 5, 11: 2}, [(1, 10), (2, 10), (2, 11)])
         _, fs = min_weight_cover(g)
-        g.remove_nodes(fs, drop_updates={1})
         before = (dict(g.update_weight), dict(g.query_weight), graph_edges(g), g.n_edges,
                   dict(fs.flow_su), {q: dict(i) for q, i in fs.flow_uq.items()},
-                  dict(fs.flow_qt))
-        g.remove_nodes(fs, drop_updates={1, 7}, drop_queries={99})
+                  dict(fs.flow_qt), fs.mark)
+        with pytest.raises(GraphError, match=r"update nodes \[7\] not on the graph"):
+            g.remove_nodes(fs, {1, 7})
         assert before == (g.update_weight, g.query_weight, graph_edges(g), g.n_edges,
-                          fs.flow_su, fs.flow_uq, fs.flow_qt)
+                          fs.flow_su, fs.flow_uq, fs.flow_qt, fs.mark)
+        prune_remainder(g, fs)   # the refusal kept the cover's mark
         check_flow(g, fs)
 
     def test_random_prune_matches_set_algebra(self):
@@ -535,7 +568,7 @@ class TestPrune:
             keep_u = set(uw) - set(cover.cover_updates)
             keep_q = set(cover.cover_queries)
             expect_edges = {(u, q) for u, q in edges if u in keep_u and q in keep_q}
-            prune_remainder(g, cover, fs)
+            prune_remainder(g, fs)
             assert set(g.update_weight) == keep_u
             assert set(g.query_weight) == keep_q
             assert graph_edges(g) == expect_edges

@@ -8,8 +8,15 @@ changes in a known way, so it needs no oracle for the output itself:
   capacity by k leaves every decision log unchanged and scales every ledger
   and series column but `seq` by exactly k. For `benefit` k is a power of
   two: its smoothing is float arithmetic, exact only under such a scaling.
+- *Order-preserving relabel.* Mapping every object id through o -> 2o + 5
+  leaves every decision log unchanged up to the relabel, and every ledger
+  and series unchanged. Only an increasing map qualifies: `offer` sorts by
+  id, and Greedy-Dual-Size breaks ties by id.
+- *Prefix consistency.* The run of `events[:n]` makes the full run's
+  decisions up to the n-th event's seq, for the four online policies.
+  `soptimal` is exempt: it plans on the whole trace.
 
-Both run over drawn traces with small byte quantities, where ties and
+All four run over drawn traces with small byte quantities, where ties and
 boundaries are common, and over generated traces of the default shape.
 Capacity is given in bytes (`cache_bytes`), so it scales with the catalog.
 
@@ -27,7 +34,7 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from midcache.core import ObjectCatalog, ObjectInfo, Query, Update
+from midcache.core import Evict, Load, ObjectCatalog, ObjectInfo, Query, Update
 from midcache.simharness import POLICY_NAMES, RunConfig, run
 from midcache.workload import GeneratorParams, generate
 
@@ -113,6 +120,42 @@ def test_byte_scaling_scales_ledgers_only(policy, data):
     a = run(events, catalog, cfg)
     b = run(big_events, big_catalog, dataclasses.replace(cfg, cache_bytes=capacity * k))
     assert_scaled(a, b, k)
+
+
+def relabel(o: int) -> int:
+    return 2 * o + 5
+
+
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(drawn_traces(), generated_traces()), st.data())
+def test_order_preserving_relabel_changes_only_the_ids(policy, trace, data):
+    catalog, events, capacity = trace
+    moved_catalog = ObjectCatalog({relabel(o): e for o, e in catalog.entries.items()})
+    moved = [dataclasses.replace(ev, objects=frozenset(map(relabel, ev.objects)))
+             if isinstance(ev, Query) else dataclasses.replace(ev, object=relabel(ev.object))
+             for ev in events]
+    cfg = config(data.draw, policy, capacity)
+    a, b = run(events, catalog, cfg), run(moved, moved_catalog, cfg)
+    assert b.decision_log == [(seq, type(d)(relabel(d.oid)) if type(d) in (Load, Evict) else d)
+                              for seq, d in a.decision_log]
+    assert b.initial_resident == list(map(relabel, a.initial_resident))
+    assert b.final_resident == list(map(relabel, a.final_resident))
+    assert b.ledger == a.ledger
+    assert b.series == a.series
+
+
+@pytest.mark.parametrize("policy", [p for p in POLICY_NAMES if p != "soptimal"])
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(drawn_traces(), generated_traces()), st.data())
+def test_a_prefix_makes_the_full_runs_decisions(policy, trace, data):
+    catalog, events, capacity = trace
+    n = data.draw(st.integers(0, len(events)), label="prefix")
+    cfg = config(data.draw, policy, capacity)
+    last = events[n - 1].seq if n else 0
+    full = run(events, catalog, cfg)
+    assert run(events[:n], catalog, cfg).decision_log == \
+        [(seq, d) for seq, d in full.decision_log if seq <= last]
 
 
 @pytest.mark.parametrize("policy", ["benefit", "soptimal"])

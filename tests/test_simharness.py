@@ -104,6 +104,15 @@ class TestConfig:
             with pytest.raises(ValueError, match="^cache_frac must be "):
                 RunConfig(policy="vcover", seed=0, cache_bytes=10, cache_frac=value)
 
+    @pytest.mark.parametrize("params", [None, [("mode", "lazy")], "mode", {1: 0}, {"a": 0, None: 1}],
+                             ids=["none", "list", "str", "int-key", "none-key"])
+    def test_params_must_be_a_dict_with_str_keys(self, params):
+        # Each would otherwise build and fail at run() as a TypeError from
+        # the policy call's ** unpacking.
+        with pytest.raises(ValueError,
+                           match=f"^params must be a dict with str keys, got {re.escape(repr(params))}$"):
+            RunConfig(policy="nocache", seed=0, params=params)
+
     def test_fields_cannot_be_assigned(self):
         config = RunConfig(policy="vcover", seed=0)
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -326,9 +326,9 @@ class TestEndToEnd:
         pruned = {}   # newest query id -> queries the prune after its cover dropped
         real_prune = vc.prune_remainder
 
-        def recording_prune(g, cover, fs=None):
+        def recording_prune(g, fs):
             before = set(g.query_weight)
-            real_prune(g, cover, fs)
+            real_prune(g, fs)
             pruned[max(before)] = before - set(g.query_weight)
 
         monkeypatch.setattr(vc, "prune_remainder", recording_prune)
@@ -763,7 +763,7 @@ class TestStarAnswer:
                 assert cover.cover_updates == {m[0].uid for m in star.values()}
                 assert decisions == [ShipUpdates(tuple(u.uid for u in ius)),
                                      AnswerFromCache(ev.qid)]
-                prune_remainder(g, cover, fs)
+                prune_remainder(g, fs)
                 shadow_policy = SimpleNamespace(graph=g, flow=fs, group_of=group_of)
                 assert graph_and_flow(shadow_policy) == graph_and_flow(policy)
                 assert quiet(g, fs) and quiet(policy.graph, policy.flow)
