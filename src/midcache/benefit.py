@@ -1,23 +1,19 @@
 """Windowed-benefit heuristic policy.
 
 The event sequence is cut into fixed-length windows. Each object accrues a
-per-window benefit: shipping cost saved by answering queries at the cache
-(split across a query's objects in proportion to size), minus the update
-traffic it caused; objects not in the cache accrue the benefit they would
-have earned had they been resident, less one load cost. An exponentially
-smoothed forecast ranks objects at every window boundary and the cache is
-recomposed greedily from the top of the ranking.
+per-window benefit: shipping cost saved by answering queries at the cache,
+minus the update traffic it caused; objects not in the cache accrue the
+benefit they would have earned had they been resident, less one load cost.
+An exponentially smoothed forecast ranks objects at every window boundary
+and the cache is recomposed greedily from the top of the ranking.
 
-The policy keeps its state in plain dicts: the window's accruals `saved`
-and `update_cost`, the forecast `mu`, and `splits`. The `soptimal` yardstick
-plans with the same pieces (`split_shape`, `window_benefits`, `fill`): one
-window over the whole trace, empty cache, accrued into two local dicts.
-
-A query's split depends only on its shape (object set, cost) and the
-catalog, so each run computes every distinct shape's split once: `benefit`
-in its `splits` dict, which dies with the policy, `soptimal` by counting the
-shapes before it splits them. Regrained catalogs reuse object ids with other
-sizes, so no split outlives its run.
+Share splitting. A query's saved cost is split across its objects in
+proportion to size (`proportional_shares`). The split depends only on the
+query's shape (object set, cost) and the catalog, so each run splits every
+distinct shape once (`split_shape`): `benefit` in its `splits` dict, which
+dies with the policy, and the `soptimal` planner, which plans with the same
+pieces, by counting the shapes before it splits them. Regrained catalogs
+reuse object ids with other sizes, so no split outlives its run.
 
 Between boundaries the cache protocol is plain: fully resident and current
 enough answers at the cache, fully resident but stale ships the interacting
@@ -121,13 +117,11 @@ class BenefitPolicy:
     """Inside a window, `saved` and `update_cost` accrue each object's bytes
     (hypothetical ones for objects not resident); `mu` is the smoothed
     forecast, one entry per catalog object in id order; `splits` maps each
-    query shape (object set, cost) met in this run to its `split_shape`
-    pairs, so every distinct shape is split once per run, on first use.
-
-    Each hook accrues and routes its own event, then counts it; the event
-    that fills the window appends `roll_window`'s recomposition to its own
-    decisions. A query credits its shares to every object it accesses (only
-    to the missing ones when it ships)."""
+    query shape met in this run to its split, made on first use (module
+    docstring, share splitting). Each hook accrues and routes its own event,
+    then counts it; the event that fills the window appends `roll_window`'s
+    recomposition to its own decisions. A query credits its shares to every
+    object it accesses (only to the missing ones when it ships)."""
 
     def __init__(self, cache: CacheState, alpha: float = 0.5, delta: int = 1000):
         check_window(alpha, delta)

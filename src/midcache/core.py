@@ -94,8 +94,7 @@ class ObjectCatalog:
     lookup raises UnknownObject for an id the catalog lacks.
 
     Load cost defaults to the object's size (cost of moving the whole object
-    over the network); catalogs may override it per object.
-    """
+    over the network); catalogs may override it per object."""
 
     entries: Mapping[ObjectId, ObjectInfo] = field(default_factory=dict)
 
@@ -241,13 +240,11 @@ class Trace(Sequence):
     """An immutable sequence of events that passed the whole event contract
     (`EventContract`) against a catalog. It keeps the ids of the catalog it
     was checked against, so it stays valid under any catalog that holds them
-    all (see `as_trace`).
-
-    `Trace.of` is the public door and checks everything. The trace reader,
-    the generator and `regrain` enforce every rule as they build events, so
-    they return a Trace through the trusted `_trusted` constructor instead.
-    Slicing gives a plain tuple, which is checked again like any other
-    sequence of events."""
+    all (see `as_trace`). `Trace.of` is the public door and checks everything.
+    The trace reader, the generator and `regrain` enforce every rule as they
+    build events, so they return a Trace through the trusted `_trusted`
+    constructor instead. Slicing gives a plain tuple, which is checked again
+    like any other sequence of events."""
 
     events: tuple[Event, ...]
     object_ids: frozenset[ObjectId]
@@ -343,8 +340,7 @@ class CacheState:
     `moves` counts residency changes: one per successful Load or Evict in
     `apply` and one per object `seed_resident` adds; a refused decision
     changes nothing. The load manager compares it to skip re-checking a
-    resident set it already knows.
-    """
+    resident set it already knows."""
 
     def __init__(self, capacity: int, catalog: ObjectCatalog):
         if capacity < 0:
@@ -393,9 +389,8 @@ def interacting_updates(q: Query, cache: CacheState, now: int) -> list[Update]:
     it accesses, except those younger than its staleness tolerance.
 
     All accessed objects must be resident; the boundary is inclusive
-    (u.time <= now - tolerance interacts). Returned in (object id, arrival)
-    order, which is deterministic.
-    """
+    (u.time <= now - tolerance interacts; on `now`, see the package docstring).
+    Returned in (object id, arrival) order, which is deterministic."""
     if not q.objects <= cache.resident:
         raise NonResident(f"query {q.qid}: object {min(q.objects - cache.resident)} "
                           "is not resident")
@@ -414,8 +409,7 @@ def apply(cache: CacheState, d: Decision) -> int:
     Load admits a whole object with no queue, so it is fresh (updates arriving
     during an instantaneous load are folded into the loaded copy). ShipUpdates
     drains queued updates and drops a queue once it empties. Evict drops
-    residency together with the object's queue. Load and Evict keep the
-    running `used` counter and add 1 to `moves`."""
+    residency together with the object's queue. Both keep `used` and `moves`."""
     kind = type(d)
     moved = 0
     if kind is Load or kind is Evict:
@@ -471,17 +465,16 @@ class TrafficLedger:
 
 
 class CostContext:
-    """Empty and unused in the package (`apply` returns the bytes a decision
-    moves); the benchmark's layer table (`perfbench/layers.py`) patches `see`."""
+    """Unused in the package; kept for the layer table (package docstring)."""
 
     def see(self, ev: Event) -> None:
         pass
 
 
 def record(ledger: TrafficLedger, d: Decision, moved: int, seq: int = 0) -> None:
-    """Add `moved` bytes to the decision's bucket; `seq` is unused (callers
-    may pass it). AnswerFromCache and Evict have no bucket: the cache sits
-    next to the clients, so cache-answered results are free."""
+    """Add `moved` bytes to the decision's bucket; `seq` is unused (package
+    docstring). AnswerFromCache and Evict have no bucket: the cache sits next
+    to the clients, so cache-answered results are free."""
     kind = type(d)
     if kind is ShipQuery:
         ledger.query_ship += moved

@@ -6,33 +6,22 @@ update -> query (effectively unbounded) and query -> sink (capacity = query
 weight); the max-flow value equals the min-cover weight, and the cover falls
 out of residual reachability from the source.
 
-The flow lives in a `FlowState` that `min_weight_cover` mutates in place.
-`remove_nodes` and `prune_remainder` require it too: every graph edit
-repairs the flow. A graph is edited only by adds and removals. The flow's
-`mark` holds its place in one cycle: a cover marks it with the graph and its
-node counts and the cover, and the prune after it consumes that mark,
-drops what the cover decided and *settles* the flow, keeping the graph's
-marks alone: every node left is source-reachable in the residual network and
-every remaining query is saturated. (A prune drops only nodes outside the
-reachable side, and no flow crosses that cut, so the flow stays maximum.)
-Any removal clears the mark, so a settled graph only grows: the nodes added
-since are the last keys of each insertion-ordered dict, as many as the
-counts have grown, and the next cover searches only their components.
-Every other component is still settled, so its queries are covered and its
-updates are not. Without a settled mark the next cover treats the whole
-graph. A prune refuses a flow that holds no cover of the graph as it
-stands. `quiet` tells a caller whether the flow is settled with nothing
-added since.
-
-An update node may stand for a group of twin updates, as in `vcover`: updates
-of one object with the same neighbour set, all of zero cost or all of
-positive cost, on one node named by the oldest member's uid and weighing the
-members' summed cost. Positive-weight twins are all source-reachable in the
-residual network or none are, and a zero-weight node never is, so the
-canonical cover of the grouped graph, each node read as its members, is that
-of the graph with one node per update; a zero-cost update sharing a node with
-positive-cost ones would break this. A caller divides a node by removing it
-and adding its parts back, each with every old edge.
+The cover cycle. The flow lives in a `FlowState`: `min_weight_cover` brings it
+to a maximum in place, `remove_nodes` and `prune_remainder` repair it, and an
+add leaves it valid; the graph is edited only by adds and removals. The flow's
+`mark` holds its place in the cycle. A cover marks the flow with the graph,
+its node counts and the cover. The prune after it consumes that mark, drops
+what the cover decided and *settles* the flow, keeping the graph's marks
+alone: every node left is source-reachable in the residual network and every
+remaining query is saturated. (A prune drops only nodes outside the reachable
+side, and no flow crosses that cut, so the flow stays maximum.) Any removal
+clears the mark, so a settled graph only grows: the nodes added since are the
+last keys of each insertion-ordered dict, as many as the counts have grown.
+The next cover's scope is their components; every other component is still
+settled, its queries covered and its updates not. Without a settled mark the
+next cover treats the whole graph. A prune refuses a flow that holds no cover
+of the graph as it stands, and `quiet` tells whether the flow is settled with
+nothing added since.
 """
 
 from __future__ import annotations
@@ -49,28 +38,21 @@ class GraphError(Exception):
 @dataclass
 class FlowState:
     """Arc flows for the derived network, reusable across cover computations.
-
-    `augmentations` counts augmenting paths found so far; it only ever grows
-    and exists to measure how much incremental reuse saves. `mark` hands a
-    cover to its prune and bounds the next cover's work (see the module
-    docstring); it takes no part in comparisons.
-    """
+    `augmentations` counts augmenting paths found so far, only grows, and
+    measures what incremental reuse saves. `mark` is the flow's place in the
+    cover cycle (module docstring) and takes no part in comparisons."""
 
     flow_su: dict[int, int] = field(default_factory=dict)             # source -> update
-    # update -> query, as {qid: {uid: flow}} holding positive flows only: the
-    # updates a query's residual reverse arcs lead to.
+    # update -> query as {qid: {uid: flow}}, positive flows only: a query's reverse arcs.
     flow_uq: dict[int, dict[int, int]] = field(default_factory=dict)
     flow_qt: dict[int, int] = field(default_factory=dict)             # query -> sink
     augmentations: int = 0
-    # ((graph, update count, query count), cover) from a cover until its
-    # prune; (that graph's marks, None) once the prune settles the flow; None
-    # before any cover and after any removal.
+    # ((graph, update count, query count), cover) from a cover to its prune,
+    # (those marks, None) once settled, else None: see the module docstring.
     mark: tuple | None = field(default=None, compare=False, repr=False)
 
     def copy(self) -> "FlowState":
-        """The arc flows alone: a copy is unsettled, so its first cover
-        treats the whole graph. Nothing in the package copies a flow; the
-        benchmark's layer table (`perfbench/layers.py`) names this method."""
+        """The arc flows alone, unsettled. Kept for the layer table (package docstring)."""
         return FlowState(dict(self.flow_su), {q: dict(i) for q, i in self.flow_uq.items()},
                          dict(self.flow_qt), self.augmentations)
 
@@ -84,14 +66,12 @@ class CoverResult:
 class InteractionGraph:
     """Bipartite graph: update nodes on one side, query nodes on the other,
     an edge whenever shipping the update or shipping the query would each
-    satisfy the interaction. Node weights are shipping costs in bytes.
-    """
+    satisfy the interaction. Node weights are shipping costs in bytes."""
 
     def __init__(self):
         self.query_weight: dict[int, int] = {}
         self.update_weight: dict[int, int] = {}
-        # uid -> {qid: None} and qid -> {uid: None}: dicts keep insertion
-        # order, which fixes the search order.
+        # uid -> {qid: None}, qid -> {uid: None}: insertion order fixes search order.
         self.update_edges: dict[int, dict[int, None]] = {}
         self.query_edges: dict[int, dict[int, None]] = {}
 
@@ -123,16 +103,14 @@ class InteractionGraph:
 
     @property
     def n_edges(self) -> int:
-        """Edge count, for the benchmark's traced layer table."""
+        """Edge count. Kept for the layer table (see the package docstring)."""
         return sum(map(len, self.update_edges.values()))
 
     def remove_nodes(self, fs: FlowState, drop_updates: set[int]) -> None:
         """Delete update nodes plus incident edges, repairing the flow `fs`
-        (required) so what remains is still a valid (not necessarily
-        maximum) flow: inflow a query loses comes off its sink arc. The
-        flow's mark is cleared, so the next cover treats the whole graph
-        unless a prune settles the flow again (see the module docstring).
-        Every id must be on the graph."""
+        so what remains is a valid (not necessarily maximum) flow: inflow a
+        query loses comes off its sink arc. Clears the flow's mark (module
+        docstring). Every id must be on the graph."""
         if missing := drop_updates - self.update_weight.keys():
             raise GraphError(f"update nodes {sorted(missing)} not on the graph")
         fs.mark = None
@@ -150,17 +128,15 @@ def _marks(g: InteractionGraph) -> tuple:
 
 
 def quiet(g: InteractionGraph, fs: FlowState) -> bool:
-    """Whether `fs` is settled on `g` with no node added since. The
-    components of nodes added now form the next cover's whole scope, and
-    every other component keeps its cover: its queries covered, its updates
-    not."""
+    """Whether `fs` is settled on `g` with no node added since, so that
+    what is added now is the next cover's whole scope (module docstring)."""
     mark = fs.mark
     return mark is not None and mark[1] is None and mark[0] == _marks(g)
 
 
 def _scope(g: InteractionGraph, fs: FlowState):
-    """Update and query ids of the components that may have changed since
-    `fs` settled on `g`: all of them when it has not."""
+    """Update and query ids of the next cover's scope (module docstring):
+    all of them unless `fs` is settled on `g`."""
     if fs.mark is None or fs.mark[1] is not None or fs.mark[0][0] is not g:
         return g.update_weight, g.query_weight
     _, n_updates, n_queries = fs.mark[0]
@@ -238,9 +214,8 @@ def _augment(g: InteractionGraph, fs: FlowState, path: list[int]) -> None:
 
 def source_reachable(g: InteractionGraph, fs: FlowState) -> set[tuple[str, int]]:
     """Nodes reachable from the source in the residual network of a maximum
-    flow, as ('u'|'q', id): one side of a minimum cut. `min_weight_cover`
-    takes this set from its own final search instead; the benchmark's layer
-    table (`perfbench/layers.py`) names this function."""
+    flow, as ('u'|'q', id): one side of a minimum cut. Kept for the layer
+    table (see the package docstring)."""
     path, reached_u, reached_q = _search(g, fs, g.update_weight)
     if path is not None:
         raise GraphError("flow is not maximum")
@@ -251,19 +226,15 @@ def min_weight_cover(g: InteractionGraph, prior: FlowState | None = None
                      ) -> tuple[CoverResult, FlowState]:
     """Minimum-weight vertex cover of the bipartite graph, derived from the
     min cut of the max flow. Returns the cover and the flow, which is
-    `prior` itself, brought to a maximum in place (a new flow without one).
-
-    Augmentation starts from the prior flow (valid after any sequence of adds
-    and removals) and takes augmenting paths breadth-first from one lazily
-    chosen root at a time (see `_search`). When the prior flow was
-    settled by a prune, the searches run only in the components of the nodes
-    added since (see the module docstring); the result is still the whole
-    graph's cover.
-    Among equal-weight covers the extraction prefers covering updates: an
-    update is covered iff unreachable from the source in the residual
-    network, a query iff reachable, and the canonical reachable set is the
-    smallest cut side, the same for every maximum flow.
-    """
+    `prior` itself, brought to a maximum in place (a new flow without one)
+    and marked with the cover (module docstring). Augmentation starts from
+    the prior flow and takes augmenting paths breadth-first from one lazily
+    chosen root at a time (`_search`), only in the cover's scope (`_scope`);
+    the result is the whole graph's cover. Among equal-weight covers the
+    extraction prefers covering updates: an update is covered iff
+    unreachable from the source in the residual network, a query iff
+    reachable, and the canonical reachable set is the smallest cut side, the
+    same for every maximum flow."""
     fs = prior if prior is not None else FlowState()
     updates, queries = _scope(g, fs)
     while True:
@@ -280,16 +251,15 @@ def min_weight_cover(g: InteractionGraph, prior: FlowState | None = None
 
 
 def prune_remainder(g: InteractionGraph, fs: FlowState) -> None:
-    """Shrink to the remainder subgraph of the cover that `min_weight_cover`
-    left in `fs`: drop covered (shipped) updates and uncovered
-    (cache-answered) queries; covered queries stay and keep accumulating
-    weight against their surviving updates. Once the covered updates are
-    gone an uncovered query has no edge, so it leaves with its empty arcs.
-    The flow is then settled (see the module docstring). Refuses a flow
-    that holds no cover of the graph as it stands: before any cover, after
-    an add or a removal, after a prune, or on another graph; and, after
-    removing the covered updates, refuses to drop an uncovered query that
-    an edge added since the cover still joins to an update."""
+    """Shrink to the remainder of the cover that `fs`'s mark holds, and settle
+    the flow (module docstring): drop the covered (shipped) updates, then the
+    uncovered (cache-answered) queries, which have no edge left and leave with
+    their empty arcs; covered queries stay and keep accumulating weight
+    against their surviving updates. Refuses a flow that holds no cover of the
+    graph as it stands (before any cover, after an add or a removal, after a
+    prune, or on another graph), and, after removing the covered updates, an
+    uncovered query that an edge added since the cover still joins to an
+    update."""
     mark = fs.mark
     if mark is None or mark[1] is None or mark[0] != _marks(g):
         raise GraphError("the flow holds no cover of the graph as it stands")

@@ -1,39 +1,9 @@
 """Load manager: decides which missing objects a shipped query should pull
-into the cache.
-
-Instead of keeping a per-object counter of attributed shipping cost, the
-query's cost is spent across its missing objects in random order; an object
-whose load cost is fully covered becomes a load candidate outright, a
-partially covered one becomes a candidate with probability cost/load_cost.
-In expectation an object turns candidate exactly when the traffic spent
-querying it matches the cost of loading it once.
-
-Admission and eviction follow Greedy-Dual-Size, run lazily over the whole
-batch of candidacies one query generates: the batch is simulated first and
-only the net residency changes are emitted, so an object admitted and then
-evicted within the same batch never touches the network. The simulation runs
-on the GDS state itself, whose credit map stands in for the resident set:
-after each batch, the credit keys are exactly the objects the emitted
-decisions leave resident.
-
-Victims come off a heap of (credit, oid) entries with lazy deletion. Every
-live credit has its pair on the heap; an entry whose pair no longer matches
-the credit map is stale and is skipped when it surfaces. Credits change only
-through `gds_lazy_apply`, which pushes each new pair, so the heap's minimum
-valid entry is always the minimum-(credit, oid) resident.
-
-A policy keeps one `GdsState` and one random stream for the whole run; for
-each shipped query it calls `offer` and hands the batch to `gds_lazy_apply`.
-Both read each object's entry in the cache's catalog once, and an id it
-lacks raises UnknownObject. `offer` shuffles only two or more missing
-objects (shuffling one draws nothing), and an empty batch returns once the
-credits match the residents.
-
-The caller keeps `CacheState`'s decision-application contract. The state
-remembers the cache it last synced against and the `moves` count the
-decisions bring it to, so the credits are checked against the resident set
-only when some other change came between; breaking the contract leaves the
-credits, and so the victims, wrong.
+into the cache. A policy keeps one `GdsState` and one random stream for the
+whole run. For each shipped query it calls `offer`, whose spending rule
+names the load candidates, and hands the batch to `gds_lazy_apply`, whose
+admission and eviction follow Greedy-Dual-Size, run lazily. Both read each
+object's catalog entry once; an id the catalog lacks raises UnknownObject.
 """
 
 from __future__ import annotations
@@ -51,14 +21,18 @@ class GdsState:
     per resident object. Credits never fall below the inflation level. After
     each batch the credit keys are the resident set.
 
-    `heap` holds a (credit, oid) entry for every live credit, plus stale
-    entries left behind when a credit is replaced or dropped. It is built
-    from `credit` here, and `credit` must change only through
-    `gds_lazy_apply`, which keeps the heap in step.
+    `heap` takes victims by lazy deletion: it holds a (credit, oid) entry for
+    every live credit, plus stale ones, left when a credit is replaced or
+    dropped and skipped when they surface, so its minimum valid entry is the
+    minimum-(credit, oid) resident. It is built from `credit` here; `credit`
+    must change only through `gds_lazy_apply`, which pushes each new pair.
 
-    `synced_cache` is the cache the credits were last synced against and
-    `synced_moves` the `moves` count it reaches once the last returned
-    decisions are applied; a fresh state has none, so its first call syncs."""
+    `synced_cache` and `synced_moves` are the cache the credits were last
+    synced against and the `moves` count it reaches once the last returned
+    decisions are applied (none for a fresh state, whose first call syncs).
+    The credits are checked against the resident set only when some other
+    change came between, so breaking the decision-application contract
+    leaves them, and so the victims, wrong."""
 
     inflation: float = 0.0
     credit: dict[ObjectId, float] = field(default_factory=dict)
@@ -78,12 +52,16 @@ class GdsState:
 def offer(q: Query, cache: CacheState, rng: random.Random) -> list[ObjectId]:
     """Spend the query's shipping cost across its missing objects in uniformly
     random order, emitting load candidacies: distinct ids, none resident at
-    batch start, in candidacy order.
-
-    The order is `rng.shuffle(sorted(missing))`, drawn as `Random.shuffle`
-    draws it on CPython 3.10-3.13 (each index by `getrandbits` until it is in
-    range) without its calls, so the permutation and the stream's state after
-    it are the same."""
+    batch start, in candidacy order. An object whose load cost the cost left
+    covers becomes a candidate outright and uses that much up; the first one
+    covered only in part becomes one with probability (cost left)/load_cost,
+    and spending stops. So, with no per-object counter, an object turns
+    candidate in expectation exactly when the traffic spent querying it
+    matches the cost of loading it once. The order is
+    `rng.shuffle(sorted(missing))`, drawn as `Random.shuffle` draws it on
+    CPython 3.10-3.13 (each index by `getrandbits` until it is in range)
+    without its calls, so the permutation and the stream's state after it are
+    the same."""
     missing = q.objects - cache.resident
     if len(missing) > 1:   # shuffling one object would draw nothing
         missing = sorted(missing)
@@ -112,25 +90,21 @@ def offer(q: Query, cache: CacheState, rng: random.Random) -> list[ObjectId]:
 
 def gds_lazy_apply(state: GdsState, cache: CacheState,
                    batch: list[ObjectId]) -> tuple[GdsState, list[Decision]]:
-    """Run Greedy-Dual-Size over the batch on `state` in place and emit only
-    the net residency difference; returns `state` itself with the decisions.
-
-    First the credit keys become the resident set: other credits are
-    dropped, and a resident without a credit (one loaded or seeded outside
-    this function) gets the batch-start inflation, so inflation never falls.
-    That walk is skipped when `cache` is the one the state last synced
-    against and its `moves` count is the one the last returned decisions
-    bring it to, as `CacheState`'s decision-application contract allows.
-    The keys then stay the resident set: after the batch they are the
-    residents the decisions leave. Each candidacy evicts minimum-(credit,
-    oid) residents until the candidate fits (inflation rises to each
-    victim's credit) and then admits it; a candidate bigger than the whole
-    cache is skipped. An admitted candidate, and a resident one, gets the
-    credit inflation + load_cost/size, pushed onto the heap. Since the diff
-    is taken at the end, no batch ever both loads and evicts the same
-    object. The heap is rebuilt from the credits once stale entries
-    outnumber live ones.
-    """
+    """Run Greedy-Dual-Size lazily over the batch of candidacies one query
+    generates, on `state` in place, and emit only the net residency
+    difference, so an object admitted and then evicted within the batch never
+    touches the network; returns `state` itself with the decisions. First the
+    credit keys become the resident set: other credits are dropped, and a
+    resident without a credit (one loaded or seeded outside this function)
+    gets the batch-start inflation, so inflation never falls. That walk is
+    skipped while the state is in sync (see `GdsState`), and an empty batch
+    returns here. The credit keys then stand in for the resident set. Each
+    candidacy evicts minimum-(credit, oid) residents until the candidate fits
+    (inflation rises to each victim's credit) and then admits it; a candidate
+    bigger than the whole cache is skipped. An admitted candidate, and a
+    resident one, gets the credit inflation + load_cost/size, pushed onto the
+    heap. The heap is rebuilt from the credits once stale entries outnumber
+    live ones."""
     credit, moves = state.credit, cache.moves
     if state.synced_cache is not cache or state.synced_moves != moves:
         resident = cache.resident

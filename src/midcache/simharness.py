@@ -177,7 +177,7 @@ def _event_loop(events: Trace, cache: CacheState, source, log: list | None,
     warmup_snapshot = (0, 0, 0)
 
     execute(cache, ledger, log, source.startup(), 0, None)
-    # Bound after make_policy, so class-level wrappers set before run() apply.
+    # Bound after make_policy, so class-level wrappers apply (package call rule).
     on_query, on_update = source.on_query, source.on_update
     receive_update = cache.receive_update
     for ev in events:
@@ -217,12 +217,9 @@ def run(events: Sequence[Event], catalog: ObjectCatalog, config: RunConfig) -> R
     event, a query ships twice, a cache answer breaks its staleness contract,
     a decision that changes the cache (Load, Evict, ShipUpdates) overfills it,
     an event leaves a broken update queue, or, at the end, the resident set
-    disagrees with the capacity counter or exceeds capacity. The event loop
-    and its audits are shared with `replay_decisions`.
-
-    The events go through `as_trace` first: the `Trace` that `load_trace`,
-    `generate` and `regrain` return is trusted without a walk, and any other
-    sequence raises ValueError naming its first bad event (`Trace.of`)."""
+    disagrees with the capacity counter or exceeds capacity. The events go
+    through `as_trace` first, so anything but a trusted `Trace` raises
+    ValueError naming its first bad event (`Trace.of`)."""
     events = as_trace(catalog, events)
     cache = CacheState(config.capacity(catalog), catalog)
     policy = make_policy(config, cache, events)
@@ -275,8 +272,7 @@ class ComparisonReport:
 
 def compare(events: Sequence[Event], catalog: ObjectCatalog,
             configs: list[RunConfig]) -> ComparisonReport:
-    """Run several configs over the same trace, one after another. The
-    events are checked once, as `run()` checks them, and every run trusts
-    the resulting `Trace`."""
+    """Run several configs over the same trace, one after another, checking
+    the events once, as `run()` checks them."""
     trace = as_trace(catalog, events)
     return ComparisonReport([run(trace, catalog, c) for c in configs])

@@ -1,52 +1,44 @@
 """Cover-driven decoupling policy.
 
-Fully cached queries go to the update manager, which weighs shipping the
-query against shipping its outstanding interacting updates by keeping both
-on a weighted interaction graph and taking the minimum-weight vertex cover;
-shipped queries stay on the graph so repeated arrivals accumulate pressure
-toward shipping the updates instead. Queries touching any missing object are
-shipped outright and handed to the load manager (`loadmgr`), which may pull
-the missing objects in. The policy owns the load manager's Greedy-Dual-Size
-state and calls `loadmgr.offer` and `loadmgr.gds_lazy_apply` through the
-module, so a wrapper installed on either name sees every call.
+Fully cached queries go to the update manager, which weighs shipping the query
+against shipping its outstanding interacting updates by keeping both on a
+weighted interaction graph and taking the minimum-weight vertex cover
+(`covergraph`); shipped queries stay on the graph so repeated arrivals
+accumulate pressure toward shipping the updates instead. Queries touching any
+missing object are shipped outright and handed to the load manager
+(`loadmgr`), which may pull the missing objects in. The policy owns the load
+manager's state and calls it as the package's call rule says (`midcache`).
 
-Each "update" node of the graph is a group of twin updates: updates of one
-object with the same neighbour set, all of zero cost or all of positive
-cost. Its weight is the sum of its members' costs, and it is named by its
-oldest member's uid. Positive-weight twins are all reachable from the source
-in the residual network or none are, and a zero-weight node never is, so the
-canonical cover of the grouped graph, each group read as its members, is the
-canonical cover of the graph with one node per update. The graph is edited
-only by adds and removals. When a query joins with cutoff
-`c = q.time - q.tolerance`, on each of its objects:
-- a group whose members all have `time <= c` gets an edge to the query;
-- a group that `c` cuts in two leaves the graph (`remove_nodes`, which
-  removes update nodes only), and both parts come back with every old edge:
-  the older part under the group's id, the newer part as a new node named by
-  its own oldest member. The removal unsettles the flow, so this query's
-  cover treats the whole graph;
-- the interacting updates not on the graph form one new group, or two when
-  both zero and positive costs are among them: a zero-cost update never joins
-  a group of positive weight.
-A query left uncovered ships the members of its groups, listed in (object
-id, arrival) order as `interacting_updates` returns them. The prune after
-each cover removes the covered groups, each with all its members, and the
-queries the cache answers; nothing else removes a query. Every member is
-outstanding in its object's queue, so an eviction finds the object's groups
-through that queue and removes them (`remove_nodes` again), and the next
-cover treats the whole graph.
+Twin groups. Each update node of the graph is a group of twin updates: updates
+of one object with the same neighbour set, all of zero cost or all of positive
+cost, named by the oldest member's uid and weighing the members' summed cost.
+Positive-weight twins are all source-reachable in the residual network or none
+are, and a zero-weight node never is, so the canonical cover of the grouped
+graph, each group read as its members, is that of the graph with one node per
+update. So a zero-cost update, covered whenever it stands alone, never joins a
+group of positive weight: there it would go uncovered whenever the group does.
+When a query joins with cutoff `c = q.time - q.tolerance`, each group of its
+objects whose members all have `time <= c` gets an edge to it; a group that
+`c` cuts in two leaves the graph and comes back as its two parts, each with
+every old edge, the older under the group's id and the newer named by its own
+oldest member; and the interacting updates not on the graph form one new group
+per object and cost sign. A query left uncovered ships its groups' members in
+(object id, arrival) order, as `interacting_updates` returns them. The prune
+after each cover takes the covered groups, each with all its members, and the
+answered queries; nothing else removes a query. An eviction removes the
+object's groups, found through its queue, where every member is outstanding. A
+cut and an eviction are the only removals outside a prune, and each makes the
+next cover treat the whole graph.
 
-A query whose interacting updates are all off the graph would join as a
-*star*: itself and its new groups, a component of their own. When the flow
-is `quiet` (settled, nothing added or removed since) that star is the
-cover's whole scope, and when its updates cost no more than the query the
-answer is known without the kernel: each update node is saturated, so none
-is source-reachable and all are covered, and the query is not reached, so
-it is not (a tie goes to the updates, as the canonical cover prefers). The
-prune would then take the whole star away again, leaving the graph, the
-flow and the group records as they were but for `augmentations`, which no
+The star answer. A query whose interacting updates are all off the graph
+would join as a *star*, a component of its own: itself and its new groups.
+On a `quiet` flow that is the next cover's whole scope, and if the updates
+cost no more than the query, every update node is saturated, so none is
+source-reachable and all are covered, and the query, not reached, is not (a
+tie goes to the updates, as the canonical cover prefers). The prune would
+take the whole star away again, changing only `augmentations`, which no
 decision reads. So such a query ships its updates and is answered at once,
-and the graph is left untouched.
+leaving graph, flow and groups untouched.
 """
 
 from __future__ import annotations
@@ -74,8 +66,7 @@ class VCoverPolicy:
         self.graph = InteractionGraph()
         self.flow = FlowState()
         self.gds = loadmgr.GdsState()
-        # Each on-graph update's group: the members of one graph node, in
-        # queue order, named by the oldest of them.
+        # On-graph uid -> its twin group's members, in queue order.
         self.group_of: dict[int, list[Update]] = {}
 
     def startup(self) -> list[Decision]:
@@ -94,15 +85,11 @@ class VCoverPolicy:
 
     def update_manager(self, q: Query) -> list[Decision]:
         """Choose between shipping the query and shipping all its outstanding
-        interacting updates, by incremental minimum-weight vertex cover.
-
-        `on_query` calls it only when every object of `q` is resident, and
-        the caller keeps `CacheState`'s decision-application contract. So
-        when no object of `q` has an update queue, the cache answers at
-        once, without gathering interacting updates. A star whose updates
-        cost no more than `q`, met on a quiet flow, ships its updates without
-        joining the graph: the cover and prune would take exactly that
-        decision and leave the graph as it was (see the module docstring)."""
+        interacting updates, by incremental minimum-weight vertex cover over
+        twin groups, or by the star answer (module docstring). `on_query`
+        calls it only when all of `q` is resident, under `CacheState`'s
+        decision-application contract, so if no object of `q` has a queue
+        the cache answers at once."""
         if self.cache.outstanding.keys().isdisjoint(q.objects):
             return [AnswerFromCache(q.qid)]
         ius = interacting_updates(q, self.cache, q.time)
@@ -143,8 +130,7 @@ class VCoverPolicy:
         if qid in cover.cover_queries:
             decisions: list[Decision] = [ShipQuery(qid)]
         else:
-            # Every edge of q is covered on the update side; ship them all,
-            # then the cached copy is current enough to answer.
+            # All of q's groups are covered: ship them, then answer from the cache.
             assert cover.cover_updates.issuperset(joined)
             decisions = [ShipUpdates(tuple(map(_uid, ius))), AnswerFromCache(qid)]
         prune_remainder(graph, self.flow)
@@ -159,12 +145,9 @@ class VCoverPolicy:
         return []
 
     def _forget_object_updates(self, oid: int) -> None:
-        # Eviction throws away the object's queue; any graph nodes for those
-        # updates would otherwise outlive them and poison later covers. The
-        # Evict is applied after on_query returns, so the queue still holds
-        # every member of the object's groups. Removing them unsettles the
-        # flow, so the next cover treats the whole graph. An object without
-        # groups leaves the graph and the flow as they are.
+        # The evicted object's groups would outlive its queue and poison later
+        # covers. The Evict is applied after on_query returns, so the queue
+        # still holds every member of those groups (module docstring).
         group_of, gids = self.group_of, set()
         for u in self.cache.outstanding.get(oid, ()):
             if (members := group_of.pop(u.uid, None)) is not None:

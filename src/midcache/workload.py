@@ -2,10 +2,8 @@
 
 Files: `catalog.json` holds the object set; `trace.jsonl` starts with a
 header line referencing its catalog, followed by one JSON event per line.
-Both read transparently through gzip when the path ends in `.gz`. The reader
-takes a line spelled exactly as the writer spells it by matching the
-writer's line template, without the JSON decoder; any other spelling goes
-through `json`, with the same values and the same error messages.
+Both read transparently through gzip when the path ends in `.gz`, and one
+reader (`_read`) parses and checks every trace.
 
 The generator mimics the qualitative shape of scan-driven scientific
 workloads: heavy-tailed (log-uniform) object sizes, queries clustered around
@@ -421,9 +419,8 @@ def validate(path) -> ValidationReport:
 
 def load_trace(path) -> tuple[ObjectCatalog, Trace]:
     """Load a valid trace and its catalog; raise TraceError naming
-    `<path>:<line>` for the first error `validate` would report. The reader
-    checks the whole event contract as it parses, so the events come back as
-    a `Trace` that `run()` and `compare()` trust without another walk."""
+    `<path>:<line>` for the first error `validate` would report. The events
+    come back as a trusted `Trace` (see `core.Trace`)."""
     rep = ValidationReport()
     catalog, stream = _read(path, rep)
     events = tuple(stream)

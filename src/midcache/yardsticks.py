@@ -1,11 +1,8 @@
 """Reference policies that bracket what a practical policy can achieve:
 ship everything (nocache), replicate everything (replica), and a static
-cache composition chosen with full-trace hindsight (soptimal). The static
-set is `benefit`'s scoring model run as one window over the whole trace from
-an empty cache and filled greedily, so it is not guaranteed optimal. The plan
-accrues per query shape into two local dicts, `saved` and `update_cost`: it
-counts each distinct (object set, cost) once and credits its split times the
-count, which is exact in integers.
+cache composition chosen with full-trace hindsight (soptimal), planned by
+`plan_static_set` with `benefit`'s scoring model, greedily, so it is not
+guaranteed optimal.
 """
 
 from __future__ import annotations
@@ -64,15 +61,13 @@ class SOptimalPlan:
 
 def plan_static_set(events: Sequence[Event], catalog: ObjectCatalog,
                     capacity: int) -> SOptimalPlan:
-    """One `benefit` window over the whole trace from an empty cache: every
-    query credits its objects with their shares, every update charges its
-    object, every object pays one load, and `fill` takes the positive scorers
-    greedily up to capacity. Greedy, so the set is not guaranteed optimal.
-    One pass counts each query shape (object set, cost) and sums each
-    object's update bytes; each shape is then split once, for this plan, and
-    its shares are credited times its count. The trace reader and the
-    generator give equal object sets one frozenset, so a shape hit compares
-    its set by identity."""
+    """One `benefit` window over the whole trace from an empty cache, so every
+    object pays one load, and `fill` takes the positive scorers up to
+    capacity. One pass counts each query shape and sums each object's update
+    bytes; each shape's shares are then credited times its count, exactly in
+    integers, into two local dicts, `saved` and `update_cost`. The trace
+    reader and the generator give equal object sets one frozenset, so a shape
+    hit compares its set by identity."""
     shapes: dict[tuple[frozenset[ObjectId], int], int] = {}
     saved: dict[ObjectId, int] = {}
     update_cost: dict[ObjectId, int] = {}
