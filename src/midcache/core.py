@@ -409,7 +409,7 @@ def apply(cache: CacheState, d: Decision) -> int:
     Load admits a whole object with no queue, so it is fresh (updates arriving
     during an instantaneous load are folded into the loaded copy). ShipUpdates
     drains queued updates and drops a queue once it empties. Evict drops
-    residency together with the object's queue. Both keep `used` and `moves`."""
+    residency and queue. Load and Evict keep `used` and add 1 to `moves`."""
     kind = type(d)
     moved = 0
     if kind is Load or kind is Evict:

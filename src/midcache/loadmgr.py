@@ -92,19 +92,19 @@ def gds_lazy_apply(state: GdsState, cache: CacheState,
                    batch: list[ObjectId]) -> tuple[GdsState, list[Decision]]:
     """Run Greedy-Dual-Size lazily over the batch of candidacies one query
     generates, on `state` in place, and emit only the net residency
-    difference, so an object admitted and then evicted within the batch never
-    touches the network; returns `state` itself with the decisions. First the
-    credit keys become the resident set: other credits are dropped, and a
-    resident without a credit (one loaded or seeded outside this function)
-    gets the batch-start inflation, so inflation never falls. That walk is
-    skipped while the state is in sync (see `GdsState`), and an empty batch
-    returns here. The credit keys then stand in for the resident set. Each
-    candidacy evicts minimum-(credit, oid) residents until the candidate fits
-    (inflation rises to each victim's credit) and then admits it; a candidate
-    bigger than the whole cache is skipped. An admitted candidate, and a
-    resident one, gets the credit inflation + load_cost/size, pushed onto the
-    heap. The heap is rebuilt from the credits once stale entries outnumber
-    live ones."""
+    difference, so no batch both loads and evicts one object, and one admitted
+    then evicted within it never touches the network; returns `state` itself
+    with the decisions. First the credit keys become the resident set: other
+    credits are dropped, and a resident without a credit (one loaded or
+    seeded outside this function) gets the batch-start inflation, so
+    inflation never falls. That walk is skipped while the state is in sync
+    (see `GdsState`), and an empty batch returns here. The credit keys then
+    stand in for the resident set. Each candidacy evicts minimum-(credit,
+    oid) residents until the candidate fits (inflation rises to each victim's
+    credit) and then admits it; a candidate bigger than the whole cache is
+    skipped. An admitted candidate, and a resident one, gets the credit
+    inflation + load_cost/size, pushed onto the heap. The heap is rebuilt
+    from the credits once stale entries outnumber live ones."""
     credit, moves = state.credit, cache.moves
     if state.synced_cache is not cache or state.synced_moves != moves:
         resident = cache.resident

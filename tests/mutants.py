@@ -3,14 +3,14 @@
 Each mutant is one edit to one module of `src/midcache`: its old text, which
 must occur exactly once, becomes its new text. Run from the repository root:
 
-    python -m tests.mutants            # every mutant
-    python -m tests.mutants NAME ...   # only these
+    python -m tests.mutants
 
 For each mutant the script copies `src/` into a temporary directory, applies
 the edit there and runs pytest on the mutant's node ids with only that copy on
 PYTHONPATH, from the temporary directory (so Hypothesis keeps no example
-database in the checkout). Every named node id must select at least one
-failing test. First the named tests must all pass on an unmutated copy. The
+database in the checkout). Hypothesis runs with a fixed seed, so every run
+draws the same examples and a kill by a Hypothesis test is repeatable. Every
+named node id must select at least one failing test. First the named tests must all pass on an unmutated copy. The
 script then prints one line per mutant and exits 1 if a mutant survives, its
 old text is not found exactly once, or its node ids select no test. The tier-1
 test `tests/test_mutants.py` checks that every old text and node id still fits
@@ -195,7 +195,7 @@ def failing_ids(src: Path, node_ids: tuple[str, ...], workdir: Path) -> tuple[in
     """Run pytest on `node_ids` against the package in `src`; returns its exit
     code and the node ids of the tests that failed or errored."""
     cmd = [sys.executable, "-m", "pytest", "-q", "-rfE", "--tb=no", "--no-header",
-           "-p", "no:cacheprovider", "--rootdir", str(ROOT),
+           "-p", "no:cacheprovider", "--hypothesis-seed=0", "--rootdir", str(ROOT),
            *(str(ROOT / i) for i in node_ids)]
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run(cmd, cwd=workdir, env=env, capture_output=True, text=True)
@@ -238,27 +238,21 @@ def check(m: Mutant) -> str | None:
     return None
 
 
-def main(argv: list[str] | None = None) -> int:
-    names = sys.argv[1:] if argv is None else argv
-    known = {m.name for m in MUTANTS}
-    if unknown := [n for n in names if n not in known]:
-        print(f"unknown mutants: {', '.join(unknown)}", file=sys.stderr)
-        return 2
-    chosen = [m for m in MUTANTS if not names or m.name in names]
+def main() -> int:
     # A copy that cannot pass the named tests unmutated would catch every mutant.
-    node_ids = tuple(dict.fromkeys(i for m in chosen for i in m.kills))
+    node_ids = tuple(dict.fromkeys(i for m in MUTANTS for i in m.kills))
     code, failed = run_on_copy(None, node_ids)
     if code != 0:
         print(f"unmutated copy: pytest exited {code}, failing {', '.join(sorted(failed))}")
         return 1
     problems = 0
-    for m in chosen:
+    for m in MUTANTS:
         start = time.perf_counter()
         why = check(m)
         problems += why is not None
         print(f"{m.name}: {'caught' if why is None else why} "
               f"({time.perf_counter() - start:.1f} s)", flush=True)
-    print(f"{len(chosen) - problems} of {len(chosen)} mutants caught")
+    print(f"{len(MUTANTS) - problems} of {len(MUTANTS)} mutants caught")
     return 1 if problems else 0
 
 
