@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 
-from .core import CacheState, Decision, Evict, Load, ObjectId, Query
+from .core import CacheState, Decision, Evict, Load, ObjectId, Query, shuffle
 
 
 @dataclass
@@ -58,20 +58,11 @@ def offer(q: Query, cache: CacheState, rng: random.Random) -> list[ObjectId]:
     and spending stops. So, with no per-object counter, an object turns
     candidate in expectation exactly when the traffic spent querying it
     matches the cost of loading it once. The order is
-    `rng.shuffle(sorted(missing))`, drawn as `Random.shuffle` draws it on
-    CPython 3.10-3.13 (each index by `getrandbits` until it is in range)
-    without its calls, so the permutation and the stream's state after it are
-    the same."""
+    `rng.shuffle(sorted(missing))`, drawn by `core.shuffle`."""
     missing = q.objects - cache.resident
     if len(missing) > 1:   # shuffling one object would draw nothing
         missing = sorted(missing)
-        getrandbits = rng.getrandbits
-        for i in range(len(missing) - 1, 0, -1):
-            k = (i + 1).bit_length()
-            j = getrandbits(k)
-            while j > i:
-                j = getrandbits(k)
-            missing[i], missing[j] = missing[j], missing[i]
+        shuffle(missing, rng)
     entries, c = cache.catalog.entries, q.ship_cost
     batch: list[ObjectId] = []
     for oid in missing:

@@ -18,6 +18,7 @@ import gzip
 import io
 import json
 import math
+import os
 import random
 import re
 import sys
@@ -30,7 +31,7 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 from .core import (MAX_BYTES, Event, EventContract, ObjectCatalog, ObjectId, Query, Trace,
-                   Update, as_trace)
+                   Update, as_trace, shuffle)
 
 CATALOG_SCHEMA = "catalog/v1"
 TRACE_SCHEMA = "trace/v1"
@@ -40,16 +41,19 @@ _QUERY_LINE = '{"cost":%d,"id":%d,"kind":"query","objects":[%s],"time":%d,"toler
 _UPDATE_LINE = '{"cost":%d,"id":%d,"kind":"update","object":%d,"time":%d}\n'
 
 
-def _template(line: str) -> re.Pattern[bytes]:
-    """The lines that `line` gives for non-negative ints, as a bytes pattern:
-    each `%d` is a group of digits without leading zeros, `%s` a group of such
-    ints joined by commas, and the final newline is optional."""
+def _template(*lines: str) -> re.Pattern[bytes]:
+    """The lines any of `lines` gives for non-negative ints, as one bytes
+    pattern: each `%d` a group of digits without leading zeros, `%s` a group
+    of such ints joined by commas, the final newline optional. The groups of
+    the text all lines start with come first, then each line's own."""
     n = "(?:0|[1-9][0-9]*)"
-    body = re.escape(line.removesuffix("\n")).replace("%d", f"({n})")
+    head = os.path.commonprefix(lines).removesuffix("%")
+    tails = "|".join(re.escape(line[len(head):].removesuffix("\n")) for line in lines)
+    body = f"{re.escape(head)}(?:{tails})".replace("%d", f"({n})")
     return re.compile(f"{body.replace('%s', f'({n}(?:,{n})*)')}\n?".encode())
 
 
-_QUERY_RE, _UPDATE_RE = _template(_QUERY_LINE), _template(_UPDATE_LINE)
+_EVENT_RE = _template(_QUERY_LINE, _UPDATE_LINE)
 
 
 class TraceError(Exception):
@@ -165,10 +169,12 @@ def generate(params: GeneratorParams, seed: int) -> tuple[ObjectCatalog, Trace]:
     gaps draw `rng.random()` directly, by the formulas `Random.choices(...,
     cum_weights=cum)[0]` and `Random.expovariate` use on CPython 3.10-3.13:
     `population[bisect(cum, random() * (cum[-1] + 0.0), 0, len(cum) - 1)]`
-    and `-log(1.0 - random()) / lambd`. `GeneratorParams` makes the checks
-    `choices` would make. Each query shape, its object set and cost, is built
-    once per `(center, nobj)`. Neither changes a draw: the trace is the one
-    the `choices`/`expovariate` calls give, byte for byte."""
+    and `-log(1.0 - random()) / lambd`; the event order by `core.shuffle`, which
+    swaps each index i, from the top down, with `getrandbits((i + 1).bit_length())`
+    redrawn while above i, as `Random.shuffle` does. `GeneratorParams` makes the
+    checks `choices` would make. Each query shape, its object set and cost, is
+    built once per `(center, nobj)`. No draw changes: the trace is the one the
+    `choices`/`expovariate`/`shuffle` calls give, byte for byte."""
     rng = random.Random(seed)
     draw = rng.random
     n = params.n_objects
@@ -181,7 +187,7 @@ def generate(params: GeneratorParams, seed: int) -> tuple[ObjectCatalog, Trace]:
     catalog = ObjectCatalog.from_sizes(sizes, load_costs)
 
     markers = ["q"] * params.n_queries + ["u"] * params.n_updates
-    rng.shuffle(markers)
+    shuffle(markers, rng)
     total = len(markers)
 
     tol_values = [t for t, _ in params.tolerance_mix]
@@ -323,15 +329,13 @@ def _read(path, rep: ValidationReport) -> tuple[ObjectCatalog | None, Iterator[E
     stopped and ends the stream there. For corrupt deflate data that line can
     come up to one read buffer before the damage, since the gzip reader drops
     the text it decompressed in the failing read; truncation is named exactly.
-    Events get 1-based sequence numbers, and queries with equal object sets
-    share one frozenset.
+    Events get 1-based sequence numbers, queries with equal object sets share
+    one frozenset, and `rep` counts every event yielded, however reading ends.
 
-    A line that fully matches the writer's template (`_QUERY_RE`,
-    `_UPDATE_RE`: non-negative ints without leading zeros, no whitespace, an
-    optional final newline) is built straight from the matched digits, which
-    gives what `json.loads` would. Any other line, and a matching one whose
-    ints `int()` refuses (its 4300-digit limit), takes the JSON path, so
-    every message is the JSON path's."""
+    Each line is matched once against `_EVENT_RE`, the writer's two line
+    templates in one pattern, and a match is built from its digits as
+    `json.loads` would read them. Any other line, and a match whose ints `int()`
+    refuses (its 4300-digit limit), takes the JSON path and its messages."""
     path = Path(path)
 
     def fail(line: int, msg: str) -> None:
@@ -349,32 +353,36 @@ def _read(path, rep: ValidationReport) -> tuple[ObjectCatalog | None, Iterator[E
         return None, iter(())
 
     def events() -> Iterator[Event]:
-        n_records = 0
+        n_queries = n_updates = n_blank = 0
         line_no = 0                 # the last line read whole
         object_sets: dict[frozenset[ObjectId], frozenset[ObjectId]] = {}
+        object_texts: dict[bytes, frozenset[ObjectId]] = {}    # template digits -> shared set
         check = EventContract(catalog).check
         try:
             with _open(path, "rb") as fh:
                 fh.readline()
                 line_no = 1
                 for line_no, line in enumerate(fh, start=2):
-                    if not line.strip(b" \t\n\r"):
-                        continue
-                    n_records += 1
-                    try:
-                        if m := _UPDATE_RE.fullmatch(line):
-                            cost, eid, oid, t = map(int, m.groups())
-                            ev = Update(eid, t, oid, cost, line_no - 1)
-                        elif m := _QUERY_RE.fullmatch(line):
-                            cost, eid, oids, t, tol = m.groups()
-                            # The pattern admits ints only, so the set is safe
-                            # to share before Query checks it.
-                            oids = frozenset(map(int, oids.split(b",")))
-                            ev = Query(int(eid), int(t), object_sets.setdefault(oids, oids),
-                                       int(cost), int(tol), line_no - 1)
-                    except ValueError:      # int()'s digit limit: the JSON path words it
-                        m = None
+                    if m := _EVENT_RE.fullmatch(line):
+                        cost, eid, oids, t, tol, oid, ut = m.groups()
+                        try:
+                            if oids is None:
+                                ev = Update(int(eid), int(ut), int(oid), int(cost), line_no - 1)
+                            else:
+                                # The pattern admits ints only, so the set is safe
+                                # to share before Query checks it.
+                                if (objects := object_texts.get(oids)) is None:
+                                    objects = frozenset(map(int, oids.split(b",")))
+                                    objects = object_texts[oids] = object_sets.setdefault(
+                                        objects, objects)
+                                ev = Query(int(eid), int(t), objects, int(cost), int(tol),
+                                           line_no - 1)
+                        except ValueError:      # int()'s digit limit: the JSON path words it
+                            m = None
                     if m is None:
+                        if not line.strip(b" \t\n\r"):
+                            n_blank += 1
+                            continue
                         try:
                             doc = json.loads(line.decode())
                         except (ValueError, RecursionError) as exc:   # JSON, UTF-8, digit limit
@@ -393,17 +401,20 @@ def _read(path, rep: ValidationReport) -> tuple[ObjectCatalog | None, Iterator[E
                             if oids is not ev.objects:
                                 object.__setattr__(ev, "objects", oids)
                     if type(ev) is Query:
-                        rep.n_queries += 1
+                        n_queries += 1
                     else:
-                        rep.n_updates += 1
+                        n_updates += 1
                     for msg in check(ev):
                         fail(line_no, msg)
                     yield ev
         except (OSError, EOFError, zlib.error) as exc:
             fail(line_no + 1, f"unreadable trace: {exc}")
             return
+        finally:
+            rep.n_queries += n_queries
+            rep.n_updates += n_updates
         declared = header.get("n_events")
-        if declared is not None and declared != n_records:
+        if declared is not None and declared != (n_records := line_no - 1 - n_blank):
             fail(1, f"header declares {declared} events, file has {n_records}")
 
     return catalog, events()

@@ -19,7 +19,8 @@ change.
 
 The list starts from the mutants that `CHANGES.md` describes for the star
 answer, adds and removals on the interaction graph, the replay harness, and
-the cover cycle and the metamorphic relations.
+the cover cycle and the metamorphic relations, then covers the trace reader
+and the generator's shuffle.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ _COVER = "tests/test_covergraph.py::"
 _HARNESS = "tests/test_simharness.py::"
 _METAMORPHIC = "tests/test_metamorphic.py::"
 _LOADMGR = "tests/test_loadmgr.py::"
+_WORKLOAD = "tests/test_workload.py::"
 
 _EVENT_LOOP_HEAD = """\
     receive_update = cache.receive_update
@@ -171,6 +173,32 @@ MUTANTS: tuple[Mutant, ...] = (
            "            if rng.random() < c / min(lc, 10**9):",
            (_METAMORPHIC + "test_relations_hold_on_a_generated_trace[vcover]",
             _LOADMGR + "TestOffer::test_ski_rental_expectation")),
+    # The trace reader and the generator.
+    Mutant("template-path-without-contract", "workload.py",
+           "                    for msg in check(ev):\n",
+           "                    for msg in (check(ev) if m is None else ()):\n",
+           (_WORKLOAD + "TestTemplatePath::test_template_path_reads_as_the_json_path",
+            _WORKLOAD + "TestTraceValue::test_trace_of_fails_where_validate_does")),
+    Mutant("object-texts-one-set", "workload.py",
+           "if (objects := object_texts.get(oids)) is None:",
+           "if (objects := next(iter(object_texts.values()), None)) is None:",
+           (_WORKLOAD + "TestTraceIO::test_roundtrip",
+            _WORKLOAD + "TestTemplatePath::test_every_written_line_fits_a_template")),
+    Mutant("counts-only-on-clean-end", "workload.py",
+           "        finally:\n            rep.n_queries += n_queries\n",
+           "        else:\n            rep.n_queries += n_queries\n",
+           (_WORKLOAD + "TestUnreadableTrace::test_report_counts_the_events_read",)),
+    Mutant("fallback-without-blank-test", "workload.py",
+           'if not line.strip(b" \\t\\n\\r"):',
+           "if False:",
+           (_WORKLOAD + "TestTraceIO::test_blank_means_json_whitespace_only[empty]",
+            _WORKLOAD + "TestTraceIO::test_blank_means_json_whitespace_only[json-whitespace]")),
+    Mutant("shuffle-never-leaves-an-index", "core.py",
+           "        while j > i:\n",
+           "        while j >= i:\n",
+           ("tests/test_core.py::test_shuffle_is_random_shuffle",
+            _LOADMGR + "TestOffer::test_order_and_stream_are_random_shuffles",
+            _WORKLOAD + "TestGenerateMatchesReference::test_same_catalog_events_and_bytes")),
 )
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import itertools
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +13,7 @@ from midcache.core import (MAX_BYTES, AnswerFromCache, CacheError, CacheState,
                            NotOutstanding, ObjectCatalog, ObjectInfo, Query, ShipQuery,
                            ShipUpdates, Trace, TrafficLedger, UnknownObject, Update, apply,
                            check_capacity, check_freshness,
-                           interacting_updates, record)
+                           interacting_updates, record, shuffle)
 from tests.conftest import GB, SEC, mk_query, mk_update
 from tests.oracles import event_fields_ok, loop_check_freshness, loop_interacting_updates
 
@@ -499,3 +500,17 @@ class TestSlottedValues:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 delattr(value, name)
         assert getattr(value, first) is kept and not hasattr(value, "note")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**32 + 5, 2**64 - 1])
+def test_shuffle_is_random_shuffle(seed):
+    # The same list and the same stream state as Random.shuffle, at every
+    # length up to 64 and at 20,000 (a generator's event order), with one
+    # stream running on through all of them.
+    rng, expected_rng = random.Random(seed), random.Random(seed)
+    for n in [*range(65), 20_000]:
+        items, expected = list(range(n)), list(range(n))
+        shuffle(items, rng)
+        expected_rng.shuffle(expected)
+        assert items == expected, n
+        assert rng.getstate() == expected_rng.getstate(), n

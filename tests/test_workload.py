@@ -471,8 +471,7 @@ class TestTemplatePath:
     match, without the JSON decoder, and every other line through `json`; the
     two paths give the same events and the same errors."""
 
-    NEVER = mock.patch.multiple(workload, _QUERY_RE=re.compile(b"(?!)"),
-                                _UPDATE_RE=re.compile(b"(?!)"))
+    NEVER = mock.patch.object(workload, "_EVENT_RE", re.compile(b"(?!)"))
 
     @staticmethod
     def read(path):
@@ -497,9 +496,14 @@ class TestTemplatePath:
             (d / "trace.jsonl").write_bytes(data)
             (d / "trace.jsonl.gz").write_bytes(gzip.compress(data))
             fast = [self.read(d / name) for name in ("trace.jsonl", "trace.jsonl.gz")]
-            with self.NEVER:
+            with self.NEVER, mock.patch.object(json, "loads", wraps=json.loads) as loads:
                 slow = [self.read(d / name) for name in ("trace.jsonl", "trace.jsonl.gz")]
         assert fast[0] == fast[1] == slow[0] == slow[1]
+        # Under NEVER every record line is decoded: were NEVER to patch a
+        # name the reader does not use, both sides would take the template
+        # path. Each read also decodes its header and, through json.load, its
+        # catalog.
+        assert loads.call_count == 2 * (2 + len(lines))
 
     @pytest.mark.parametrize("valid", [
         '{"cost":1,"id":2,"kind":"query","objects":[1],"time":2,"tolerance":0}',
@@ -548,7 +552,7 @@ class TestTemplatePath:
         lines = (d / "trace.jsonl").read_bytes().splitlines(keepends=True)[1:]
         assert len(lines) == len(events)
         for line in lines:
-            assert workload._QUERY_RE.fullmatch(line) or workload._UPDATE_RE.fullmatch(line)
+            assert workload._EVENT_RE.fullmatch(line)
         assert list(load_trace(d / "trace.jsonl")[1]) == list(events)
 
 
@@ -757,6 +761,16 @@ class TestUnreadableTrace:
         with pytest.raises(TraceError) as exc:
             load_trace(trace)
         assert str(exc.value).startswith(f"{trace}:{line}: ")
+
+    def test_report_counts_the_events_read(self, probe):
+        # However reading ends, the counts are those of the events yielded
+        # before it ended.
+        trace, line = probe
+        events = list(_read(trace, ValidationReport())[1])
+        assert len(events) >= line - 2
+        rep = validate(trace)
+        n_queries = sum(type(ev) is Query for ev in events)
+        assert (rep.n_queries, rep.n_updates) == (n_queries, len(events) - n_queries)
 
     def test_run_exits_1_with_one_line(self, probe, capsys):
         trace, line = probe
