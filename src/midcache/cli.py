@@ -123,9 +123,9 @@ def cmd_compare(args) -> int:
 
 def cmd_report(args) -> int:
     """Merge run/compare summaries into one plot-ready CSV of final costs."""
-    cols = ["label", "policy", "seed", "n_events",
-            "query_ship", "update_ship", "load", "total"]
-    lines = [",".join(cols)]
+    cols = ("label", "policy", "seed", "n_events",
+            "query_ship", "update_ship", "load", "total")
+    rows = []
     for path in args.inputs:
         try:
             doc = json.loads(Path(path).read_text())
@@ -135,11 +135,11 @@ def cmd_report(args) -> int:
                        "seed": r["config"]["seed"],
                        "n_events": r["n_events"],
                        **r["final"]}
-                lines.append(",".join(str(row[c]) for c in cols))
+                rows.append([row[c] for c in cols])
         except (OSError, ValueError, LookupError, TypeError) as exc:
             raise ValueError(f"{path}: not a readable run or compare summary "
                              f"({type(exc).__name__}: {exc})") from None
-    text = "\n".join(lines) + "\n"
+    text = simharness._csv(cols, rows)
     if args.out_file:
         Path(args.out_file).write_text(text)
     else:

@@ -389,11 +389,7 @@ class CacheState:
         object outside the catalog is never resident)."""
         oid = u.object
         if oid in self.resident:
-            queue = self.outstanding.get(oid)
-            if queue is None:
-                self.outstanding[oid] = [u]
-            else:
-                queue.append(u)
+            self.outstanding.setdefault(oid, []).append(u)
             self._by_uid[u.uid] = u
 
 

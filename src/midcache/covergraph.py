@@ -43,9 +43,9 @@ class FlowState:
     cover cycle (module docstring) and takes no part in comparisons."""
 
     flow_su: dict[int, int] = field(default_factory=dict)             # source -> update
-    # update -> query as {qid: {uid: flow}}, positive flows only: a query's reverse arcs.
+    # update -> query as {qid: {uid: flow}}, positive flows only: a query's reverse
+    # arcs, whose sum is the flow on its sink arc.
     flow_uq: dict[int, dict[int, int]] = field(default_factory=dict)
-    flow_qt: dict[int, int] = field(default_factory=dict)             # query -> sink
     augmentations: int = 0
     # ((graph, update count, query count), cover) from a cover to its prune,
     # (those marks, None) once settled, else None: see the module docstring.
@@ -54,7 +54,7 @@ class FlowState:
     def copy(self) -> "FlowState":
         """The arc flows alone, unsettled. Kept for the layer table (package docstring)."""
         return FlowState(dict(self.flow_su), {q: dict(i) for q, i in self.flow_uq.items()},
-                         dict(self.flow_qt), self.augmentations)
+                         self.augmentations)
 
 
 @dataclass(frozen=True)
@@ -107,18 +107,16 @@ class InteractionGraph:
         return sum(map(len, self.update_edges.values()))
 
     def remove_nodes(self, fs: FlowState, drop_updates: set[int]) -> None:
-        """Delete update nodes plus incident edges, repairing the flow `fs`
-        so what remains is a valid (not necessarily maximum) flow: inflow a
-        query loses comes off its sink arc. Clears the flow's mark (module
-        docstring). Every id must be on the graph."""
+        """Delete update nodes plus incident edges and their arcs' flow,
+        leaving a valid (not necessarily maximum) flow in `fs`. Clears the
+        flow's mark (module docstring). Every id must be on the graph."""
         if missing := drop_updates - self.update_weight.keys():
             raise GraphError(f"update nodes {sorted(missing)} not on the graph")
         fs.mark = None
         for uid in drop_updates:
             for qid in self.update_edges.pop(uid):
                 del self.query_edges[qid][uid]
-                if f := fs.flow_uq.get(qid, {}).pop(uid, 0):
-                    fs.flow_qt[qid] = fs.flow_qt.get(qid, 0) - f
+                fs.flow_uq.get(qid, {}).pop(uid, None)
             del self.update_weight[uid]
             fs.flow_su.pop(uid, None)
 
@@ -163,7 +161,7 @@ def _search(g: InteractionGraph, fs: FlowState, updates):
     reached updates, reached queries), the source side of the canonical
     minimum cut."""
     update_weight, query_weight = g.update_weight, g.query_weight
-    flow_su, flow_uq, flow_qt = fs.flow_su, fs.flow_uq, fs.flow_qt
+    flow_su, flow_uq = fs.flow_su, fs.flow_uq
     pred_u: dict[int, int | None] = {}
     pred_q: dict[int, int] = {}
     queue: deque[int] = deque()
@@ -178,14 +176,15 @@ def _search(g: InteractionGraph, fs: FlowState, updates):
                 if qid in pred_q:
                     continue
                 pred_q[qid] = uid            # forward arc, unbounded capacity
-                if flow_qt.get(qid, 0) < query_weight[qid]:
+                inflow = flow_uq.get(qid, {})
+                if sum(inflow.values()) < query_weight[qid]:
                     path = [qid, uid]
                     while pred_u[path[-1]] is not None:
                         path.append(pred_u[path[-1]])
                         path.append(pred_q[path[-1]])
                     path.reverse()
                     return path, None, None
-                for back in flow_uq.get(qid, ()):
+                for back in inflow:
                     if back not in pred_u:
                         pred_u[back] = qid   # residual reverse arc
                         queue.append(back)
@@ -197,10 +196,9 @@ def _augment(g: InteractionGraph, fs: FlowState, path: list[int]) -> None:
     us, qs = path[0::2], path[1::2]
     backward = list(zip(us[1:], qs))
     amount = min(g.update_weight[us[0]] - fs.flow_su.get(us[0], 0),
-                 g.query_weight[qs[-1]] - fs.flow_qt.get(qs[-1], 0),
+                 g.query_weight[qs[-1]] - sum(fs.flow_uq.get(qs[-1], {}).values()),
                  *(fs.flow_uq[q][u] for u, q in backward))
     fs.flow_su[us[0]] = fs.flow_su.get(us[0], 0) + amount
-    fs.flow_qt[qs[-1]] = fs.flow_qt.get(qs[-1], 0) + amount
     for u, q in zip(us, qs):
         inflow = fs.flow_uq.setdefault(q, {})
         inflow[u] = inflow.get(u, 0) + amount
@@ -270,5 +268,4 @@ def prune_remainder(g: InteractionGraph, fs: FlowState) -> None:
     for qid in answered:
         del g.query_weight[qid], g.query_edges[qid]
         fs.flow_uq.pop(qid, None)
-        fs.flow_qt.pop(qid, None)
     fs.mark = (_marks(g), None)

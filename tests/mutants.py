@@ -12,15 +12,16 @@ database in the checkout). Hypothesis runs with a fixed seed, so every run
 draws the same examples and a kill by a Hypothesis test is repeatable. Every
 named node id must select at least one failing test. First the named tests must all pass on an unmutated copy. The
 script then prints one line per mutant and exits 1 if a mutant survives, its
-old text is not found exactly once, or its node ids select no test. The tier-1
+old text is not found exactly once, its node ids select no test, or its tests
+run past a timeout (a mutant can make a loop endless). The tier-1
 test `tests/test_mutants.py` checks that every old text and node id still fits
 the code, so a refactor that moves mutated code updates the mutant in the same
 change.
 
 The list starts from the mutants that `CHANGES.md` describes for the star
 answer, adds and removals on the interaction graph, the replay harness, and
-the cover cycle and the metamorphic relations, then covers the trace reader
-and the generator's shuffle.
+the cover cycle and the metamorphic relations, then covers the trace reader,
+the generator's shuffle, the flow kernel, the update queue and the report.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
+TIMEOUT_S = 300   # per pytest run on a mutant
 
 
 @dataclass(frozen=True)
@@ -54,6 +56,7 @@ _HARNESS = "tests/test_simharness.py::"
 _METAMORPHIC = "tests/test_metamorphic.py::"
 _LOADMGR = "tests/test_loadmgr.py::"
 _WORKLOAD = "tests/test_workload.py::"
+_CLI = "tests/test_cli.py::"
 
 _EVENT_LOOP_HEAD = """\
     receive_update = cache.receive_update
@@ -199,6 +202,38 @@ MUTANTS: tuple[Mutant, ...] = (
            ("tests/test_core.py::test_shuffle_is_random_shuffle",
             _LOADMGR + "TestOffer::test_order_and_stream_are_random_shuffles",
             _WORKLOAD + "TestGenerateMatchesReference::test_same_catalog_events_and_bytes")),
+    # The flow kept once, the update queue and the report.
+    Mutant("search-takes-a-saturated-query", "covergraph.py",
+           "if sum(inflow.values()) < query_weight[qid]:",
+           "if sum(inflow.values()) <= query_weight[qid]:",
+           (_COVER + "TestLazySeeding::test_later_seed_finds_the_path_the_first_seed_lacks",)),
+    Mutant("augment-without-sink-bottleneck", "covergraph.py",
+           "                 g.query_weight[qs[-1]] - sum(fs.flow_uq.get(qs[-1], {}).values()),\n",
+           "",
+           (_COVER + "TestLazySeeding::test_later_seed_finds_the_path_the_first_seed_lacks",
+            _COVER + "TestMinWeightCover::test_updates_win_when_query_heavier")),
+    Mutant("removal-keeps-arc-flow", "covergraph.py",
+           "                fs.flow_uq.get(qid, {}).pop(uid, None)\n",
+           "",
+           (_COVER + "TestDivideByRemoval::test_a_division_keeps_the_edges_and_unsettles_the_flow",
+            _VCOVER + "TestTwinGroups::test_eviction_while_the_objects_groups_hold_flow")),
+    Mutant("cover-takes-reached-updates", "covergraph.py",
+           "cover_u = frozenset(u for u in updates if u not in reached_u)",
+           "cover_u = frozenset(u for u in updates if u in reached_u)",
+           (_COVER + "TestLazySeeding::test_later_seed_finds_the_path_the_first_seed_lacks",
+            _COVER + "TestMinWeightCover::test_tie_prefers_covering_updates",
+            _VCOVER + "TestUpdateManager::test_single_cheap_update_ships_update")),
+    Mutant("receive-update-replaces-queue", "core.py",
+           "self.outstanding.setdefault(oid, []).append(u)",
+           "self.outstanding[oid] = [u]",
+           ("tests/test_core.py::TestInteractingUpdates::test_tolerance_excludes_recent_update",
+            "tests/test_core.py::TestApply::test_ship_all_outstanding_restores_freshness",
+            _VCOVER + "TestUpdateManager::test_repeated_arrivals_flip_cover_to_updates")),
+    Mutant("report-joins-by-hand", "cli.py",
+           "    text = simharness._csv(cols, rows)\n",
+           '    text = "".join(",".join(map(str, r)) + "\\n" for r in (cols, *rows))\n',
+           (_CLI + "TestReport::test_a_label_with_csv_syntax_reads_back_intact[comma]",
+            _CLI + "TestReport::test_a_label_with_csv_syntax_reads_back_intact[newline]")),
 )
 
 
@@ -226,7 +261,8 @@ def failing_ids(src: Path, node_ids: tuple[str, ...], workdir: Path) -> tuple[in
            "-p", "no:cacheprovider", "--hypothesis-seed=0", "--rootdir", str(ROOT),
            *(str(ROOT / i) for i in node_ids)]
     env = {**os.environ, "PYTHONPATH": str(src)}
-    out = subprocess.run(cmd, cwd=workdir, env=env, capture_output=True, text=True)
+    out = subprocess.run(cmd, cwd=workdir, env=env, capture_output=True, text=True,
+                         timeout=TIMEOUT_S)
     failed, base = set(), workdir.resolve()
     for line in out.stdout.splitlines():
         if m := _OUTCOME.match(line):   # the summary names files relative to workdir
@@ -259,6 +295,8 @@ def check(m: Mutant) -> str | None:
         code, failed = run_on_copy(m, m.kills)
     except ValueError as exc:
         return str(exc)
+    except subprocess.TimeoutExpired:
+        return f"timed out after {TIMEOUT_S} s"
     if code not in (0, 1):
         return f"pytest exited {code} (a node id may select no test)"
     if missed := [i for i in m.kills if not selects(i, failed)]:

@@ -97,9 +97,14 @@ def networkx_canonical_cover(g) -> tuple[frozenset[int], frozenset[int]]:
             frozenset(u for u in g.update_weight if ("u", u) not in reached))
 
 
+def sink_flow(fs, qid) -> int:
+    """Flow on query `qid`'s sink arc in a `FlowState`: the sum of its inflow arcs."""
+    return sum(fs.flow_uq.get(qid, {}).values())
+
+
 def flow_value(fs) -> int:
     """Total flow into the sink of a `FlowState`."""
-    return sum(fs.flow_qt.values())
+    return sum(sink_flow(fs, qid) for qid in fs.flow_uq)
 
 
 def residual_reachable(g, fs) -> set[tuple[str, int]]:
@@ -124,13 +129,15 @@ def residual_reachable(g, fs) -> set[tuple[str, int]]:
 def check_flow(g, fs) -> None:
     """Assert `fs` is a valid flow on `g`'s network: every arc within its
     capacity, only positive flows kept on existing edges, and conservation at
-    every interior node."""
+    every update (a query's sink flow is the sum of its inflow arcs)."""
     for uid, f in fs.flow_su.items():
         assert uid in g.update_weight, f"flow on source arc of missing update {uid}"
         assert 0 <= f <= g.update_weight[uid], f"source arc of update {uid}: flow {f} out of range"
-    for qid, f in fs.flow_qt.items():
+    for qid in fs.flow_uq:
         assert qid in g.query_weight, f"flow on sink arc of missing query {qid}"
-        assert 0 <= f <= g.query_weight[qid], f"sink arc of query {qid}: flow {f} out of range"
+    for qid, w in g.query_weight.items():
+        f = sink_flow(fs, qid)
+        assert 0 <= f <= w, f"sink arc of query {qid}: flow {f} out of range"
     for qid, inflow in fs.flow_uq.items():
         for uid, f in inflow.items():
             assert qid in g.update_edges.get(uid, ()), f"flow on missing edge ({uid},{qid})"
@@ -138,9 +145,6 @@ def check_flow(g, fs) -> None:
     for uid in g.update_weight:
         out = sum(fs.flow_uq.get(qid, {}).get(uid, 0) for qid in g.update_edges[uid])
         assert out == fs.flow_su.get(uid, 0), f"update {uid}: conservation violated"
-    for qid in g.query_weight:
-        into = sum(fs.flow_uq.get(qid, {}).get(uid, 0) for uid in g.query_edges[qid])
-        assert into == fs.flow_qt.get(qid, 0), f"query {qid}: conservation violated"
 
 
 def cover_weight(g, cover) -> int:

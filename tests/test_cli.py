@@ -322,6 +322,18 @@ class TestReport:
         assert len(lines) == 3
         assert lines[1].startswith("demo,nocache,")
 
+    @pytest.mark.parametrize("label", ["x,y", "two\nlines"], ids=["comma", "newline"])
+    def test_a_label_with_csv_syntax_reads_back_intact(self, workspace, capsys, label):
+        main(["compare", "--trace", str(workspace / "trace.jsonl"),
+              "--seed", "2", "--policies", "nocache,replica",
+              "--out", str(workspace)])
+        capsys.readouterr()
+        assert main(["report", str(workspace / "compare.json"), "--label", label]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [r["policy"] for r in rows] == ["nocache", "replica"]
+        for r in rows:
+            assert len(r) == 8 and None not in r and r["label"] == label
+
     @pytest.mark.parametrize("content", [None, "{}", "[1, 2]", "{not json"],
                              ids=["missing", "no-config", "list", "not-json"])
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, content):

@@ -7,7 +7,8 @@ from midcache.covergraph import (CoverResult, FlowState, GraphError, Interaction
                                  _scope, _search, min_weight_cover, prune_remainder,
                                  quiet, source_reachable)
 from tests.oracles import (brute_force_cover_weight, check_cover, check_flow,
-                           cover_weight, flow_value, graph_edges, residual_reachable)
+                           cover_weight, flow_value, graph_edges, residual_reachable,
+                           sink_flow)
 
 
 def build(update_weights, query_weights, edges):
@@ -95,11 +96,11 @@ class TestMutations:
     def test_adds_leave_existing_flow_untouched(self):
         g = build({1: 3}, {10: 5}, [(1, 10)])
         cover, fs = min_weight_cover(g)
-        before = (dict(fs.flow_su), dict(fs.flow_uq), dict(fs.flow_qt))
+        before = (dict(fs.flow_su), dict(fs.flow_uq))
         g.add_update(2, 4)
         g.add_query(11, 2)
         g.add_edge(2, 11)
-        assert (fs.flow_su, fs.flow_uq, fs.flow_qt) == before
+        assert (fs.flow_su, fs.flow_uq) == before
         check_flow(g, fs)   # still a valid (non-maximum) flow
 
 
@@ -129,7 +130,7 @@ class TestDivideByRemoval:
         assert g.update_weight == {1: 4, 2: 6}
         assert graph_edges(g) == {(1, 7), (1, 8), (2, 7), (2, 8)}
         assert list(g.query_edges[7]) == list(g.query_edges[8]) == [1, 2]
-        assert not fs.flow_su and fs.flow_qt == {7: 0, 8: 0}
+        assert not fs.flow_su and sink_flow(fs, 7) == sink_flow(fs, 8) == 0
         check_flow(g, fs)
         assert fs.mark is None and not quiet(g, fs)
         assert _scope(g, fs) == (g.update_weight, g.query_weight)
@@ -355,7 +356,7 @@ class TestScopedCover:
                         assert reach == ({("u", u) for u in g.update_weight}
                                          | {("q", q) for q in g.query_weight})
                         assert source_reachable(g, fs) == reach
-                        assert all(fs.flow_qt.get(q, 0) == w for q, w in g.query_weight.items())
+                        assert all(sink_flow(fs, q) == w for q, w in g.query_weight.items())
                         assert quiet(g, fs) and _scope(g, fs) == (set(), set())
             cover, fs = min_weight_cover(g, fs)
             assert cover == min_weight_cover(g, FlowState())[0]
@@ -407,7 +408,7 @@ class TestLazySeeding:
         # stopped after its first root would call the flow maximum and cover
         # update 2 (weight 3) where query 12 (weight 2) is cheaper.
         g = build({1: 10, 2: 3}, {11: 5, 12: 2}, [(1, 11), (2, 12)])
-        fs = FlowState(flow_su={1: 5}, flow_uq={11: {1: 5}}, flow_qt={11: 5})
+        fs = FlowState(flow_su={1: 5}, flow_uq={11: {1: 5}})
         check_flow(g, fs)
         assert _search(g, fs, g.update_weight) == ([2, 12], None, None)
         cover, fs = min_weight_cover(g, fs)
@@ -550,12 +551,11 @@ class TestPrune:
         g = build({1: 3, 2: 4}, {10: 5, 11: 2}, [(1, 10), (2, 10), (2, 11)])
         _, fs = min_weight_cover(g)
         before = (dict(g.update_weight), dict(g.query_weight), graph_edges(g), g.n_edges,
-                  dict(fs.flow_su), {q: dict(i) for q, i in fs.flow_uq.items()},
-                  dict(fs.flow_qt), fs.mark)
+                  dict(fs.flow_su), {q: dict(i) for q, i in fs.flow_uq.items()}, fs.mark)
         with pytest.raises(GraphError, match=r"update nodes \[7\] not on the graph"):
             g.remove_nodes(fs, {1, 7})
         assert before == (g.update_weight, g.query_weight, graph_edges(g), g.n_edges,
-                          fs.flow_su, fs.flow_uq, fs.flow_qt, fs.mark)
+                          fs.flow_su, fs.flow_uq, fs.mark)
         prune_remainder(g, fs)   # the refusal kept the cover's mark
         check_flow(g, fs)
 

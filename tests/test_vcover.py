@@ -15,7 +15,7 @@ from midcache.workload import GeneratorParams, generate
 from tests.conftest import GB, SEC, mk_query, mk_update
 from tests.oracles import (ReferenceVCover, brute_force_canonical_cover, check_flow,
                            cover_weight, enumerate_plan_costs, graph_edges,
-                           networkx_canonical_cover, reference_vcover_log)
+                           networkx_canonical_cover, reference_vcover_log, sink_flow)
 
 
 # Two or three bytes of cache, so loads evict objects whose updates are on
@@ -203,7 +203,8 @@ class TestGraphConsistency:
         assert policy.group_of == {2: [mk_update(2, 2, 1, 5)]}
         assert graph_edges(policy.graph) == {(2, 4)}
         assert policy.flow.flow_su == {2: 1}
-        assert policy.flow.flow_qt == {3: 0, 4: 1} and not quiet(policy.graph, policy.flow)
+        assert sink_flow(policy.flow, 3) == 0 and sink_flow(policy.flow, 4) == 1
+        assert not quiet(policy.graph, policy.flow)
         check_groups(policy, cache)
         check_flow(policy.graph, policy.flow)
 
@@ -219,7 +220,7 @@ class TestGraphConsistency:
         assert graph.update_weight == {2: 9} and quiet(graph, flow)
 
         def snapshot():
-            return (copy.deepcopy((vars(graph), flow.flow_su, flow.flow_uq, flow.flow_qt)),
+            return (copy.deepcopy((vars(graph), flow.flow_su, flow.flow_uq)),
                     flow.mark)
         before = snapshot()
         assert drive(policy, cache, mk_query(4, 4, {2}, 10**6)) == \
@@ -589,13 +590,13 @@ class TestTwinGroups:
             drive(policy, cache, ev)
         assert drive(policy, cache, mk_query(4, 4, {0, 1}, 5)) == [ShipQuery(4)]
         assert policy.graph.update_weight == {1: 11, 3: 2}
-        assert policy.flow.flow_su == {1: 5} and policy.flow.flow_qt == {4: 5}
+        assert policy.flow.flow_su == {1: 5} and sink_flow(policy.flow, 4) == 5
         decisions = drive(policy, cache, mk_query(5, 5, {2}, 30))
         assert decisions[0] == ShipQuery(5) and Load(2) in decisions
         assert {Evict(0), Evict(1)} <= set(decisions)
         assert not policy.group_of
         assert policy.graph.update_weight == {} and policy.graph.query_weight == {4: 5}
-        assert policy.flow.flow_qt.get(4, 0) == 0 and not quiet(policy.graph, policy.flow)
+        assert sink_flow(policy.flow, 4) == 0 and not quiet(policy.graph, policy.flow)
         check_flow(policy.graph, policy.flow)
 
     def test_update_a_prune_dropped_unshipped_is_added_back(self, small_catalog):
@@ -629,8 +630,7 @@ def graph_and_flow(policy) -> tuple:
     g, fs = policy.graph, policy.flow
     return ([list(d.items()) for d in (g.update_weight, g.query_weight)],
             [[(k, list(v)) for k, v in d.items()] for d in (g.update_edges, g.query_edges)],
-            [list(fs.flow_su.items()), list(fs.flow_qt.items()),
-             [(q, list(i.items())) for q, i in fs.flow_uq.items()]],
+            [list(fs.flow_su.items()), [(q, list(i.items())) for q, i in fs.flow_uq.items()]],
             [(uid, [u.uid for u in m]) for uid, m in policy.group_of.items()])
 
 
