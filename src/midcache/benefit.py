@@ -67,10 +67,10 @@ def window_benefits(saved: dict[ObjectId, int], update_cost: dict[ObjectId, int]
     `saved` minus the `update_cost` it accrued; objects not in `resident` pay
     their load cost once."""
     out: dict[ObjectId, int] = {}
-    for oid in catalog.ids():
+    for oid, info in sorted(catalog.entries.items()):
         b = saved.get(oid, 0) - update_cost.get(oid, 0)
         if oid not in resident:
-            b -= catalog.load_cost(oid)
+            b -= info.load_cost
         out[oid] = b
     return out
 
@@ -88,7 +88,7 @@ def fill(scores: dict[ObjectId, float], capacity: int,
     chosen: list[ObjectId] = []
     space = capacity
     for oid in sorted((o for o, v in scores.items() if v > 0), key=lambda o: (-scores[o], o)):
-        size = catalog.size(oid)
+        size = catalog.entries[oid].size
         if size <= space:
             chosen.append(oid)
             space -= size

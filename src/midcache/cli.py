@@ -43,7 +43,7 @@ def cmd_gen(args) -> int:
     workload.write_catalog(catalog, out / "catalog.json")
     workload.write_trace(events, out / "trace.jsonl", catalog_ref="catalog.json",
                          meta=workload.params_meta(params, args.seed))
-    print(f"wrote {out / 'catalog.json'} ({len(catalog)} objects)")
+    print(f"wrote {out / 'catalog.json'} ({len(catalog.entries)} objects)")
     print(f"wrote {out / 'trace.jsonl'} ({len(events)} events)")
     return 0
 
@@ -100,13 +100,16 @@ def cmd_compare(args) -> int:
     configs = [_run_config(args, p.strip()) for p in args.policies.split(",") if p.strip()]
     if not configs:
         raise ValueError("--policies names no policy")
-    grains = [int(g) for g in args.granularity.split(",")] if args.granularity else []
+    try:
+        grains = [int(g) for g in args.granularity.split(",")] if args.granularity else []
+    except ValueError:
+        raise ValueError("--granularity: object counts must be integers") from None
     if min(grains, default=1) < 1:
         raise ValueError("--granularity: object counts must be >= 1")
     out = _out_dir(args)
     catalog, events = _load_frozen(args.trace)
-    if max(grains, default=0) > len(catalog):
-        raise ValueError(f"--granularity: object counts must be <= {len(catalog)}")
+    if max(grains, default=0) > len(catalog.entries):
+        raise ValueError(f"--granularity: object counts must be <= {len(catalog.entries)}")
     for grain in grains or [None]:
         try:
             cat, evs = workload.regrain(catalog, events, grain) if grain else (catalog, events)

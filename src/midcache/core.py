@@ -91,8 +91,8 @@ class ObjectCatalog:
     """The server's object set with per-object sizes and load costs, checked
     however it is built: ids, sizes and load costs of type `int` exactly,
     sizes and load costs in [1, MAX_BYTES]. Read-only once built: `entries`
-    is a `MappingProxyType` over a checked copy of the given mapping, whose
-    lookup raises UnknownObject for an id the catalog lacks.
+    is a `MappingProxyType` over a checked copy of the given mapping. Every
+    lookup is `entries[oid]`, which raises UnknownObject for an id it lacks.
 
     Load cost defaults to the object's size (cost of moving the whole object
     over the network); catalogs may override it per object."""
@@ -125,20 +125,8 @@ class ObjectCatalog:
         return cls({oid: ObjectInfo(size, (load_costs or {}).get(oid, size))
                     for oid, size in sizes.items()})
 
-    def __contains__(self, oid: ObjectId) -> bool:
-        return oid in self.entries
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
     def ids(self) -> list[ObjectId]:
         return sorted(self.entries)
-
-    def size(self, oid: ObjectId) -> int:
-        return self.entries[oid].size
-
-    def load_cost(self, oid: ObjectId) -> int:
-        return self.entries[oid].load_cost
 
     @property
     def total_size(self) -> int:
@@ -376,7 +364,7 @@ class CacheState:
         Ids already resident are skipped. All or nothing: on error the cache
         is unchanged."""
         new = set(oids) - self.resident
-        added = sum(self.catalog.size(oid) for oid in new)   # raises UnknownObject
+        added = sum(self.catalog.entries[oid].size for oid in new)   # raises UnknownObject
         if self._used + added > self.capacity:
             raise CapacityExceeded("seeded residency exceeds capacity")
         self.resident |= new

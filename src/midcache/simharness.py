@@ -203,7 +203,7 @@ def _event_loop(events: Trace, cache: CacheState, source, log: list | None,
                        ledger.load, ledger.total, cache.used))
     # The per-decision capacity audit trusts the running counter; recount it
     # once, so residency that changed behind apply's back fails the run.
-    resident_bytes = sum(cache.catalog.size(o) for o in cache.resident)
+    resident_bytes = sum(cache.catalog.entries[o].size for o in cache.resident)
     if resident_bytes != cache.used or resident_bytes > cache.capacity:
         raise AuditError(events[-1].seq if events else 0,
                          f"resident objects hold {resident_bytes} B, capacity "

@@ -30,8 +30,8 @@ from itertools import accumulate
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from .core import (MAX_BYTES, Event, EventContract, ObjectCatalog, ObjectId, Query, Trace,
-                   Update, as_trace, shuffle)
+from .core import (MAX_BYTES, Event, EventContract, ObjectCatalog, ObjectId, ObjectInfo,
+                   Query, Trace, Update, as_trace, shuffle)
 
 CATALOG_SCHEMA = "catalog/v1"
 TRACE_SCHEMA = "trace/v1"
@@ -250,10 +250,8 @@ def _open(path: Path, mode: str):
 
 def write_catalog(catalog: ObjectCatalog, path) -> None:
     doc = {"schema": CATALOG_SCHEMA,
-           "objects": [{"id": oid,
-                        "size": catalog.size(oid),
-                        "load_cost": catalog.load_cost(oid)}
-                       for oid in catalog.ids()]}
+           "objects": [{"id": oid, "size": info.size, "load_cost": info.load_cost}
+                       for oid, info in sorted(catalog.entries.items())]}
     with _open(Path(path), "w") as fh:
         json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
@@ -264,13 +262,12 @@ def read_catalog(path) -> ObjectCatalog:
         doc = json.load(fh)
     if doc.get("schema") != CATALOG_SCHEMA:
         raise TraceError(f"{path}: unexpected catalog schema {doc.get('schema')!r}")
-    sizes, costs = {}, {}
+    entries = {}
     for o in doc["objects"]:
-        if o["id"] in sizes:
+        if o["id"] in entries:
             raise TraceError(f"{path}: duplicate object id {o['id']}")
-        sizes[o["id"]] = o["size"]
-        costs[o["id"]] = o["load_cost"]
-    return ObjectCatalog.from_sizes(sizes, costs)
+        entries[o["id"]] = ObjectInfo(o["size"], o["load_cost"])
+    return ObjectCatalog(entries)
 
 
 def _event_from_json(doc: dict, seq: int) -> Event:
@@ -457,9 +454,9 @@ def regrain(catalog: ObjectCatalog, events: Sequence[Event], n_groups: int
     sizes: dict[ObjectId, int] = {}
     costs: dict[ObjectId, int] = {}
     for oid in ids:
-        g = group_of[oid]
-        sizes[g] = sizes.get(g, 0) + catalog.size(oid)
-        costs[g] = costs.get(g, 0) + catalog.load_cost(oid)
+        g, info = group_of[oid], catalog.entries[oid]
+        sizes[g] = sizes.get(g, 0) + info.size
+        costs[g] = costs.get(g, 0) + info.load_cost
     merged = ObjectCatalog.from_sizes(sizes, costs)
     object_sets: dict[frozenset[ObjectId], frozenset[ObjectId]] = {}
 

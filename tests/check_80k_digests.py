@@ -14,10 +14,11 @@ Each run's decision log is then replayed through `replay_decisions`, which
 must reproduce the run's ledger and final resident set and count one
 `CacheState.moves` per initial resident and per logged Load or Evict. Every
 `COVER_STRIDE`-th cover that vcover computes, counted over all its runs, is
-checked against the minimum cut that `networkx.minimum_cut` finds, an oracle
-that shares no code with `covergraph` (37 of 2,260 covers): once on the graph
-as given, whose update nodes are groups of twin updates, and once on the graph
-with one node per member update, against the cover read as member uids. Too
+checked against `tests.oracles.minimum_cut_cover`, the minimum cut that
+`networkx.minimum_cut` finds, an oracle that shares no code with `covergraph`
+(37 of 2,260 covers): once on the graph as given, whose update nodes are
+groups of twin updates, and once on the graph with one node per member
+update, against the cover read as member uids. Too
 slow for the tier-1 suite (about 20 s on a 2-vCPU host, most of it in
 networkx on the graphs with one node per update), so CI runs it as its own
 step:
@@ -50,12 +51,13 @@ import time
 from pathlib import Path
 from types import SimpleNamespace
 
-import networkx as nx
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))   # `tests`, when run by path
 
 from midcache import vcover
 from midcache.core import Evict, Load, ObjectCatalog, ObjectInfo
 from midcache.simharness import RunConfig, replay_decisions, run
 from midcache.workload import GeneratorParams, generate, params_meta, write_catalog, write_trace
+from tests.oracles import minimum_cut_cover
 
 PARAMS = GeneratorParams(n_queries=40_000, n_updates=40_000)
 SEED = 1
@@ -98,26 +100,6 @@ def replay_problems(catalog, events, report) -> list[str]:
               "moves": (cache.moves, moves + len(report.initial_resident))}
     return [f"replay {name}: {got} != {want}" for name, (got, want) in checks.items()
             if got != want]
-
-
-def minimum_cut_cover(g) -> tuple[frozenset[int], frozenset[int], int]:
-    """The canonical minimum cover of an `InteractionGraph` as (queries,
-    updates, cut value), from `networkx.minimum_cut` on the network source ->
-    update at the update's weight, update -> query uncapacitated, query ->
-    sink at the query's weight. networkx's sink side is the nodes that can
-    reach its sink in the residual network, so the cut is taken on the
-    reversed network from sink to source: its sink side is then the nodes
-    reachable from the source, the smallest source side, which is the same
-    for every maximum flow. A query is covered when it is on that side, an
-    update when it is not."""
-    net = nx.DiGraph()
-    net.add_nodes_from(["s", "t"])
-    net.add_edges_from((("u", u), "s", {"capacity": w}) for u, w in g.update_weight.items())
-    net.add_edges_from(("t", ("q", q), {"capacity": w}) for q, w in g.query_weight.items())
-    net.add_edges_from((("q", q), ("u", u)) for u, qs in g.update_edges.items() for q in qs)
-    value, (_, source_side) = nx.minimum_cut(net, "t", "s")
-    return (frozenset(q for q in g.query_weight if ("q", q) in source_side),
-            frozenset(u for u in g.update_weight if ("u", u) not in source_side), value)
 
 
 def members_graph(g, group_of):

@@ -2,6 +2,7 @@ import gc
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, settings
 
 from midcache.core import ObjectCatalog, Query, Update
 from midcache.workload import load_trace
@@ -10,6 +11,10 @@ GB = 10**9
 SEC = 10**6   # microseconds
 
 DATA_DIR = Path(__file__).parent / "data"
+
+# The mutation gate (`tests/mutants.py`) asks only whether a test fails, so it
+# runs under this profile, which reports the first failing example unshrunk.
+settings.register_profile("mutants", phases=(Phase.explicit, Phase.reuse, Phase.generate))
 
 
 @pytest.fixture(autouse=True)

@@ -9,7 +9,9 @@ For each mutant the script copies `src/` into a temporary directory, applies
 the edit there and runs pytest on the mutant's node ids with only that copy on
 PYTHONPATH, from the temporary directory (so Hypothesis keeps no example
 database in the checkout). Hypothesis runs with a fixed seed, so every run
-draws the same examples and a kill by a Hypothesis test is repeatable. Every
+draws the same examples and a kill by a Hypothesis test is repeatable, and
+under the `mutants` profile of `tests/conftest.py`, which skips shrinking a
+failing example, since only whether a test fails counts. Every
 named node id must select at least one failing test. First the named tests must all pass on an unmutated copy. The
 script then prints one line per mutant and exits 1 if a mutant survives, its
 old text is not found exactly once, its node ids select no test, or its tests
@@ -21,7 +23,8 @@ change.
 The list starts from the mutants that `CHANGES.md` describes for the star
 answer, adds and removals on the interaction graph, the replay harness, and
 the cover cycle and the metamorphic relations, then covers the trace reader,
-the generator's shuffle, the flow kernel, the update queue and the report.
+the generator's shuffle, the flow kernel, the update queue, the report,
+Greedy-Dual-Size and the harness's decision audits.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ _METAMORPHIC = "tests/test_metamorphic.py::"
 _LOADMGR = "tests/test_loadmgr.py::"
 _WORKLOAD = "tests/test_workload.py::"
 _CLI = "tests/test_cli.py::"
+_GOLDEN = "tests/test_golden.py::"
 
 _EVENT_LOOP_HEAD = """\
     receive_update = cache.receive_update
@@ -234,6 +238,66 @@ MUTANTS: tuple[Mutant, ...] = (
            '    text = "".join(",".join(map(str, r)) + "\\n" for r in (cols, *rows))\n',
            (_CLI + "TestReport::test_a_label_with_csv_syntax_reads_back_intact[comma]",
             _CLI + "TestReport::test_a_label_with_csv_syntax_reads_back_intact[newline]")),
+    # Greedy-Dual-Size and the harness's decision audits.
+    Mutant("gds-inflation-frozen", "loadmgr.py",
+           "state.inflation = h",
+           "pass",
+           (_GOLDEN + "test_run_outputs_byte_identical",
+            _LOADMGR + "TestChainedBatches::test_matches_chained_eager_oracle",
+            _LOADMGR + "TestChainedBatches::test_seeded_runs_rebuild_the_heap",
+            _LOADMGR + "TestGdsTouch::test_inflation_raises_credit",
+            _LOADMGR + "TestLazyApply::test_net_state_matches_eager_final_residency",
+            _LOADMGR + "TestLazyApply::test_resident_loaded_outside_starts_at_inflation",
+            _HARNESS + "TestReplayAudit::test_queue_left_on_evict_fails_where_run_fails",
+            _VCOVER + "TestReferenceVCover::test_golden_shapes_match_the_reference",
+            _VCOVER + "TestReferenceVCover::test_run_matches_the_reference",
+            _VCOVER + "TestTwinGroups::test_groups_are_twins_and_covers_expand_to_the_ungrouped_cover")),
+    Mutant("sync-ignores-outside-moves", "loadmgr.py",
+           "if state.synced_cache is not cache or state.synced_moves != moves:",
+           "if state.synced_cache is not cache:",
+           (_LOADMGR + "TestChainedBatches::test_matches_chained_eager_oracle",
+            _LOADMGR + "TestChainedBatches::test_seeded_runs_rebuild_the_heap",
+            _LOADMGR + "TestLazyApply::test_failed_batch_forces_the_sync",
+            _LOADMGR + "TestLazyApply::test_resident_loaded_outside_starts_at_inflation",
+            _LOADMGR + "TestLazyApply::test_unapplied_decisions_force_the_sync")),
+    Mutant("evicted-admission-touches-network", "loadmgr.py",
+           "if victim in admitted:",
+           "if False:",
+           ("tests/test_acceptance.py::test_c05_lazy_gds_no_churn",
+            _GOLDEN + "test_replay_counts_one_move_per_residency_change[churn532-vcover]",
+            _GOLDEN + "test_run_outputs_byte_identical[churn532-vcover-1]",
+            _LOADMGR + "TestChainedBatches::test_matches_chained_eager_oracle",
+            _LOADMGR + "TestChainedBatches::test_seeded_runs_rebuild_the_heap",
+            _LOADMGR + "TestLazyApply::test_churn_collapses_to_single_load",
+            _LOADMGR + "TestLazyApply::test_net_state_matches_eager_final_residency",
+            _LOADMGR + "TestLazyApply::test_no_intra_batch_churn",
+            _METAMORPHIC + "test_byte_scaling_scales_ledgers_only[vcover]",
+            _METAMORPHIC + "test_order_preserving_relabel_changes_only_the_ids[vcover]",
+            _METAMORPHIC + "test_time_shift_changes_nothing[vcover]",
+            _HARNESS + "TestInputContract::test_validated_traces_run_and_replay_under_every_policy",
+            _VCOVER + "TestCanonicalCover::test_every_cover_is_the_exhaustive_canonical_cover",
+            _VCOVER + "TestReferenceVCover::test_golden_shapes_match_the_reference[churn532-1]",
+            _VCOVER + "TestReferenceVCover::test_run_matches_the_reference",
+            _VCOVER + "TestTwinGroups::test_groups_are_twins_and_covers_expand_to_the_ungrouped_cover")),
+    Mutant("ship-query-names-any-query", "simharness.py",
+           "if to_ship is None or d.qid != to_ship.qid:",
+           "if to_ship is None:",
+           (_HARNESS + "TestAudit::test_bad_decision_aborts_with_event_index[ship-another-qid]",
+            _HARNESS + "TestReplayAudit::test_ship_query_naming_another_query")),
+    Mutant("answer-names-any-query", "simharness.py",
+           "if query is None or d.qid != query.qid:",
+           "if query is None:",
+           (_HARNESS + "TestAudit::test_bad_decision_aborts_with_event_index"
+                       "[answer-names-another-query]",)),
+    Mutant("query-ships-twice", "simharness.py",
+           "to_ship = None",
+           "pass",
+           (_HARNESS + "TestAudit::test_bad_decision_aborts_with_event_index[ship-twice]",)),
+    Mutant("warmup-boundary", "simharness.py",
+           "if seq <= warmup:",
+           "if seq < warmup:",
+           (_CLI + "TestCliDigests::test_gen_and_compare_outputs_pinned",
+            _HARNESS + "TestRun::test_warmup_view_subtracts_prefix")),
 )
 
 
@@ -258,7 +322,8 @@ def failing_ids(src: Path, node_ids: tuple[str, ...], workdir: Path) -> tuple[in
     """Run pytest on `node_ids` against the package in `src`; returns its exit
     code and the node ids of the tests that failed or errored."""
     cmd = [sys.executable, "-m", "pytest", "-q", "-rfE", "--tb=no", "--no-header",
-           "-p", "no:cacheprovider", "--hypothesis-seed=0", "--rootdir", str(ROOT),
+           "-p", "no:cacheprovider", "--hypothesis-seed=0", "--hypothesis-profile=mutants",
+           "--rootdir", str(ROOT),
            *(str(ROOT / i) for i in node_ids)]
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run(cmd, cwd=workdir, env=env, capture_output=True, text=True,

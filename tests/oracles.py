@@ -11,7 +11,6 @@ from fractions import Fraction
 from itertools import accumulate, combinations
 
 import networkx as nx
-from networkx.algorithms.flow import preflow_push
 
 from midcache.core import (AnswerFromCache, Evict, Load, ObjectCatalog, Query,
                            ShipQuery, ShipUpdates, Update)
@@ -73,28 +72,25 @@ def graph_edges(g) -> set[tuple[int, int]]:
     return {(uid, qid) for uid, qs in g.update_edges.items() for qid in qs}
 
 
-def networkx_canonical_cover(g) -> tuple[frozenset[int], frozenset[int]]:
-    """The canonical minimum cover of an `InteractionGraph` as (queries,
-    updates), from networkx's preflow-push maximum flow on the derived
-    network: source -> update at the update's weight, update -> query
-    uncapacitated, query -> sink at the query's weight. The nodes reachable
-    from the source in its residual network are the smallest cut side, the
-    same for every maximum flow: a query is covered when it is reachable, an
+def minimum_cut_cover(g) -> tuple[frozenset[int], frozenset[int], int]:
+    """The canonical minimum cover of an `InteractionGraph` (or of any object
+    with its `update_weight`, `query_weight` and `update_edges`) as (queries,
+    updates, cut value), from `networkx.minimum_cut` on the network source ->
+    update at the update's weight, update -> query uncapacitated, query ->
+    sink at the query's weight. networkx's sink side is the nodes that can
+    reach its sink in the residual network, so the cut is taken on the
+    reversed network from sink to source: its sink side is then the nodes
+    reachable from the source, the smallest source side, which is the same
+    for every maximum flow. A query is covered when it is on that side, an
     update when it is not."""
     net = nx.DiGraph()
     net.add_nodes_from(["s", "t"])
-    net.add_edges_from(("s", ("u", u), {"capacity": w}) for u, w in g.update_weight.items())
-    net.add_edges_from((("q", q), "t", {"capacity": w}) for q, w in g.query_weight.items())
-    net.add_edges_from((("u", u), ("q", q)) for u, q in graph_edges(g))
-    residual = preflow_push(net, "s", "t")
-    reached, queue = {"s"}, deque(["s"])
-    while queue:
-        for node, arc in residual[queue.popleft()].items():
-            if node not in reached and arc["flow"] < arc["capacity"]:
-                reached.add(node)
-                queue.append(node)
-    return (frozenset(q for q in g.query_weight if ("q", q) in reached),
-            frozenset(u for u in g.update_weight if ("u", u) not in reached))
+    net.add_edges_from((("u", u), "s", {"capacity": w}) for u, w in g.update_weight.items())
+    net.add_edges_from(("t", ("q", q), {"capacity": w}) for q, w in g.query_weight.items())
+    net.add_edges_from((("q", q), ("u", u)) for u, qs in g.update_edges.items() for q in qs)
+    value, (_, source_side) = nx.minimum_cut(net, "t", "s")
+    return (frozenset(q for q in g.query_weight if ("q", q) in source_side),
+            frozenset(u for u in g.update_weight if ("u", u) not in source_side), value)
 
 
 def sink_flow(fs, qid) -> int:
@@ -173,13 +169,13 @@ def enumerate_plan_costs(catalog: ObjectCatalog, events, capacity: int,
     def feasible_residencies():
         for r in range(len(oids) + 1):
             for combo in combinations(oids, r):
-                if sum(catalog.size(o) for o in combo) <= capacity:
+                if sum(catalog.entries[o].size for o in combo) <= capacity:
                     yield frozenset(combo)
 
     def walk(resident: frozenset, choices: dict[int, str] | None):
         """Min cost over query choices (or the fixed-choice cost when choices
         are given). Choices map qid -> 'ship' | 'updates'."""
-        load_cost = sum(catalog.load_cost(o) for o in resident - initial_resident)
+        load_cost = sum(catalog.entries[o].load_cost for o in resident - initial_resident)
 
         def rec(i: int, queues: dict[int, tuple]) -> int:
             if i == len(events):
@@ -230,22 +226,23 @@ def eager_gds_trace(catalog: ObjectCatalog, capacity: int, resident: set[int],
     inflation."""
     credit = {o: credits.get(o, inflation) for o in resident}
     live = set(resident)
-    free = capacity - sum(catalog.size(o) for o in live)
+    free = capacity - sum(catalog.entries[o].size for o in live)
     actions: list[tuple[str, int]] = []
     for oid in batch:
+        info = catalog.entries[oid]
         if oid in live:
-            credit[oid] = inflation + catalog.load_cost(oid) / catalog.size(oid)
+            credit[oid] = inflation + info.load_cost / info.size
             continue
-        size = catalog.size(oid)
+        size = info.size
         if size > capacity:
             continue
         while free < size:
             victim = min(live, key=lambda o: (credit[o], o))
             inflation = credit.pop(victim)
             live.discard(victim)
-            free += catalog.size(victim)
+            free += catalog.entries[victim].size
             actions.append(("evict", victim))
-        credit[oid] = inflation + catalog.load_cost(oid) / catalog.size(oid)
+        credit[oid] = inflation + info.load_cost / size
         live.add(oid)
         free -= size
         actions.append(("load", oid))
@@ -264,7 +261,7 @@ def sorted_offer(q: Query, resident: set[int], catalog: ObjectCatalog, rng) -> l
     for oid in missing:
         if c <= 0:
             break
-        lc = catalog.load_cost(oid)
+        lc = catalog.entries[oid].load_cost
         if c >= lc:
             batch.append(oid)
             c -= lc
@@ -279,7 +276,7 @@ class ReferenceVCover:
     """vcover as the paper states it, one event at a time, with its own
     residency, its own update queues and a plain graph of one node per
     update (`update_weight`, `query_weight`, and `update_edges` as {uid:
-    {qid}}), so `networkx_canonical_cover` reads it as it reads an
+    {qid}}), so `minimum_cut_cover` reads it as it reads an
     `InteractionGraph`.
     - An update to a resident object joins its object's queue.
     - A query on a missing object ships; `sorted_offer` spends its cost on
@@ -325,7 +322,7 @@ class ReferenceVCover:
         for oid in evicted:
             for u in self.queues.pop(oid, ()):
                 self._drop_update(u.uid)
-        self.ledger[2] += sum(self.catalog.load_cost(oid) for oid in loaded)
+        self.ledger[2] += sum(self.catalog.entries[oid].load_cost for oid in loaded)
         self.resident = live
         return [ShipQuery(ev.qid), *map(Evict, evicted), *map(Load, loaded)]
 
@@ -339,7 +336,7 @@ class ReferenceVCover:
         for u in ius:
             self.update_weight.setdefault(u.uid, u.ship_cost)
             self.update_edges.setdefault(u.uid, set()).add(q.qid)
-        cover_q, cover_u = networkx_canonical_cover(self)
+        cover_q, cover_u, _ = minimum_cut_cover(self)
         if q.qid in cover_q:
             self.ledger[0] += q.ship_cost
             decisions = [ShipQuery(q.qid)]
@@ -378,7 +375,7 @@ def static_set_replay_cost(events, catalog: ObjectCatalog,
     """Cost of running the whole trace against a fixed cached set: loads up
     front, queries outside the set ship, updates for members ship (on arrival
     when eager, else on first query that needs them)."""
-    cost = sum(catalog.load_cost(o) for o in members)
+    cost = sum(catalog.entries[o].load_cost for o in members)
     if eager:
         for ev in events:
             if isinstance(ev, Update):

@@ -120,7 +120,7 @@ def test_c05_lazy_gds_no_churn():
         fill = [o for o in range(n)]
         rng.shuffle(fill)
         for o in fill:
-            if catalog.size(o) <= cache.capacity - cache.used and rng.random() < 0.5:
+            if catalog.entries[o].size <= cache.capacity - cache.used and rng.random() < 0.5:
                 cache.seed_resident([o])
         state = GdsState(rng.uniform(0, 2),
                          {o: rng.uniform(0, 4) for o in cache.resident})
@@ -197,9 +197,9 @@ def test_c08_soptimal_small_instance_gap():
         ledger = run(events, catalog, RunConfig(policy="soptimal", seed=0,
                                                 cache_bytes=capacity)).ledger
         best = min(static_set_replay_cost(events, catalog, frozenset(c))
-                   for r in range(len(catalog) + 1)
+                   for r in range(len(catalog.entries) + 1)
                    for c in combinations(catalog.ids(), r)
-                   if sum(catalog.size(o) for o in c) <= capacity)
+                   if sum(catalog.entries[o].size for o in c) <= capacity)
         gaps.append(ledger.total / best - 1.0)
     # the same check with two-object queries mixed in, reported not asserted:
     # proportional share-credit is a heuristic and overcounts partly-covered
@@ -213,9 +213,9 @@ def test_c08_soptimal_small_instance_gap():
         ledger = run(events, catalog, RunConfig(policy="soptimal", seed=0,
                                                 cache_bytes=capacity)).ledger
         best = min(static_set_replay_cost(events, catalog, frozenset(c))
-                   for r in range(len(catalog) + 1)
+                   for r in range(len(catalog.entries) + 1)
                    for c in combinations(catalog.ids(), r)
-                   if sum(catalog.size(o) for o in c) <= capacity)
+                   if sum(catalog.entries[o].size for o in c) <= capacity)
         mixed_gaps.append(ledger.total / best - 1.0)
     print("\n  reported gaps (single-object queries): "
           + " ".join(f"{g*100:.1f}%" for g in gaps))

@@ -119,7 +119,8 @@ class TestSplits:
                 apply(cache, Load(oid))
             q = mk_query(i, i, list(objects), cost)   # an equal set, not the same object
             policy.on_query(q)
-            fresh = proportional_shares(cost, [(o, catalog.size(o)) for o in sorted(objects)])
+            fresh = proportional_shares(cost, [(o, catalog.entries[o].size)
+                                               for o in sorted(objects)])
             assert policy.splits[(q.objects, cost)] == tuple(fresh.items())
             for oid, share in fresh.items():
                 if objects <= resident or oid not in resident:
@@ -249,11 +250,11 @@ class TestRecompose:
         # reference skip-if-too-big greedy over the positive-mu ranking
         expect, space = [], capacity
         for o in sorted((o for o in mu if mu[o] > 0), key=lambda o: (-mu[o], o)):
-            if catalog.size(o) <= space:
+            if catalog.entries[o].size <= space:
                 expect.append(o)
-                space -= catalog.size(o)
+                space -= catalog.entries[o].size
         assert selected == expect
-        assert sum(catalog.size(o) for o in selected) <= capacity
+        assert sum(catalog.entries[o].size for o in selected) <= capacity
 
 
 class TestWindowAccounting:

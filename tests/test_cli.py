@@ -163,8 +163,10 @@ class TestCompare:
         assert (workspace / "compare-g6.json").exists()
 
     @pytest.mark.parametrize("grains, trace", [
-        ("3,0", "trace.jsonl"), ("0", "missing.jsonl"), ("6,99", "trace.jsonl")],
-        ids=["zero-after-valid", "zero-missing-trace", "above-catalog-size"])
+        ("3,0", "trace.jsonl"), ("0", "missing.jsonl"), ("6,99", "trace.jsonl"),
+        ("3,a", "trace.jsonl"), ("3,,6", "trace.jsonl"), ("a", "missing.jsonl")],
+        ids=["zero-after-valid", "zero-missing-trace", "above-catalog-size",
+             "non-integer-after-valid", "empty-entry", "non-integer-missing-trace"])
     def test_bad_granularity_rejected_before_any_grain(self, workspace, capsys,
                                                        grains, trace):
         rc = main(["compare", "--trace", str(workspace / trace), "--seed", "2",

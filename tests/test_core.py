@@ -186,10 +186,10 @@ class TestApply:
 class TestAccounting:
     def test_seed_resident_skips_duplicate_ids(self, small_catalog):
         cache = make_cache(small_catalog, 100, [0, 0])
-        assert cache.used == small_catalog.size(0)
+        assert cache.used == small_catalog.entries[0].size
         assert cache.moves == 1
         cache.seed_resident([0, 1])
-        assert cache.used == small_catalog.size(0) + small_catalog.size(1)
+        assert cache.used == small_catalog.entries[0].size + small_catalog.entries[1].size
         assert cache.moves == 2   # one per object added; 0 was resident already
 
     def test_seed_resident_is_all_or_nothing(self):
@@ -229,7 +229,7 @@ class TestAccounting:
                 cache.receive_update(mk_update(uid, uid, data.draw(st.integers(0, 4)), 1))
             elif kind == "load":
                 fits = [o for o in catalog.ids() if o not in cache.resident
-                        and catalog.size(o) <= cache.capacity - cache.used]
+                        and catalog.entries[o].size <= cache.capacity - cache.used]
                 if fits:
                     apply(cache, Load(data.draw(st.sampled_from(fits))))
                     moves += 1
@@ -242,7 +242,7 @@ class TestAccounting:
                     picked = data.draw(st.lists(st.sampled_from(queued), min_size=1,
                                                 unique=True))
                     apply(cache, ShipUpdates(tuple(picked)))
-            assert cache.used == sum(catalog.size(o) for o in cache.resident)
+            assert cache.used == sum(catalog.entries[o].size for o in cache.resident)
             assert cache.moves == moves   # updates and ShipUpdates move nothing
             for o in cache.resident:
                 assert (o not in cache.outstanding) == (not cache.outstanding.get(o))

@@ -96,14 +96,13 @@ class TestOffer:
 
 
 @pytest.mark.parametrize("lookup", [
-    lambda cache: cache.catalog.size(99),
-    lambda cache: cache.catalog.load_cost(99),
+    lambda cache: cache.catalog.entries[99],
     lambda cache: cache.seed_resident([0, 99]),
     lambda cache: apply(cache, Load(99)),
     lambda cache: offer(mk_query(1, 0, {99}, 5), cache, random.Random(0)),
     lambda cache: gds_lazy_apply(GdsState(), cache, [2, 99]),
     lambda cache: split_shape(frozenset({0, 99, 100}), 5, cache.catalog),
-], ids=["size", "load_cost", "seed_resident", "apply", "offer", "gds_lazy_apply",
+], ids=["entries", "seed_resident", "apply", "offer", "gds_lazy_apply",
         "split_shape"])
 def test_unknown_object_is_named(small_catalog, lookup):
     # Every site reads the catalog's one table, whose missing-id lookup
@@ -150,7 +149,7 @@ class TestGdsTouch:
         state, decisions = gds_lazy_apply(state, cache, [1])
         assert decisions == [Evict(0), Load(1)]
         assert state.inflation == 3.0
-        assert state.credit[1] == 3.0 + catalog.load_cost(1) / catalog.size(1)
+        assert state.credit[1] == 3.0 + catalog.entries[1].load_cost / catalog.entries[1].size
 
     def test_touch_is_idempotent(self, small_catalog):
         state = GdsState(inflation=2.0)
@@ -250,9 +249,9 @@ class TestLazyApply:
                 {i: rng.randint(1, 20) for i in range(n)})
             capacity = rng.randint(5, 30)
             resident = [o for o in range(n)
-                        if rng.random() < 0.4 and catalog.size(o) <= capacity]
+                        if rng.random() < 0.4 and catalog.entries[o].size <= capacity]
             resident = [o for o in resident
-                        if sum(catalog.size(x) for x in resident[:resident.index(o) + 1])
+                        if sum(catalog.entries[x].size for x in resident[:resident.index(o) + 1])
                         <= capacity]
             cache = make_cache(catalog, capacity, resident)
             # some residents have no credit (they start at the inflation),
@@ -357,8 +356,8 @@ def drive_chained_batches(draw, n_batches: int) -> Counter:
             apply(cache, Evict(resident[draw(0, len(resident) - 1)]))
             moved_outside = True
         elif outside >= 2:
-            fits = [o for o in range(n)
-                    if o not in cache.resident and catalog.size(o) <= cache.capacity - cache.used]
+            fits = [o for o in range(n) if o not in cache.resident
+                    and catalog.entries[o].size <= cache.capacity - cache.used]
             if fits:
                 oid = fits[draw(0, len(fits) - 1)]
                 if outside == 2:

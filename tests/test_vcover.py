@@ -15,7 +15,7 @@ from midcache.workload import GeneratorParams, generate
 from tests.conftest import GB, SEC, mk_query, mk_update
 from tests.oracles import (ReferenceVCover, brute_force_canonical_cover, check_flow,
                            cover_weight, enumerate_plan_costs, graph_edges,
-                           networkx_canonical_cover, reference_vcover_log, sink_flow)
+                           minimum_cut_cover, reference_vcover_log, sink_flow)
 
 
 # Two or three bytes of cache, so loads evict objects whose updates are on
@@ -401,15 +401,15 @@ class TestCanonicalCover:
         # Every 3rd cover of a run on the 20k-event default trace (77 covers,
         # since most joins there are stars that vcover answers without one;
         # graphs up to 57 update nodes and 54 queries) against
-        # the canonical cover read off networkx's preflow-push residual
-        # network, an oracle that shares no code with `covergraph`.
+        # the canonical cover read off networkx's minimum cut, an oracle that
+        # shares no code with `covergraph`.
         import midcache.vcover as vc
         from midcache.covergraph import min_weight_cover as real_mwc
 
         calls, checked = count(1), []
 
         def sampled_cover(g, prior=None):
-            expect = networkx_canonical_cover(g) if next(calls) % 3 == 0 else None
+            expect = minimum_cut_cover(g)[:2] if next(calls) % 3 == 0 else None
             cover, fs = real_mwc(g, prior)
             if expect is not None:
                 assert (cover.cover_queries, cover.cover_updates) == expect
@@ -489,7 +489,7 @@ class TestTwinGroups:
             if split:
                 seen.add("a split" + (" of a group holding flow"
                                       if any(f for _, f in split) else ""))
-            expect = networkx_canonical_cover(ungrouped(policy, g))
+            expect = minimum_cut_cover(ungrouped(policy, g))[:2]
             cover, fs = real_mwc(g, prior)
             members = {u.uid for gid in cover.cover_updates for u in policy.group_of[gid]}
             assert (cover.cover_queries, members) == expect

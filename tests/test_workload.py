@@ -31,7 +31,7 @@ from tests.oracles import event_record, reference_generate
 class TestGenerate:
     def test_default_catalog_size(self):
         catalog, _ = generate(GeneratorParams(n_queries=10, n_updates=10), seed=1)
-        assert len(catalog) == 68
+        assert len(catalog.entries) == 68
 
     def test_deterministic_bytes(self, tmp_path):
         params = GeneratorParams(n_objects=10, n_queries=100, n_updates=100,
@@ -55,7 +55,7 @@ class TestGenerate:
         last_time = 0
         for ev in events:
             oids = ev.objects if isinstance(ev, Query) else {ev.object}
-            assert all(o in catalog for o in oids)
+            assert all(o in catalog.entries for o in oids)
             assert ev.ship_cost >= 1
             assert ev.time >= last_time
             last_time = ev.time
@@ -66,7 +66,7 @@ class TestGenerate:
                                  query_hotspots=(0,), update_hotspots=(1,))
         catalog, _ = generate(params, seed=9)
         for oid in catalog.ids():
-            assert 1000 <= catalog.size(oid) <= 2000
+            assert 1000 <= catalog.entries[oid].size <= 2000
 
     def test_statistical_shape(self):
         params = GeneratorParams(n_objects=68, n_queries=50_000, n_updates=50_000)
@@ -665,7 +665,7 @@ class TestCatalogContract:
         top = 2**53 - 1
         for catalog in (ObjectCatalog({0: ObjectInfo(top, top)}),
                         ObjectCatalog.from_sizes({0: top})):
-            assert catalog.size(0) == catalog.load_cost(0) == top
+            assert catalog.entries[0].size == catalog.entries[0].load_cost == top
 
     def test_derived_catalogs_are_checked(self, tmp_path):
         catalog = ObjectCatalog.from_sizes({0: 2**52, 1: 2**52})
@@ -696,11 +696,11 @@ class TestCatalogContract:
         pickles, deep-copies, replaces and compares as a value."""
         with pytest.raises((TypeError, AttributeError)):
             write(small_catalog)
-        assert small_catalog.size(0) == 10 and len(small_catalog) == 4
+        assert small_catalog.entries[0].size == 10 and len(small_catalog.entries) == 4
         for twin in (pickle.loads(pickle.dumps(small_catalog)), copy.deepcopy(small_catalog),
                      dataclasses.replace(small_catalog)):
             assert twin is not small_catalog and twin == small_catalog
-            assert twin.size(3) == 40
+            assert twin.entries[3].size == 40
         assert small_catalog != ObjectCatalog.from_sizes({0: 10})
 
 
@@ -789,12 +789,12 @@ class TestRegrain:
                                  query_hotspots=(3,), update_hotspots=(12,))
         catalog, events = generate(params, seed=8)
         merged, mevents = regrain(catalog, events, 5)
-        assert len(merged) == 5
+        assert len(merged.entries) == 5
         assert merged.total_size == catalog.total_size
         assert sum(e.ship_cost for e in mevents) == sum(e.ship_cost for e in events)
         for ev in mevents:
             oids = ev.objects if isinstance(ev, Query) else {ev.object}
-            assert all(o in merged for o in oids)
+            assert all(o in merged.entries for o in oids)
 
     def test_splitting_rejected(self, small_catalog):
         with pytest.raises(ValueError):

@@ -127,9 +127,9 @@ class TestSOptimal:
         ledger = run(events, catalog, soptimal_config(capacity)).ledger
         best = min(
             static_set_replay_cost(events, catalog, frozenset(combo))
-            for r in range(len(catalog) + 1)
+            for r in range(len(catalog.entries) + 1)
             for combo in combinations(catalog.ids(), r)
-            if sum(catalog.size(o) for o in combo) <= capacity)
+            if sum(catalog.entries[o].size for o in combo) <= capacity)
         assert ledger.total <= 1.1 * best
 
     def test_replay_matches_independent_fold(self):
