@@ -6,6 +6,7 @@ and sample cumulative traffic for reporting.
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import json
 from collections import Counter
@@ -172,43 +173,49 @@ def _event_loop(events: Trace, cache: CacheState, source, log: list | None,
                 warmup: int, stride: int) -> tuple[TrafficLedger, list[tuple], tuple]:
     """`run()`'s event loop, shared by `replay_decisions`: returns the ledger,
     the series sampled every `stride` seqs and the ledger at `warmup`."""
-    ledger = TrafficLedger()
-    series: list[tuple] = []
-    warmup_snapshot = (0, 0, 0)
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        ledger = TrafficLedger()
+        series: list[tuple] = []
+        warmup_snapshot = (0, 0, 0)
 
-    execute(cache, ledger, log, source.startup(), 0, None)
-    # Bound after make_policy, so class-level wrappers apply (package call rule).
-    on_query, on_update = source.on_query, source.on_update
-    receive_update = cache.receive_update
-    for ev in events:
-        seq = ev.seq
-        if isinstance(ev, Update):
-            receive_update(ev)
-            if decisions := on_update(ev):
-                execute(cache, ledger, log, decisions, seq, None)
-        elif decisions := on_query(ev):
-            execute(cache, ledger, log, decisions, seq, ev)
-        if cache.outstanding:   # read each event: a policy may rebind the map
-            try:
-                check_freshness(cache)
-            except Exception as exc:
-                raise AuditError(seq, str(exc)) from exc
-        if seq <= warmup:
-            warmup_snapshot = ledger.snapshot()
-        if seq % stride == 0:
-            series.append((seq, ledger.query_ship, ledger.update_ship,
+        execute(cache, ledger, log, source.startup(), 0, None)
+        # Bound after make_policy, so class-level wrappers apply (package call rule).
+        on_query, on_update = source.on_query, source.on_update
+        receive_update = cache.receive_update
+        for ev in events:
+            seq = ev.seq
+            if isinstance(ev, Update):
+                receive_update(ev)
+                if decisions := on_update(ev):
+                    execute(cache, ledger, log, decisions, seq, None)
+            elif decisions := on_query(ev):
+                execute(cache, ledger, log, decisions, seq, ev)
+            if cache.outstanding:   # read each event: a policy may rebind the map
+                try:
+                    check_freshness(cache)
+                except Exception as exc:
+                    raise AuditError(seq, str(exc)) from exc
+            if seq <= warmup:
+                warmup_snapshot = ledger.snapshot()
+            if seq % stride == 0:
+                series.append((seq, ledger.query_ship, ledger.update_ship,
+                               ledger.load, ledger.total, cache.used))
+        if events and events[-1].seq % stride:   # the last event is always sampled
+            series.append((events[-1].seq, ledger.query_ship, ledger.update_ship,
                            ledger.load, ledger.total, cache.used))
-    if events and events[-1].seq % stride:   # the last event is always sampled
-        series.append((events[-1].seq, ledger.query_ship, ledger.update_ship,
-                       ledger.load, ledger.total, cache.used))
-    # The per-decision capacity audit trusts the running counter; recount it
-    # once, so residency that changed behind apply's back fails the run.
-    resident_bytes = sum(cache.catalog.entries[o].size for o in cache.resident)
-    if resident_bytes != cache.used or resident_bytes > cache.capacity:
-        raise AuditError(events[-1].seq if events else 0,
-                         f"resident objects hold {resident_bytes} B, capacity "
-                         f"counter {cache.used} B, capacity {cache.capacity} B")
-    return ledger, series, warmup_snapshot
+        # The per-decision capacity audit trusts the running counter; recount it
+        # once, so residency that changed behind apply's back fails the run.
+        resident_bytes = sum(cache.catalog.entries[o].size for o in cache.resident)
+        if resident_bytes != cache.used or resident_bytes > cache.capacity:
+            raise AuditError(events[-1].seq if events else 0,
+                             f"resident objects hold {resident_bytes} B, capacity "
+                             f"counter {cache.used} B, capacity {cache.capacity} B")
+        return ledger, series, warmup_snapshot
+    finally:
+        if was:
+            gc.enable()
 
 
 def run(events: Sequence[Event], catalog: ObjectCatalog, config: RunConfig) -> RunReport:
@@ -219,7 +226,9 @@ def run(events: Sequence[Event], catalog: ObjectCatalog, config: RunConfig) -> R
     an event leaves a broken update queue, or, at the end, the resident set
     disagrees with the capacity counter or exceeds capacity. The events go
     through `as_trace` first, so anything but a trusted `Trace` raises
-    ValueError naming its first bad event (`Trace.of`)."""
+    ValueError naming its first bad event (`Trace.of`). The event loop pauses
+    the cyclic GC process-wide (another thread's cycles wait too), restoring
+    it after: a replay makes no cycles, so reference counting frees it all."""
     events = as_trace(catalog, events)
     cache = CacheState(config.capacity(catalog), catalog)
     policy = make_policy(config, cache, events)

@@ -343,6 +343,8 @@ def _read(path, rep: ValidationReport) -> tuple[ObjectCatalog | None, Iterator[E
             header = json.loads(fh.readline().decode())
         if header.get("schema") != TRACE_SCHEMA:
             raise TraceError(f"unexpected trace schema {header.get('schema')!r}")
+        if "n_events" in header and type(header["n_events"]) is not int:
+            raise TraceError(f"n_events must be an int, got {json.dumps(header['n_events'])}")
         catalog = read_catalog(path.parent / header["catalog"])
     except (TraceError, OSError, EOFError, zlib.error, KeyError, ValueError,
             TypeError, AttributeError, RecursionError) as exc:

@@ -12,7 +12,12 @@ interaction graph. Each run's summary JSON, series CSV and decision-log repr
 are hashed as `test_golden.py` hashes them and compared with the pins below.
 Each run's decision log is then replayed through `replay_decisions`, which
 must reproduce the run's ledger and final resident set and count one
-`CacheState.moves` per initial resident and per logged Load or Evict. Every
+`CacheState.moves` per initial resident and per logged Load or Evict. The
+cyclic collector stays off through each run and its replay, and the
+collections after them and before each networkx call below must find no
+unreachable object (networkx's own cycles are collected after it, uncounted):
+a replay makes no reference cycles, which is why `run()`'s event loop pauses
+the collector. Every
 `COVER_STRIDE`-th cover that vcover computes, counted over all its runs, is
 checked against `tests.oracles.minimum_cut_cover`, the minimum cut that
 `networkx.minimum_cut` finds, an oracle that shares no code with `covergraph`
@@ -44,12 +49,12 @@ A change that means to alter behaviour re-records the pins and says why.
 """
 
 import dataclasses
+import gc
 import hashlib
 import sys
 import tempfile
 import time
 from pathlib import Path
-from types import SimpleNamespace
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))   # `tests`, when run by path
 
@@ -57,7 +62,7 @@ from midcache import vcover
 from midcache.core import Evict, Load, ObjectCatalog, ObjectInfo
 from midcache.simharness import RunConfig, replay_decisions, run
 from midcache.workload import GeneratorParams, generate, params_meta, write_catalog, write_trace
-from tests.oracles import minimum_cut_cover
+from tests.oracles import members_graph, minimum_cut_cover
 
 PARAMS = GeneratorParams(n_queries=40_000, n_updates=40_000)
 SEED = 1
@@ -102,16 +107,6 @@ def replay_problems(catalog, events, report) -> list[str]:
             if got != want]
 
 
-def members_graph(g, group_of):
-    """`g` with one node per member update of its groups (`group_of` maps a
-    member's uid to its group's members): each member at its own cost, with
-    its group's edges."""
-    members = [(u, gid) for gid in g.update_weight for u in group_of[gid]]
-    return SimpleNamespace(update_weight={u.uid: u.ship_cost for u, _ in members},
-                           update_edges={u.uid: g.update_edges[gid] for u, gid in members},
-                           query_weight=g.query_weight)
-
-
 class SampledCovers:
     """Stands in for vcover's `min_weight_cover`, checking every
     `COVER_STRIDE`-th call against `minimum_cut_cover` of the graph as given
@@ -124,7 +119,7 @@ class SampledCovers:
     def __init__(self):
         self.calls, self.checked, self.problems = 0, 0, []
         self.group_nodes = self.member_updates = 0
-        self.run_calls = self.whole = 0
+        self.run_calls = self.whole = self.garbage = 0
         self.group_of = {}
         self.real = vcover.min_weight_cover
 
@@ -134,8 +129,10 @@ class SampledCovers:
         self.whole += self.run_calls > 1 and prior.mark is None
         sampled = self.calls % COVER_STRIDE == 0
         if sampled:
+            self.garbage += gc.collect()   # the run's; networkx's own cycles are not counted
             ungrouped = members_graph(g, self.group_of)
             expect, expect_members = minimum_cut_cover(g), minimum_cut_cover(ungrouped)
+            gc.collect()
             self.group_nodes += len(g.update_weight)
             self.member_updates += len(ungrouped.update_weight)
         cover, flow = self.real(g, prior)
@@ -196,16 +193,21 @@ def main() -> int:
     scaled = []   # the reports of vcover at policy seed 1
     vcover.min_weight_cover = covers
     vcover.VCoverPolicy.__init__ = noting_init
+    gc.collect()
+    gc.disable()   # so any cycle a run or its replay makes is still there to count
     try:
         for (policy, cache_frac, seed), want in GOLDEN.items():
             start = time.perf_counter()
             covers.problems.clear()
-            covers.run_calls = covers.whole = 0
+            covers.run_calls = covers.whole = covers.garbage = 0
             report = run(events, catalog,
                          RunConfig(policy=policy, seed=seed, cache_frac=cache_frac))
             got = digest(report)
             problems = ([] if got == want else ["digest"]) + covers.problems
             problems += replay_problems(catalog, events, report)
+            if garbage := covers.garbage + gc.collect():
+                problems.append(f"{garbage} objects in reference cycles after the run and "
+                                "its replay")
             failed += bool(problems)
             detail = "".join(f"; {p}" for p in problems)
             if policy == "vcover":
@@ -216,6 +218,7 @@ def main() -> int:
             if (policy, seed) == ("vcover", 1):
                 scaled.append((cache_frac, report))
     finally:
+        gc.enable()
         vcover.min_weight_cover = covers.real
         vcover.VCoverPolicy.__init__ = real_init
     print(f"{covers.checked} of {covers.calls} vcover covers checked against networkx, "

@@ -1,4 +1,3 @@
-import gc
 from pathlib import Path
 
 import pytest
@@ -15,14 +14,6 @@ DATA_DIR = Path(__file__).parent / "data"
 # The mutation gate (`tests/mutants.py`) asks only whether a test fails, so it
 # runs under this profile, which reports the first failing example unshrunk.
 settings.register_profile("mutants", phases=(Phase.explicit, Phase.reuse, Phase.generate))
-
-
-@pytest.fixture(autouse=True)
-def unfreeze_gc():
-    """`run` and `compare` freeze the GC after loading their trace; tests
-    call them in-process, so thaw it again after each test."""
-    yield
-    gc.unfreeze()
 
 
 @pytest.fixture

@@ -24,7 +24,8 @@ The list starts from the mutants that `CHANGES.md` describes for the star
 answer, adds and removals on the interaction graph, the replay harness, and
 the cover cycle and the metamorphic relations, then covers the trace reader,
 the generator's shuffle, the flow kernel, the update queue, the report,
-Greedy-Dual-Size and the harness's decision audits.
+Greedy-Dual-Size, the harness's decision audits, `benefit`'s fill and
+window, and the event loop's pause of the cyclic collector.
 """
 
 from __future__ import annotations
@@ -61,18 +62,20 @@ _LOADMGR = "tests/test_loadmgr.py::"
 _WORKLOAD = "tests/test_workload.py::"
 _CLI = "tests/test_cli.py::"
 _GOLDEN = "tests/test_golden.py::"
+_GC = "tests/test_cli.py::TestGcPause::"
+_BENEFIT = "tests/test_benefit.py::"
 
 _EVENT_LOOP_HEAD = """\
-    receive_update = cache.receive_update
-    for ev in events:
-        seq = ev.seq
-        if isinstance(ev, Update):
-            receive_update(ev)
-            if decisions := on_update(ev):
-                execute(cache, ledger, log, decisions, seq, None)
-        elif decisions := on_query(ev):
-            execute(cache, ledger, log, decisions, seq, ev)
-        if cache.outstanding:   # read each event: a policy may rebind the map
+        receive_update = cache.receive_update
+        for ev in events:
+            seq = ev.seq
+            if isinstance(ev, Update):
+                receive_update(ev)
+                if decisions := on_update(ev):
+                    execute(cache, ledger, log, decisions, seq, None)
+            elif decisions := on_query(ev):
+                execute(cache, ledger, log, decisions, seq, ev)
+            if cache.outstanding:   # read each event: a policy may rebind the map
 """
 
 MUTANTS: tuple[Mutant, ...] = (
@@ -298,6 +301,33 @@ MUTANTS: tuple[Mutant, ...] = (
            "if seq < warmup:",
            (_CLI + "TestCliDigests::test_gen_and_compare_outputs_pinned",
             _HARNESS + "TestRun::test_warmup_view_subtracts_prefix")),
+    # benefit's greedy fill and its window.
+    Mutant("fill-ties-by-descending-id", "benefit.py",
+           "key=lambda o: (-scores[o], o))",
+           "key=lambda o: (-scores[o], -o))",
+           (_BENEFIT + "TestRecompose::test_selection_is_fit_constrained_prefix",)),
+    Mutant("window-rolls-a-query-late", "benefit.py",
+           "        if self.events_in_window < self.delta:\n            return decisions\n",
+           "        if self.events_in_window <= self.delta:\n            return decisions\n",
+           (_BENEFIT + "TestWindowAccounting::test_five_event_window_matches_hand_ledger",
+            _BENEFIT + "TestWindowedOracle::test_decision_log_matches_window_by_window_oracle",
+            _GOLDEN + "test_run_outputs_byte_identical[default20k-benefit-1]")),
+    # The event loop's pause of the cyclic collector.
+    Mutant("gc-restore-without-was", "simharness.py",
+           "        if was:\n            gc.enable()\n",
+           "        gc.enable()\n",
+           (_GC + "test_run_leaves_the_collector_as_it_found_it[disabled-returns]",
+            _GC + "test_run_leaves_the_collector_as_it_found_it[disabled-raises]")),
+    Mutant("gc-restore-outside-finally", "simharness.py",
+           "        return ledger, series, warmup_snapshot\n    finally:\n"
+           "        if was:\n            gc.enable()\n",
+           "    finally:\n        pass\n    if was:\n        gc.enable()\n"
+           "    return ledger, series, warmup_snapshot\n",
+           (_GC + "test_run_leaves_the_collector_as_it_found_it[enabled-raises]",)),
+    Mutant("gc-never-paused", "simharness.py",
+           "    gc.disable()\n",
+           "",
+           (_GC + "test_policy_hooks_run_with_the_collector_paused",)),
 )
 
 

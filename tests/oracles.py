@@ -9,6 +9,7 @@ import random
 from collections import deque
 from fractions import Fraction
 from itertools import accumulate, combinations
+from types import SimpleNamespace
 
 import networkx as nx
 
@@ -91,6 +92,17 @@ def minimum_cut_cover(g) -> tuple[frozenset[int], frozenset[int], int]:
     value, (_, source_side) = nx.minimum_cut(net, "t", "s")
     return (frozenset(q for q in g.query_weight if ("q", q) in source_side),
             frozenset(u for u in g.update_weight if ("u", u) not in source_side), value)
+
+
+def members_graph(g, group_of) -> SimpleNamespace:
+    """An `InteractionGraph` whose update nodes are groups of twin updates,
+    read with one node per member update (`group_of` maps a member's uid,
+    and so each group's id, to its group's members): each member at its own
+    cost, with its group's edges as a set of query ids."""
+    members = [(u, gid) for gid in g.update_weight for u in group_of[gid]]
+    return SimpleNamespace(update_weight={u.uid: u.ship_cost for u, _ in members},
+                           update_edges={u.uid: set(g.update_edges[gid]) for u, gid in members},
+                           query_weight=g.query_weight)
 
 
 def sink_flow(fs, qid) -> int:

@@ -5,15 +5,18 @@ import hashlib
 import io
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from midcache import simharness
 from midcache.cli import main
-from midcache.core import ObjectCatalog, Query
-from midcache.simharness import POLICY_NAMES, ComparisonReport, RunConfig, run
+from midcache.core import AnswerFromCache, ObjectCatalog, Query
+from midcache.simharness import (POLICY_NAMES, AuditError, ComparisonReport, RunConfig,
+                                 replay_decisions, run)
 from midcache.workload import (GeneratorParams, generate, load_trace, regrain,
                                write_catalog, write_trace)
-from tests.conftest import DATA_DIR
+from tests.conftest import DATA_DIR, mk_query, mk_update
 
 
 @pytest.fixture
@@ -119,27 +122,68 @@ class TestRun:
         assert "Traceback" not in err
 
 
-class TestGcFreeze:
-    """`run` and `compare` freeze the loaded trace out of the cyclic GC; the
-    library's run() leaves the process's GC as it found it."""
+class TestGcPause:
+    """`run()`'s event loop pauses the cyclic collector and leaves it as it
+    found it; a replay makes no cycles, so the pause leaves none behind."""
 
-    def test_cli_run_freezes_and_writes_what_run_returns(self, workspace, tmp_path):
-        assert gc.get_freeze_count() == 0
+    @staticmethod
+    def scripted(monkeypatch, on_event):
+        """Replays run a policy whose every hook returns `on_event(ev)`, with
+        None for the event at startup."""
+        policy = SimpleNamespace(startup=lambda: on_event(None), on_query=on_event,
+                                 on_update=on_event)
+        monkeypatch.setattr(simharness, "make_policy", lambda cfg, cache, events: policy)
+
+    @pytest.fixture
+    def collector(self):
+        """Put the collector's state back after the test, whatever it did."""
+        was = gc.isenabled()
+        yield
+        (gc.enable if was else gc.disable)()
+
+    def test_cli_run_writes_what_run_returns(self, workspace, tmp_path):
         assert main(["run", "--policy", "vcover", "--trace", str(workspace / "trace.jsonl"),
                      "--seed", "1", "--out", str(tmp_path)]) == 0
-        assert gc.get_freeze_count() > 0
         catalog, events = load_trace(workspace / "trace.jsonl")
         report = run(events, catalog, RunConfig(policy="vcover", seed=1))
         assert (tmp_path / "run-vcover-seed1.json").read_text() == report.summary_json()
         assert (tmp_path / "run-vcover-seed1.csv").read_text() == report.series_csv()
 
-    def test_library_run_leaves_the_freeze_count(self, workspace):
+    def test_policy_hooks_run_with_the_collector_paused(self, monkeypatch, collector):
+        seen = []
+        self.scripted(monkeypatch, lambda ev: seen.append(gc.isenabled()) or [])
+        gc.enable()
+        events = [mk_update(1, 1, 0, 2, seq=1), mk_query(2, 2, {0}, 5, seq=2)]
+        run(events, ObjectCatalog.from_sizes({0: 10}), RunConfig(policy="nocache", seed=0))
+        assert seen == [False, False, False] and gc.isenabled()
+
+    # A policy that answers an update from the cache fails the run.
+    OUTCOMES = {"returns": [], "raises": [AnswerFromCache(1)]}
+
+    @pytest.mark.parametrize("outcome", sorted(OUTCOMES))
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_run_leaves_the_collector_as_it_found_it(self, monkeypatch, collector,
+                                                     enabled, outcome):
+        self.scripted(monkeypatch, lambda ev: self.OUTCOMES[outcome] if ev else [])
+        (gc.enable if enabled else gc.disable)()
+        events = [mk_update(1, 1, 0, 2, seq=1)]
+        catalog, config = ObjectCatalog.from_sizes({0: 10}), RunConfig(policy="nocache", seed=0)
+        if outcome == "raises":
+            with pytest.raises(AuditError):
+                run(events, catalog, config)
+        else:
+            run(events, catalog, config)
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("cache_frac", [0.3, 0.05])
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    def test_no_replay_leaves_cyclic_garbage(self, workspace, collector, policy, cache_frac):
         catalog, events = load_trace(workspace / "trace.jsonl")
-        gc.freeze()
-        before = gc.get_freeze_count()
-        for policy in POLICY_NAMES:
-            run(events, catalog, RunConfig(policy=policy, seed=1))
-        assert gc.get_freeze_count() == before
+        gc.disable()
+        gc.collect()
+        report = run(events, catalog, RunConfig(policy=policy, seed=1, cache_frac=cache_frac))
+        replay_decisions(events, catalog, report)
+        assert gc.collect() == 0
 
 
 class TestCompare:

@@ -14,7 +14,7 @@ from midcache.vcover import VCoverPolicy
 from midcache.workload import GeneratorParams, generate
 from tests.conftest import GB, SEC, mk_query, mk_update
 from tests.oracles import (ReferenceVCover, brute_force_canonical_cover, check_flow,
-                           cover_weight, enumerate_plan_costs, graph_edges,
+                           cover_weight, enumerate_plan_costs, graph_edges, members_graph,
                            minimum_cut_cover, reference_vcover_log, sink_flow)
 
 
@@ -422,15 +422,6 @@ class TestCanonicalCover:
         assert len(checked) >= 20
 
 
-def ungrouped(policy, g) -> SimpleNamespace:
-    """`g` with each group of the policy read as its members: one node per
-    member at its own cost, with the group's edges."""
-    members = [(u, gid) for gid in g.update_weight for u in policy.group_of[gid]]
-    return SimpleNamespace(update_weight={u.uid: u.ship_cost for u, _ in members},
-                           update_edges={u.uid: set(g.update_edges[gid]) for u, gid in members},
-                           query_weight=g.query_weight)
-
-
 def check_groups(policy, cache) -> None:
     """The groups are the graph's update nodes, each named by its oldest
     member and weighing its members' costs, all of zero or all of positive
@@ -489,7 +480,7 @@ class TestTwinGroups:
             if split:
                 seen.add("a split" + (" of a group holding flow"
                                       if any(f for _, f in split) else ""))
-            expect = minimum_cut_cover(ungrouped(policy, g))[:2]
+            expect = minimum_cut_cover(members_graph(g, policy.group_of))[:2]
             cover, fs = real_mwc(g, prior)
             members = {u.uid for gid in cover.cover_updates for u in policy.group_of[gid]}
             assert (cover.cover_queries, members) == expect
@@ -507,7 +498,7 @@ class TestTwinGroups:
                     seen.add("an eviction of an object with groups")
                 check_groups(policy, cache)
                 check_flow(policy.graph, policy.flow)
-                expanded = ungrouped(policy, policy.graph)
+                expanded = members_graph(policy.graph, policy.group_of)
                 assert expanded.update_weight == reference.update_weight
                 assert expanded.update_edges == reference.update_edges
                 assert policy.graph.query_weight == reference.query_weight

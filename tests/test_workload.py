@@ -262,6 +262,33 @@ class TestTraceIO:
         rep = validate(trace)
         assert not rep.ok and rep.errors[0][0] == 2
 
+    @pytest.mark.parametrize("count, error", [
+        ("3", None),
+        (None, None),
+        ("4", "header declares 4 events, file has 3"),
+        ("3.0", "bad header or catalog: n_events must be an int, got 3.0"),
+        ("null", "bad header or catalog: n_events must be an int, got null"),
+        ('"3"', 'bad header or catalog: n_events must be an int, got "3"'),
+        ("true", "bad header or catalog: n_events must be an int, got true"),
+    ], ids=["int", "absent", "wrong-count", "float", "null", "string", "bool"])
+    def test_header_event_count_is_an_int(self, tmp_path, capsys, count, error):
+        # A present n_events is of JSON type integer, as every count in the
+        # format is, and equals the events the file holds.
+        write_catalog(read_catalog(DATA_DIR / "worked_example" / "catalog.json"),
+                      tmp_path / "catalog.json")
+        field = "" if count is None else f',"n_events":{count}'
+        updates = [json.dumps({"kind": "update", "id": i, "time": i, "object": 1, "cost": 1})
+                   for i in (1, 2, 3)]
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text("\n".join(['{"catalog":"catalog.json"%s,"schema":"trace/v1"}' % field]
+                                   + updates) + "\n")
+        assert validate(trace).errors == ([] if error is None else [(1, error)])
+        for command in (["run", "--policy", "nocache"], ["compare"]):
+            rc = main(command + ["--trace", str(trace), "--seed", "1", "--out", str(tmp_path)])
+            assert rc == (0 if error is None else 1)
+            err = capsys.readouterr().err
+            assert err == ("" if error is None else f"invalid trace: {trace}:1: {error}\n")
+
     @pytest.mark.parametrize("line, errors", [
         ("\n", []),
         (" \t\r\n", []),

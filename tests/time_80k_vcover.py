@@ -18,6 +18,13 @@ Prints, per replay (`vcover seed N`, or the policy's name), each side's
 median seconds, the median of the per-round ratios (second tree over first)
 and the rounds the second tree won, and the same as one JSON object on the
 last line. Wall seconds, not normalised for host speed.
+
+Each timed run starts after a full collection, with both trees' traces
+alive, so the traces sit in the cyclic collector's oldest generation. A
+change to when the collector runs (such as `run()`'s pause of it) therefore
+times differently here than in a fresh process that replays a trace it has
+just loaded, as `midcache run` does; time such a change in fresh processes
+too.
 """
 
 import argparse
@@ -58,7 +65,6 @@ def main() -> int:
     sides = [load(args.first, "side0"), load(args.second, "side1")]
     traces = [m.generate(m.GeneratorParams(n_queries=args.events // 2,
                                            n_updates=args.events // 2), 1) for m in sides]
-    gc.freeze()
     seeds = [int(s) for s in args.seeds.split(",")]
     replays = []   # (policy, seed, label)
     for p in args.policies.split(","):
