@@ -15,6 +15,19 @@ from heapq import heapify, heappop, heappush
 from .core import CacheState, Decision, Evict, Load, ObjectId, Query, shuffle
 
 
+class _Values(dict):
+    """A decision table: `d[oid]` is that id's one `kind(oid)`, built on first use."""
+
+    __slots__ = ("kind",)
+
+    def __init__(self, kind):
+        self.kind = kind
+
+    def __missing__(self, oid):
+        self[oid] = value = self.kind(oid)
+        return value
+
+
 @dataclass
 class GdsState:
     """Greedy-Dual-Size bookkeeping: a global inflation level and a credit
@@ -32,17 +45,21 @@ class GdsState:
     decisions are applied (none for a fresh state, whose first call syncs).
     The credits are checked against the resident set only when some other
     change came between, so breaking the decision-application contract
-    leaves them, and so the victims, wrong."""
+    leaves them, and so the victims, wrong. `loads` and `evicts` are the
+    `_Values` tables of `Load` and `Evict` whose values the state emits."""
 
     inflation: float = 0.0
     credit: dict[ObjectId, float] = field(default_factory=dict)
     heap: list[tuple[float, ObjectId]] = field(init=False, repr=False, compare=False)
     synced_cache: CacheState | None = field(init=False, repr=False, compare=False)
     synced_moves: int = field(init=False, repr=False, compare=False)
+    loads: _Values = field(init=False, repr=False, compare=False)
+    evicts: _Values = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.rebuild_heap()
         self.synced_cache, self.synced_moves = None, -1
+        self.loads, self.evicts = _Values(Load), _Values(Evict)
 
     def rebuild_heap(self) -> None:
         self.heap = [(h, oid) for oid, h in self.credit.items()]
@@ -95,7 +112,9 @@ def gds_lazy_apply(state: GdsState, cache: CacheState,
     credit) and then admits it; a candidate bigger than the whole cache is
     skipped. An admitted candidate, and a resident one, gets the credit
     inflation + load_cost/size, pushed onto the heap. The heap is rebuilt
-    from the credits once stale entries outnumber live ones."""
+    from the credits once stale entries outnumber live ones. The decisions
+    come from the state's tables in the same pass: `evicts[victim]` for each
+    victim resident at batch start, then `loads[oid]` for each admission."""
     credit, moves = state.credit, cache.moves
     if state.synced_cache is not cache or state.synced_moves != moves:
         resident = cache.resident
@@ -113,9 +132,9 @@ def gds_lazy_apply(state: GdsState, cache: CacheState,
     if len(state.heap) > 2 * len(credit) + 16:
         state.rebuild_heap()
     heap, entries, capacity = state.heap, cache.catalog.entries, cache.capacity
-    free = capacity - cache._used
+    free, loads, evicts = capacity - cache._used, state.loads, state.evicts
     admitted: dict[ObjectId, None] = {}
-    evicted: list[ObjectId] = []
+    decisions: list[Decision] = []
 
     for oid in batch:
         info = entries[oid]
@@ -133,11 +152,13 @@ def gds_lazy_apply(state: GdsState, cache: CacheState,
                 if victim in admitted:
                     del admitted[victim]
                 else:
-                    evicted.append(victim)
+                    decisions.append(evicts[victim])
             free -= size
             admitted[oid] = None
         credit[oid] = h = state.inflation + info.load_cost / size
         heappush(heap, (h, oid))
 
-    state.synced_moves = moves + len(evicted) + len(admitted)
-    return state, [*map(Evict, evicted), *map(Load, admitted)]
+    state.synced_moves = moves + len(decisions) + len(admitted)
+    for oid in admitted:
+        decisions.append(loads[oid])
+    return state, decisions

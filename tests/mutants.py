@@ -24,7 +24,8 @@ The list starts from the mutants that `CHANGES.md` describes for the star
 answer, adds and removals on the interaction graph, the replay harness, and
 the cover cycle and the metamorphic relations, then covers the trace reader,
 the generator's shuffle, the flow kernel, the update queue, the report,
-Greedy-Dual-Size, the harness's decision audits, `benefit`'s fill and
+Greedy-Dual-Size (its victim order, its `moves` sync and the decision
+tables it emits from), the harness's decision audits, `benefit`'s fill and
 window, and the event loop's pause of the cyclic collector.
 """
 
@@ -282,6 +283,36 @@ MUTANTS: tuple[Mutant, ...] = (
             _VCOVER + "TestReferenceVCover::test_golden_shapes_match_the_reference[churn532-1]",
             _VCOVER + "TestReferenceVCover::test_run_matches_the_reference",
             _VCOVER + "TestTwinGroups::test_groups_are_twins_and_covers_expand_to_the_ungrouped_cover")),
+    Mutant("evicts-built-from-load", "loadmgr.py",
+           "self.loads, self.evicts = _Values(Load), _Values(Evict)",
+           "self.loads, self.evicts = _Values(Load), _Values(Load)",
+           (_GOLDEN + "test_replay_counts_one_move_per_residency_change[churn532-vcover]",
+            _GOLDEN + "test_run_outputs_byte_identical[churn532-vcover-1]",
+            _LOADMGR + "TestChainedBatches::test_matches_chained_eager_oracle",
+            _LOADMGR + "TestDecisionTables::test_decisions_equal_new_values",
+            _LOADMGR + "TestGdsTouch::test_inflation_raises_credit")),
+    Mutant("sync-count-without-admissions", "loadmgr.py",
+           "state.synced_moves = moves + len(decisions) + len(admitted)",
+           "state.synced_moves = moves + len(decisions)",
+           (_LOADMGR + "TestChainedBatches::test_matches_chained_eager_oracle",
+            _LOADMGR + "TestChainedBatches::test_seeded_runs_rebuild_the_heap",
+            _LOADMGR + "TestLazyApply::test_unapplied_decisions_force_the_sync")),
+    Mutant("loads-before-evicts", "loadmgr.py",
+           "    for oid in admitted:\n        decisions.append(loads[oid])\n",
+           "    decisions[:0] = [loads[oid] for oid in admitted]\n",
+           (_GOLDEN + "test_run_outputs_byte_identical[churn532-vcover-1]",
+            _LOADMGR + "TestChainedBatches::test_matches_chained_eager_oracle",
+            _LOADMGR + "TestDecisionTables::test_decisions_equal_new_values",
+            _LOADMGR + "TestGdsTouch::test_inflation_raises_credit",
+            _LOADMGR + "TestLazyApply::test_no_intra_batch_churn")),
+    Mutant("gds-ties-by-descending-id", "loadmgr.py",
+           "h, victim = heappop(heap)",
+           "h, victim = max(e for e in heap if e[0] == heap[0][0]); "
+           "heap.remove((h, victim)); heapify(heap)",
+           (_GOLDEN + "test_run_outputs_byte_identical[churn532-vcover-1]",
+            _LOADMGR + "TestChainedBatches::test_matches_chained_eager_oracle",
+            _LOADMGR + "TestGdsTouch::test_credit_ties_evict_the_smaller_id",
+            _LOADMGR + "TestLazyApply::test_net_state_matches_eager_final_residency")),
     Mutant("ship-query-names-any-query", "simharness.py",
            "if to_ship is None or d.qid != to_ship.qid:",
            "if to_ship is None:",

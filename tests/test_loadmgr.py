@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from collections import Counter
 
@@ -122,13 +124,71 @@ class TestStateShape:
         policy = VCoverPolicy(cache)
         assert set(vars(policy)) == {"cache", "rng", "graph", "flow", "gds", "group_of"}
         assert set(vars(policy.gds)) == {"inflation", "credit", "heap",
-                                         "synced_cache", "synced_moves"}
+                                         "synced_cache", "synced_moves", "loads", "evicts"}
         # the heap only indexes the credits: (credit, oid) pairs, with an
         # entry for every live credit
         policy.on_query(mk_query(1, 0, {2, 3}, 100))
         heap = policy.gds.heap
         assert heap and all(isinstance(h, float) and isinstance(o, int) for h, o in heap)
         assert all((h, o) in heap for o, h in policy.gds.credit.items())
+        # the decision tables hold only each key's decision, no counter
+        tables = policy.gds.loads, policy.gds.evicts
+        assert all(tables)
+        assert all(v == t.kind(k) for t in tables for k, v in t.items())
+
+
+class TestDecisionTables:
+    # The state emits, for each id, the one Load and the one Evict its tables
+    # keep; they compare equal to new values, and no two states share them.
+    BATCHES = [[0, 1], [2], [0], [1, 2], [0], [3], [0, 1]]
+
+    def churn(self, state, batches):
+        catalog = ObjectCatalog.from_sizes({0: 5, 1: 5, 2: 5, 3: 10})
+        cache = make_cache(catalog, 10)
+        emitted = []
+        for batch in batches:
+            _, decisions = gds_lazy_apply(state, cache, batch)
+            for d in decisions:
+                apply(cache, d)
+            emitted.append(decisions)
+        return emitted
+
+    def test_decisions_equal_new_values(self):
+        state = GdsState()
+        emitted = self.churn(state, self.BATCHES)
+        assert emitted == [[Load(0), Load(1)], [Evict(0), Load(2)], [Evict(1), Load(0)],
+                           [Evict(0), Load(1)], [Evict(1), Load(0)],
+                           [Evict(2), Evict(0), Load(3)], [Evict(3), Load(0), Load(1)]]
+        for d in (d for decisions in emitted for d in decisions):
+            assert type(d) in (Load, Evict) and d == type(d)(d.oid)
+            assert d is (state.loads if type(d) is Load else state.evicts)[d.oid]
+        assert (state.loads.kind, state.evicts.kind) == (Load, Evict)
+
+    def test_one_state_reuses_one_value_per_id(self):
+        emitted = self.churn(GdsState(), self.BATCHES)
+        assert emitted[2] == emitted[4] == [Evict(1), Load(0)]
+        assert all(a is b for a, b in zip(emitted[2], emitted[4]))
+        assert emitted[1][0] is emitted[3][0] is emitted[5][1]
+        assert emitted[0][0] is emitted[2][1] is emitted[6][1]
+
+    def test_two_states_share_no_table(self):
+        first, second = GdsState(), GdsState()
+        tables = [first.loads, first.evicts, second.loads, second.evicts]
+        assert len(set(map(id, tables))) == 4
+        ours, theirs = (self.churn(s, self.BATCHES) for s in (first, second))
+        assert ours == theirs
+        assert not any(a is b for x, y in zip(ours, theirs) for a, b in zip(x, y))
+
+    @pytest.mark.parametrize("duplicate", [lambda s: pickle.loads(pickle.dumps(s)), copy.deepcopy],
+                             ids=["pickle", "deepcopy"])
+    def test_state_copies_with_its_own_tables(self, duplicate):
+        state = GdsState()
+        self.churn(state, self.BATCHES)
+        twin = duplicate(state)
+        assert twin == state and twin.heap == state.heap
+        for mine, its in ((state.loads, twin.loads), (state.evicts, twin.evicts)):
+            assert its == mine and its is not mine and its.kind is mine.kind
+        assert twin.loads[7] == Load(7) and 7 not in state.loads
 
 
 class TestGdsTouch:
@@ -150,6 +210,19 @@ class TestGdsTouch:
         assert decisions == [Evict(0), Load(1)]
         assert state.inflation == 3.0
         assert state.credit[1] == 3.0 + catalog.entries[1].load_cost / catalog.entries[1].size
+
+    def test_credit_ties_evict_the_smaller_id(self):
+        # equal credits: the victim is the minimum (credit, oid), whatever
+        # order the credits were set in
+        catalog = ObjectCatalog.from_sizes({0: 5, 1: 5, 2: 5, 3: 5})
+        cache = make_cache(catalog, 15, [2, 0, 1])
+        state = GdsState(credit={2: 1.0, 1: 1.0, 0: 1.0})
+        state, decisions = gds_lazy_apply(state, cache, [3])
+        assert decisions == [Evict(0), Load(3)]
+        for d in decisions:
+            apply(cache, d)
+        state, decisions = gds_lazy_apply(state, cache, [0])
+        assert decisions == [Evict(1), Load(0)]
 
     def test_touch_is_idempotent(self, small_catalog):
         state = GdsState(inflation=2.0)
